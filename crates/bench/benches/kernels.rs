@@ -56,14 +56,52 @@ fn bench_gemm(c: &mut Criterion) {
             });
         });
     }
+    // One rank's shard of the paper's MNIST shape (`mnist_dense_2r`).
+    let (n, p, c1) = SHARD;
+    let mut rng = gen::seeded_rng(1);
+    let x = Matrix::Dense(gen::gaussian_matrix(n, p, &mut rng));
+    let w = gen::gaussian_matrix(c1, p, &mut rng);
+    let mut out = DenseMatrix::zeros(n, c1);
+    group.bench_function(format!("dense_into/{SHARD_ID}"), |b| {
+        b.iter(|| {
+            x.gemm_nt_into(&w, &mut out).unwrap();
+            black_box(out.as_slice()[0])
+        });
+    });
+    group.finish();
+}
+
+/// Rows × features × explicit classes of one rank's shard in the
+/// `mnist_dense_2r` benchmark workload, and the id suffix of its rows.
+const SHARD: (usize, usize, usize) = (8000, 784, 9);
+const SHARD_ID: &str = "8000x784";
+
+fn bench_gemm_tn(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm_tn");
+    for (id, (n, p, c1)) in [("1024", (1024, 128, 9)), (SHARD_ID, SHARD)] {
+        let mut rng = gen::seeded_rng(5);
+        let x = Matrix::Dense(gen::gaussian_matrix(n, p, &mut rng));
+        let m = gen::gaussian_matrix(n, c1, &mut rng);
+        let mut out = DenseMatrix::zeros(c1, p);
+        group.bench_function(format!("dense_into/{id}"), |b| {
+            b.iter(|| {
+                x.gemm_tn_from_dense_into(&m, &mut out).unwrap();
+                black_box(out.as_slice()[0])
+            });
+        });
+    }
     group.finish();
 }
 
 fn softmax_problem() -> (SoftmaxCrossEntropy, Vec<f64>, Vec<f64>) {
+    softmax_problem_of(1024, 128)
+}
+
+fn softmax_problem_of(samples: usize, features: usize) -> (SoftmaxCrossEntropy, Vec<f64>, Vec<f64>) {
     let (train, _) = SyntheticConfig::mnist_like()
-        .with_train_size(1024)
+        .with_train_size(samples)
         .with_test_size(64)
-        .with_num_features(128)
+        .with_num_features(features)
         .generate(2);
     let obj = SoftmaxCrossEntropy::new(&train, 1e-5);
     let mut rng = gen::seeded_rng(3);
@@ -76,24 +114,31 @@ fn bench_softmax_objective(c: &mut Criterion) {
     let mut group = c.benchmark_group("softmax_objective");
     let (obj, x, v) = softmax_problem();
     group.bench_function("value_and_gradient", |b| b.iter(|| black_box(obj.value_and_gradient(&x))));
-    group.bench_function("value_and_gradient_into", |b| {
-        let mut ws = Workspace::new();
-        let mut g = vec![0.0; obj.dim()];
-        b.iter(|| black_box(obj.value_and_gradient_into(&x, &mut g, &mut ws)));
-    });
     group.bench_function("hessian_vec", |b| b.iter(|| black_box(obj.hessian_vec(&x, &v))));
     let op = obj.hvp_operator(&x);
     group.bench_function("hvp_operator_cached", |b| b.iter(|| black_box(op(&v))));
-    group.bench_function("hvp_prepared_into", |b| {
+    bench_warm_paths(&mut group, "", &obj, &x, &v);
+    let (obj, x, v) = softmax_problem_of(SHARD.0, SHARD.1);
+    bench_warm_paths(&mut group, &format!("/{SHARD_ID}"), &obj, &x, &v);
+    group.finish();
+}
+
+/// The two calls a Newton-CG step is made of, on a warm pool.
+fn bench_warm_paths(group: &mut criterion::BenchmarkGroup, suffix: &str, obj: &SoftmaxCrossEntropy, x: &[f64], v: &[f64]) {
+    group.bench_function(format!("value_and_gradient_into{suffix}"), |b| {
         let mut ws = Workspace::new();
-        let state = obj.prepare_hvp(&x, &mut ws);
+        let mut g = vec![0.0; obj.dim()];
+        b.iter(|| black_box(obj.value_and_gradient_into(x, &mut g, &mut ws)));
+    });
+    group.bench_function(format!("hvp_prepared_into{suffix}"), |b| {
+        let mut ws = Workspace::new();
+        let state = obj.prepare_hvp(x, &mut ws);
         let mut out = vec![0.0; obj.dim()];
         b.iter(|| {
-            obj.hvp_prepared_into(&state, &v, &mut out, &mut ws);
+            obj.hvp_prepared_into(&state, v, &mut out, &mut ws);
             black_box(out[0])
         });
     });
-    group.finish();
 }
 
 fn bench_transpose_kernels(c: &mut Criterion) {
@@ -112,44 +157,47 @@ fn bench_transpose_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Measures allocations per gradient/HVP evaluation for both paths and
-/// merges everything into the machine-readable report. Runs last.
+/// Measures allocations per gradient/HVP evaluation for both paths — at the
+/// small shape (one row chunk) and at shard scale (several) — and merges
+/// everything into the machine-readable report. Runs last.
 fn emit_report(_c: &mut Criterion) {
-    let (obj, x, v) = softmax_problem();
+    let (obj, x, _) = softmax_problem();
     let (grad_allocs, _) = count_allocations(|| black_box(obj.gradient(&x)));
-    let mut ws = Workspace::new();
-    let mut g = vec![0.0; obj.dim()];
-    obj.gradient_into(&x, &mut g, &mut ws); // warm the pool
-    let (grad_into_allocs, _) = count_allocations(|| obj.gradient_into(&x, &mut g, &mut ws));
-    let state = obj.prepare_hvp(&x, &mut ws);
-    obj.hvp_prepared_into(&state, &v, &mut g, &mut ws); // warm
-    let (hvp_allocs, _) = count_allocations(|| obj.hvp_prepared_into(&state, &v, &mut g, &mut ws));
-
     let mut entries = criterion_entries();
-    for (id, allocs) in [
-        ("gradient_alloc", grad_allocs),
-        ("gradient_into_warm", grad_into_allocs),
-        ("hvp_prepared_into_warm", hvp_allocs),
-    ] {
+    let mut record = |id: String, allocs: u64| {
+        println!("softmax allocations/eval: {id} = {allocs}");
         entries.push(BenchEntry {
             group: "softmax_allocations_per_eval".into(),
-            id: id.into(),
+            id,
             ns_per_iter: 0.0,
             ops_per_sec: 0.0,
             allocs_per_iter: Some(allocs as f64),
         });
+    };
+    record("gradient_alloc".into(), grad_allocs);
+    for (suffix, (obj, x, v)) in [
+        (String::new(), softmax_problem()),
+        (format!("/{SHARD_ID}"), softmax_problem_of(SHARD.0, SHARD.1)),
+    ] {
+        let mut ws = Workspace::new();
+        let mut g = vec![0.0; obj.dim()];
+        obj.gradient_into(&x, &mut g, &mut ws); // warm the pool
+        let (grad_into_allocs, _) = count_allocations(|| obj.gradient_into(&x, &mut g, &mut ws));
+        let state = obj.prepare_hvp(&x, &mut ws);
+        obj.hvp_prepared_into(&state, &v, &mut g, &mut ws); // warm
+        let (hvp_allocs, _) = count_allocations(|| obj.hvp_prepared_into(&state, &v, &mut g, &mut ws));
+        record(format!("gradient_into_warm{suffix}"), grad_into_allocs);
+        record(format!("hvp_prepared_into_warm{suffix}"), hvp_allocs);
     }
     let path = report_path();
     merge_bench_json(&path, &entries).expect("write BENCH_kernels.json");
-    println!(
-        "softmax allocations/eval: gradient={grad_allocs} gradient_into_warm={grad_into_allocs} hvp_prepared_warm={hvp_allocs}"
-    );
     println!("merged report into {path}");
 }
 
 criterion_group!(
     benches,
     bench_gemm,
+    bench_gemm_tn,
     bench_softmax_objective,
     bench_transpose_kernels,
     emit_report

@@ -109,6 +109,49 @@ fn warm_newton_step_performs_zero_heap_allocations() {
 }
 
 #[test]
+fn shard_scale_softmax_evaluations_perform_zero_heap_allocations() {
+    // More rows than one canonical row chunk (256), so the gradient and
+    // Hessian-vector reductions fold several chunk partials — which must come
+    // from the pooled workspace both on the inline path (width 1) and on the
+    // pooled path (width 2: 600 × 64 stored entries clear the default
+    // par-threshold, so the sweep dispatches one partial per chunk).
+    let (train, _) = SyntheticConfig::mnist_like()
+        .with_train_size(600)
+        .with_test_size(16)
+        .with_num_features(64)
+        .with_num_classes(4)
+        .generate(7);
+    let obj = SoftmaxCrossEntropy::new(&train, 1e-4);
+    assert!(
+        nadmm_linalg::row_partials(obj.num_samples()) > 1,
+        "the shard must span several row chunks"
+    );
+    let mut rng = gen::seeded_rng(11);
+    let x = gen::gaussian_vector_with(obj.dim(), 0.0, 0.1, &mut rng);
+    let v = gen::gaussian_vector(obj.dim(), &mut rng);
+    let mut grad = vec![0.0; obj.dim()];
+    let mut hv = vec![0.0; obj.dim()];
+    for width in [1, 2] {
+        rayon::set_num_threads(width);
+        let mut ws = Workspace::new();
+        // Warm-up populates the pool (and spawns the pool worker).
+        obj.value_and_gradient_into(&x, &mut grad, &mut ws);
+        let state = obj.prepare_hvp(&x, &mut ws);
+        obj.hvp_prepared_into(&state, &v, &mut hv, &mut ws);
+
+        ws.reset_stats();
+        let (grad_allocs, value) = count_allocations(|| obj.value_and_gradient_into(&x, &mut grad, &mut ws));
+        let (hvp_allocs, ()) = count_allocations(|| obj.hvp_prepared_into(&state, &v, &mut hv, &mut ws));
+        obj.release_hvp(state, &mut ws);
+        assert!(value.is_finite());
+        assert_eq!(grad_allocs, 0, "warm value_and_gradient_into at width {width}");
+        assert_eq!(hvp_allocs, 0, "warm hvp_prepared_into at width {width}");
+        assert_eq!(ws.stats().pool_misses, 0, "width {width}: {:?}", ws.stats());
+    }
+    rayon::reset_num_threads();
+}
+
+#[test]
 fn warm_distributed_admm_outer_iteration_is_allocation_free() {
     // The ISSUE-2 acceptance criterion: a warm distributed Newton-ADMM outer
     // iteration — compute *and* collectives, instrumentation included —

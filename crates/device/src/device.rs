@@ -3,7 +3,7 @@
 use crate::buffer::DeviceBuffer;
 use crate::clock::SimClock;
 use crate::spec::{DeviceSpec, Precision};
-use nadmm_linalg::{half, vector, DenseMatrix, Matrix};
+use nadmm_linalg::{half, vector, DenseMatrix, Matrix, SweepBuffers};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -151,6 +151,12 @@ impl Device {
 
     /// In-place margin kernel `out = X Wᵀ` (`out` pre-sized to n×k).
     pub fn gemm_nt_into(&self, x: &Matrix, w: &DenseMatrix, out: &mut DenseMatrix) {
+        self.charge_gemm_nt(x, w);
+        x.gemm_nt_into(w, out).expect("device gemm_nt: shape mismatch");
+    }
+
+    /// Bills one `X Wᵀ` launch.
+    fn charge_gemm_nt(&self, x: &Matrix, w: &DenseMatrix) {
         let n = x.rows() as f64;
         let k = w.rows() as f64;
         let nnz = x.stored_entries() as f64;
@@ -158,7 +164,6 @@ impl Device {
         let flops = 2.0 * nnz * k;
         let bytes = (x.storage_bytes() as f64) + (w.len() as f64 + n * k) * 8.0;
         self.charge_kernel(flops, bytes);
-        x.gemm_nt_into(w, out).expect("device gemm_nt: shape mismatch");
     }
 
     /// Gradient-accumulation kernel `G = Mᵀ X` (`M`: n×k, `X`: n×p).
@@ -171,12 +176,44 @@ impl Device {
     /// In-place gradient-accumulation kernel `out = Mᵀ X` (`out` pre-sized to
     /// k×p).
     pub fn gemm_tn_into(&self, x: &Matrix, m: &DenseMatrix, out: &mut DenseMatrix) {
+        self.charge_gemm_tn(x, m);
+        x.gemm_tn_from_dense_into(m, out).expect("device gemm_tn: shape mismatch");
+    }
+
+    /// Bills one `Mᵀ X` launch.
+    fn charge_gemm_tn(&self, x: &Matrix, m: &DenseMatrix) {
         let k = m.cols() as f64;
         let nnz = x.stored_entries() as f64;
         let flops = 2.0 * nnz * k;
         let bytes = (x.storage_bytes() as f64) + (m.len() as f64 + k * x.cols() as f64) * 8.0;
         self.charge_kernel(flops, bytes);
-        x.gemm_tn_from_dense_into(m, out).expect("device gemm_tn: shape mismatch");
+    }
+
+    /// Fused `out = Mᵀ X` with `M = map(X Wᵀ)`, one sweep over `X`
+    /// ([`Matrix::gemm_nt_map_tn_into`]). Billing does not know about the
+    /// fusion: the margin launch, one launch per `(flops, bytes)` entry of
+    /// `map_costs` (the element-wise kernels the row map stands for), then
+    /// the accumulation launch are charged in that order before the sweep
+    /// runs — the launches of [`Device::gemm_nt_into`], those kernels and
+    /// [`Device::gemm_tn_into`] called one after another.
+    pub fn gemm_nt_map_tn_into<F>(
+        &self,
+        x: &Matrix,
+        w: &DenseMatrix,
+        map_costs: &[(f64, f64)],
+        bufs: SweepBuffers<'_>,
+        map: F,
+        out: &mut DenseMatrix,
+    ) where
+        F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
+    {
+        self.charge_gemm_nt(x, w);
+        for &(flops, bytes) in map_costs {
+            self.charge_kernel(flops, bytes);
+        }
+        self.charge_gemm_tn(x, bufs.mid);
+        x.gemm_nt_map_tn_into(w, bufs, map, out)
+            .expect("device gemm_nt_map_tn: shape mismatch");
     }
 
     /// Matrix–vector product `X v`.
@@ -215,8 +252,14 @@ impl Device {
 
     /// AXPY `y ← a·x + y`.
     pub fn axpy(&self, a: f64, x: &[f64], y: &mut [f64]) {
-        self.charge_kernel(2.0 * x.len() as f64, (2 * x.len()) as f64 * 8.0);
+        let (flops, bytes) = Self::axpy_cost(x.len());
+        self.charge_kernel(flops, bytes);
         vector::axpy(a, x, y);
+    }
+
+    /// `(flops, bytes)` [`Device::axpy`] bills for `len` elements.
+    pub fn axpy_cost(len: usize) -> (f64, f64) {
+        (2.0 * len as f64, (2 * len) as f64 * 8.0)
     }
 
     /// Fused AXPY + squared norm: `y ← a·x + y`, returning `‖y‖₂²` of the
@@ -266,13 +309,20 @@ impl Device {
         let c = margins.cols();
         assert_eq!(row_scratch.len(), c, "softmax_rows_into: scratch must hold one row");
         assert_eq!(logz.len(), n, "softmax_rows_into: logz must hold one value per row");
-        // exp + div per element, max/add per row — call it 5 flops/element.
-        self.charge_kernel(5.0 * (n * c) as f64, 2.0 * (n * c) as f64 * 8.0);
+        let (flops, bytes) = Self::softmax_rows_cost(n, c);
+        self.charge_kernel(flops, bytes);
         for (i, lz) in logz.iter_mut().enumerate() {
             let row = margins.row_mut(i);
             *lz = nadmm_linalg::reduce::softmax_with_reference(row, row_scratch);
             row.copy_from_slice(row_scratch);
         }
+    }
+
+    /// `(flops, bytes)` [`Device::softmax_rows_into`] bills for `rows × cols`
+    /// margins: exp + div per element, max/add per row — call it 5
+    /// flops/element.
+    pub fn softmax_rows_cost(rows: usize, cols: usize) -> (f64, f64) {
+        (5.0 * (rows * cols) as f64, 2.0 * (rows * cols) as f64 * 8.0)
     }
 
     // --------------------------------------------------------------------

@@ -23,8 +23,9 @@
 //!
 //! This crate is the workspace's **execution engine**: every hot-path kernel
 //! of the objectives and solvers launches through [`Device`] (in-place
-//! variants — `gemm_nt_into`, `gemm_tn_into`, `matvec_into`,
-//! `t_matvec_into`, `softmax_rows_into`, the fused `axpy_dot`), with scratch
+//! variants — `gemm_nt_into`, `gemm_tn_into`, their one-sweep fusion
+//! `gemm_nt_map_tn_into`, `matvec_into`, `t_matvec_into`,
+//! `softmax_rows_into`, the fused `axpy_dot`), with scratch
 //! storage pooled in a [`Workspace`] so steady-state solver loops allocate
 //! nothing. See the workspace README's "Execution engine" section for the
 //! full Device → Workspace → Objective → Solver layering and how to add a

@@ -5,6 +5,16 @@
 //! each output element from the same row arithmetic on both paths, and
 //! scatter-style kernels (`Aᵀx`, `AᵀB`) reduce through the canonical chunk
 //! layout via [`crate::scatter_rows`].
+//!
+//! The fused sweep [`crate::Matrix::gemm_nt_map_tn_into`] is built from two
+//! row-block kernels — `nt_rows` (rows of `A·Bᵀ`, each element
+//! [`vector::dot`]'s value) and `tn_rows_acc` (`dst += Mᵀ·X` over a run of
+//! rows, every element taking its rows' products in ascending order,
+//! exact-zero coefficients skipped) — applied to the same rows a sub-block at
+//! a time inside `scatter_rows`' chunks. `gemm_tn_into` applies `tn_rows_acc`
+//! chunk by chunk and `gemm_nt_into` writes each element as [`vector::dot`]
+//! itself, which is why one pass over the features and two passes give the
+//! same bits.
 
 use crate::error::{LinalgError, Result};
 use crate::vector;
@@ -267,17 +277,11 @@ impl DenseMatrix {
                 y.len()
             )));
         }
-        crate::scatter_rows(
-            self.rows,
-            crate::ROW_CHUNK,
-            self.data.len() >= crate::par_threshold(),
-            y,
-            |dst, s, e| {
-                for (i, &xi) in (s..e).zip(&x[s..e]) {
-                    vector::axpy(xi, self.row(i), dst);
-                }
-            },
-        );
+        crate::scatter_rows_alloc(self.rows, self.data.len() >= crate::par_threshold(), y, |dst, s, e| {
+            for (i, &xi) in (s..e).zip(&x[s..e]) {
+                vector::axpy(xi, self.row(i), dst);
+            }
+        });
         Ok(())
     }
 
@@ -360,6 +364,21 @@ impl DenseMatrix {
         Ok(())
     }
 
+    /// Rows `s..e` of `A · Bᵀ` into `out_rows` (`(e − s) × B.rows`, row-major,
+    /// `B.rows > 0`): the fused sweep's kernel. Every element is bit for bit
+    /// [`vector::dot`] of its row pair — [`DenseMatrix::gemm_nt_into`]'s
+    /// value — without entering the `rayon::det` dispatcher once per element;
+    /// rows are independent, so callers may cut `s..e` anywhere.
+    pub(crate) fn nt_rows(&self, s: usize, e: usize, b: &DenseMatrix, out_rows: &mut [f64]) {
+        let chunk_len = vector::reduce_chunk_len(self.cols);
+        for (i, out_row) in (s..e).zip(out_rows.chunks_exact_mut(b.rows)) {
+            let arow = self.row(i);
+            for (j, oj) in out_row.iter_mut().enumerate() {
+                *oj = vector::dot_in_chunk(arow, b.row(j), chunk_len);
+            }
+        }
+    }
+
     /// `C = Aᵀ · B` — used for gradient accumulation `G = (P − Y)ᵀ X`.
     ///
     /// # Errors
@@ -372,9 +391,11 @@ impl DenseMatrix {
 
     /// In-place `C = Aᵀ · B` writing into a pre-sized `out` (the core that
     /// [`DenseMatrix::gemm_tn`] wraps). Reduces through the canonical row
-    /// chunking (see [`crate::scatter_rows`]); the single-chunk case — which
-    /// covers the solver hot loop's gradient/HVP reductions — accumulates
-    /// directly into `out` with no scratch allocations.
+    /// chunking (see [`crate::scatter_rows`]); the single-chunk case
+    /// accumulates directly into `out`, above 256 rows the chunk partials are
+    /// one allocation per call. The solver hot loop does not come through
+    /// here: it takes [`crate::Matrix::gemm_nt_map_tn_into`] with pooled
+    /// scratch.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `A.rows != B.rows` or `out`
@@ -386,28 +407,19 @@ impl DenseMatrix {
                 self.rows, self.cols, b.rows, b.cols, out.rows, out.cols
             )));
         }
-        let n = b.cols;
-        crate::scatter_rows(
+        crate::scatter_rows_alloc(
             self.rows,
-            crate::ROW_CHUNK,
             self.data.len().max(b.data.len()) >= crate::par_threshold(),
             &mut out.data,
-            |dst, s, e| {
-                for r in s..e {
-                    let arow = self.row(r);
-                    let brow = b.row(r);
-                    for (k, &av) in arow.iter().enumerate() {
-                        if av != 0.0 {
-                            let row_dst = &mut dst[k * n..(k + 1) * n];
-                            for (j, bv) in brow.iter().enumerate() {
-                                row_dst[j] += av * bv;
-                            }
-                        }
-                    }
-                }
-            },
+            |dst, s, e| tn_rows_acc(self.rows_slice(s, e), self.cols, b.rows_slice(s, e), b.cols, dst),
         );
         Ok(())
+    }
+
+    /// The contiguous storage of rows `s..e`.
+    #[inline]
+    pub(crate) fn rows_slice(&self, s: usize, e: usize) -> &[f64] {
+        &self.data[s * self.cols..e * self.cols]
     }
 
     /// In-place scalar multiplication.
@@ -478,6 +490,53 @@ impl DenseMatrix {
             }
         }
         s
+    }
+}
+
+/// `drow += a · x_row`, unless `a` is an exact zero.
+#[inline]
+fn add_scaled_row(a: f64, x_row: &[f64], drow: &mut [f64]) {
+    if a != 0.0 {
+        for (d, xv) in drow.iter_mut().zip(x_row) {
+            *d += a * xv;
+        }
+    }
+}
+
+/// `dst += Mᵀ · X` over a run of sample rows: `m_rows` is `r × k`, `x_rows`
+/// is `r × p`, `dst` is `k × p`, all row-major. Every element of `dst`
+/// receives its rows' products one at a time in ascending row order, and a
+/// coefficient that is an exact zero adds nothing (so a `−0.0` in `dst` and
+/// an `∞` or NaN in `X` survive it). Four sample rows share each load and
+/// store of a `dst` row; a group holding an exact zero for a class goes row
+/// by row for that class.
+pub(crate) fn tn_rows_acc(m_rows: &[f64], k: usize, x_rows: &[f64], p: usize, dst: &mut [f64]) {
+    if k == 0 || p == 0 {
+        return;
+    }
+    let mut m_groups = m_rows.chunks_exact(4 * k);
+    let mut x_groups = x_rows.chunks_exact(4 * p);
+    for (m4, x4) in (&mut m_groups).zip(&mut x_groups) {
+        let (x0, rest) = x4.split_at(p);
+        let (x1, rest) = rest.split_at(p);
+        let (x2, x3) = rest.split_at(p);
+        for (c, drow) in dst.chunks_exact_mut(p).enumerate() {
+            let (a0, a1, a2, a3) = (m4[c], m4[k + c], m4[2 * k + c], m4[3 * k + c]);
+            if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
+                for ((((d, v0), v1), v2), v3) in drow.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
+                    *d = (((*d + a0 * v0) + a1 * v1) + a2 * v2) + a3 * v3;
+                }
+            } else {
+                for (a, x_row) in [(a0, x0), (a1, x1), (a2, x2), (a3, x3)] {
+                    add_scaled_row(a, x_row, drow);
+                }
+            }
+        }
+    }
+    for (m_row, x_row) in m_groups.remainder().chunks_exact(k).zip(x_groups.remainder().chunks_exact(p)) {
+        for (drow, &a) in dst.chunks_exact_mut(p).zip(m_row) {
+            add_scaled_row(a, x_row, drow);
+        }
     }
 }
 

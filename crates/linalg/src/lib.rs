@@ -13,7 +13,9 @@
 //! * [`DenseMatrix`] — row-major dense matrix with parallel GEMM/GEMV,
 //! * [`CsrMatrix`] — compressed sparse row matrix with SpMV / SpMM kernels,
 //! * [`Matrix`] — an enum unifying dense and sparse feature matrices behind
-//!   the handful of operations the objectives need,
+//!   the handful of operations the objectives need, including the fused
+//!   sweep [`Matrix::gemm_nt_map_tn_into`] (`X·Wᵀ → row map → Mᵀ·X` in one
+//!   pass over `X`),
 //! * [`vector`] — BLAS-1 style slice kernels (`dot`, `axpy`, norms, …),
 //! * [`reduce`] — numerically-stable reductions (log-sum-exp, softmax rows),
 //! * [`gen`] — random matrix/vector generation with controllable spectra
@@ -21,6 +23,19 @@
 //! * [`half`] — hand-rolled f16/bf16 conversions and symmetric i8
 //!   quantization (the reduced-precision seam: device pack kernels,
 //!   compressed collectives, and artifact v2 weight blocks all use these).
+//!
+//! ## Reduction order
+//!
+//! Scatter-shaped kernels (`Aᵀx`, `AᵀB`, and the fused sweep) share one
+//! order contract, stated at `scatter_rows`: rows are cut by the canonical
+//! layout of `rayon::det` at multiples of 256, every chunk accumulates into a
+//! partial that starts from exact zeros and takes its rows in ascending
+//! order, and partials fold left to right in chunk order. The fused sweep
+//! adds nothing to that contract — rows of `X·Wᵀ` and of the row map are
+//! independent of each other, so carrying a sub-block of rows through both
+//! products before moving on changes which bytes are in cache, not which
+//! additions happen in which order. Partial scratch comes from the caller
+//! ([`row_partials`] says how much), so none of these drivers allocates.
 
 pub mod dense;
 pub mod error;
@@ -33,9 +48,10 @@ pub mod vector;
 
 pub use dense::DenseMatrix;
 pub use error::{LinalgError, Result};
-pub use matrix::Matrix;
+pub use matrix::{Matrix, SweepBuffers};
 pub use sparse::CsrMatrix;
 
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -115,45 +131,94 @@ pub fn reset_par_threshold() {
 /// into its own partial accumulator.
 pub(crate) const ROW_CHUNK: usize = 256;
 
+/// Rows the fused sweep ([`Matrix::gemm_nt_map_tn_into`]) carries through
+/// `X·Wᵀ → map → Mᵀ·X` at a time: a few dozen feature rows stay in L2
+/// between the two products. A multiple of four (the `Mᵀ·X` kernel's row
+/// group) that divides [`ROW_CHUNK`]; it moves cost, never bits.
+pub(crate) const SWEEP_ROWS: usize = 32;
+
+/// Number of partial accumulators (each as long as the output) the
+/// row-chunked reducers need as scratch for `rows` rows: none while the rows
+/// form a single canonical chunk, one per chunk otherwise. A function of
+/// `rows` alone — not of the pool width or the threshold — so a caller's
+/// pooled-scratch footprint is the same on every execution path.
+pub fn row_partials(rows: usize) -> usize {
+    match rayon::det::layout(rows, ROW_CHUNK).1 {
+        0 | 1 => 0,
+        chunks => chunks,
+    }
+}
+
 /// Shared scatter-accumulate driver for `Aᵀx` / `AᵀB`-shaped kernels:
 /// `eval_into(dst, s, e)` must *accumulate* the contribution of rows `s..e`
 /// into `dst`. The canonical contract: each chunk of the
-/// [`rayon::det::layout`] for `(items, grain)` produces a partial starting
+/// [`rayon::det::layout`] for `(items, ROW_CHUNK)` produces a partial starting
 /// from exact zeros, and partials fold into `out` left-to-right in chunk
-/// order — so bits never depend on the thread count or the threshold. The
-/// single-chunk case accumulates straight into `out` with no scratch (the
-/// zero-allocation warm path; bitwise the same because `out` is zero-filled
-/// exactly like a fresh partial).
-pub(crate) fn scatter_rows<E>(items: usize, grain: usize, use_pool: bool, out: &mut [f64], eval_into: E)
+/// order — so bits never depend on the thread count or the threshold.
+///
+/// `partials` is the caller's scratch, at least [`row_partials`]`(items)`
+/// accumulators of `out.len()` elements (contents unspecified); the driver
+/// itself never allocates. The single-chunk case accumulates straight into
+/// `out` (bitwise the same because `out` is zero-filled exactly like a fresh
+/// partial), the inline multi-chunk case does the same for the first chunk
+/// and reuses one partial for every later one, and the pooled case fills one
+/// partial per chunk on the workers before the same left-to-right fold.
+pub(crate) fn scatter_rows<E>(items: usize, use_pool: bool, out: &mut [f64], partials: &mut [f64], eval_into: E)
 where
     E: Fn(&mut [f64], usize, usize) + Sync,
 {
-    let (_, num_chunks) = rayon::det::layout(items, grain);
-    vector::fill(out, 0.0);
-    if num_chunks == 0 {
-        return;
-    }
-    if num_chunks == 1 {
-        eval_into(out, 0, items);
-        return;
-    }
+    // Resolve the width unconditionally: a garbage `NADMM_THREADS` must
+    // panic loudly on the first kernel call, not only once a region happens
+    // to clear the par-threshold gate.
+    let pool_width = rayon::current_num_threads();
+    let (chunk_len, num_chunks) = rayon::det::layout(items, ROW_CHUNK);
     let width = out.len();
-    let acc = rayon::det::fold(
-        items,
-        grain,
-        use_pool,
-        |s, e| {
-            let mut local = vec![0.0; width];
-            eval_into(&mut local, s, e);
-            local
-        },
-        |mut a, b| {
-            vector::add_assign(&mut a, &b);
-            a
-        },
-    )
-    .expect("scatter_rows: non-empty input must yield a partial");
-    out.copy_from_slice(&acc);
+    if num_chunks <= 1 || width == 0 {
+        vector::fill(out, 0.0);
+        if num_chunks == 1 {
+            eval_into(out, 0, items);
+        }
+        return;
+    }
+    assert!(
+        partials.len() >= num_chunks * width,
+        "scatter_rows: {} scratch elements for {num_chunks} partials of {width}",
+        partials.len()
+    );
+    let chunk_range = |c: usize| (c * chunk_len, ((c + 1) * chunk_len).min(items));
+    if use_pool && pool_width > 1 {
+        let partials = &mut partials[..num_chunks * width];
+        partials.par_chunks_mut(width).enumerate().for_each(|(c, partial)| {
+            vector::fill(partial, 0.0);
+            let (s, e) = chunk_range(c);
+            eval_into(partial, s, e);
+        });
+        let mut folded = partials.chunks_exact(width);
+        out.copy_from_slice(folded.next().expect("scatter_rows: at least two partials here"));
+        for partial in folded {
+            vector::add_assign(out, partial);
+        }
+        return;
+    }
+    vector::fill(out, 0.0);
+    eval_into(out, 0, chunk_len);
+    let partial = &mut partials[..width];
+    for c in 1..num_chunks {
+        vector::fill(partial, 0.0);
+        let (s, e) = chunk_range(c);
+        eval_into(partial, s, e);
+        vector::add_assign(out, partial);
+    }
+}
+
+/// [`scatter_rows`] for the two-pass entry points, which are handed no
+/// scratch: one allocation for all partials, none for a single chunk.
+pub(crate) fn scatter_rows_alloc<E>(items: usize, use_pool: bool, out: &mut [f64], eval_into: E)
+where
+    E: Fn(&mut [f64], usize, usize) + Sync,
+{
+    let mut partials = vec![0.0; row_partials(items) * out.len()];
+    scatter_rows(items, use_pool, out, &mut partials, eval_into);
 }
 
 #[cfg(test)]

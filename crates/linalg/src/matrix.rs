@@ -5,10 +5,24 @@
 //! they only need the four kernels below. `Matrix` dispatches to the right
 //! implementation.
 
-use crate::dense::DenseMatrix;
-use crate::error::Result;
+use crate::dense::{self, DenseMatrix};
+use crate::error::{LinalgError, Result};
 use crate::sparse::CsrMatrix;
+use crate::vector::SendMutPtr;
 use serde::{Deserialize, Serialize};
+
+/// Caller-owned buffers of one [`Matrix::gemm_nt_map_tn_into`] sweep, so the
+/// sweep itself never allocates.
+pub struct SweepBuffers<'a> {
+    /// `rows × W.rows` scratch the sweep carries `X·Wᵀ` and its mapped form
+    /// through; it holds the mapped matrix `M` afterwards.
+    pub mid: &'a mut DenseMatrix,
+    /// One scalar per row for the row map to write (a per-sample loss term),
+    /// or empty when the map produces none.
+    pub row_out: &'a mut [f64],
+    /// At least [`crate::row_partials`]`(rows) × out.len()` scratch elements.
+    pub partials: &'a mut [f64],
+}
 
 /// Feature matrix that is either dense or CSR sparse.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -116,6 +130,87 @@ impl Matrix {
             Matrix::Dense(a) => m.gemm_tn_into(a, out),
             Matrix::Sparse(a) => a.gemm_tn_from_dense_into(m, out),
         }
+    }
+
+    /// Fused `out = Mᵀ · A` with `M = map(A · Wᵀ)`, reading `A` once: the
+    /// result of [`Matrix::gemm_nt_into`], a row-wise map, then
+    /// [`Matrix::gemm_tn_from_dense_into`], bit for bit, at every pool width
+    /// and threshold.
+    ///
+    /// Within each canonical row chunk (the [`crate::scatter_rows`] layout)
+    /// the sweep takes `SWEEP_ROWS` (32) rows at a time — their rows of
+    /// `A · Wᵀ`, then `map(first_row, block, row_out)` on those rows of `mid`
+    /// (row-major, `W.rows` per row) and of `bufs.row_out`, then their
+    /// products into the chunk's partial — so the feature rows are still in
+    /// cache for the second product. The order contract is `scatter_rows`':
+    /// rows of `A · Wᵀ` are independent, every partial starts from exact
+    /// zeros and receives its rows in ascending order, and partials fold
+    /// left to right in chunk order. `map` must treat rows independently of
+    /// each other and of how they are grouped into calls; it runs on the
+    /// pool workers.
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::ShapeMismatch`] unless `W` is `k × cols`, `mid`
+    /// is `rows × k`, `out` is `k × cols`, and `row_out` is empty or `rows`
+    /// long.
+    ///
+    /// # Panics
+    /// Panics if `bufs.partials` is shorter than the stated minimum.
+    pub fn gemm_nt_map_tn_into<F>(&self, w: &DenseMatrix, bufs: SweepBuffers<'_>, map: F, out: &mut DenseMatrix) -> Result<()>
+    where
+        F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
+    {
+        let SweepBuffers { mid, row_out, partials } = bufs;
+        let (rows, k) = (self.rows(), w.rows());
+        let shapes_agree = w.cols() == self.cols()
+            && (mid.rows(), mid.cols()) == (rows, k)
+            && (out.rows(), out.cols()) == (k, self.cols())
+            && (row_out.is_empty() || row_out.len() == rows);
+        if !shapes_agree {
+            return Err(LinalgError::ShapeMismatch(format!(
+                "gemm_nt_map_tn_into: A is {rows}x{}, W is {k}x{}, mid is {}x{}, out is {}x{}, row_out has length {}",
+                self.cols(),
+                w.cols(),
+                mid.rows(),
+                mid.cols(),
+                out.rows(),
+                out.cols(),
+                row_out.len()
+            )));
+        }
+        if k == 0 {
+            return Ok(());
+        }
+        let use_pool = self.stored_entries().max(w.len()).max(mid.len()) >= crate::par_threshold();
+        let row_out_cols = usize::from(!row_out.is_empty());
+        let mid_ptr = SendMutPtr(mid.as_mut_slice().as_mut_ptr());
+        let row_out_ptr = SendMutPtr(row_out.as_mut_ptr());
+        crate::scatter_rows(rows, use_pool, out.as_mut_slice(), partials, |dst, s, e| {
+            for b in (s..e).step_by(crate::SWEEP_ROWS) {
+                let be = (b + crate::SWEEP_ROWS).min(e);
+                // SAFETY: canonical chunks are disjoint row ranges and the
+                // sub-blocks of one chunk are visited one after another, so
+                // this call owns rows `b..be` of `mid` and of `row_out`
+                // exclusively; both ranges lie inside their buffers (`mid` is
+                // `rows × k`, `row_out` is `rows × row_out_cols`).
+                let (block, scalars) = unsafe {
+                    (
+                        std::slice::from_raw_parts_mut(mid_ptr.get().add(b * k), (be - b) * k),
+                        std::slice::from_raw_parts_mut(row_out_ptr.get().add(b * row_out_cols), (be - b) * row_out_cols),
+                    )
+                };
+                match self {
+                    Matrix::Dense(a) => a.nt_rows(b, be, w, block),
+                    Matrix::Sparse(a) => a.nt_rows(b, be, w, block),
+                }
+                map(b, block, scalars);
+                match self {
+                    Matrix::Dense(a) => dense::tn_rows_acc(block, k, a.rows_slice(b, be), a.cols(), dst),
+                    Matrix::Sparse(a) => a.tn_rows_acc(b, be, block, k, dst),
+                }
+            }
+        });
+        Ok(())
     }
 
     /// Returns a new matrix containing rows `start..end`.

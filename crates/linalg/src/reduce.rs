@@ -39,13 +39,20 @@ pub fn log_sum_exp(values: &[f64]) -> f64 {
 /// Panics if `probs.len() != values.len()`.
 pub fn softmax_with_reference(values: &[f64], probs: &mut [f64]) -> f64 {
     assert_eq!(values.len(), probs.len(), "softmax_with_reference: length mismatch");
-    let m = values.iter().fold(0.0_f64, |acc, &v| acc.max(v));
+    probs.copy_from_slice(values);
+    softmax_with_reference_in_place(probs)
+}
+
+/// [`softmax_with_reference`] overwriting the margins with their
+/// probabilities (the same arithmetic, no second buffer).
+pub fn softmax_with_reference_in_place(row: &mut [f64]) -> f64 {
+    let m = row.iter().fold(0.0_f64, |acc, &v| acc.max(v));
     let mut alpha = (-m).exp();
-    for (p, &v) in probs.iter_mut().zip(values) {
-        *p = (v - m).exp();
+    for p in row.iter_mut() {
+        *p = (*p - m).exp();
         alpha += *p;
     }
-    for p in probs.iter_mut() {
+    for p in row.iter_mut() {
         *p /= alpha;
     }
     m + alpha.ln()

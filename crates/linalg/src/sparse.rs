@@ -216,22 +216,16 @@ impl CsrMatrix {
                 y.len()
             )));
         }
-        crate::scatter_rows(
-            self.rows,
-            crate::ROW_CHUNK,
-            self.nnz() >= crate::par_threshold(),
-            y,
-            |dst, s, e| {
-                for (i, &xi) in (s..e).zip(&x[s..e]) {
-                    if xi != 0.0 {
-                        let (cols, vals) = self.row(i);
-                        for (&c, &v) in cols.iter().zip(vals) {
-                            dst[c] += v * xi;
-                        }
+        crate::scatter_rows_alloc(self.rows, self.nnz() >= crate::par_threshold(), y, |dst, s, e| {
+            for (i, &xi) in (s..e).zip(&x[s..e]) {
+                if xi != 0.0 {
+                    let (cols, vals) = self.row(i);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        dst[c] += v * xi;
                     }
                 }
-            },
-        );
+            }
+        });
         Ok(())
     }
 
@@ -273,14 +267,21 @@ impl CsrMatrix {
         rayon::det::run(self.rows, 1, use_pool, |s, e| {
             // SAFETY: canonical chunks are disjoint row ranges of `out`.
             let block = unsafe { std::slice::from_raw_parts_mut(op.get().add(s * brows), (e - s) * brows) };
-            for (i, out_row) in (s..e).zip(block.chunks_exact_mut(brows)) {
-                let (cols, vals) = self.row(i);
-                for (j, oj) in out_row.iter_mut().enumerate() {
-                    *oj = vector::gather_dot(cols, vals, b.row(j));
-                }
-            }
+            self.nt_rows(s, e, b, block);
         });
         Ok(())
+    }
+
+    /// Rows `s..e` of `A · Bᵀ` into `out_rows` (`(e − s) × B.rows`, row-major,
+    /// `B.rows > 0`); rows are independent, so callers may cut `s..e`
+    /// anywhere.
+    pub(crate) fn nt_rows(&self, s: usize, e: usize, b: &DenseMatrix, out_rows: &mut [f64]) {
+        for (i, out_row) in (s..e).zip(out_rows.chunks_exact_mut(b.rows())) {
+            let (cols, vals) = self.row(i);
+            for (j, oj) in out_row.iter_mut().enumerate() {
+                *oj = vector::gather_dot(cols, vals, b.row(j));
+            }
+        }
     }
 
     /// `C = Mᵀ · A` with dense `M` of shape `A.rows × k`; the result is dense
@@ -315,27 +316,31 @@ impl CsrMatrix {
                 out.cols()
             )));
         }
-        crate::scatter_rows(
+        crate::scatter_rows_alloc(
             self.rows,
-            crate::ROW_CHUNK,
             self.nnz().max(m.len()) >= crate::par_threshold(),
             out.as_mut_slice(),
-            |dst, s, e| {
-                for i in s..e {
-                    let (cols, vals) = self.row(i);
-                    let mrow = m.row(i);
-                    for (c_idx, &mv) in mrow.iter().enumerate() {
-                        if mv != 0.0 {
-                            let row_dst = &mut dst[c_idx * self.cols..(c_idx + 1) * self.cols];
-                            for (&c, &v) in cols.iter().zip(vals) {
-                                row_dst[c] += mv * v;
-                            }
-                        }
-                    }
-                }
-            },
+            |dst, s, e| self.tn_rows_acc(s, e, m.rows_slice(s, e), m.cols(), dst),
         );
         Ok(())
+    }
+
+    /// `dst += Mᵀ · A` over rows `s..e`: `m_rows` holds those rows of `M`
+    /// (`(e − s) × k`, row-major, `k > 0`), `dst` is `k × A.cols`. Products
+    /// arrive in ascending row order and an exact-zero coefficient adds
+    /// nothing, so callers may cut `s..e` anywhere within a canonical chunk.
+    pub(crate) fn tn_rows_acc(&self, s: usize, e: usize, m_rows: &[f64], k: usize, dst: &mut [f64]) {
+        for (i, mrow) in (s..e).zip(m_rows.chunks_exact(k)) {
+            let (cols, vals) = self.row(i);
+            for (c_idx, &mv) in mrow.iter().enumerate() {
+                if mv != 0.0 {
+                    let row_dst = &mut dst[c_idx * self.cols..(c_idx + 1) * self.cols];
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        row_dst[c] += mv * v;
+                    }
+                }
+            }
+        }
     }
 
     /// Returns a new CSR matrix containing rows `start..end`.

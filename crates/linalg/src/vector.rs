@@ -80,6 +80,30 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     .unwrap_or(0.0)
 }
 
+/// [`dot`]'s reduction granularity resolved once for vectors of `len`
+/// elements: the chunk length [`dot_in_chunk`] takes.
+#[inline]
+pub(crate) fn reduce_chunk_len(len: usize) -> usize {
+    rayon::det::layout(len, REDUCE_CHUNK).0.max(1)
+}
+
+/// [`dot`] for callers already inside a canonical chunk (one GEMM output
+/// row): the same [`REDUCE_CHUNK`] partials folded left to right, without
+/// re-entering the `rayon::det` dispatcher once per output element.
+/// `chunk_len` is [`reduce_chunk_len`] of the operand length.
+#[inline]
+pub(crate) fn dot_in_chunk(x: &[f64], y: &[f64], chunk_len: usize) -> f64 {
+    let mut parts = x.chunks(chunk_len).zip(y.chunks(chunk_len));
+    let Some((x0, y0)) = parts.next() else {
+        return 0.0;
+    };
+    let mut acc = dot_kernel(x0, y0);
+    for (xc, yc) in parts {
+        acc += dot_kernel(xc, yc);
+    }
+    acc
+}
+
 /// Unrolled gather-dot for sparse rows: `Σ values[i] · x[indices[i]]`.
 #[inline]
 pub fn gather_dot(indices: &[usize], values: &[f64], x: &[f64]) -> f64 {

@@ -12,7 +12,7 @@
 //! reference. Shapes include empty, single-element, non-power-of-two, and
 //! multi-chunk (> one `ROW_CHUNK` / `REDUCE_CHUNK`) cases.
 
-use nadmm_linalg::{gen, vector, CsrMatrix, DenseMatrix};
+use nadmm_linalg::{gen, vector, CsrMatrix, DenseMatrix, Matrix, SweepBuffers};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -176,4 +176,215 @@ fn multi_chunk_shapes_are_bit_identical_across_widths() {
     assert_bits_invariant("dot multi-chunk", || vec![vector::dot(&x, &z).to_bits()]);
     assert_bits_invariant("sum multi-chunk", || vec![vector::sum(&x).to_bits()]);
     assert_bits_invariant("norm_inf multi-chunk", || vec![vector::norm_inf(&x).to_bits()]);
+}
+
+// ---------------------------------------------------------------------------
+// The fused sweep `X·Wᵀ → row map → Mᵀ·X` against its two-pass reference and
+// against the arithmetic spelled out one product at a time.
+// ---------------------------------------------------------------------------
+
+/// `ROW_CHUNK`: the row granularity of the scatter kernels' canonical chunks.
+const ROW_CHUNK: usize = 256;
+
+/// A row map with every awkward output: exact zeros and negative zeros in
+/// whole rows and in single entries (the `!= 0.0` skip of `Mᵀ·X`), and a
+/// per-row scalar. A function of the row index and the row's values only,
+/// so it does not care how rows are grouped into calls.
+fn awkward_map(k: usize) -> impl Fn(usize, &mut [f64], &mut [f64]) + Sync {
+    move |first, rows, row_out| {
+        for (r, row) in rows.chunks_exact_mut(k).enumerate() {
+            let i = first + r;
+            let total: f64 = row.iter().sum();
+            for (c, v) in row.iter_mut().enumerate() {
+                *v = match (i + 3 * c) % 11 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ if i % 13 == 5 => 0.0,
+                    _ => 0.5 * *v - 0.125 * total,
+                };
+            }
+            if let Some(slot) = row_out.get_mut(r) {
+                *slot = total + i as f64;
+            }
+        }
+    }
+}
+
+/// `out`, `mid` and `row_out` of one fused sweep, as bits.
+fn fused_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64> {
+    let (rows, k) = (x.rows(), w.rows());
+    let mut mid = DenseMatrix::from_fn(rows, k, |_, _| f64::NAN);
+    let mut out = DenseMatrix::from_fn(k, x.cols(), |_, _| f64::NAN);
+    let mut row_out = vec![f64::NAN; if with_row_out { rows } else { 0 }];
+    let mut partials = vec![f64::NAN; nadmm_linalg::row_partials(rows) * out.len()];
+    let bufs = SweepBuffers {
+        mid: &mut mid,
+        row_out: &mut row_out,
+        partials: &mut partials,
+    };
+    x.gemm_nt_map_tn_into(w, bufs, awkward_map(k), &mut out).unwrap();
+    [out.as_slice(), mid.as_slice(), &row_out].into_iter().flat_map(bits).collect()
+}
+
+/// The reference: the two public products with the map applied to the whole
+/// matrix in between.
+fn two_pass_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64> {
+    let mut mid = x.gemm_nt(w).unwrap();
+    let mut row_out = vec![f64::NAN; if with_row_out { x.rows() } else { 0 }];
+    awkward_map(w.rows())(0, mid.as_mut_slice(), &mut row_out);
+    let out = x.gemm_tn_from_dense(&mid).unwrap();
+    [out.as_slice(), mid.as_slice(), &row_out].into_iter().flat_map(bits).collect()
+}
+
+/// The same arithmetic one scalar product at a time, the way the kernels
+/// were first written: `vector::dot` (or the gather-dot on CSR rows) per
+/// element of `X·Wᵀ`; for `Mᵀ·X` one partial per canonical chunk, each
+/// sample row added in ascending order with exact-zero coefficients skipped,
+/// partials folded left to right.
+fn spelled_out_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64> {
+    let (rows, k, p) = (x.rows(), w.rows(), x.cols());
+    let dense = x.to_dense();
+    let mut mid = DenseMatrix::from_fn(rows, k, |i, c| match x {
+        Matrix::Dense(a) => vector::dot(a.row(i), w.row(c)),
+        Matrix::Sparse(a) => {
+            let (cols, vals) = a.row(i);
+            vector::gather_dot(cols, vals, w.row(c))
+        }
+    });
+    let mut row_out = vec![f64::NAN; if with_row_out { rows } else { 0 }];
+    awkward_map(k)(0, mid.as_mut_slice(), &mut row_out);
+    let (chunk_len, num_chunks) = rayon::det::layout(rows, ROW_CHUNK);
+    let mut out = vec![0.0; k * p];
+    for chunk in 0..num_chunks {
+        let mut partial = vec![0.0; k * p];
+        for i in chunk * chunk_len..((chunk + 1) * chunk_len).min(rows) {
+            for c in 0..k {
+                let coeff = mid.get(i, c);
+                if coeff == 0.0 {
+                    continue;
+                }
+                match x {
+                    Matrix::Dense(_) => {
+                        for j in 0..p {
+                            partial[c * p + j] += coeff * dense.get(i, j);
+                        }
+                    }
+                    Matrix::Sparse(a) => {
+                        let (cols, vals) = a.row(i);
+                        for (&j, &v) in cols.iter().zip(vals) {
+                            partial[c * p + j] += coeff * v;
+                        }
+                    }
+                }
+            }
+        }
+        if chunk == 0 {
+            out = partial;
+        } else {
+            for (o, v) in out.iter_mut().zip(&partial) {
+                *o += v;
+            }
+        }
+    }
+    [&out, mid.as_slice(), &row_out].into_iter().flat_map(bits).collect()
+}
+
+/// Gaussian features with exact zeros, negative zeros and an infinity mixed
+/// in (what a skipped coefficient must not touch).
+fn awkward_features(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+    let mut rng = gen::seeded_rng(seed);
+    let mut x = gen::gaussian_matrix(rows, cols, &mut rng);
+    for i in 0..rows {
+        for j in 0..cols {
+            match (i * 7 + j * 5) % 17 {
+                0 => x.set(i, j, 0.0),
+                1 => x.set(i, j, -0.0),
+                _ => {}
+            }
+        }
+    }
+    // Row 5 is one the map zeroes out entirely (5 % 13 == 5).
+    if rows > 5 {
+        x.set(5, 0, f64::INFINITY);
+    }
+    x
+}
+
+fn assert_fused_matches_references(rows: usize, k: usize, cols: usize, seed: u64) {
+    let dense = awkward_features(rows, cols, seed);
+    let mut rng = gen::seeded_rng(seed ^ 0x5EED);
+    let w = gen::gaussian_matrix(k, cols, &mut rng);
+    for x in [Matrix::Sparse(sparsify(&dense)), Matrix::Dense(dense)] {
+        for with_row_out in [false, true] {
+            let label = format!(
+                "fused sweep {rows}x{cols}, k={k}, sparse={}, row_out={with_row_out}",
+                x.is_sparse()
+            );
+            let spelled_out = spelled_out_bits(&x, &w, with_row_out);
+            assert_bits_invariant(&label, || {
+                let fused = fused_bits(&x, &w, with_row_out);
+                assert_eq!(fused, two_pass_bits(&x, &w, with_row_out), "{label}: fused vs two-pass");
+                fused
+            });
+            assert_eq!(fused_bits(&x, &w, with_row_out), spelled_out, "{label}: fused vs spelled out");
+        }
+    }
+}
+
+/// Every edge of the sweep's blocking: rows below, at and above the row-group
+/// (4), sub-block (32) and chunk (256) sizes and not a multiple of any of
+/// them, one class, fewer features than the dot kernel's eight lanes, and
+/// features past one and two `REDUCE_CHUNK`s.
+#[test]
+fn fused_sweep_is_bit_identical_to_the_two_pass_kernels() {
+    for &(rows, k, cols) in &[
+        (1, 1, 1),
+        (3, 2, 5),
+        (4, 1, 7),
+        (31, 3, 8),
+        (33, 9, 9),
+        (255, 2, 6),
+        (256, 4, 3),
+        (257, 1, 12),
+        (515, 3, 7),
+        (1030, 2, 4),
+        (6, 2, 4100),
+        (261, 2, 8200),
+    ] {
+        assert_fused_matches_references(rows, k, cols, (rows * 31 + k * 7 + cols) as u64);
+    }
+}
+
+#[test]
+fn fused_sweep_rejects_mismatched_shapes() {
+    let x = Matrix::Dense(DenseMatrix::zeros(6, 3));
+    let w = DenseMatrix::zeros(2, 3);
+    let run = |w: &DenseMatrix, mid: (usize, usize), out: (usize, usize), row_out: usize| {
+        let mut mid = DenseMatrix::zeros(mid.0, mid.1);
+        let mut out = DenseMatrix::zeros(out.0, out.1);
+        let mut row_out = vec![0.0; row_out];
+        let bufs = SweepBuffers {
+            mid: &mut mid,
+            row_out: &mut row_out,
+            partials: &mut [],
+        };
+        x.gemm_nt_map_tn_into(w, bufs, |_, _, _| {}, &mut out)
+    };
+    assert!(run(&w, (6, 2), (2, 3), 0).is_ok());
+    assert!(run(&w, (6, 2), (2, 3), 6).is_ok());
+    assert!(run(&DenseMatrix::zeros(2, 4), (6, 2), (2, 3), 0).is_err());
+    assert!(run(&w, (5, 2), (2, 3), 0).is_err());
+    assert!(run(&w, (6, 2), (3, 2), 0).is_err());
+    assert!(run(&w, (6, 2), (2, 3), 5).is_err());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn fused_sweep_matches_references_on_random_shapes(
+        rows in 1usize..700, k in 1usize..6, cols in 1usize..20, seed in 0u64..1000,
+    ) {
+        assert_fused_matches_references(rows, k, cols, seed);
+    }
 }

@@ -14,15 +14,19 @@
 //! `∇F = (P − Y)ᵀ A + λW`, and for the HVP with direction `V`:
 //! `U = A Vᵀ`, `S_i = diag(p_i) u_i − p_i (p_iᵀ u_i)`, `Hv = Sᵀ A + λV`.
 //! All exponentials go through the Log-Sum-Exp trick of §6.
+//!
+//! Both are one pass over `A`: the row-wise steps between the two products
+//! (softmax, `P − Y`, the loss term; the `S` transform) are the row map of
+//! [`Device::gemm_nt_map_tn_into`].
 
 use crate::traits::{HvpOperator, HvpState, Objective, OpCost};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace};
-use nadmm_linalg::{reduce, DenseMatrix, Matrix};
+use nadmm_linalg::{reduce, row_partials, DenseMatrix, Matrix, SweepBuffers};
 
 /// Softmax cross-entropy objective over a dataset shard.
 ///
-/// All dense kernel work (margins GEMM, row softmax, gradient/HVP reductions)
+/// All dense kernel work (margins GEMM, row softmax, gradient/HVP sweeps)
 /// executes through the attached [`Device`] engine, which charges the
 /// simulated-GPU cost model per launch. The workspace-aware methods
 /// (`value_ws`, `gradient_into`, `prepare_hvp` + `hvp_prepared_into`) reuse
@@ -204,29 +208,26 @@ impl Objective for SoftmaxCrossEntropy {
     }
 
     fn gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        let (probs, logz) = self.probabilities_into(x, ws);
-        ws.release(logz);
-        self.residual_gradient_into(probs, x, out, ws);
+        let (n, c1) = (self.features.rows(), self.num_classes - 1);
+        // Softmax rows, then R = P − Y.
+        let costs = [Device::softmax_rows_cost(n, c1), Device::axpy_cost(n * c1)];
+        let to_residual = |first: usize, rows: &mut [f64], terms: &mut [f64]| self.residual_rows(first, rows, terms);
+        self.sweep_into(x, &costs, &mut [], to_residual, out, ws);
     }
 
     fn value_and_gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace) -> f64 {
-        let (probs, logz) = self.probabilities_into(x, ws);
-        // Loss from the cached log-partition values: logZ_i − margin of true
-        // class, recovering the margin from probs: m_c = log(p_c) + logZ.
-        let n = self.features.rows();
-        self.device.charge_kernel(3.0 * n as f64, 2.0 * n as f64 * 8.0);
-        let loss = reduce::par_sum_over(n, |i| {
-            let label = self.labels[i];
-            let correct_margin = if label < self.num_classes - 1 {
-                let p = probs.get(i, label).max(f64::MIN_POSITIVE);
-                p.ln() + logz[i]
-            } else {
-                0.0
-            };
-            logz[i] - correct_margin
-        });
-        ws.release(logz);
-        self.residual_gradient_into(probs, x, out, ws);
+        let (n, c1) = (self.features.rows(), self.num_classes - 1);
+        // Softmax rows, the per-sample loss terms, then R = P − Y.
+        let costs = [
+            Device::softmax_rows_cost(n, c1),
+            (3.0 * n as f64, 2.0 * n as f64 * 8.0),
+            Device::axpy_cost(n * c1),
+        ];
+        let mut loss_terms = ws.acquire(n);
+        let to_residual = |first: usize, rows: &mut [f64], terms: &mut [f64]| self.residual_rows(first, rows, terms);
+        self.sweep_into(x, &costs, &mut loss_terms, to_residual, out, ws);
+        let loss = reduce::par_sum_over(n, |i| loss_terms[i]);
+        ws.release(loss_terms);
         loss + 0.5 * self.lambda * self.device.dot(x, x)
     }
 
@@ -271,19 +272,59 @@ impl Objective for SoftmaxCrossEntropy {
 }
 
 impl SoftmaxCrossEntropy {
-    /// Gradient tail shared by `gradient_into` and `value_and_gradient_into`:
-    /// consumes the pooled `probs` matrix, computes `∇F = (P − Y)ᵀ X + λx`
-    /// into `out`, and returns the scratch to the pool.
-    fn residual_gradient_into(&self, mut probs: DenseMatrix, x: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        // R = P − Y  (n × (C−1))
-        self.device.axpy(-1.0, self.one_hot.as_slice(), probs.as_mut_slice());
-        // G = Rᵀ X  ((C−1) × p)
-        let mut grad = DenseMatrix::from_vec(self.num_classes - 1, self.num_features(), ws.acquire(self.dim()));
-        self.device.gemm_tn_into(&self.features, &probs, &mut grad);
-        out.copy_from_slice(grad.as_slice());
-        ws.release(grad.into_vec());
-        ws.release(probs.into_vec());
-        self.device.axpy(self.lambda, x, out);
+    /// One sweep over the features with all scratch pooled:
+    /// `out = Mᵀ X + λw` where `M = map(X Wᵀ)` for the flat `(C−1) × p`
+    /// weights `w` ([`Device::gemm_nt_map_tn_into`]). `map_costs` are the
+    /// launches the row map stands for; `row_out` is empty or takes one
+    /// scalar per sample.
+    fn sweep_into<F>(&self, w: &[f64], map_costs: &[(f64, f64)], row_out: &mut [f64], map: F, out: &mut [f64], ws: &mut Workspace)
+    where
+        F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
+    {
+        let wm = self.pooled_weights(w, ws);
+        let n = self.features.rows();
+        let c1 = self.num_classes - 1;
+        let mut mid = DenseMatrix::from_vec(n, c1, ws.acquire(n * c1));
+        let mut acc = DenseMatrix::from_vec(c1, self.num_features(), ws.acquire(self.dim()));
+        let mut partials = ws.acquire(row_partials(n) * self.dim());
+        let bufs = SweepBuffers {
+            mid: &mut mid,
+            row_out,
+            partials: &mut partials,
+        };
+        self.device
+            .gemm_nt_map_tn_into(&self.features, &wm, map_costs, bufs, map, &mut acc);
+        out.copy_from_slice(acc.as_slice());
+        ws.release(partials);
+        ws.release(acc.into_vec());
+        ws.release(mid.into_vec());
+        ws.release(wm.into_vec());
+        self.device.axpy(self.lambda, w, out);
+    }
+
+    /// Row map of the gradient sweep: turns the margins of samples
+    /// `first..` into `R = P − Y` in place, and — when `loss_terms` has a
+    /// slot per sample — writes each sample's loss `logZ_i − m_{i,b_i}`,
+    /// recovering the true-class margin from its probability:
+    /// `m_c = log(p_c) + logZ`.
+    fn residual_rows(&self, first: usize, rows: &mut [f64], loss_terms: &mut [f64]) {
+        let c1 = self.num_classes - 1;
+        for (r, row) in rows.chunks_exact_mut(c1).enumerate() {
+            let i = first + r;
+            let logz = reduce::softmax_with_reference_in_place(row);
+            if let Some(term) = loss_terms.get_mut(r) {
+                let label = self.labels[i];
+                let correct_margin = if label < c1 {
+                    row[label].max(f64::MIN_POSITIVE).ln() + logz
+                } else {
+                    0.0
+                };
+                *term = logz - correct_margin;
+            }
+            for (p, y) in row.iter_mut().zip(self.one_hot.row(i)) {
+                *p += -1.0 * y;
+            }
+        }
     }
 
     /// Hessian-vector product given precomputed class probabilities (row-major
@@ -292,30 +333,19 @@ impl SoftmaxCrossEntropy {
     /// pooled; this is the kernel CG launches every inner iteration.
     fn hvp_core(&self, probs: &[f64], v: &[f64], out: &mut [f64], ws: &mut Workspace) {
         assert_eq!(v.len(), self.dim(), "direction vector has wrong length");
-        let vm = self.pooled_weights(v, ws);
-        // U = X Vᵀ  (n × (C−1))
-        let n = self.features.rows();
         let c1 = self.num_classes - 1;
-        let mut u = DenseMatrix::from_vec(n, c1, ws.acquire(n * c1));
-        self.device.gemm_nt_into(&self.features, &vm, &mut u);
-        ws.release(vm.into_vec());
+        let nc = self.features.rows() * c1;
         // S_i = diag(p_i) u_i − p_i (p_iᵀ u_i), overwriting U row by row.
-        self.device.charge_kernel(4.0 * (n * c1) as f64, 3.0 * (n * c1) as f64 * 8.0);
-        for i in 0..n {
-            let p = &probs[i * c1..(i + 1) * c1];
-            let urow = u.row_mut(i);
-            let pu: f64 = p.iter().zip(urow.iter()).map(|(a, b)| a * b).sum();
-            for c in 0..c1 {
-                urow[c] = p[c] * urow[c] - p[c] * pu;
+        let costs = [(4.0 * nc as f64, 3.0 * nc as f64 * 8.0)];
+        let to_s = |first: usize, rows: &mut [f64], _: &mut [f64]| {
+            for (urow, p) in rows.chunks_exact_mut(c1).zip(probs[first * c1..].chunks_exact(c1)) {
+                let pu: f64 = p.iter().zip(urow.iter()).map(|(a, b)| a * b).sum();
+                for c in 0..c1 {
+                    urow[c] = p[c] * urow[c] - p[c] * pu;
+                }
             }
-        }
-        // Hv = Sᵀ X + λ v
-        let mut hv = DenseMatrix::from_vec(c1, self.num_features(), ws.acquire(self.dim()));
-        self.device.gemm_tn_into(&self.features, &u, &mut hv);
-        out.copy_from_slice(hv.as_slice());
-        ws.release(hv.into_vec());
-        ws.release(u.into_vec());
-        self.device.axpy(self.lambda, v, out);
+        };
+        self.sweep_into(v, &costs, &mut [], to_s, out, ws);
     }
 }
 

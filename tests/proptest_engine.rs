@@ -13,14 +13,122 @@ use nadmm_solver::conjugate_gradient_into;
 use newton_admm_repro::prelude::*;
 use proptest::prelude::*;
 
-fn softmax_problem(samples: usize, features: usize, classes: usize, seed: u64) -> SoftmaxCrossEntropy {
-    let (train, _) = SyntheticConfig::mnist_like()
+fn softmax_data(samples: usize, features: usize, classes: usize, seed: u64) -> Dataset {
+    SyntheticConfig::mnist_like()
         .with_train_size(samples)
         .with_test_size(4)
         .with_num_features(features)
         .with_num_classes(classes)
-        .generate(seed);
-    SoftmaxCrossEntropy::new(&train, 1e-3)
+        .generate(seed)
+        .0
+}
+
+fn softmax_problem(samples: usize, features: usize, classes: usize, seed: u64) -> SoftmaxCrossEntropy {
+    SoftmaxCrossEntropy::new(&softmax_data(samples, features, classes, seed), 1e-3)
+}
+
+/// The softmax objective's value, gradient and Hessian-vector product
+/// written as the two-pass sequence the fused sweep replaces — margins
+/// GEMM, row softmax, element-wise kernels, accumulation GEMM — on the public
+/// linalg kernels: `(value, gradient, hvp)` at `x` in direction `v`, and how
+/// many entries of `P − Y` are exact zeros.
+fn two_pass_softmax(data: &Dataset, lambda: f64, x: &[f64], v: &[f64]) -> (f64, Vec<f64>, Vec<f64>, usize) {
+    use nadmm_linalg::{reduce, vector, DenseMatrix};
+    let (features, one_hot, labels) = (data.features(), data.one_hot_reduced(), data.labels());
+    let (n, c1, p) = (features.rows(), data.num_classes() - 1, features.cols());
+    let mut probs = features.gemm_nt(&DenseMatrix::from_vec(c1, p, x.to_vec())).unwrap();
+    let mut scratch = vec![0.0; c1];
+    let logz: Vec<f64> = (0..n)
+        .map(|i| {
+            let lz = reduce::softmax_with_reference(probs.row(i), &mut scratch);
+            probs.row_mut(i).copy_from_slice(&scratch);
+            lz
+        })
+        .collect();
+    let loss = reduce::par_sum_over(n, |i| {
+        let correct_margin = if labels[i] < c1 {
+            probs.get(i, labels[i]).max(f64::MIN_POSITIVE).ln() + logz[i]
+        } else {
+            0.0
+        };
+        logz[i] - correct_margin
+    });
+    let mut u = features.gemm_nt(&DenseMatrix::from_vec(c1, p, v.to_vec())).unwrap();
+    for i in 0..n {
+        let pr = probs.row(i);
+        let urow = u.row_mut(i);
+        let pu: f64 = pr.iter().zip(urow.iter()).map(|(a, b)| a * b).sum();
+        for c in 0..c1 {
+            urow[c] = pr[c] * urow[c] - pr[c] * pu;
+        }
+    }
+    let mut hv = features.gemm_tn_from_dense(&u).unwrap().into_vec();
+    vector::axpy(lambda, v, &mut hv);
+    vector::axpy(-1.0, one_hot.as_slice(), probs.as_mut_slice());
+    let exact_zeros = probs.as_slice().iter().filter(|&&r| r == 0.0).count();
+    let mut grad = features.gemm_tn_from_dense(&probs).unwrap().into_vec();
+    vector::axpy(lambda, x, &mut grad);
+    (loss + 0.5 * lambda * vector::dot(x, x), grad, hv, exact_zeros)
+}
+
+/// Pool width and par-threshold are process-wide; the sweep below holds this
+/// lock so its (width, threshold) pairs are the ones in force.
+static ENGINE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The fused sweeps behind `gradient_into`, `value_and_gradient_into` and
+/// `hvp_prepared_into` must reproduce the two-pass sequence bit for bit —
+/// dense and CSR features, one row chunk and several, every pool width and
+/// both sides of the par-threshold — including with saturated softmax rows,
+/// whose exact-zero probabilities take the accumulation kernel's skip branch.
+#[test]
+fn softmax_sweeps_match_the_two_pass_reference_bit_for_bit() {
+    let _guard = ENGINE_LOCK.lock().unwrap();
+    for &(samples, features, classes, density, scale) in &[
+        (37, 5, 3, 1.0, 0.3),
+        (300, 9, 4, 1.0, 0.3),
+        (700, 6, 10, 1.0, 400.0),
+        (530, 12, 5, 0.3, 0.3),
+        (530, 12, 2, 0.3, 400.0),
+    ] {
+        let mut cfg = SyntheticConfig::mnist_like()
+            .with_train_size(samples)
+            .with_test_size(4)
+            .with_num_features(features)
+            .with_num_classes(classes);
+        cfg.density = density;
+        let (data, _) = cfg.generate(samples as u64);
+        assert_eq!(data.features().is_sparse(), density < 1.0);
+        let obj = SoftmaxCrossEntropy::new(&data, 1e-3);
+        let mut rng = nadmm_linalg::gen::seeded_rng(7 + samples as u64);
+        let x = nadmm_linalg::gen::gaussian_vector_with(obj.dim(), 0.0, scale, &mut rng);
+        let v = nadmm_linalg::gen::gaussian_vector(obj.dim(), &mut rng);
+        let bits = |values: &[f64]| values.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        for width in [1, 2, 3] {
+            rayon::set_num_threads(width);
+            for threshold in [0, usize::MAX] {
+                nadmm_linalg::set_par_threshold(threshold);
+                let label =
+                    format!("{samples}x{features}, {classes} classes, density {density}, width {width}, threshold {threshold}");
+                let (value_ref, grad_ref, hv_ref, exact_zeros) = two_pass_softmax(&data, obj.lambda, &x, &v);
+                assert_eq!(exact_zeros > 0, scale > 1.0, "saturation as intended: {label}");
+                let mut ws = Workspace::new();
+                let mut grad = vec![f64::NAN; obj.dim()];
+                let value = obj.value_and_gradient_into(&x, &mut grad, &mut ws);
+                assert_eq!(value.to_bits(), value_ref.to_bits(), "value: {label}");
+                assert_eq!(bits(&grad), bits(&grad_ref), "value_and_gradient_into: {label}");
+                grad.fill(f64::NAN);
+                obj.gradient_into(&x, &mut grad, &mut ws);
+                assert_eq!(bits(&grad), bits(&grad_ref), "gradient_into: {label}");
+                let mut hv = vec![f64::NAN; obj.dim()];
+                let state = obj.prepare_hvp(&x, &mut ws);
+                obj.hvp_prepared_into(&state, &v, &mut hv, &mut ws);
+                obj.release_hvp(state, &mut ws);
+                assert_eq!(bits(&hv), bits(&hv_ref), "hvp_prepared_into: {label}");
+            }
+        }
+    }
+    nadmm_linalg::reset_par_threshold();
+    rayon::reset_num_threads();
 }
 
 proptest! {
