@@ -2,10 +2,10 @@
 
 use nadmm_cluster::{CommStats, Communicator};
 use nadmm_data::Dataset;
-use nadmm_device::{Device, DeviceSpec, Workspace, WorkspaceStats};
+use nadmm_device::{Device, Workspace, WorkspaceStats};
 use nadmm_linalg::vector;
 use nadmm_metrics::{IterationRecord, RunHistory};
-use nadmm_objective::{Objective, OpCost, SoftmaxCrossEntropy};
+use nadmm_objective::{Objective, SoftmaxCrossEntropy};
 use std::time::Instant;
 
 /// Output common to every distributed baseline run.
@@ -32,13 +32,6 @@ pub fn local_objective(shard: &Dataset, lambda: f64, num_workers: usize) -> Soft
 /// objective launches charges that device's simulated clock.
 pub fn local_objective_on(shard: &Dataset, lambda: f64, num_workers: usize, device: &Device) -> SoftmaxCrossEntropy {
     local_objective(shard, lambda, num_workers).with_device(device.clone())
-}
-
-/// Charges `cost` of local compute to this rank, converted to seconds by the
-/// device model. Legacy estimate-based charging — the solver hot paths now
-/// charge per actual kernel launch via [`EngineSync`] instead.
-pub fn charge_compute(comm: &mut dyn Communicator, device: &DeviceSpec, cost: OpCost) {
-    comm.advance_compute(device.kernel_time(cost.flops, cost.bytes));
 }
 
 /// Bridges a rank's [`Device`] clock into its communicator clock.
@@ -165,6 +158,7 @@ mod tests {
     use super::*;
     use nadmm_cluster::{Cluster, NetworkModel};
     use nadmm_data::{partition_strong, SyntheticConfig};
+    use nadmm_device::DeviceSpec;
 
     fn dataset() -> Dataset {
         SyntheticConfig::mnist_like()

@@ -354,7 +354,6 @@ impl InexactDane {
 #[allow(deprecated)] // the deprecated `run_cluster*` wrappers stay under test
 mod tests {
     use super::*;
-    use crate::common::local_objective;
     use nadmm_cluster::NetworkModel;
     use nadmm_data::{partition_strong, SyntheticConfig};
 
@@ -416,11 +415,11 @@ mod tests {
         let cluster = Cluster::new(2, NetworkModel::ideal());
         let run = InexactDane::new(quick_config()).run_cluster(&cluster, &shards, None);
         let per_epoch = run.history.avg_epoch_time();
-        // One plain gradient evaluation on the shard:
-        let single_grad_time = {
-            let local = local_objective(&shards[0], 1e-3, 2);
-            DeviceSpec::tesla_p100().kernel_time(local.cost_value_grad().flops, local.cost_value_grad().bytes)
-        };
+        // One plain gradient evaluation on the shard, as the device bills it:
+        let device = Device::new(DeviceSpec::tesla_p100());
+        let local = local_objective_on(&shards[0], 1e-3, 2, &device);
+        local.gradient(&vec![0.0; local.dim()]);
+        let single_grad_time = device.elapsed();
         assert!(
             per_epoch > 10.0 * single_grad_time,
             "DANE epoch time {per_epoch} should dwarf a single gradient evaluation {single_grad_time}"

@@ -1,8 +1,8 @@
 //! Criterion benches for the simulated cluster substrate: the per-algorithm
 //! collective cost model (tree vs ring vs halving-doubling across payload
-//! sizes, including the modeled crossover), wall-clock cost of the
-//! rendezvous collectives (allocating vs in-place), and the warm-path
-//! allocation count of the in-place engine.
+//! sizes, including the modeled crossover), wall-clock cost of the in-place
+//! allreduce (cold and warm), and the warm-path allocation count of the
+//! engine.
 //!
 //! The final "bench" merges everything into `BENCH_kernels.json` under the
 //! `collectives` group, so the recorded perf trajectory shows ring allreduce
@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nadmm_bench::alloc_counter::{count_allocations, CountingAllocator};
 use nadmm_bench::report::{criterion_entries, merge_bench_json, report_path, BenchEntry};
-use nadmm_cluster::{Cluster, CollectiveAlgorithm, CollectiveKind, CollectiveSelector, Communicator, NetworkModel};
+use nadmm_cluster::{Cluster, CollectiveAlgorithm, CollectiveKind, CollectiveSelector, Communicator, Contribution, NetworkModel};
 use std::hint::black_box;
 
 #[global_allocator]
@@ -41,12 +41,6 @@ fn bench_allreduce_wallclock(c: &mut Criterion) {
     let workers: &[usize] = if smoke() { &[4] } else { &[2, 4, 8] };
     for &n in workers {
         let payload = vec![1.0f64; 8192];
-        group.bench_with_input(BenchmarkId::new("alloc", n), &n, |b, &n| {
-            b.iter(|| {
-                let cluster = Cluster::new(n, NetworkModel::infiniband_100g());
-                black_box(cluster.run(|comm| comm.allreduce_sum(&payload)))
-            });
-        });
         group.bench_with_input(BenchmarkId::new("into", n), &n, |b, &n| {
             b.iter(|| {
                 let cluster = Cluster::new(n, NetworkModel::infiniband_100g());
@@ -160,11 +154,11 @@ fn emit_report(_c: &mut Criterion) {
         .run(|comm| {
             let mut buf = vec![0.5f64; 8192];
             comm.allreduce_sum_into(&mut buf); // warm-up
-            let h = comm.start_allreduce_sum(&buf);
+            let h = comm.start_allreduce_sum_max(Contribution::Data(&buf), buf.len());
             comm.wait_into(h, &mut buf); // warm-up the handle pool
             let (blocking_allocs, _) = count_allocations(|| comm.allreduce_sum_into(&mut buf));
             let (split_allocs, _) = count_allocations(|| {
-                let h = comm.start_allreduce_sum(&buf);
+                let h = comm.start_allreduce_sum_max(Contribution::Data(&buf), buf.len());
                 comm.wait_into(h, &mut buf);
             });
             (blocking_allocs, split_allocs)

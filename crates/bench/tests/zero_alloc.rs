@@ -26,6 +26,17 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Two tests below retune the process-wide pool (`rayon::set_num_threads`,
+/// `set_par_threshold`); a proof measured while another test holds those
+/// knobs takes the pooled multi-chunk path and counts its allocations. Every
+/// test holds this lock, so each proof sees only the knobs it set itself.
+static POOL_KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn pool_knobs() -> std::sync::MutexGuard<'static, ()> {
+    // A failed proof poisons the lock; the other proofs must still run.
+    POOL_KNOBS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn problem() -> (SoftmaxCrossEntropy, Vec<f64>) {
     let (train, _) = SyntheticConfig::mnist_like()
         .with_train_size(96)
@@ -41,6 +52,7 @@ fn problem() -> (SoftmaxCrossEntropy, Vec<f64>) {
 
 #[test]
 fn warm_cg_solve_performs_zero_heap_allocations() {
+    let _knobs = pool_knobs();
     let (obj, x) = problem();
     let mut ws = Workspace::new();
     let mut grad = vec![0.0; obj.dim()];
@@ -86,6 +98,7 @@ fn warm_cg_solve_performs_zero_heap_allocations() {
 
 #[test]
 fn warm_newton_step_performs_zero_heap_allocations() {
+    let _knobs = pool_knobs();
     let (obj, x) = problem();
     let aug = ProximalAugmented::new(obj.clone(), x.clone(), vec![0.0; x.len()], 1.5);
     let solver = NewtonCg::new(NewtonConfig::default());
@@ -110,6 +123,7 @@ fn warm_newton_step_performs_zero_heap_allocations() {
 
 #[test]
 fn shard_scale_softmax_evaluations_perform_zero_heap_allocations() {
+    let _knobs = pool_knobs();
     // More rows than one canonical row chunk (256), so the gradient and
     // Hessian-vector reductions fold several chunk partials — which must come
     // from the pooled workspace both on the inline path (width 1) and on the
@@ -153,6 +167,7 @@ fn shard_scale_softmax_evaluations_perform_zero_heap_allocations() {
 
 #[test]
 fn warm_distributed_admm_outer_iteration_is_allocation_free() {
+    let _knobs = pool_knobs();
     // The ISSUE-2 acceptance criterion: a warm distributed Newton-ADMM outer
     // iteration — compute *and* collectives, instrumentation included —
     // allocates nothing on any rank. The allocation counters are per-thread,
@@ -214,6 +229,7 @@ fn warm_distributed_admm_outer_iteration_is_allocation_free() {
 
 #[test]
 fn traced_warm_admm_outer_iteration_is_allocation_free() {
+    let _knobs = pool_knobs();
     // The ISSUE-10 acceptance criterion: arming the span tracer must not
     // break the zero-alloc contract. Same warm distributed outer iteration
     // as above, but with a per-rank recorder installed. The ring capacity is
@@ -266,6 +282,7 @@ fn traced_warm_admm_outer_iteration_is_allocation_free() {
 
 #[test]
 fn warm_batched_predict_performs_zero_heap_allocations() {
+    let _knobs = pool_knobs();
     // The ISSUE-5 acceptance criterion: the serving engine's hot path — a
     // warm `predict_batch_into` call (batched GEMM margins + argmax decode)
     // and the top-k/softmax variant — makes zero heap allocations once the
@@ -313,6 +330,7 @@ fn warm_batched_predict_performs_zero_heap_allocations() {
 
 #[test]
 fn workspace_pool_hits_after_warmup_in_minimize() {
+    let _knobs = pool_knobs();
     let (obj, x0) = problem();
     let solver = NewtonCg::new(NewtonConfig {
         max_iters: 3,
@@ -332,6 +350,7 @@ fn workspace_pool_hits_after_warmup_in_minimize() {
 
 #[test]
 fn forced_thread_pool_dispatch_performs_zero_heap_allocations() {
+    let _knobs = pool_knobs();
     // The work-sharing pool's dispatch path must be allocation-free: the job
     // is published as a raw fat pointer in a pre-existing slot (no boxing),
     // chunk indices come from an atomic counter, and `det::fold` keeps its

@@ -1,23 +1,22 @@
 //! The communicator interface the distributed solvers code against, plus the
 //! trivial single-process implementation.
 //!
-//! Three API tiers, all part of the same [`Communicator`] trait:
+//! One surface, two calling styles:
 //!
-//! 1. **Allocating collectives** (`allreduce_sum`, `broadcast_root`, …) — the
-//!    seed API, convenient for cold paths and tests.
-//! 2. **In-place collectives** (`allreduce_sum_into`, `broadcast_root_into`,
-//!    …) — the hot-path API: the caller's buffer is both input and output and
-//!    implementations stage through a pooled [`crate::CommWorkspace`], so a
-//!    warm outer iteration allocates nothing.
-//! 3. **Split-phase collectives** (`start_allreduce_sum` →
-//!    [`Communicator::wait_into`]) — nonblocking: the result materialises in
-//!    a [`CollectiveHandle`] whose completion *time* is fixed at start, and
-//!    local compute issued between `start` and `wait` overlaps with the
-//!    collective on the simulated clocks (only the non-overlapped tail is
-//!    billed).
+//! * **In-place collectives** (`allreduce_sum_into`, `reduce_sum_root_into`,
+//!   `broadcast_root_into`, …): the caller's buffer is both input and output
+//!   and implementations stage through a pooled [`crate::CommWorkspace`], so
+//!   a warm outer iteration allocates nothing.
+//! * **Split-phase** ([`Communicator::start_allreduce_sum_max`] →
+//!   [`Communicator::wait_into`]): the result materialises in a
+//!   [`CollectiveHandle`] whose completion *time* is fixed at start, and
+//!   local compute issued between `start` and `wait` overlaps with the
+//!   collective on the simulated clocks (only the non-overlapped tail is
+//!   billed).
 //!
-//! Default implementations let tiers 2 and 3 fall back to tier 1, so custom
-//! communicators only need the allocating core.
+//! The two collectives a dead rank still has to enter take a
+//! [`Contribution`], so "I have nothing to add" is an argument, not a second
+//! method.
 
 use crate::network::{CollectiveAlgorithm, CollectiveKind};
 use crate::stats::CommStats;
@@ -25,13 +24,48 @@ use crate::stats::CommStats;
 /// The rank that plays the role of the paper's "master node".
 pub const ROOT_RANK: usize = 0;
 
+/// What one rank puts into a collective round; `B` is the buffer type the
+/// collective works on (`&mut [f64]` in place, `&[f64]` split-phase).
+#[derive(Debug)]
+pub enum Contribution<B> {
+    /// A payload of elements.
+    Data(B),
+    /// A dead rank's contribution: this many logical elements, all exact
+    /// zeros. Results, billing and stats are identical to `Data` over an
+    /// explicit zero-filled buffer; implementations may skip the payload
+    /// entirely as long as reports stay bit-identical.
+    Tombstone(usize),
+}
+
+impl<B: std::ops::Deref<Target = [f64]>> Contribution<B> {
+    /// Number of logical elements contributed.
+    pub fn len(&self) -> usize {
+        match self {
+            Contribution::Data(buf) => buf.len(),
+            Contribution::Tombstone(len) => *len,
+        }
+    }
+
+    /// Whether no element is contributed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The same contribution over a shared borrow of the buffer.
+    pub fn as_slice(&self) -> Contribution<&[f64]> {
+        match self {
+            Contribution::Data(buf) => Contribution::Data(buf),
+            Contribution::Tombstone(len) => Contribution::Tombstone(*len),
+        }
+    }
+}
+
 /// An in-flight split-phase collective: the exchanged result plus the
 /// simulated time at which the collective completes cluster-wide.
 ///
-/// Produced by the `start_*` methods of [`Communicator`] and consumed by
-/// [`Communicator::wait_into`] / [`Communicator::wait`] **on the same
-/// communicator that created it**. Handles must be waited in the order they
-/// were started.
+/// Produced by [`Communicator::start_allreduce_sum_max`] and consumed by
+/// [`Communicator::wait_into`] **on the same communicator that created it**.
+/// Handles must be waited in the order they were started.
 #[derive(Debug)]
 pub struct CollectiveHandle {
     pub(crate) result: Vec<f64>,
@@ -44,14 +78,10 @@ pub struct CollectiveHandle {
     /// to the wire counters unless the payload was compressed.
     pub(crate) logical_sent_bytes: f64,
     pub(crate) logical_recv_bytes: f64,
-    /// Whether the starting call already billed clock/stats (true for the
-    /// blocking fallback; the real split-phase engine bills at `wait`).
-    pub(crate) billed: bool,
 }
 
 impl CollectiveHandle {
-    /// Builds a handle around an already-exchanged result (used by the
-    /// default blocking fallback and custom communicator implementations).
+    /// Builds a handle around an already-exchanged result.
     pub fn new(
         result: Vec<f64>,
         complete_at: f64,
@@ -59,7 +89,6 @@ impl CollectiveHandle {
         algo: CollectiveAlgorithm,
         sent_bytes: f64,
         recv_bytes: f64,
-        billed: bool,
     ) -> Self {
         Self {
             result,
@@ -70,7 +99,6 @@ impl CollectiveHandle {
             recv_bytes,
             logical_sent_bytes: sent_bytes,
             logical_recv_bytes: recv_bytes,
-            billed,
         }
     }
 
@@ -137,204 +165,42 @@ pub trait Communicator {
     /// Synchronises all ranks (and their simulated clocks).
     fn barrier(&mut self);
 
-    /// Every rank contributes `data`; every rank receives all contributions
-    /// indexed by rank.
-    fn allgather(&mut self, data: &[f64]) -> Vec<Vec<f64>>;
-
-    /// Element-wise sum across ranks, result available on every rank.
-    fn allreduce_sum(&mut self, data: &[f64]) -> Vec<f64>;
-
-    /// Element-wise sum across ranks, result only on the root (None
-    /// elsewhere).
-    fn reduce_sum_root(&mut self, data: &[f64]) -> Option<Vec<f64>>;
-
-    /// Gathers every rank's contribution at the root (None elsewhere).
-    fn gather_root(&mut self, data: &[f64]) -> Option<Vec<Vec<f64>>>;
-
-    /// Broadcasts the root's `data` to every rank. Non-root ranks pass
-    /// `None` (their argument is ignored).
-    fn broadcast_root(&mut self, data: Option<&[f64]>) -> Vec<f64>;
-
-    /// Scatters one payload per rank from the root. Non-root ranks pass
-    /// `None`.
-    fn scatter_root(&mut self, parts: Option<&[Vec<f64>]>) -> Vec<f64>;
-
-    // ------------------------------------------------------------------
-    // In-place collectives (the hot-path API). Defaults delegate to the
-    // allocating methods; the thread-backed communicator overrides them
-    // with zero-allocation implementations.
-    // ------------------------------------------------------------------
-
     /// Element-wise sum across ranks, in place: `buf` is this rank's
     /// contribution on entry and the global sum on exit. Every rank must
     /// supply the same length.
-    fn allreduce_sum_into(&mut self, buf: &mut [f64]) {
-        let out = self.allreduce_sum(buf);
-        buf.copy_from_slice(&out);
-    }
+    fn allreduce_sum_into(&mut self, buf: &mut [f64]);
 
     /// Element-wise max across ranks, in place.
-    fn allreduce_max_into(&mut self, buf: &mut [f64]) {
-        let all = self.allgather(buf);
-        for (i, slot) in buf.iter_mut().enumerate() {
-            *slot = all.iter().map(|c| c[i]).fold(f64::NEG_INFINITY, f64::max);
-        }
-    }
+    fn allreduce_max_into(&mut self, buf: &mut [f64]);
 
-    /// Element-wise sum to the root, in place: on the root `buf` holds the
-    /// global sum on exit (returns `true`); elsewhere the contents of `buf`
-    /// are unspecified afterwards (returns `false`).
-    fn reduce_sum_root_into(&mut self, buf: &mut [f64]) -> bool {
-        if let Some(out) = self.reduce_sum_root(buf) {
-            buf.copy_from_slice(&out);
-            true
-        } else {
-            false
-        }
-    }
+    /// Element-wise sum to the root, in place: on the root a
+    /// [`Contribution::Data`] buffer holds the global sum on exit; elsewhere
+    /// its contents are unspecified afterwards. A tombstoning root discards
+    /// the sum (a dead rank never reads it). Returns whether this rank is
+    /// the root.
+    fn reduce_sum_root_into(&mut self, buf: Contribution<&mut [f64]>) -> bool;
 
     /// Broadcast from the root, in place: the root's `buf` is the payload,
     /// every other rank's same-length `buf` is overwritten with it.
-    fn broadcast_root_into(&mut self, buf: &mut [f64]) {
-        let out = if self.is_root() {
-            self.broadcast_root(Some(&*buf))
-        } else {
-            self.broadcast_root(None)
-        };
-        buf.copy_from_slice(&out);
-    }
-
-    /// A dead rank's stand-in for [`Communicator::reduce_sum_root_into`]:
-    /// contributes `len` exact zeros without owning a buffer. Billing and
-    /// results are identical to reducing an explicit zero-filled buffer (the
-    /// default does exactly that); implementations may skip the payload
-    /// entirely — a tombstone — as long as reports stay bit-identical.
-    /// Returns whether this rank is the root (whose reduced result is
-    /// discarded; a dead rank never reads it).
-    fn reduce_sum_root_tombstone(&mut self, len: usize) -> bool {
-        let mut zeros = vec![0.0; len];
-        self.reduce_sum_root_into(&mut zeros)
-    }
-
-    /// A dead rank's stand-in for [`Communicator::start_allreduce_sum_max`]:
-    /// contributes `len` exact zeros (summed over the first `sum_len`,
-    /// maxed over the rest) without owning a buffer.
-    fn start_allreduce_sum_max_tombstone(&mut self, len: usize, sum_len: usize) -> CollectiveHandle {
-        let zeros = vec![0.0; len];
-        self.start_allreduce_sum_max(&zeros, sum_len)
-    }
+    fn broadcast_root_into(&mut self, buf: &mut [f64]);
 
     /// Allgather into a caller buffer: `out` (length `size() * data.len()`)
     /// receives every rank's contribution concatenated in rank order.
-    fn allgather_into(&mut self, data: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            out.len(),
-            data.len() * self.size(),
-            "allgather_into: output buffer must hold size() * data.len() elements"
-        );
-        let all = self.allgather(data);
-        for (chunk, contrib) in out.chunks_mut(data.len()).zip(&all) {
-            chunk.copy_from_slice(contrib);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Split-phase (nonblocking) collectives. The default implementations
-    // complete eagerly — correct, but with no overlap credit; the
-    // thread-backed communicator overrides them with true split-phase
-    // billing.
-    // ------------------------------------------------------------------
-
-    /// Starts a nonblocking element-wise sum allreduce of `data`. The result
-    /// becomes visible (and the clock charged) at
-    /// [`Communicator::wait_into`].
-    fn start_allreduce_sum(&mut self, data: &[f64]) -> CollectiveHandle {
-        let result = self.allreduce_sum(data);
-        CollectiveHandle::new(
-            result,
-            self.elapsed(),
-            CollectiveKind::Allreduce,
-            CollectiveAlgorithm::Naive,
-            0.0,
-            0.0,
-            true,
-        )
-    }
-
-    /// Starts a nonblocking element-wise max allreduce of `data`.
-    fn start_allreduce_max(&mut self, data: &[f64]) -> CollectiveHandle {
-        let mut buf = data.to_vec();
-        self.allreduce_max_into(&mut buf);
-        CollectiveHandle::new(
-            buf,
-            self.elapsed(),
-            CollectiveKind::Allreduce,
-            CollectiveAlgorithm::Naive,
-            0.0,
-            0.0,
-            true,
-        )
-    }
+    fn allgather_into(&mut self, data: &[f64], out: &mut [f64]);
 
     /// Starts a nonblocking mixed allreduce of `data`: the first `sum_len`
     /// elements are reduced by sum, the rest by max — one collective instead
     /// of two, the way MPI codes pack instrumentation reductions into a
-    /// single user-defined-op allreduce. The default falls back to two
-    /// blocking collectives.
-    fn start_allreduce_sum_max(&mut self, data: &[f64], sum_len: usize) -> CollectiveHandle {
-        assert!(
-            sum_len <= data.len(),
-            "start_allreduce_sum_max: sum_len {sum_len} exceeds payload length {}",
-            data.len()
-        );
-        let mut buf = data.to_vec();
-        let sums = self.allreduce_sum(&data[..sum_len]);
-        buf[..sum_len].copy_from_slice(&sums);
-        self.allreduce_max_into(&mut buf[sum_len..]);
-        CollectiveHandle::new(
-            buf,
-            self.elapsed(),
-            CollectiveKind::Allreduce,
-            CollectiveAlgorithm::Naive,
-            0.0,
-            0.0,
-            true,
-        )
-    }
+    /// single user-defined-op allreduce (`sum_len = data.len()` is a plain
+    /// sum, `sum_len = 0` a plain max). The result becomes visible, and the
+    /// clock is charged, at [`Communicator::wait_into`].
+    fn start_allreduce_sum_max(&mut self, data: Contribution<&[f64]>, sum_len: usize) -> CollectiveHandle;
 
     /// Completes a split-phase collective: copies the result into `out`
-    /// (same length). Implementations with true split-phase billing (like
-    /// the thread-backed communicator) advance this rank's clock to the
-    /// collective's completion time if it has not naturally passed it (the
-    /// overlap credit) and bill the non-overlapped tail.
-    ///
-    /// This default only handles *already-billed* handles (the blocking
-    /// `start_*` fallbacks above bill at start). An implementation that
-    /// overrides a `start_*` method to defer billing (`billed = false`) must
-    /// override `wait_into` as well — the default panics on such a handle
-    /// rather than silently dropping its time and stats.
-    fn wait_into(&mut self, handle: CollectiveHandle, out: &mut [f64]) {
-        assert!(
-            handle.billed,
-            "wait_into: the default implementation received an unbilled split-phase handle; \
-             a communicator that defers billing to wait must override wait_into"
-        );
-        assert_eq!(
-            out.len(),
-            handle.result.len(),
-            "wait_into: output buffer length {} != collective result length {}",
-            out.len(),
-            handle.result.len()
-        );
-        out.copy_from_slice(&handle.result);
-    }
-
-    /// Completes a split-phase collective, returning the result by value.
-    fn wait(&mut self, handle: CollectiveHandle) -> Vec<f64> {
-        let mut out = vec![0.0; handle.result.len()];
-        self.wait_into(handle, &mut out);
-        out
-    }
+    /// (same length), advances this rank's clock to the collective's
+    /// completion time if it has not naturally passed it (the overlap
+    /// credit) and bills the non-overlapped tail.
+    fn wait_into(&mut self, handle: CollectiveHandle, out: &mut [f64]);
 
     /// Sum of a scalar across ranks, available everywhere.
     fn allreduce_scalar_sum(&mut self, v: f64) -> f64 {
@@ -393,40 +259,7 @@ impl Communicator for SingleProcessComm {
 
     fn barrier(&mut self) {}
 
-    fn allgather(&mut self, data: &[f64]) -> Vec<Vec<f64>> {
-        self.note(CollectiveKind::Allgather);
-        vec![data.to_vec()]
-    }
-
-    fn allreduce_sum(&mut self, data: &[f64]) -> Vec<f64> {
-        self.note(CollectiveKind::Allreduce);
-        data.to_vec()
-    }
-
-    fn reduce_sum_root(&mut self, data: &[f64]) -> Option<Vec<f64>> {
-        self.note(CollectiveKind::Reduce);
-        Some(data.to_vec())
-    }
-
-    fn gather_root(&mut self, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        self.note(CollectiveKind::Gather);
-        Some(vec![data.to_vec()])
-    }
-
-    fn broadcast_root(&mut self, data: Option<&[f64]>) -> Vec<f64> {
-        self.note(CollectiveKind::Broadcast);
-        data.expect("root must provide broadcast data").to_vec()
-    }
-
-    fn scatter_root(&mut self, parts: Option<&[Vec<f64>]>) -> Vec<f64> {
-        self.note(CollectiveKind::Scatter);
-        let parts = parts.expect("root must provide scatter parts");
-        assert_eq!(parts.len(), 1, "scatter on a single-process comm needs exactly one part");
-        parts[0].clone()
-    }
-
-    // In-place collectives are identities on one rank: no copies, no
-    // allocations.
+    // Collectives are identities on one rank: no copies, no allocations.
     fn allreduce_sum_into(&mut self, _buf: &mut [f64]) {
         self.note(CollectiveKind::Allreduce);
     }
@@ -435,7 +268,7 @@ impl Communicator for SingleProcessComm {
         self.note(CollectiveKind::Allreduce);
     }
 
-    fn reduce_sum_root_into(&mut self, _buf: &mut [f64]) -> bool {
+    fn reduce_sum_root_into(&mut self, _buf: Contribution<&mut [f64]>) -> bool {
         self.note(CollectiveKind::Reduce);
         true
     }
@@ -450,18 +283,25 @@ impl Communicator for SingleProcessComm {
         out.copy_from_slice(data);
     }
 
-    fn start_allreduce_sum_max(&mut self, data: &[f64], sum_len: usize) -> CollectiveHandle {
+    fn start_allreduce_sum_max(&mut self, data: Contribution<&[f64]>, sum_len: usize) -> CollectiveHandle {
         assert!(sum_len <= data.len());
         self.note(CollectiveKind::Allreduce);
+        let result = match data {
+            Contribution::Data(data) => data.to_vec(),
+            Contribution::Tombstone(len) => vec![0.0; len],
+        };
         CollectiveHandle::new(
-            data.to_vec(),
+            result,
             self.elapsed,
             CollectiveKind::Allreduce,
             CollectiveAlgorithm::Naive,
             0.0,
             0.0,
-            true,
         )
+    }
+
+    fn wait_into(&mut self, handle: CollectiveHandle, out: &mut [f64]) {
+        out.copy_from_slice(&handle.result);
     }
 
     fn advance_compute(&mut self, dt: f64) {
@@ -489,12 +329,6 @@ mod tests {
         assert_eq!(c.size(), 1);
         assert!(c.is_root());
         c.barrier();
-        assert_eq!(c.allgather(&[1.0, 2.0]), vec![vec![1.0, 2.0]]);
-        assert_eq!(c.allreduce_sum(&[3.0]), vec![3.0]);
-        assert_eq!(c.reduce_sum_root(&[4.0]), Some(vec![4.0]));
-        assert_eq!(c.gather_root(&[5.0]), Some(vec![vec![5.0]]));
-        assert_eq!(c.broadcast_root(Some(&[6.0])), vec![6.0]);
-        assert_eq!(c.scatter_root(Some(&[vec![7.0]])), vec![7.0]);
         assert_eq!(c.allreduce_scalar_sum(2.5), 2.5);
         assert_eq!(c.allreduce_scalar_max(-1.0), -1.0);
     }
@@ -505,26 +339,43 @@ mod tests {
         let mut buf = [1.0, 2.0];
         c.allreduce_sum_into(&mut buf);
         assert_eq!(buf, [1.0, 2.0]);
-        assert!(c.reduce_sum_root_into(&mut buf));
+        assert!(c.reduce_sum_root_into(Contribution::Data(&mut buf)));
         c.broadcast_root_into(&mut buf);
         assert_eq!(buf, [1.0, 2.0]);
         let mut out = [0.0, 0.0];
         c.allgather_into(&[3.0, 4.0], &mut out);
         assert_eq!(out, [3.0, 4.0]);
-        assert_eq!(c.stats().kind(crate::network::CollectiveKind::Allreduce).count, 1);
+        assert_eq!(c.stats().kind(CollectiveKind::Allreduce).count, 1);
     }
 
     #[test]
     fn single_process_split_phase_completes_eagerly() {
         let mut c = SingleProcessComm::new();
-        let h = c.start_allreduce_sum(&[5.0, 6.0]);
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.kind(), CollectiveKind::Allreduce);
-        let mut out = [0.0, 0.0];
-        c.wait_into(h, &mut out);
-        assert_eq!(out, [5.0, 6.0]);
-        let h = c.start_allreduce_max(&[-3.0]);
-        assert_eq!(c.wait(h), vec![-3.0]);
+        for sum_len in [2, 0] {
+            let h = c.start_allreduce_sum_max(Contribution::Data(&[5.0, 6.0]), sum_len);
+            assert_eq!(h.len(), 2);
+            assert_eq!(h.kind(), CollectiveKind::Allreduce);
+            let mut out = [0.0, 0.0];
+            c.wait_into(h, &mut out);
+            assert_eq!(out, [5.0, 6.0]);
+        }
+        // A tombstone is indistinguishable from the zeros it stands for.
+        let run = |dead: bool| {
+            let mut c = SingleProcessComm::new();
+            let mut zeros = [0.0; 3];
+            let (reduce, start): (Contribution<&mut [f64]>, Contribution<&[f64]>) = if dead {
+                (Contribution::Tombstone(3), Contribution::Tombstone(4))
+            } else {
+                (Contribution::Data(&mut zeros), Contribution::Data(&[0.0; 4]))
+            };
+            assert!(c.reduce_sum_root_into(reduce));
+            let h = c.start_allreduce_sum_max(start, 3);
+            let mut out = [1.0; 4];
+            c.wait_into(h, &mut out);
+            (out, c.elapsed().to_bits(), c.stats())
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(run(true).0, [0.0; 4]);
     }
 
     #[test]
@@ -535,12 +386,5 @@ mod tests {
         assert!((c.elapsed() - 2.0).abs() < 1e-12);
         assert!((c.stats().compute_time - 2.0).abs() < 1e-12);
         assert_eq!(c.stats().comm_time, 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn scatter_with_wrong_arity_panics() {
-        let mut c = SingleProcessComm::new();
-        c.scatter_root(Some(&[vec![1.0], vec![2.0]]));
     }
 }

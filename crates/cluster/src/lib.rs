@@ -28,30 +28,41 @@
 //! * [`Cluster::run`] — spawn `n` ranks, run a closure on each, collect
 //!   results in rank order;
 //! * [`Communicator`] — the MPI-flavoured interface the solvers code
-//!   against: allocating, in-place (`*_into`, zero-alloc once warm) and
-//!   split-phase (`start_*` → `wait_into`, overlapping compute with
-//!   communication on the simulated clocks);
+//!   against: in-place collectives (`*_into`, zero-alloc once warm) and one
+//!   split-phase allreduce (`start_allreduce_sum_max` → `wait_into`,
+//!   overlapping compute with communication on the simulated clocks); a
+//!   dead rank passes [`Contribution::Tombstone`] where a live one passes
+//!   its buffer;
 //! * [`SingleProcessComm`] — a size-1 communicator for single-node runs.
 
+pub mod cluster;
 pub mod comm;
+pub mod engine;
 pub mod network;
 pub mod stats;
 pub mod straggler;
-pub mod thread_comm;
 pub mod transport;
 pub mod workspace;
 
-pub use comm::{CollectiveHandle, Communicator, SingleProcessComm, ROOT_RANK};
+pub use cluster::Cluster;
+pub use comm::{CollectiveHandle, Communicator, Contribution, SingleProcessComm, ROOT_RANK};
+pub use engine::ClusterComm;
 pub use network::{
     CollectiveAlgorithm, CollectiveKind, CollectiveSelector, Compression, NetworkModel, COLLECTIVE_ALGO_ENV, COMPRESSION_ENV,
 };
 pub use stats::{CommStats, KindStats};
 pub use straggler::{SlowRank, StragglerModel};
-pub use thread_comm::{Cluster, ClusterComm, ThreadComm};
 pub use transport::tcp::{reserve_loopback_peers, TcpTransport};
 pub use transport::thread::{ThreadFabric, ThreadTransport};
 pub use transport::{Transport, TransportKind, TransportSpec, TRANSPORT_ENV};
 pub use workspace::{CommWorkspace, CommWorkspaceStats};
+
+/// The engine's and the cluster builder's unit tests: every one drives the
+/// engine through [`Cluster::run`], so they share one file. The module keeps
+/// the path the recorded test ids were taken under.
+#[cfg(test)]
+#[path = "engine_tests.rs"]
+mod thread_comm;
 
 #[cfg(test)]
 mod tests {

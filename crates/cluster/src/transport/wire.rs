@@ -26,10 +26,6 @@ pub const WIRE_VERSION: u16 = 1;
 /// this is treated as stream corruption, not an allocation request.
 pub const MAX_FRAME_BYTES: usize = 1 << 30;
 
-/// Sentinel contribution length meaning "this rank accepts whatever length
-/// the root supplies" (allocating broadcast/scatter receivers).
-pub const ANY_LEN: u64 = u64::MAX;
-
 const FLAG_TOMBSTONE: u8 = 0b0000_0001;
 
 /// What the round's reduction computes over the deposited contributions.
@@ -278,7 +274,7 @@ pub enum Frame<'a> {
         tombstone: bool,
         /// The sender's simulated arrival clock.
         time: f64,
-        /// Logical element count ([`ANY_LEN`] = "whatever the root says").
+        /// Logical element count.
         len: u64,
         /// The payload elements (empty for tombstones/expectations).
         payload: PayloadView<'a>,
@@ -482,7 +478,7 @@ pub fn decode(frame: &[u8]) -> Result<Frame<'_>, WireError> {
                     found_bytes: payload.len(),
                 });
             }
-            if !payload.is_empty() && (len == ANY_LEN || payload.len() as u64 != len.saturating_mul(8)) {
+            if !payload.is_empty() && payload.len() as u64 != len.saturating_mul(8) {
                 return Err(WireError::PayloadSizeMismatch {
                     field: "contribution payload",
                     expected_bytes: len.saturating_mul(8) as usize,

@@ -14,7 +14,9 @@
 //!    allreduce: power-of-two rank counts dodge the remainder-fold penalty,
 //!    exactly as on real fabrics.)
 
-use nadmm_cluster::{Cluster, CollectiveAlgorithm, CollectiveKind, CollectiveSelector, Communicator, Compression, NetworkModel};
+use nadmm_cluster::{
+    Cluster, CollectiveAlgorithm, CollectiveKind, CollectiveSelector, Communicator, Compression, Contribution, NetworkModel,
+};
 use proptest::prelude::*;
 
 /// One deterministic pseudo-random payload per (rank, length, seed).
@@ -45,7 +47,7 @@ fn repertoire(
             comm.allreduce_sum_into(&mut sum);
             // Reduce to root + broadcast back (the ADMM consensus round).
             let mut consensus = mine.clone();
-            if comm.reduce_sum_root_into(&mut consensus) {
+            if comm.reduce_sum_root_into(Contribution::Data(&mut consensus)) {
                 for v in consensus.iter_mut() {
                     *v *= 0.5;
                 }
@@ -55,7 +57,7 @@ fn repertoire(
             let mut gathered = vec![0.0; len * comm.size()];
             comm.allgather_into(&mine, &mut gathered);
             // Split-phase fused sum|max allreduce.
-            let h = comm.start_allreduce_sum_max(&mine, len / 2);
+            let h = comm.start_allreduce_sum_max(Contribution::Data(&mine), len / 2);
             let mut fused = vec![0.0; len];
             comm.wait_into(h, &mut fused);
             (sum, consensus, gathered, fused, comm.elapsed())

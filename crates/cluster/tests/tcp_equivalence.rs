@@ -5,53 +5,60 @@
 //! transport wall time), so this holds by construction — these tests pin it.
 
 use nadmm_cluster::transport::tcp::reserve_loopback_peers;
-use nadmm_cluster::{Cluster, CommStats, Communicator, Compression, NetworkModel, StragglerModel, TcpTransport};
+use nadmm_cluster::{Cluster, CommStats, Communicator, Compression, Contribution, NetworkModel, StragglerModel, TcpTransport};
 
 /// One rank's outcome of the exercise workload.
 type Outcome = (Vec<f64>, f64, CommStats);
 
-/// A workload touching every collective tier: allocating, in-place,
-/// split-phase (with overlap), rooted, and a tombstone round.
-fn exercise(comm: &mut dyn Communicator) -> Outcome {
+/// A workload touching every collective: in-place, rooted, split-phase (with
+/// overlap), and a round in which rank 1 plays dead — through tombstones, or
+/// through the explicit zeros they stand for.
+fn exercise(comm: &mut dyn Communicator, tombstones: bool) -> Outcome {
     let rank = comm.rank() as f64;
     let mut buf: Vec<f64> = (0..257).map(|i| (i as f64 * 0.37).sin() + rank * 0.125).collect();
     comm.allreduce_sum_into(&mut buf);
     comm.advance_compute(1e-4 * (rank + 1.0));
     comm.barrier();
-    let gathered = comm.allgather(&[rank * 2.0, -rank]);
-    buf.push(gathered[comm.size() - 1][0]);
-    let is_root = comm.reduce_sum_root_into(&mut buf);
+    let mut gathered = vec![0.0; 2 * comm.size()];
+    comm.allgather_into(&[rank * 2.0, -rank], &mut gathered);
+    buf.push(gathered[gathered.len() - 2]);
+    let is_root = comm.reduce_sum_root_into(Contribution::Data(&mut buf));
     if is_root {
         for v in buf.iter_mut() {
             *v *= 0.5;
         }
     }
     comm.broadcast_root_into(&mut buf);
-    let h = comm.start_allreduce_sum_max(&[rank, 1.0, -rank, 2.0], 2);
+    let h = comm.start_allreduce_sum_max(Contribution::Data(&[rank, 1.0, -rank, 2.0]), 2);
     comm.advance_compute(5e-5);
     let mut inst = [0.0; 4];
     comm.wait_into(h, &mut inst);
     buf.extend_from_slice(&inst);
-    if comm.rank() == 1 {
-        comm.reduce_sum_root_tombstone(3);
+    let dead = comm.rank() == 1;
+    let mut z = if dead { [0.0; 3] } else { [rank; 3] };
+    comm.reduce_sum_root_into(if dead && tombstones {
+        Contribution::Tombstone(3)
     } else {
-        let mut z = vec![rank; 3];
-        comm.reduce_sum_root_into(&mut z);
-        buf.push(z[0]);
-    }
-    let scattered = if is_root {
-        let parts: Vec<Vec<f64>> = (0..comm.size()).map(|r| vec![r as f64 * 0.3; r + 1]).collect();
-        comm.scatter_root(Some(&parts))
-    } else {
-        comm.scatter_root(None)
-    };
-    buf.extend_from_slice(&scattered);
+        Contribution::Data(&mut z)
+    });
+    buf.push(z[0]);
+    let loss = if dead { [0.0; 4] } else { [rank, 0.5, -rank, 1.0 / 3.0] };
+    let h = comm.start_allreduce_sum_max(
+        if dead && tombstones {
+            Contribution::Tombstone(4)
+        } else {
+            Contribution::Data(&loss)
+        },
+        3,
+    );
+    comm.wait_into(h, &mut inst);
+    buf.extend_from_slice(&inst);
     (buf, comm.elapsed(), comm.stats())
 }
 
 /// Runs the workload over real TCP sockets: every rank is a thread owning a
 /// `TcpTransport` on a loopback full mesh.
-fn run_tcp(cluster: &Cluster) -> Vec<Outcome> {
+fn run_tcp(cluster: &Cluster, tombstones: bool) -> Vec<Outcome> {
     let n = cluster.size();
     let peers = reserve_loopback_peers(n).expect("loopback ports");
     std::thread::scope(|scope| {
@@ -62,7 +69,7 @@ fn run_tcp(cluster: &Cluster) -> Vec<Outcome> {
             handles.push(scope.spawn(move || {
                 let transport = TcpTransport::connect(rank, &peers).expect("tcp bootstrap");
                 let mut comm = cluster.connect(Box::new(transport));
-                exercise(&mut comm)
+                exercise(&mut comm, tombstones)
             }));
         }
         handles.into_iter().map(|h| h.join().expect("tcp rank panicked")).collect()
@@ -88,9 +95,11 @@ fn assert_bit_identical(thread: &[Outcome], tcp: &[Outcome]) {
 #[test]
 fn tcp_backend_is_bit_identical_to_the_thread_backend() {
     let cluster = Cluster::new(4, NetworkModel::infiniband_100g());
-    let thread = cluster.run(|comm| exercise(comm));
-    let tcp = run_tcp(&cluster);
+    let thread = cluster.run(|comm| exercise(comm, true));
+    let tcp = run_tcp(&cluster, true);
     assert_bit_identical(&thread, &tcp);
+    // And on the real wire a tombstone is the zeros it stands for.
+    assert_bit_identical(&tcp, &run_tcp(&cluster, false));
 }
 
 #[test]
@@ -98,16 +107,18 @@ fn tcp_backend_matches_under_compression_and_stragglers() {
     let cluster = Cluster::new(3, NetworkModel::ethernet_10g())
         .with_compression(Compression::F16)
         .with_straggler(&StragglerModel::jitter(0.5, 42).with_slow_rank(2, 2.0));
-    let thread = cluster.run(|comm| exercise(comm));
-    let tcp = run_tcp(&cluster);
+    let thread = cluster.run(|comm| exercise(comm, true));
+    let tcp = run_tcp(&cluster, true);
     assert_bit_identical(&thread, &tcp);
+    // And on the real wire a tombstone is the zeros it stands for.
+    assert_bit_identical(&tcp, &run_tcp(&cluster, false));
 }
 
 #[test]
 fn tcp_stats_gather_matches_the_thread_collection() {
     let cluster = Cluster::new(3, NetworkModel::infiniband_100g());
     let thread_stats: Vec<CommStats> = cluster.run(|comm| {
-        exercise(comm);
+        exercise(comm, true);
         comm.stats()
     });
     let peers = reserve_loopback_peers(3).expect("loopback ports");
@@ -119,7 +130,7 @@ fn tcp_stats_gather_matches_the_thread_collection() {
             handles.push(scope.spawn(move || {
                 let transport = TcpTransport::connect(rank, &peers).expect("tcp bootstrap");
                 let mut comm = cluster.connect(Box::new(transport));
-                exercise(&mut comm);
+                exercise(&mut comm, true);
                 comm.gather_comm_stats()
             }));
         }

@@ -13,7 +13,7 @@
 
 use crate::config::NewtonAdmmConfig;
 use crate::penalty::{residual_balancing_update, spectral_update, PenaltyRule, SpectralState};
-use nadmm_cluster::{Cluster, CollectiveHandle, CommStats, Communicator};
+use nadmm_cluster::{Cluster, CollectiveHandle, CommStats, Communicator, Contribution};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace, WorkspaceStats};
 use nadmm_linalg::vector;
@@ -222,7 +222,7 @@ impl AdmmWorker {
             // exactly like an explicit zero payload, skipping the staging
             // and fold work — and the dead rank's `z` keeps tracking the
             // survivors' consensus through the broadcast.
-            comm.reduce_sum_root_tombstone(self.payload.len());
+            comm.reduce_sum_root_into(Contribution::Tombstone(self.payload.len()));
             comm.broadcast_root_into(&mut self.z);
             return;
         }
@@ -233,7 +233,7 @@ impl AdmmWorker {
             self.payload[i] = self.rho * self.x[i] - self.y[i];
         }
         self.payload[dim] = self.rho;
-        if comm.reduce_sum_root_into(&mut self.payload) {
+        if comm.reduce_sum_root_into(Contribution::Data(&mut self.payload)) {
             let sum_rho = self.payload[dim];
             for i in 0..dim {
                 self.z[i] = self.payload[i] / (self.cfg.lambda + sum_rho);
@@ -290,7 +290,7 @@ impl AdmmWorker {
             // the explicit zeros it stands for), so the recorded objective
             // is the survivors' objective (plus regulariser) and `mean_rho`
             // averages dead ranks as 0.
-            let handle = comm.start_allreduce_sum_max_tombstone(4, 3);
+            let handle = comm.start_allreduce_sum_max(Contribution::Tombstone(4), 3);
             return InstrumentationHandles { handle, has_accuracy };
         }
         let loss = self.local.value_ws(&self.z, &mut self.ws);
@@ -301,7 +301,7 @@ impl AdmmWorker {
             _ => 0.0,
         };
         let residual = vector::distance(&self.x, &self.z);
-        let handle = comm.start_allreduce_sum_max(&[loss, self.rho, acc, residual], 3);
+        let handle = comm.start_allreduce_sum_max(Contribution::Data(&[loss, self.rho, acc, residual]), 3);
         InstrumentationHandles { handle, has_accuracy }
     }
 
@@ -833,10 +833,9 @@ mod tests {
 
     #[test]
     fn dropout_tombstones_are_bit_identical_to_explicit_zero_contributions() {
-        // A forwarding communicator that keeps the engine's collectives but
-        // strips the tombstone overrides, so the dead rank walks the
-        // trait-default path: an explicit zero-filled buffer through the
-        // full collective data path — exactly the pre-tombstone behaviour.
+        // A forwarding communicator that turns every tombstone into the
+        // explicit zero-filled buffer it stands for, so the dead rank walks
+        // the full collective data path.
         struct ZeroFill<'a, C: Communicator>(&'a mut C);
         impl<C: Communicator> Communicator for ZeroFill<'_, C> {
             fn rank(&self) -> usize {
@@ -848,32 +847,17 @@ mod tests {
             fn barrier(&mut self) {
                 self.0.barrier()
             }
-            fn allgather(&mut self, data: &[f64]) -> Vec<Vec<f64>> {
-                self.0.allgather(data)
-            }
-            fn allreduce_sum(&mut self, data: &[f64]) -> Vec<f64> {
-                self.0.allreduce_sum(data)
-            }
-            fn reduce_sum_root(&mut self, data: &[f64]) -> Option<Vec<f64>> {
-                self.0.reduce_sum_root(data)
-            }
-            fn gather_root(&mut self, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-                self.0.gather_root(data)
-            }
-            fn broadcast_root(&mut self, data: Option<&[f64]>) -> Vec<f64> {
-                self.0.broadcast_root(data)
-            }
-            fn scatter_root(&mut self, parts: Option<&[Vec<f64>]>) -> Vec<f64> {
-                self.0.scatter_root(parts)
-            }
             fn allreduce_sum_into(&mut self, buf: &mut [f64]) {
                 self.0.allreduce_sum_into(buf)
             }
             fn allreduce_max_into(&mut self, buf: &mut [f64]) {
                 self.0.allreduce_max_into(buf)
             }
-            fn reduce_sum_root_into(&mut self, buf: &mut [f64]) -> bool {
-                self.0.reduce_sum_root_into(buf)
+            fn reduce_sum_root_into(&mut self, buf: Contribution<&mut [f64]>) -> bool {
+                match buf {
+                    Contribution::Tombstone(len) => self.0.reduce_sum_root_into(Contribution::Data(&mut vec![0.0; len])),
+                    data => self.0.reduce_sum_root_into(data),
+                }
             }
             fn broadcast_root_into(&mut self, buf: &mut [f64]) {
                 self.0.broadcast_root_into(buf)
@@ -881,14 +865,11 @@ mod tests {
             fn allgather_into(&mut self, data: &[f64], out: &mut [f64]) {
                 self.0.allgather_into(data, out)
             }
-            fn start_allreduce_sum(&mut self, data: &[f64]) -> CollectiveHandle {
-                self.0.start_allreduce_sum(data)
-            }
-            fn start_allreduce_max(&mut self, data: &[f64]) -> CollectiveHandle {
-                self.0.start_allreduce_max(data)
-            }
-            fn start_allreduce_sum_max(&mut self, data: &[f64], sum_len: usize) -> CollectiveHandle {
-                self.0.start_allreduce_sum_max(data, sum_len)
+            fn start_allreduce_sum_max(&mut self, data: Contribution<&[f64]>, sum_len: usize) -> CollectiveHandle {
+                match data {
+                    Contribution::Tombstone(len) => self.0.start_allreduce_sum_max(Contribution::Data(&vec![0.0; len]), sum_len),
+                    data => self.0.start_allreduce_sum_max(data, sum_len),
+                }
             }
             fn wait_into(&mut self, handle: CollectiveHandle, out: &mut [f64]) {
                 self.0.wait_into(handle, out)
@@ -902,9 +883,6 @@ mod tests {
             fn stats(&self) -> CommStats {
                 self.0.stats()
             }
-            // reduce_sum_root_tombstone / start_allreduce_sum_max_tombstone
-            // deliberately NOT forwarded: the defaults allocate zero-filled
-            // buffers and run them through the collectives above.
         }
 
         let (train, _) = small_dataset(120, 3, 8, 13);

@@ -32,7 +32,7 @@ pub use proximal::ProximalAugmented;
 pub use quadratic::Quadratic;
 pub use ridge::RidgeRegression;
 pub use softmax::SoftmaxCrossEntropy;
-pub use traits::{HvpOperator, HvpState, Objective, OpCost};
+pub use traits::{HvpOperator, HvpState, Objective};
 
 #[cfg(test)]
 mod tests {

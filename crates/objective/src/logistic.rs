@@ -9,7 +9,7 @@
 //! Labels are `{0, 1}`; the model is `Pr(y=1|a) = σ(⟨a, x⟩)` and
 //! `F(x) = Σ_i log(1 + e^{⟨a_i,x⟩}) − Σ_i y_i ⟨a_i, x⟩ + λ‖x‖²/2`.
 
-use crate::traits::{Objective, OpCost};
+use crate::traits::Objective;
 use nadmm_data::Dataset;
 use nadmm_linalg::{reduce, vector, Matrix};
 
@@ -124,18 +124,6 @@ impl Objective for BinaryLogistic {
             hv
         })
     }
-
-    fn cost_value_grad(&self) -> OpCost {
-        let nnz = self.features.stored_entries() as f64;
-        let n = self.features.rows() as f64;
-        OpCost::new(4.0 * nnz + 6.0 * n, 2.0 * self.features.storage_bytes() as f64)
-    }
-
-    fn cost_hessian_vec(&self) -> OpCost {
-        let nnz = self.features.stored_entries() as f64;
-        let n = self.features.rows() as f64;
-        OpCost::new(4.0 * nnz + 4.0 * n, 2.0 * self.features.storage_bytes() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -224,8 +212,6 @@ mod tests {
         let acc = obj.accuracy(&data, &x);
         assert!((0.0..=1.0).contains(&acc));
         assert!(obj.num_samples() == 60);
-        assert!(obj.cost_value_grad().flops > 0.0);
-        assert!(obj.cost_hessian_vec().flops > 0.0);
     }
 
     #[test]

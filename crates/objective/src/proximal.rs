@@ -12,7 +12,7 @@
 //! term also makes the subproblem strongly convex with parameter at least
 //! `ρ_i`, which is what gives ADMM its robustness on ill-conditioned shards.
 
-use crate::traits::{HvpOperator, HvpState, Objective, OpCost};
+use crate::traits::{HvpOperator, HvpState, Objective};
 use nadmm_device::{Device, Workspace};
 use nadmm_linalg::vector;
 
@@ -203,19 +203,6 @@ impl<O: Objective> Objective for ProximalAugmented<O> {
     fn release_hvp(&self, state: HvpState, ws: &mut Workspace) {
         self.base.release_hvp(state, ws);
     }
-
-    fn cost_value_grad(&self) -> OpCost {
-        // The proximal term adds O(d) work on top of the base objective.
-        self.base
-            .cost_value_grad()
-            .plus(OpCost::new(4.0 * self.dim() as f64, 3.0 * self.dim() as f64 * 8.0))
-    }
-
-    fn cost_hessian_vec(&self) -> OpCost {
-        self.base
-            .cost_hessian_vec()
-            .plus(OpCost::new(2.0 * self.dim() as f64, 2.0 * self.dim() as f64 * 8.0))
-    }
 }
 
 #[cfg(test)]
@@ -305,8 +292,6 @@ mod tests {
         for (u, w) in a.iter().zip(&b) {
             assert!((u - w).abs() < 1e-9);
         }
-        assert!(aug.cost_value_grad().flops > 0.0);
-        assert!(aug.cost_hessian_vec().flops > 0.0);
         assert_eq!(aug.num_samples(), 25);
         assert_eq!(aug.rho(), 1.5);
         assert_eq!(aug.base().dim(), d);

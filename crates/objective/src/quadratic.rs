@@ -4,7 +4,7 @@
 //! solve it exactly, Newton must converge in one step, and consensus ADMM
 //! must converge to the known minimiser `x* = A⁻¹ b`.
 
-use crate::traits::{Objective, OpCost};
+use crate::traits::Objective;
 use nadmm_device::{Device, Workspace};
 use nadmm_linalg::{DenseMatrix, Matrix};
 
@@ -169,16 +169,6 @@ impl Objective for Quadratic {
     fn hvp_prepared_into(&self, _state: &crate::traits::HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
         self.hessian_vec_into(&[], v, out, ws);
     }
-
-    fn cost_value_grad(&self) -> OpCost {
-        let n = self.dim() as f64;
-        OpCost::new(2.0 * n * n, n * n * 8.0)
-    }
-
-    fn cost_hessian_vec(&self) -> OpCost {
-        let n = self.dim() as f64;
-        OpCost::new(2.0 * n * n, n * n * 8.0)
-    }
 }
 
 #[cfg(test)]
@@ -199,8 +189,6 @@ mod tests {
         assert!(vector::norm2(&g) < 1e-10);
         assert_eq!(q.hessian_vec(&xstar, &[1.0, 0.0]), vec![2.0, 0.0]);
         assert_eq!(q.dim(), 2);
-        assert!(q.cost_value_grad().flops > 0.0);
-        assert!(q.cost_hessian_vec().flops > 0.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! same point.
 
 use crate::quadratic::solve_dense;
-use crate::traits::{HvpState, Objective, OpCost};
+use crate::traits::{HvpState, Objective};
 use nadmm_device::{Device, Workspace};
 use nadmm_linalg::{vector, Matrix};
 
@@ -132,16 +132,6 @@ impl Objective for RidgeRegression {
     fn hvp_prepared_into(&self, _state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
         self.hessian_vec_into(&[], v, out, ws);
     }
-
-    fn cost_value_grad(&self) -> OpCost {
-        let nnz = self.features.stored_entries() as f64;
-        OpCost::new(4.0 * nnz, 2.0 * self.features.storage_bytes() as f64)
-    }
-
-    fn cost_hessian_vec(&self) -> OpCost {
-        let nnz = self.features.stored_entries() as f64;
-        OpCost::new(4.0 * nnz, 2.0 * self.features.storage_bytes() as f64)
-    }
 }
 
 /// Generates a random ridge-regression problem with known planted solution:
@@ -201,8 +191,6 @@ mod tests {
         let (obj, _) = random_ridge_problem(10, 3, 0.1, 0.1, 1);
         assert_eq!(obj.dim(), 3);
         assert_eq!(obj.num_samples(), 10);
-        assert!(obj.cost_value_grad().flops > 0.0);
-        assert!(obj.cost_hessian_vec().flops > 0.0);
     }
 
     #[test]

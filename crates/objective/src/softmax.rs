@@ -19,7 +19,7 @@
 //! (softmax, `P − Y`, the loss term; the `S` transform) are the row map of
 //! [`Device::gemm_nt_map_tn_into`].
 
-use crate::traits::{HvpOperator, HvpState, Objective, OpCost};
+use crate::traits::{HvpOperator, HvpState, Objective};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace};
 use nadmm_linalg::{reduce, row_partials, DenseMatrix, Matrix, SweepBuffers};
@@ -247,27 +247,6 @@ impl Objective for SoftmaxCrossEntropy {
 
     fn hvp_prepared_into(&self, state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
         self.hvp_core(state.buf(0), v, out, ws);
-    }
-
-    fn cost_value_grad(&self) -> OpCost {
-        let nnz = self.features.stored_entries() as f64;
-        let c1 = (self.num_classes - 1) as f64;
-        let n = self.features.rows() as f64;
-        // Two GEMM-like passes (margins + gradient) plus the softmax rows.
-        OpCost::new(
-            4.0 * nnz * c1 + 6.0 * n * c1,
-            2.0 * self.features.storage_bytes() as f64 + 3.0 * n * c1 * 8.0,
-        )
-    }
-
-    fn cost_hessian_vec(&self) -> OpCost {
-        let nnz = self.features.stored_entries() as f64;
-        let c1 = (self.num_classes - 1) as f64;
-        let n = self.features.rows() as f64;
-        OpCost::new(
-            4.0 * nnz * c1 + 4.0 * n * c1,
-            2.0 * self.features.storage_bytes() as f64 + 3.0 * n * c1 * 8.0,
-        )
     }
 }
 
@@ -505,8 +484,21 @@ mod tests {
             .with_num_classes(4);
         let (big_train, _) = cfg.generate(1);
         let big_obj = SoftmaxCrossEntropy::new(&big_train, 1e-3);
-        assert!(small_obj.cost_value_grad().flops > 0.0);
-        assert!(big_obj.cost_value_grad().flops > small_obj.cost_value_grad().flops);
-        assert!(big_obj.cost_hessian_vec().flops > 0.0);
+        // What one gradient and one Hessian-vector product charge the
+        // objective's device clock — the billing in force.
+        let billed = |obj: &SoftmaxCrossEntropy| {
+            let device = obj.device().expect("softmax objectives own a device");
+            let x = vec![0.0; obj.dim()];
+            let start = device.elapsed();
+            obj.gradient(&x);
+            let after_grad = device.elapsed();
+            obj.hessian_vec(&x, &x);
+            (after_grad - start, device.elapsed() - after_grad)
+        };
+        let (small_grad, _) = billed(&small_obj);
+        let (big_grad, big_hvp) = billed(&big_obj);
+        assert!(small_grad > 0.0);
+        assert!(big_grad > small_grad);
+        assert!(big_hvp > 0.0);
     }
 }

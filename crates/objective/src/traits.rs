@@ -18,41 +18,6 @@
 
 use nadmm_device::{Device, Workspace};
 
-/// Analytic cost (FLOPs and bytes touched) of one evaluation of an objective
-/// operation. The distributed drivers feed these numbers to the simulated
-/// device / cluster substrates to attribute realistic compute time to each
-/// evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OpCost {
-    /// Floating-point operations.
-    pub flops: f64,
-    /// Bytes of memory traffic.
-    pub bytes: f64,
-}
-
-impl OpCost {
-    /// Creates a cost record.
-    pub fn new(flops: f64, bytes: f64) -> Self {
-        Self { flops, bytes }
-    }
-
-    /// Sum of two costs.
-    pub fn plus(self, other: OpCost) -> OpCost {
-        OpCost {
-            flops: self.flops + other.flops,
-            bytes: self.bytes + other.bytes,
-        }
-    }
-
-    /// Cost scaled by a constant factor (e.g. per CG iteration).
-    pub fn times(self, k: f64) -> OpCost {
-        OpCost {
-            flops: self.flops * k,
-            bytes: self.bytes * k,
-        }
-    }
-}
-
 /// Boxed Hessian-vector operator returned by [`Objective::hvp_operator`].
 pub type HvpOperator<'a> = Box<dyn Fn(&[f64]) -> Vec<f64> + Send + Sync + 'a>;
 
@@ -216,21 +181,6 @@ pub trait Objective: Sync + Send {
             ws.release(buf);
         }
     }
-
-    /// Analytic cost of one value+gradient evaluation.
-    ///
-    /// Retained as an *estimate* for planning/reporting; the execution-engine
-    /// objectives charge the simulated device per actual kernel launch
-    /// instead of through this.
-    fn cost_value_grad(&self) -> OpCost {
-        OpCost::default()
-    }
-
-    /// Analytic cost of one Hessian-vector product (estimate; see
-    /// [`Objective::cost_value_grad`]).
-    fn cost_hessian_vec(&self) -> OpCost {
-        OpCost::default()
-    }
 }
 
 #[cfg(test)]
@@ -263,19 +213,5 @@ mod tests {
         assert_eq!(g, vec![1.0, 6.0]);
         let hvp = p.hvp_operator(&[1.0, 2.0]);
         assert_eq!(hvp(&[1.0, 1.0]), vec![1.0, 3.0]);
-        assert_eq!(p.cost_value_grad(), OpCost::default());
-        assert_eq!(p.cost_hessian_vec(), OpCost::default());
-    }
-
-    #[test]
-    fn op_cost_arithmetic() {
-        let a = OpCost::new(10.0, 100.0);
-        let b = OpCost::new(1.0, 2.0);
-        let c = a.plus(b);
-        assert_eq!(c.flops, 11.0);
-        assert_eq!(c.bytes, 102.0);
-        let d = b.times(3.0);
-        assert_eq!(d.flops, 3.0);
-        assert_eq!(d.bytes, 6.0);
     }
 }

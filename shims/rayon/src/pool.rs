@@ -11,7 +11,7 @@
 //!
 //! ## Oversubscription policy
 //!
-//! `nadmm-cluster`'s `ThreadComm` runs one host thread per simulated rank, so
+//! `nadmm-cluster`'s `Cluster::run` runs one host thread per simulated rank, so
 //! several ranks can hit their kernel hot loops at once. All ranks share this
 //! one pool: a single dispatch mutex serializes parallel regions, and a caller
 //! that finds the pool busy (`try_lock` fails) simply executes its own region

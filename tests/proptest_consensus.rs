@@ -18,7 +18,11 @@ proptest! {
                 *e += v;
             }
         }
-        let results = Cluster::new(workers, NetworkModel::ideal()).run(|comm| comm.allreduce_sum(&payloads[comm.rank()]));
+        let results = Cluster::new(workers, NetworkModel::ideal()).run(|comm| {
+            let mut buf = payloads[comm.rank()].clone();
+            comm.allreduce_sum_into(&mut buf);
+            buf
+        });
         for r in results {
             for (a, b) in r.iter().zip(&expected) {
                 prop_assert!((a - b).abs() < 1e-9);
