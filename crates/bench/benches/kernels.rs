@@ -8,11 +8,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nadmm_bench::alloc_counter::{count_allocations, CountingAllocator};
 use nadmm_bench::report::{criterion_entries, merge_bench_json, report_path, BenchEntry};
-use nadmm_data::SyntheticConfig;
+use nadmm_data::{Dataset, SyntheticConfig};
 use nadmm_device::Workspace;
 use nadmm_linalg::{gen, DenseMatrix, Matrix};
 use nadmm_objective::{Objective, SoftmaxCrossEntropy};
 use std::hint::black_box;
+use std::sync::OnceLock;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -68,6 +69,17 @@ fn bench_gemm(c: &mut Criterion) {
             black_box(out.as_slice()[0])
         });
     });
+    let shard = csr_shard();
+    let xs = shard.features();
+    let (n, p, c1) = CSR_SHARD;
+    let w = gen::gaussian_matrix(c1, p, &mut rng);
+    let mut out = DenseMatrix::zeros(n, c1);
+    group.bench_function(format!("sparse_5pct_into/{CSR_SHARD_ID}"), |b| {
+        b.iter(|| {
+            xs.gemm_nt_into(&w, &mut out).unwrap();
+            black_box(out.as_slice()[0])
+        });
+    });
     group.finish();
 }
 
@@ -75,6 +87,23 @@ fn bench_gemm(c: &mut Criterion) {
 /// `mnist_dense_2r` benchmark workload, and the id suffix of its rows.
 const SHARD: (usize, usize, usize) = (8000, 784, 9);
 const SHARD_ID: &str = "8000x784";
+
+/// The same for `e18_sparse_2r`, whose features are CSR at 5 % density.
+const CSR_SHARD: (usize, usize, usize) = (6000, 2800, 19);
+const CSR_SHARD_ID: &str = "6000x2800";
+
+/// Generated once: three groups bench on it.
+fn csr_shard() -> &'static Dataset {
+    static SHARD: OnceLock<Dataset> = OnceLock::new();
+    SHARD.get_or_init(|| {
+        let (train, _) = SyntheticConfig::e18_like()
+            .with_train_size(CSR_SHARD.0)
+            .with_test_size(64)
+            .generate(2);
+        assert!(train.is_sparse() && train.weight_dim() == CSR_SHARD.1 * CSR_SHARD.2);
+        train
+    })
+}
 
 fn bench_gemm_tn(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_tn");
@@ -90,6 +119,16 @@ fn bench_gemm_tn(c: &mut Criterion) {
             });
         });
     }
+    let shard = csr_shard();
+    let (n, p, c1) = CSR_SHARD;
+    let m = gen::gaussian_matrix(n, c1, &mut gen::seeded_rng(5));
+    let mut out = DenseMatrix::zeros(c1, p);
+    group.bench_function(format!("sparse_5pct_into/{CSR_SHARD_ID}"), |b| {
+        b.iter(|| {
+            shard.features().gemm_tn_from_dense_into(&m, &mut out).unwrap();
+            black_box(out.as_slice()[0])
+        });
+    });
     group.finish();
 }
 
@@ -120,6 +159,11 @@ fn bench_softmax_objective(c: &mut Criterion) {
     bench_warm_paths(&mut group, "", &obj, &x, &v);
     let (obj, x, v) = softmax_problem_of(SHARD.0, SHARD.1);
     bench_warm_paths(&mut group, &format!("/{SHARD_ID}"), &obj, &x, &v);
+    let obj = SoftmaxCrossEntropy::new(csr_shard(), 1e-3);
+    let mut rng = gen::seeded_rng(3);
+    let x = gen::gaussian_vector_with(obj.dim(), 0.0, 0.1, &mut rng);
+    let v = gen::gaussian_vector(obj.dim(), &mut rng);
+    bench_warm_paths(&mut group, "/csr", &obj, &x, &v);
     group.finish();
 }
 

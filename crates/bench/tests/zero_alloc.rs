@@ -135,7 +135,31 @@ fn shard_scale_softmax_evaluations_perform_zero_heap_allocations() {
         .with_num_features(64)
         .with_num_classes(4)
         .generate(7);
-    let obj = SoftmaxCrossEntropy::new(&train, 1e-4);
+    assert!(!train.is_sparse());
+    assert_shard_scale_evaluations_do_not_allocate(&SoftmaxCrossEntropy::new(&train, 1e-4));
+}
+
+#[test]
+fn shard_scale_csr_softmax_evaluations_perform_zero_heap_allocations() {
+    let _knobs = pool_knobs();
+    // The same on CSR features at the `e18_sparse_2r` workload's density and
+    // class count, scaled down: the class-interleaved copies of the weights
+    // and of the accumulator the sparse kernels work in must come from the
+    // pooled workspace too (600 × 400 × 0.05 stored entries times 19 explicit
+    // classes clear the default par-threshold at width 2).
+    let (train, _) = SyntheticConfig::e18_like()
+        .with_train_size(600)
+        .with_test_size(16)
+        .with_num_features(400)
+        .generate(7);
+    assert!(train.is_sparse() && train.num_classes() == 20);
+    assert_shard_scale_evaluations_do_not_allocate(&SoftmaxCrossEntropy::new(&train, 1e-3));
+}
+
+/// Warm `value_and_gradient_into`, `hvp_prepared_into`, `value_ws` and
+/// `prepare_hvp` on a shard of several row chunks: no heap allocation and no
+/// pool miss, at pool widths 1 and 2.
+fn assert_shard_scale_evaluations_do_not_allocate(obj: &SoftmaxCrossEntropy) {
     assert!(
         nadmm_linalg::row_partials(obj.num_samples()) > 1,
         "the shard must span several row chunks"
@@ -150,15 +174,21 @@ fn shard_scale_softmax_evaluations_perform_zero_heap_allocations() {
         let mut ws = Workspace::new();
         // Warm-up populates the pool (and spawns the pool worker).
         obj.value_and_gradient_into(&x, &mut grad, &mut ws);
+        obj.value_ws(&x, &mut ws);
         let state = obj.prepare_hvp(&x, &mut ws);
         obj.hvp_prepared_into(&state, &v, &mut hv, &mut ws);
+        obj.release_hvp(state, &mut ws);
 
         ws.reset_stats();
         let (grad_allocs, value) = count_allocations(|| obj.value_and_gradient_into(&x, &mut grad, &mut ws));
+        let (value_allocs, value_alone) = count_allocations(|| obj.value_ws(&x, &mut ws));
+        let (prepare_allocs, state) = count_allocations(|| obj.prepare_hvp(&x, &mut ws));
         let (hvp_allocs, ()) = count_allocations(|| obj.hvp_prepared_into(&state, &v, &mut hv, &mut ws));
         obj.release_hvp(state, &mut ws);
-        assert!(value.is_finite());
+        assert!(value.is_finite() && value_alone.is_finite());
         assert_eq!(grad_allocs, 0, "warm value_and_gradient_into at width {width}");
+        assert_eq!(value_allocs, 0, "warm value_ws at width {width}");
+        assert_eq!(prepare_allocs, 0, "warm prepare_hvp at width {width}");
         assert_eq!(hvp_allocs, 0, "warm hvp_prepared_into at width {width}");
         assert_eq!(ws.stats().pool_misses, 0, "width {width}: {:?}", ws.stats());
     }

@@ -25,40 +25,49 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-const CONNECT_RETRY_EVERY: Duration = Duration::from_millis(25);
+/// Pause after the first refused bind or connect; every further one is twice
+/// as long, up to [`RETRY_PAUSE_MAX`]. A peer on the same host is listening
+/// within a millisecond or so, one across a network may take seconds.
+const RETRY_PAUSE_MIN: Duration = Duration::from_millis(1);
+const RETRY_PAUSE_MAX: Duration = Duration::from_millis(25);
 const CONNECT_DEADLINE: Duration = Duration::from_secs(60);
 const BIND_DEADLINE: Duration = Duration::from_secs(30);
 
-fn bind_with_retry(addr: &str) -> std::io::Result<TcpListener> {
-    let deadline = Instant::now() + BIND_DEADLINE;
+/// Repeats `attempt` with the backoff above until it succeeds or `within` has
+/// passed; then the last error comes back, its text from `describe`.
+fn retry<T>(
+    within: Duration,
+    mut attempt: impl FnMut() -> std::io::Result<T>,
+    describe: impl FnOnce(&std::io::Error) -> String,
+) -> std::io::Result<T> {
+    let deadline = Instant::now() + within;
+    let mut pause = RETRY_PAUSE_MIN;
     loop {
-        match TcpListener::bind(addr) {
-            Ok(l) => return Ok(l),
-            Err(e) if Instant::now() >= deadline => {
-                return Err(std::io::Error::new(
-                    e.kind(),
-                    format!("could not bind rank listener on {addr} within {BIND_DEADLINE:?}: {e}"),
-                ))
+        match attempt() {
+            Ok(v) => return Ok(v),
+            Err(e) if Instant::now() >= deadline => return Err(std::io::Error::new(e.kind(), describe(&e))),
+            Err(_) => {
+                std::thread::sleep(pause);
+                pause = (pause * 2).min(RETRY_PAUSE_MAX);
             }
-            Err(_) => std::thread::sleep(CONNECT_RETRY_EVERY),
         }
     }
 }
 
+fn bind_with_retry(addr: &str) -> std::io::Result<TcpListener> {
+    retry(
+        BIND_DEADLINE,
+        || TcpListener::bind(addr),
+        |e| format!("could not bind rank listener on {addr} within {BIND_DEADLINE:?}: {e}"),
+    )
+}
+
 fn connect_with_retry(addr: &str) -> std::io::Result<TcpStream> {
-    let deadline = Instant::now() + CONNECT_DEADLINE;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) if Instant::now() >= deadline => {
-                return Err(std::io::Error::new(
-                    e.kind(),
-                    format!("could not reach peer {addr} within {CONNECT_DEADLINE:?}: {e}"),
-                ))
-            }
-            Err(_) => std::thread::sleep(CONNECT_RETRY_EVERY),
-        }
-    }
+    retry(
+        CONNECT_DEADLINE,
+        || TcpStream::connect(addr),
+        |e| format!("could not reach peer {addr} within {CONNECT_DEADLINE:?}: {e}"),
+    )
 }
 
 /// Reserves `n` distinct loopback `host:port` addresses by binding

@@ -149,10 +149,20 @@ impl Device {
         out
     }
 
-    /// In-place margin kernel `out = X Wᵀ` (`out` pre-sized to n×k).
+    /// In-place margin kernel `out = X Wᵀ` (`out` pre-sized to n×k); sparse
+    /// `X` allocates its scratch ([`Device::gemm_nt_scratch_into`] takes it
+    /// from the caller).
     pub fn gemm_nt_into(&self, x: &Matrix, w: &DenseMatrix, out: &mut DenseMatrix) {
         self.charge_gemm_nt(x, w);
         x.gemm_nt_into(w, out).expect("device gemm_nt: shape mismatch");
+    }
+
+    /// In-place margin kernel `out = X Wᵀ` (`out` pre-sized to n×k),
+    /// allocating nothing: `scratch` holds at least
+    /// [`Matrix::gemm_nt_scratch_len`]`(k)` elements (none for dense `X`).
+    pub fn gemm_nt_scratch_into(&self, x: &Matrix, w: &DenseMatrix, scratch: &mut [f64], out: &mut DenseMatrix) {
+        self.charge_gemm_nt(x, w);
+        x.gemm_nt_scratch_into(w, scratch, out).expect("device gemm_nt: shape mismatch");
     }
 
     /// Bills one `X Wᵀ` launch.

@@ -2,6 +2,10 @@
 //! the file must parse to exactly the canonical definition below, validate,
 //! and (cheaply) run. The CI workflow additionally executes it through the
 //! `scenario_runner` example and schema-checks the emitted reports.
+//!
+//! `scenarios/sparse.json` is pinned the same way: it is the one committed
+//! scenario with CSR features, so the `--deterministic` `cmp` gates of the
+//! `thread-matrix` job run the sparse kernels only while it stays sparse.
 
 use nadmm_baselines::{AideConfig, DaneConfig, DiscoConfig, GiantConfig, SyncSgdConfig};
 use nadmm_cluster::NetworkModel;
@@ -10,6 +14,7 @@ use nadmm_experiment::{ClusterSpec, DataSpec, PartitionSpec, ScenarioSpec, Solve
 use newton_admm::NewtonAdmmConfig;
 
 const SMOKE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/smoke.json");
+const SPARSE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/sparse.json");
 
 /// The canonical smoke scenario: mnist-like × 4 ranks, 2 iterations per
 /// solver, every solver variant represented.
@@ -65,6 +70,40 @@ fn smoke_scenario() -> ScenarioSpec {
     }
 }
 
+/// The canonical sparse scenario: the E18 kind (5 % density, 20 classes)
+/// scaled to 600 × 400, 2 ranks, 3 Newton-ADMM iterations.
+fn sparse_scenario() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "sparse".into(),
+        data: DataSpec::Synthetic {
+            config: SyntheticConfig::e18_like()
+                .with_train_size(600)
+                .with_test_size(60)
+                .with_num_features(400),
+            seed: 42,
+        },
+        partition: PartitionSpec::Strong,
+        cluster: ClusterSpec::new(2, NetworkModel::infiniband_100g()),
+        solvers: vec![SolverSpec::NewtonAdmm(
+            NewtonAdmmConfig::default().with_max_iters(3).with_lambda(1e-3),
+        )],
+    }
+}
+
+#[test]
+fn committed_sparse_scenario_matches_the_canonical_definition_and_is_csr() {
+    let committed = std::fs::read_to_string(SPARSE_PATH).expect("scenarios/sparse.json exists");
+    let parsed = ScenarioSpec::from_json(&committed).expect("sparse scenario parses");
+    assert_eq!(
+        parsed,
+        sparse_scenario(),
+        "scenarios/sparse.json diverged from the canonical definition"
+    );
+    parsed.to_experiment().validate().expect("sparse scenario validates");
+    let (train, _) = parsed.data.load().expect("sparse scenario data generates");
+    assert!(train.is_sparse(), "the sparse scenario must train on CSR features");
+}
+
 #[test]
 fn committed_smoke_scenario_matches_the_canonical_definition() {
     let committed = std::fs::read_to_string(SMOKE_PATH).expect("scenarios/smoke.json exists");
@@ -95,15 +134,13 @@ fn smoke_scenario_runs_and_reports_validate() {
     assert_eq!(names, ["newton-admm", "giant", "inexact-dane", "aide", "disco", "sync-sgd"]);
 }
 
-/// Rewrites the committed smoke scenario from the canonical definition when
-/// `NADMM_REGEN_GOLDEN=1`; a no-op otherwise.
+/// Rewrites the committed smoke and sparse scenarios from the canonical
+/// definitions when `NADMM_REGEN_GOLDEN=1`; a no-op otherwise.
 #[test]
 fn regenerate_smoke_scenario_when_requested() {
     if std::env::var("NADMM_REGEN_GOLDEN").ok().as_deref() == Some("1") {
-        std::fs::write(
-            SMOKE_PATH,
-            smoke_scenario().to_json().expect("smoke scenario is finite") + "\n",
-        )
-        .expect("smoke scenario writes");
+        for (path, scenario) in [(SMOKE_PATH, smoke_scenario()), (SPARSE_PATH, sparse_scenario())] {
+            std::fs::write(path, scenario.to_json().expect("scenario is finite") + "\n").expect("scenario writes");
+        }
     }
 }

@@ -34,8 +34,11 @@
 //! adds nothing to that contract — rows of `X·Wᵀ` and of the row map are
 //! independent of each other, so carrying a sub-block of rows through both
 //! products before moving on changes which bytes are in cache, not which
-//! additions happen in which order. Partial scratch comes from the caller
-//! ([`row_partials`] says how much), so none of these drivers allocates.
+//! additions happen in which order. Neither do the CSR kernels, which hold
+//! their weight-space operands class-interleaved (see [`sparse`]): that
+//! moves operands, not operations. Scratch comes from the caller
+//! ([`row_partials`] and [`Matrix::sweep_scratch_len`] say how much), so none
+//! of these drivers allocates.
 
 pub mod dense;
 pub mod error;

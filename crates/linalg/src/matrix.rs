@@ -7,7 +7,7 @@
 
 use crate::dense::{self, DenseMatrix};
 use crate::error::{LinalgError, Result};
-use crate::sparse::CsrMatrix;
+use crate::sparse::{self, CsrMatrix};
 use crate::vector::SendMutPtr;
 use serde::{Deserialize, Serialize};
 
@@ -20,8 +20,59 @@ pub struct SweepBuffers<'a> {
     /// One scalar per row for the row map to write (a per-sample loss term),
     /// or empty when the map produces none.
     pub row_out: &'a mut [f64],
-    /// At least [`crate::row_partials`]`(rows) × out.len()` scratch elements.
-    pub partials: &'a mut [f64],
+    /// At least [`Matrix::sweep_scratch_len`]`(W.rows)` elements, contents
+    /// unspecified: the chunk partials, and for sparse features the
+    /// class-interleaved copies of `W` and of the accumulator.
+    pub scratch: &'a mut [f64],
+}
+
+/// The storage-independent part of one [`Matrix::gemm_nt_map_tn_into`] call.
+struct Sweep<F> {
+    rows: usize,
+    k: usize,
+    use_pool: bool,
+    /// `rows × k`.
+    mid: SendMutPtr,
+    /// `rows × row_out_cols`.
+    row_out: SendMutPtr,
+    row_out_cols: usize,
+    map: F,
+}
+
+impl<F> Sweep<F>
+where
+    F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
+{
+    /// Drives the sweep through [`crate::scatter_rows`] into `acc`:
+    /// `nt(b, be, block)` writes rows `b..be` of `A · Wᵀ` into `block`, and
+    /// `tn(b, be, block, dst)` accumulates the products of the mapped `block`
+    /// with those rows of `A` into `dst`, which is laid out like `acc`.
+    fn run<NT, TN>(&self, acc: &mut [f64], partials: &mut [f64], nt: NT, tn: TN)
+    where
+        NT: Fn(usize, usize, &mut [f64]) + Sync,
+        TN: Fn(usize, usize, &[f64], &mut [f64]) + Sync,
+    {
+        let (k, row_out_cols) = (self.k, self.row_out_cols);
+        crate::scatter_rows(self.rows, self.use_pool, acc, partials, |dst, s, e| {
+            for b in (s..e).step_by(crate::SWEEP_ROWS) {
+                let be = (b + crate::SWEEP_ROWS).min(e);
+                // SAFETY: canonical chunks are disjoint row ranges and the
+                // sub-blocks of one chunk are visited one after another, so
+                // this call owns rows `b..be` of `mid` and of `row_out`
+                // exclusively; both ranges lie inside their buffers (`mid` is
+                // `rows × k`, `row_out` is `rows × row_out_cols`).
+                let (block, scalars) = unsafe {
+                    (
+                        std::slice::from_raw_parts_mut(self.mid.get().add(b * k), (be - b) * k),
+                        std::slice::from_raw_parts_mut(self.row_out.get().add(b * row_out_cols), (be - b) * row_out_cols),
+                    )
+                };
+                nt(b, be, block);
+                (self.map)(b, block, scalars);
+                tn(b, be, block, dst);
+            }
+        });
+    }
 }
 
 /// Feature matrix that is either dense or CSR sparse.
@@ -116,11 +167,34 @@ impl Matrix {
         }
     }
 
-    /// In-place `A · Wᵀ` into a pre-sized dense `out` (`rows × W.rows`).
+    /// In-place `A · Wᵀ` into a pre-sized dense `out` (`rows × W.rows`);
+    /// sparse features allocate their scratch
+    /// ([`Matrix::gemm_nt_scratch_into`] takes it from the caller).
     pub fn gemm_nt_into(&self, w: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
         match self {
             Matrix::Dense(m) => m.gemm_nt_into(w, out),
             Matrix::Sparse(m) => m.gemm_nt_into(w, out),
+        }
+    }
+
+    /// Scratch elements [`Matrix::gemm_nt_scratch_into`] needs for `k`
+    /// classes: none for dense features, [`CsrMatrix::packed_len`] for
+    /// sparse ones.
+    pub fn gemm_nt_scratch_len(&self, k: usize) -> usize {
+        match self {
+            Matrix::Dense(_) => 0,
+            Matrix::Sparse(m) => m.packed_len(k),
+        }
+    }
+
+    /// In-place `A · Wᵀ` into a pre-sized dense `out` (`rows × W.rows`),
+    /// allocating nothing: `scratch` holds at least
+    /// [`Matrix::gemm_nt_scratch_len`]`(W.rows)` elements (contents
+    /// unspecified).
+    pub fn gemm_nt_scratch_into(&self, w: &DenseMatrix, scratch: &mut [f64], out: &mut DenseMatrix) -> Result<()> {
+        match self {
+            Matrix::Dense(m) => m.gemm_nt_into(w, out),
+            Matrix::Sparse(m) => m.gemm_nt_scratch_into(w, scratch, out),
         }
     }
 
@@ -155,12 +229,12 @@ impl Matrix {
     /// long.
     ///
     /// # Panics
-    /// Panics if `bufs.partials` is shorter than the stated minimum.
+    /// Panics if `bufs.scratch` is shorter than the stated minimum.
     pub fn gemm_nt_map_tn_into<F>(&self, w: &DenseMatrix, bufs: SweepBuffers<'_>, map: F, out: &mut DenseMatrix) -> Result<()>
     where
         F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
     {
-        let SweepBuffers { mid, row_out, partials } = bufs;
+        let SweepBuffers { mid, row_out, scratch } = bufs;
         let (rows, k) = (self.rows(), w.rows());
         let shapes_agree = w.cols() == self.cols()
             && (mid.rows(), mid.cols()) == (rows, k)
@@ -181,36 +255,52 @@ impl Matrix {
         if k == 0 {
             return Ok(());
         }
-        let use_pool = self.stored_entries().max(w.len()).max(mid.len()) >= crate::par_threshold();
-        let row_out_cols = usize::from(!row_out.is_empty());
-        let mid_ptr = SendMutPtr(mid.as_mut_slice().as_mut_ptr());
-        let row_out_ptr = SendMutPtr(row_out.as_mut_ptr());
-        crate::scatter_rows(rows, use_pool, out.as_mut_slice(), partials, |dst, s, e| {
-            for b in (s..e).step_by(crate::SWEEP_ROWS) {
-                let be = (b + crate::SWEEP_ROWS).min(e);
-                // SAFETY: canonical chunks are disjoint row ranges and the
-                // sub-blocks of one chunk are visited one after another, so
-                // this call owns rows `b..be` of `mid` and of `row_out`
-                // exclusively; both ranges lie inside their buffers (`mid` is
-                // `rows × k`, `row_out` is `rows × row_out_cols`).
-                let (block, scalars) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(mid_ptr.get().add(b * k), (be - b) * k),
-                        std::slice::from_raw_parts_mut(row_out_ptr.get().add(b * row_out_cols), (be - b) * row_out_cols),
-                    )
-                };
-                match self {
-                    Matrix::Dense(a) => a.nt_rows(b, be, w, block),
-                    Matrix::Sparse(a) => a.nt_rows(b, be, w, block),
-                }
-                map(b, block, scalars);
-                match self {
-                    Matrix::Dense(a) => dense::tn_rows_acc(block, k, a.rows_slice(b, be), a.cols(), dst),
-                    Matrix::Sparse(a) => a.tn_rows_acc(b, be, block, k, dst),
-                }
+        let sweep = Sweep {
+            rows,
+            k,
+            use_pool: self.stored_entries().max(w.len()).max(mid.len()) >= crate::par_threshold(),
+            mid: SendMutPtr(mid.as_mut_slice().as_mut_ptr()),
+            row_out: SendMutPtr(row_out.as_mut_ptr()),
+            row_out_cols: usize::from(!row_out.is_empty()),
+            map,
+        };
+        match self {
+            Matrix::Dense(a) => sweep.run(
+                out.as_mut_slice(),
+                scratch,
+                |b, be, block| a.nt_rows(b, be, w, block),
+                |b, be, block, dst| dense::tn_rows_acc(block, k, a.rows_slice(b, be), a.cols(), dst),
+            ),
+            Matrix::Sparse(a) => {
+                // `W` goes in and the accumulator comes out class-interleaved,
+                // each converted once per sweep; the partials fold
+                // elementwise, so they never leave that layout.
+                let (wt, rest) = scratch.split_at_mut(a.packed_len(k));
+                let (acc_t, partials) = rest.split_at_mut(a.packed_len(k));
+                sparse::pack_classes(w, wt);
+                let wt = &*wt;
+                sweep.run(
+                    acc_t,
+                    partials,
+                    |b, be, block| a.nt_rows(b, be, wt, k, block),
+                    |b, be, block, dst_t| a.tn_rows_acc(b, be, block, k, dst_t),
+                );
+                sparse::unpack_classes(acc_t, out);
             }
-        });
+        }
         Ok(())
+    }
+
+    /// Scratch elements one [`Matrix::gemm_nt_map_tn_into`] sweep with a
+    /// `k`-row `W` needs: [`crate::row_partials`]`(rows)` accumulators of
+    /// `k × cols`, and for sparse features two more, all of them in the
+    /// class-interleaved layout ([`CsrMatrix::packed_len`]).
+    pub fn sweep_scratch_len(&self, k: usize) -> usize {
+        let partials = crate::row_partials(self.rows());
+        match self {
+            Matrix::Dense(m) => partials * k * m.cols(),
+            Matrix::Sparse(m) => (2 + partials) * m.packed_len(k),
+        }
     }
 
     /// Returns a new matrix containing rows `start..end`.

@@ -5,6 +5,23 @@
 //! a sparse representation. Only the operations used by the softmax objective
 //! are implemented: `A·x`, `Aᵀ·x`, `A·Bᵀ` (dense result) and `Mᵀ·A` (dense
 //! result), plus row slicing for data partitioning.
+//!
+//! ## Class-interleaved layout
+//!
+//! The two matrix products read each sparse row once for all `k` classes.
+//! Their weight-space operand — `B` of `A·Bᵀ`, the accumulator of `Mᵀ·A`,
+//! both `k × cols` — is held *feature-major*: `cols` runs of
+//! `packed_width(k)` classes (`k` rounded up to a whole `CLASS_BLOCK`, the
+//! padding classes zero and never read back), so a stored entry `(j, v)`
+//! meets its `k` partners in one contiguous run instead of in `k` rows
+//! `cols` apart. `pack_classes` and `unpack_classes` convert once per
+//! product, or once per fused sweep ([`crate::Matrix::gemm_nt_map_tn_into`]).
+//! The layout moves operands, not operations: every output element still
+//! receives the additions of the class-at-a-time kernels in their order
+//! (stated at `row_dots` and `CsrMatrix::tn_rows_acc`), and the chunk
+//! partials of [`crate::scatter_rows`] fold elementwise, which no layout
+//! changes. `crates/linalg/tests/proptest_parallel.rs` holds the kernels to
+//! the arithmetic spelled out one scalar at a time.
 
 use crate::dense::DenseMatrix;
 use crate::error::{LinalgError, Result};
@@ -241,12 +258,35 @@ impl CsrMatrix {
     }
 
     /// In-place `C = A · Bᵀ` with dense `B`, writing into a pre-sized dense
-    /// `out` (the core that [`CsrMatrix::gemm_nt`] wraps).
+    /// `out`: [`CsrMatrix::gemm_nt_scratch_into`] with freshly allocated
+    /// scratch.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `A.cols != B.cols` or `out`
     /// is not `A.rows × B.rows`.
     pub fn gemm_nt_into(&self, b: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
+        self.gemm_nt_scratch_into(b, &mut vec![0.0; self.packed_len(b.rows())], out)
+    }
+
+    /// Elements of one class-interleaved `k`-class weight-space buffer (the
+    /// module docs' layout) for this matrix: the scratch
+    /// [`CsrMatrix::gemm_nt_scratch_into`] takes.
+    pub fn packed_len(&self, k: usize) -> usize {
+        self.cols * packed_width(k)
+    }
+
+    /// In-place `C = A · Bᵀ` with dense `B` into a pre-sized dense `out`,
+    /// allocating nothing: `scratch` (at least
+    /// [`CsrMatrix::packed_len`]`(B.rows)` elements, contents unspecified)
+    /// receives the class-interleaved copy of `B` the kernel reads.
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::ShapeMismatch`] if `A.cols != B.cols` or `out`
+    /// is not `A.rows × B.rows`.
+    ///
+    /// # Panics
+    /// Panics if `scratch` is shorter than the stated minimum.
+    pub fn gemm_nt_scratch_into(&self, b: &DenseMatrix, scratch: &mut [f64], out: &mut DenseMatrix) -> Result<()> {
         if self.cols != b.cols() || out.rows() != self.rows || out.cols() != b.rows() {
             return Err(LinalgError::ShapeMismatch(format!(
                 "csr gemm_nt_into: {}x{} times ({}x{})ᵀ into {}x{}",
@@ -258,28 +298,34 @@ impl CsrMatrix {
                 out.cols()
             )));
         }
-        let brows = b.rows();
+        let k = b.rows();
         if out.as_slice().is_empty() {
             return Ok(());
         }
+        let wt = &mut scratch[..self.packed_len(k)];
+        pack_classes(b, wt);
+        let wt = &*wt;
         let use_pool = self.nnz().max(b.len()).max(out.len()) >= crate::par_threshold();
         let op = SendMutPtr(out.as_mut_slice().as_mut_ptr());
         rayon::det::run(self.rows, 1, use_pool, |s, e| {
             // SAFETY: canonical chunks are disjoint row ranges of `out`.
-            let block = unsafe { std::slice::from_raw_parts_mut(op.get().add(s * brows), (e - s) * brows) };
-            self.nt_rows(s, e, b, block);
+            let block = unsafe { std::slice::from_raw_parts_mut(op.get().add(s * k), (e - s) * k) };
+            self.nt_rows(s, e, wt, k, block);
         });
         Ok(())
     }
 
-    /// Rows `s..e` of `A · Bᵀ` into `out_rows` (`(e − s) × B.rows`, row-major,
-    /// `B.rows > 0`); rows are independent, so callers may cut `s..e`
+    /// Rows `s..e` of `A · Bᵀ` into `out_rows` (`(e − s) × k`, row-major,
+    /// `k > 0`), reading `B` from its class-interleaved copy `wt`
+    /// ([`pack_classes`]); rows are independent, so callers may cut `s..e`
     /// anywhere.
-    pub(crate) fn nt_rows(&self, s: usize, e: usize, b: &DenseMatrix, out_rows: &mut [f64]) {
-        for (i, out_row) in (s..e).zip(out_rows.chunks_exact_mut(b.rows())) {
+    pub(crate) fn nt_rows(&self, s: usize, e: usize, wt: &[f64], k: usize, out_rows: &mut [f64]) {
+        let kp = packed_width(k);
+        for (i, out_row) in (s..e).zip(out_rows.chunks_exact_mut(k)) {
             let (cols, vals) = self.row(i);
-            for (j, oj) in out_row.iter_mut().enumerate() {
-                *oj = vector::gather_dot(cols, vals, b.row(j));
+            for (out_block, kb) in out_row.chunks_mut(CLASS_BLOCK).zip((0..kp).step_by(CLASS_BLOCK)) {
+                let dots = row_dots(cols, vals, wt, kp, kb);
+                out_block.copy_from_slice(&dots[..out_block.len()]);
             }
         }
     }
@@ -298,8 +344,9 @@ impl CsrMatrix {
 
     /// In-place `C = Mᵀ · A`, writing into a pre-sized dense `out` (the core
     /// that [`CsrMatrix::gemm_tn_from_dense`] wraps). Reduces through the
-    /// canonical row chunking (see [`crate::scatter_rows`]); the single-chunk
-    /// case scatters directly into `out` with no scratch.
+    /// canonical row chunking (see [`crate::scatter_rows`]) in the
+    /// class-interleaved layout, in scratch it allocates: the accumulator
+    /// and one partial per chunk when there are several.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `M.rows != A.rows` or `out`
@@ -316,27 +363,44 @@ impl CsrMatrix {
                 out.cols()
             )));
         }
+        let k = m.cols();
+        if out.as_slice().is_empty() {
+            return Ok(());
+        }
+        let mut acc_t = vec![0.0; self.packed_len(k)];
         crate::scatter_rows_alloc(
             self.rows,
             self.nnz().max(m.len()) >= crate::par_threshold(),
-            out.as_mut_slice(),
-            |dst, s, e| self.tn_rows_acc(s, e, m.rows_slice(s, e), m.cols(), dst),
+            &mut acc_t,
+            |dst_t, s, e| self.tn_rows_acc(s, e, m.rows_slice(s, e), k, dst_t),
         );
+        unpack_classes(&acc_t, out);
         Ok(())
     }
 
-    /// `dst += Mᵀ · A` over rows `s..e`: `m_rows` holds those rows of `M`
-    /// (`(e − s) × k`, row-major, `k > 0`), `dst` is `k × A.cols`. Products
-    /// arrive in ascending row order and an exact-zero coefficient adds
-    /// nothing, so callers may cut `s..e` anywhere within a canonical chunk.
-    pub(crate) fn tn_rows_acc(&self, s: usize, e: usize, m_rows: &[f64], k: usize, dst: &mut [f64]) {
+    /// `dst_t += (Mᵀ · A)ᵀ` over rows `s..e`: `m_rows` holds those rows of
+    /// `M` (`(e − s) × k`, row-major, `k > 0`), `dst_t` is the
+    /// class-interleaved `k × A.cols` accumulator ([`unpack_classes`] reads it
+    /// back). Products arrive in ascending row order and an exact-zero
+    /// coefficient adds nothing, so callers may cut `s..e` anywhere within a
+    /// canonical chunk.
+    pub(crate) fn tn_rows_acc(&self, s: usize, e: usize, m_rows: &[f64], k: usize, dst_t: &mut [f64]) {
+        let kp = packed_width(k);
         for (i, mrow) in (s..e).zip(m_rows.chunks_exact(k)) {
             let (cols, vals) = self.row(i);
-            for (c_idx, &mv) in mrow.iter().enumerate() {
-                if mv != 0.0 {
-                    let row_dst = &mut dst[c_idx * self.cols..(c_idx + 1) * self.cols];
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        row_dst[c] += mv * v;
+            for (&c, &v) in cols.iter().zip(vals) {
+                let d = &mut dst_t[c * kp..][..k];
+                if v.is_finite() {
+                    // No select needed: a zero coefficient times a finite
+                    // value is a zero, and adding a zero of either sign
+                    // changes no bit of an accumulator that is never −0.0
+                    // (it started from +0.0, and only −0.0 + −0.0 is −0.0).
+                    for (d, &mv) in d.iter_mut().zip(mrow) {
+                        *d += mv * v;
+                    }
+                } else {
+                    for (d, &mv) in d.iter_mut().zip(mrow) {
+                        *d = if mv != 0.0 { *d + mv * v } else { *d };
                     }
                 }
             }
@@ -383,6 +447,74 @@ impl CsrMatrix {
             values: vals,
         }
     }
+}
+
+/// Classes the class-interleaved kernels carry through one pass over a
+/// sparse row: four lanes of this many accumulators fit the sixteen 128-bit
+/// registers of baseline x86-64.
+const CLASS_BLOCK: usize = 4;
+
+/// Width of one feature's run of classes in the class-interleaved layout:
+/// `k` rounded up to whole [`CLASS_BLOCK`]s.
+fn packed_width(k: usize) -> usize {
+    k.next_multiple_of(CLASS_BLOCK)
+}
+
+/// Writes `b` (`k × cols`, `k > 0`) class-interleaved into `wt`
+/// (`cols × packed_width(k)`): `wt[j][c] = b[c][j]`, the padding classes
+/// zero.
+pub(crate) fn pack_classes(b: &DenseMatrix, wt: &mut [f64]) {
+    let k = b.rows();
+    for (j, classes) in wt.chunks_exact_mut(packed_width(k)).enumerate() {
+        let (real, padding) = classes.split_at_mut(k);
+        for (c, slot) in real.iter_mut().enumerate() {
+            *slot = b.get(c, j);
+        }
+        padding.fill(0.0);
+    }
+}
+
+/// Reads the class-interleaved `acc_t` (`cols × packed_width(k)`) back into
+/// the row-major `out` (`k × cols`, `k > 0`): `out[c][j] = acc_t[j][c]`.
+pub(crate) fn unpack_classes(acc_t: &[f64], out: &mut DenseMatrix) {
+    let k = out.rows();
+    for (j, classes) in acc_t.chunks_exact(packed_width(k)).enumerate() {
+        for (c, &v) in classes[..k].iter().enumerate() {
+            out.set(c, j, v);
+        }
+    }
+}
+
+/// The dot products of one sparse row with classes `kb..kb + CLASS_BLOCK` of
+/// the class-interleaved `wt` (rows `kp` wide). Each class sees exactly the
+/// additions of the scalar gather-dot in [`crate::vector`]: four entry lanes,
+/// a sequential tail, folded `(a0 + a1) + (a2 + a3) + tail`.
+#[inline]
+fn row_dots(cols: &[usize], vals: &[f64], wt: &[f64], kp: usize, kb: usize) -> [f64; CLASS_BLOCK] {
+    let classes_of = |c: usize| -> &[f64; CLASS_BLOCK] {
+        wt[c * kp + kb..][..CLASS_BLOCK]
+            .try_into()
+            .expect("a slice of CLASS_BLOCK elements")
+    };
+    let mut acc = [[0.0f64; CLASS_BLOCK]; 4];
+    let mut ic = cols.chunks_exact(4);
+    let mut vc = vals.chunks_exact(4);
+    for (ci, cv) in (&mut ic).zip(&mut vc) {
+        for lane in 0..4 {
+            let w = classes_of(ci[lane]);
+            for q in 0..CLASS_BLOCK {
+                acc[lane][q] += cv[lane] * w[q];
+            }
+        }
+    }
+    let mut tail = [0.0f64; CLASS_BLOCK];
+    for (&c, &v) in ic.remainder().iter().zip(vc.remainder()) {
+        let w = classes_of(c);
+        for q in 0..CLASS_BLOCK {
+            tail[q] += v * w[q];
+        }
+    }
+    std::array::from_fn(|q| (acc[0][q] + acc[1][q]) + (acc[2][q] + acc[3][q]) + tail[q])
 }
 
 #[cfg(test)]

@@ -187,9 +187,10 @@ fn multi_chunk_shapes_are_bit_identical_across_widths() {
 const ROW_CHUNK: usize = 256;
 
 /// A row map with every awkward output: exact zeros and negative zeros in
-/// whole rows and in single entries (the `!= 0.0` skip of `Mᵀ·X`), and a
-/// per-row scalar. A function of the row index and the row's values only,
-/// so it does not care how rows are grouped into calls.
+/// whole rows and in single entries (the `!= 0.0` skip of `Mᵀ·X`), an
+/// infinity here and there, and a per-row scalar. A function of the row index
+/// and the row's values only, so it does not care how rows are grouped into
+/// calls.
 fn awkward_map(k: usize) -> impl Fn(usize, &mut [f64], &mut [f64]) + Sync {
     move |first, rows, row_out| {
         for (r, row) in rows.chunks_exact_mut(k).enumerate() {
@@ -200,6 +201,7 @@ fn awkward_map(k: usize) -> impl Fn(usize, &mut [f64], &mut [f64]) + Sync {
                     0 => 0.0,
                     1 => -0.0,
                     _ if i % 13 == 5 => 0.0,
+                    2 if i % 5 == 2 => f64::INFINITY,
                     _ => 0.5 * *v - 0.125 * total,
                 };
             }
@@ -216,11 +218,11 @@ fn fused_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64> {
     let mut mid = DenseMatrix::from_fn(rows, k, |_, _| f64::NAN);
     let mut out = DenseMatrix::from_fn(k, x.cols(), |_, _| f64::NAN);
     let mut row_out = vec![f64::NAN; if with_row_out { rows } else { 0 }];
-    let mut partials = vec![f64::NAN; nadmm_linalg::row_partials(rows) * out.len()];
+    let mut scratch = vec![f64::NAN; x.sweep_scratch_len(k)];
     let bufs = SweepBuffers {
         mid: &mut mid,
         row_out: &mut row_out,
-        partials: &mut partials,
+        scratch: &mut scratch,
     };
     x.gemm_nt_map_tn_into(w, bufs, awkward_map(k), &mut out).unwrap();
     [out.as_slice(), mid.as_slice(), &row_out].into_iter().flat_map(bits).collect()
@@ -289,8 +291,8 @@ fn spelled_out_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64>
     [&out, mid.as_slice(), &row_out].into_iter().flat_map(bits).collect()
 }
 
-/// Gaussian features with exact zeros, negative zeros and an infinity mixed
-/// in (what a skipped coefficient must not touch).
+/// Gaussian features with exact zeros, negative zeros and two infinities
+/// mixed in (what a skipped coefficient must not touch).
 fn awkward_features(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     let mut rng = gen::seeded_rng(seed);
     let mut x = gen::gaussian_matrix(rows, cols, &mut rng);
@@ -307,14 +309,32 @@ fn awkward_features(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     if rows > 5 {
         x.set(5, 0, f64::INFINITY);
     }
+    // Row 6 keeps some coefficients and loses others.
+    if rows > 6 && cols > 1 {
+        x.set(6, 1, f64::NEG_INFINITY);
+    }
     x
+}
+
+/// CSR copy of every other entry of `d`, stored zeros, negative zeros and
+/// infinities included. Five rows in eight are cut short at 0, 1, 3, 4 and 5
+/// stored entries: nothing, a tail alone, one full group of four entry lanes,
+/// and a group with a tail.
+fn awkward_sparse(d: &DenseMatrix) -> CsrMatrix {
+    let mut triplets = Vec::new();
+    for i in 0..d.rows() {
+        let cap = [0, 1, 3, 4, 5].get(i % 8).copied().unwrap_or(usize::MAX);
+        let kept = (0..d.cols()).filter(|j| (i * 31 + j * 17) % 2 == 1).take(cap);
+        triplets.extend(kept.map(|j| (i, j, d.get(i, j))));
+    }
+    CsrMatrix::from_triplets(d.rows(), d.cols(), &triplets)
 }
 
 fn assert_fused_matches_references(rows: usize, k: usize, cols: usize, seed: u64) {
     let dense = awkward_features(rows, cols, seed);
     let mut rng = gen::seeded_rng(seed ^ 0x5EED);
     let w = gen::gaussian_matrix(k, cols, &mut rng);
-    for x in [Matrix::Sparse(sparsify(&dense)), Matrix::Dense(dense)] {
+    for x in [Matrix::Sparse(awkward_sparse(&dense)), Matrix::Dense(dense)] {
         for with_row_out in [false, true] {
             let label = format!(
                 "fused sweep {rows}x{cols}, k={k}, sparse={}, row_out={with_row_out}",
@@ -333,8 +353,10 @@ fn assert_fused_matches_references(rows: usize, k: usize, cols: usize, seed: u64
 
 /// Every edge of the sweep's blocking: rows below, at and above the row-group
 /// (4), sub-block (32) and chunk (256) sizes and not a multiple of any of
-/// them, one class, fewer features than the dot kernel's eight lanes, and
-/// features past one and two `REDUCE_CHUNK`s.
+/// them, one class, fewer features than the dot kernel's eight lanes,
+/// features past one and two `REDUCE_CHUNK`s, and class counts below, at and
+/// above multiples of the CSR kernels' class block (4) on rows wide enough
+/// for every stored-entry count of `awkward_sparse`.
 #[test]
 fn fused_sweep_is_bit_identical_to_the_two_pass_kernels() {
     for &(rows, k, cols) in &[
@@ -350,6 +372,13 @@ fn fused_sweep_is_bit_identical_to_the_two_pass_kernels() {
         (1030, 2, 4),
         (6, 2, 4100),
         (261, 2, 8200),
+        (40, 5, 12),
+        (9, 7, 11),
+        (33, 8, 10),
+        (17, 12, 13),
+        (300, 19, 30),
+        (64, 20, 16),
+        (23, 21, 10),
     ] {
         assert_fused_matches_references(rows, k, cols, (rows * 31 + k * 7 + cols) as u64);
     }
@@ -366,7 +395,7 @@ fn fused_sweep_rejects_mismatched_shapes() {
         let bufs = SweepBuffers {
             mid: &mut mid,
             row_out: &mut row_out,
-            partials: &mut [],
+            scratch: &mut [],
         };
         x.gemm_nt_map_tn_into(w, bufs, |_, _, _| {}, &mut out)
     };
@@ -383,7 +412,7 @@ proptest! {
 
     #[test]
     fn fused_sweep_matches_references_on_random_shapes(
-        rows in 1usize..700, k in 1usize..6, cols in 1usize..20, seed in 0u64..1000,
+        rows in 1usize..700, k in 1usize..24, cols in 1usize..20, seed in 0u64..1000,
     ) {
         assert_fused_matches_references(rows, k, cols, seed);
     }

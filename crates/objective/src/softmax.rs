@@ -22,7 +22,7 @@
 use crate::traits::{HvpOperator, HvpState, Objective};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace};
-use nadmm_linalg::{reduce, row_partials, DenseMatrix, Matrix, SweepBuffers};
+use nadmm_linalg::{reduce, DenseMatrix, Matrix, SweepBuffers};
 
 /// Softmax cross-entropy objective over a dataset shard.
 ///
@@ -96,7 +96,18 @@ impl SoftmaxCrossEntropy {
         let n = self.features.rows();
         let c1 = self.num_classes - 1;
         let mut margins = DenseMatrix::from_vec(n, c1, ws.acquire(n * c1));
-        self.device.gemm_nt_into(&self.features, &w, &mut margins);
+        // Dense features take no scratch, and asking the pool for an empty
+        // buffer would still count as an acquire.
+        let scratch_len = self.features.gemm_nt_scratch_len(c1);
+        let mut scratch = if scratch_len == 0 {
+            Vec::new()
+        } else {
+            ws.acquire(scratch_len)
+        };
+        self.device.gemm_nt_scratch_into(&self.features, &w, &mut scratch, &mut margins);
+        if scratch_len != 0 {
+            ws.release(scratch);
+        }
         ws.release(w.into_vec());
         margins
     }
@@ -265,16 +276,16 @@ impl SoftmaxCrossEntropy {
         let c1 = self.num_classes - 1;
         let mut mid = DenseMatrix::from_vec(n, c1, ws.acquire(n * c1));
         let mut acc = DenseMatrix::from_vec(c1, self.num_features(), ws.acquire(self.dim()));
-        let mut partials = ws.acquire(row_partials(n) * self.dim());
+        let mut scratch = ws.acquire(self.features.sweep_scratch_len(c1));
         let bufs = SweepBuffers {
             mid: &mut mid,
             row_out,
-            partials: &mut partials,
+            scratch: &mut scratch,
         };
         self.device
             .gemm_nt_map_tn_into(&self.features, &wm, map_costs, bufs, map, &mut acc);
         out.copy_from_slice(acc.as_slice());
-        ws.release(partials);
+        ws.release(scratch);
         ws.release(acc.into_vec());
         ws.release(mid.into_vec());
         ws.release(wm.into_vec());
