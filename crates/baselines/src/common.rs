@@ -86,9 +86,7 @@ pub fn record_iteration(
     history: &mut RunHistory,
 ) {
     let local_value = local.value(w);
-    if let Some(device) = local.device() {
-        engine.skip(device);
-    }
+    engine.skip(local.device());
     let objective = comm.allreduce_scalar_sum(local_value);
     let mut record = IterationRecord::new(iteration, comm.elapsed(), wall_start.elapsed().as_secs_f64(), objective)
         .with_comm_bytes(comm.stats().bytes_sent);
@@ -113,23 +111,8 @@ pub fn global_gradient_into(
     out: &mut [f64],
 ) {
     local.gradient_into(w, out, ws);
-    if let Some(device) = local.device() {
-        engine.sync(comm, device);
-    }
+    engine.sync(comm, local.device());
     comm.allreduce_sum_into(out);
-}
-
-/// Allocating convenience wrapper around [`global_gradient_into`].
-pub fn global_gradient(
-    comm: &mut dyn Communicator,
-    local: &SoftmaxCrossEntropy,
-    engine: &mut EngineSync,
-    ws: &mut Workspace,
-    w: &[f64],
-) -> Vec<f64> {
-    let mut g = vec![0.0; local.dim()];
-    global_gradient_into(comm, local, engine, ws, w, &mut g);
-    g
 }
 
 /// Global objective value via a scalar allreduce (used inside distributed
@@ -142,9 +125,7 @@ pub fn global_value(
     w: &[f64],
 ) -> f64 {
     let v = local.value_ws(w, ws);
-    if let Some(device) = local.device() {
-        engine.sync(comm, device);
-    }
+    engine.sync(comm, local.device());
     comm.allreduce_scalar_sum(v)
 }
 
@@ -205,7 +186,8 @@ mod tests {
             let local = local_objective_on(&shards[comm.rank()], lambda, 2, &device);
             let mut engine = EngineSync::new(&device);
             let mut ws = Workspace::new();
-            let g = global_gradient(comm, &local, &mut engine, &mut ws, &w);
+            let mut g = vec![0.0; local.dim()];
+            global_gradient_into(comm, &local, &mut engine, &mut ws, &w, &mut g);
             let v = global_value(comm, &local, &mut engine, &mut ws, &w);
             (g, v, comm.elapsed())
         });

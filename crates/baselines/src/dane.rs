@@ -14,7 +14,7 @@
 //! AIDE wraps InexactDANE in catalyst-style acceleration: it repeatedly
 //! solves a `τ`-regularised problem centred at an extrapolated point.
 
-use crate::common::{global_gradient, local_objective_on, record_iteration, DistributedRun, EngineSync};
+use crate::common::{global_gradient_into, local_objective_on, record_iteration, DistributedRun, EngineSync};
 use nadmm_cluster::{Cluster, Communicator};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, DeviceSpec};
@@ -273,6 +273,7 @@ impl InexactDane {
         let mut w = vec![0.0; dim];
         let mut w_prev = w.clone();
         let mut catalyst_y = w.clone();
+        let mut g = vec![0.0; dim];
         let solver_name = if aide.is_some() { "aide" } else { "inexact-dane" };
         let wall_start = Instant::now();
         let mut history = RunHistory::new(solver_name, shard.name(), n_workers);
@@ -282,7 +283,7 @@ impl InexactDane {
             // Round 1: global gradient at the current iterate (or the
             // extrapolated point for AIDE).
             let anchor = if aide.is_some() { catalyst_y.clone() } else { w.clone() };
-            let g = global_gradient(comm, &local, &mut engine, &mut ws, &anchor);
+            global_gradient_into(comm, &local, &mut engine, &mut ws, &anchor, &mut g);
 
             // Local subproblem via SVRG.
             let (center, tau) = match aide {

@@ -1,10 +1,10 @@
 //! Criterion benches for the solver building blocks: CG at the paper's
-//! iteration budgets (10/20/30) and full inexact Newton-CG steps, each in
-//! both the legacy allocating form and the zero-allocation workspace form.
+//! iteration budgets (10/20/30) over the prepared Hessian-vector product,
+//! and full inexact Newton-CG steps from a fresh and from a warm workspace.
 //!
 //! The final "bench" merges every measurement — plus directly-measured
-//! allocations per CG solve for both paths — into `BENCH_kernels.json`, so
-//! future PRs have a perf trajectory to compare against.
+//! allocations per warm CG solve — into `BENCH_kernels.json`, so future PRs
+//! have a perf trajectory to compare against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nadmm_bench::alloc_counter::{count_allocations, CountingAllocator};
@@ -13,7 +13,7 @@ use nadmm_data::SyntheticConfig;
 use nadmm_device::Workspace;
 use nadmm_linalg::gen;
 use nadmm_objective::{Objective, SoftmaxCrossEntropy};
-use nadmm_solver::{conjugate_gradient, conjugate_gradient_into, CgConfig, NewtonCg, NewtonConfig};
+use nadmm_solver::{conjugate_gradient_into, CgConfig, NewtonCg, NewtonConfig};
 use std::hint::black_box;
 
 #[global_allocator]
@@ -33,21 +33,12 @@ fn problem() -> (SoftmaxCrossEntropy, Vec<f64>) {
 
 fn bench_cg_budgets(c: &mut Criterion) {
     // The paper's Figure 4 sweeps the CG budget (10/20/30); this bench
-    // isolates the cost of that choice for the allocating legacy path and
-    // the workspace path that the solvers actually run on.
+    // isolates the cost of that choice on the path the solvers run.
     let (obj, x) = problem();
     let g = obj.gradient(&x);
     let neg_g: Vec<f64> = g.iter().map(|v| -v).collect();
     let mut group = c.benchmark_group("cg_budget");
     for &iters in &[10usize, 20, 30] {
-        group.bench_with_input(BenchmarkId::new("alloc", iters), &iters, |b, &iters| {
-            let cfg = CgConfig {
-                max_iters: iters,
-                tolerance: 1e-10,
-            };
-            let op = obj.hvp_operator(&x);
-            b.iter(|| black_box(conjugate_gradient(|v| op(v), &neg_g, &cfg)));
-        });
         group.bench_with_input(BenchmarkId::new("ws", iters), &iters, |b, &iters| {
             let cfg = CgConfig {
                 max_iters: iters,
@@ -89,7 +80,7 @@ fn bench_newton_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// Measures allocations per CG solve for both paths and writes the merged
+/// Measures allocations per warm CG solve and writes the merged
 /// machine-readable report. Runs last in the group.
 fn emit_report(_c: &mut Criterion) {
     let (obj, x) = problem();
@@ -99,9 +90,6 @@ fn emit_report(_c: &mut Criterion) {
         max_iters: 10,
         tolerance: 1e-10,
     };
-
-    let op = obj.hvp_operator(&x);
-    let (alloc_allocs, _) = count_allocations(|| black_box(conjugate_gradient(|v| op(v), &neg_g, &cfg)));
 
     let mut ws = Workspace::new();
     let state = obj.prepare_hvp(&x, &mut ws);
@@ -147,11 +135,7 @@ fn emit_report(_c: &mut Criterion) {
     nadmm_linalg::reset_par_threshold();
 
     let mut entries = criterion_entries();
-    for (id, allocs) in [
-        ("alloc", alloc_allocs),
-        ("ws_warm", ws_allocs),
-        ("ws_warm_sequential", ws_seq_allocs),
-    ] {
+    for (id, allocs) in [("ws_warm", ws_allocs), ("ws_warm_sequential", ws_seq_allocs)] {
         entries.push(BenchEntry {
             group: "cg_allocations_per_solve".into(),
             id: id.into(),
@@ -162,9 +146,7 @@ fn emit_report(_c: &mut Criterion) {
     }
     let path = report_path();
     merge_bench_json(&path, &entries).expect("write BENCH_kernels.json");
-    println!(
-        "cg allocations/solve: allocating={alloc_allocs} workspace_warm={ws_allocs} workspace_warm_sequential={ws_seq_allocs}"
-    );
+    println!("cg allocations/solve: workspace_warm={ws_allocs} workspace_warm_sequential={ws_seq_allocs}");
     println!("merged report into {path}");
 }
 

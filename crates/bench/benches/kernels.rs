@@ -154,8 +154,6 @@ fn bench_softmax_objective(c: &mut Criterion) {
     let (obj, x, v) = softmax_problem();
     group.bench_function("value_and_gradient", |b| b.iter(|| black_box(obj.value_and_gradient(&x))));
     group.bench_function("hessian_vec", |b| b.iter(|| black_box(obj.hessian_vec(&x, &v))));
-    let op = obj.hvp_operator(&x);
-    group.bench_function("hvp_operator_cached", |b| b.iter(|| black_box(op(&v))));
     bench_warm_paths(&mut group, "", &obj, &x, &v);
     let (obj, x, v) = softmax_problem_of(SHARD.0, SHARD.1);
     bench_warm_paths(&mut group, &format!("/{SHARD_ID}"), &obj, &x, &v);

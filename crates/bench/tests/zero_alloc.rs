@@ -17,7 +17,7 @@ use nadmm_data::{partition_strong, SyntheticConfig};
 use nadmm_device::DeviceSpec;
 use nadmm_device::Workspace;
 use nadmm_linalg::gen;
-use nadmm_objective::{Objective, ProximalAugmented, SoftmaxCrossEntropy};
+use nadmm_objective::{BinaryLogistic, Objective, ProximalAugmented, SoftmaxCrossEntropy};
 use nadmm_serve::{InferenceSession, ModelArtifact, Provenance};
 use nadmm_solver::{conjugate_gradient_into, CgConfig, NewtonCg, NewtonConfig};
 use newton_admm::{AdmmWorker, NewtonAdmmConfig};
@@ -135,8 +135,8 @@ fn shard_scale_softmax_evaluations_perform_zero_heap_allocations() {
         .with_num_features(64)
         .with_num_classes(4)
         .generate(7);
-    assert!(!train.is_sparse());
-    assert_shard_scale_evaluations_do_not_allocate(&SoftmaxCrossEntropy::new(&train, 1e-4));
+    assert!(!train.is_sparse() && nadmm_linalg::row_partials(train.num_samples()) > 1);
+    assert_warm_evaluations_do_not_allocate(&SoftmaxCrossEntropy::new(&train, 1e-4));
 }
 
 #[test]
@@ -152,18 +152,13 @@ fn shard_scale_csr_softmax_evaluations_perform_zero_heap_allocations() {
         .with_test_size(16)
         .with_num_features(400)
         .generate(7);
-    assert!(train.is_sparse() && train.num_classes() == 20);
-    assert_shard_scale_evaluations_do_not_allocate(&SoftmaxCrossEntropy::new(&train, 1e-3));
+    assert!(train.is_sparse() && train.num_classes() == 20 && nadmm_linalg::row_partials(train.num_samples()) > 1);
+    assert_warm_evaluations_do_not_allocate(&SoftmaxCrossEntropy::new(&train, 1e-3));
 }
 
 /// Warm `value_and_gradient_into`, `hvp_prepared_into`, `value_ws` and
-/// `prepare_hvp` on a shard of several row chunks: no heap allocation and no
-/// pool miss, at pool widths 1 and 2.
-fn assert_shard_scale_evaluations_do_not_allocate(obj: &SoftmaxCrossEntropy) {
-    assert!(
-        nadmm_linalg::row_partials(obj.num_samples()) > 1,
-        "the shard must span several row chunks"
-    );
+/// `prepare_hvp`: no heap allocation and no pool miss, at pool widths 1 and 2.
+fn assert_warm_evaluations_do_not_allocate(obj: &dyn Objective) {
     let mut rng = gen::seeded_rng(11);
     let x = gen::gaussian_vector_with(obj.dim(), 0.0, 0.1, &mut rng);
     let v = gen::gaussian_vector(obj.dim(), &mut rng);
@@ -193,6 +188,20 @@ fn assert_shard_scale_evaluations_do_not_allocate(obj: &SoftmaxCrossEntropy) {
         assert_eq!(ws.stats().pool_misses, 0, "width {width}: {:?}", ws.stats());
     }
     rayon::reset_num_threads();
+}
+
+#[test]
+fn warm_binary_logistic_evaluations_perform_zero_heap_allocations() {
+    let _knobs = pool_knobs();
+    // One canonical row chunk: above 256 rows `t_matvec_into` still allocates
+    // its chunk partials (the README's scoping caveat).
+    let (train, _) = SyntheticConfig::higgs_like()
+        .with_train_size(200)
+        .with_test_size(16)
+        .with_num_features(12)
+        .generate(7);
+    assert_eq!(nadmm_linalg::row_partials(train.num_samples()), 0);
+    assert_warm_evaluations_do_not_allocate(&BinaryLogistic::new(&train, 1e-3));
 }
 
 #[test]

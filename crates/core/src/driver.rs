@@ -66,7 +66,6 @@ pub struct AdmmWorker {
     cfg: NewtonAdmmConfig,
     device: Device,
     ws: Workspace,
-    local: SoftmaxCrossEntropy,
     aug: ProximalAugmented<SoftmaxCrossEntropy>,
     newton: NewtonCg,
     dim: usize,
@@ -96,14 +95,14 @@ impl AdmmWorker {
         let dim = local.dim();
         let z = vec![0.0; dim];
         let y = vec![0.0; dim];
-        // The augmented objective wraps the shard data exactly once; each
-        // outer iteration only re-anchors it in place (no reallocation).
-        let aug = ProximalAugmented::new(local.clone(), z.clone(), y.clone(), config.rho0);
+        // The augmented objective owns the one copy of the shard's objective
+        // (instrumentation reads it through `aug.base()`); each outer
+        // iteration only re-anchors it in place (no reallocation).
+        let aug = ProximalAugmented::new(local, z.clone(), y.clone(), config.rho0);
         Self {
             cfg: *config,
             device,
             ws: Workspace::new(),
-            local,
             aug,
             newton: NewtonCg::new(config.newton_config()),
             dim,
@@ -293,11 +292,11 @@ impl AdmmWorker {
             let handle = comm.start_allreduce_sum_max(Contribution::Tombstone(4), 3);
             return InstrumentationHandles { handle, has_accuracy };
         }
-        let loss = self.local.value_ws(&self.z, &mut self.ws);
+        let loss = self.aug.base().value_ws(&self.z, &mut self.ws);
         // Only the root contributes a non-zero accuracy, so the *sum* equals
         // the root's measurement — no extra collective needed.
         let acc = match test {
-            Some(t) if self.cfg.record_accuracy && comm.is_root() => self.local.accuracy(t, &self.z),
+            Some(t) if self.cfg.record_accuracy && comm.is_root() => self.aug.base().accuracy(t, &self.z),
             _ => 0.0,
         };
         let residual = vector::distance(&self.x, &self.z);
@@ -447,8 +446,7 @@ impl NewtonAdmm {
     pub fn run_reference(&self, shards: &[Dataset], test: Option<&Dataset>) -> NewtonAdmmOutput {
         assert!(!shards.is_empty(), "need at least one shard");
         let cfg = &self.config;
-        let locals: Vec<SoftmaxCrossEntropy> = shards.iter().map(|s| SoftmaxCrossEntropy::new(s, 0.0)).collect();
-        let dim = locals[0].dim();
+        let dim = shards[0].weight_dim();
         let n = shards.len();
         let newton = NewtonCg::new(cfg.newton_config());
 
@@ -460,21 +458,21 @@ impl NewtonAdmm {
         let mut workspaces: Vec<Workspace> = (0..n).map(|_| Workspace::new()).collect();
         let mut yhats = vec![vec![0.0; dim]; n];
         // One augmented wrapper per worker, re-anchored in place each outer
-        // iteration (cloning the shard-holding objective every iteration
+        // iteration (rebuilding the shard-holding objective every iteration
         // would dominate the hot loop).
-        let mut augs: Vec<ProximalAugmented<SoftmaxCrossEntropy>> = locals
+        let mut augs: Vec<ProximalAugmented<SoftmaxCrossEntropy>> = shards
             .iter()
-            .map(|l| ProximalAugmented::new(l.clone(), z.clone(), z.clone(), cfg.rho0))
+            .map(|s| ProximalAugmented::new(SoftmaxCrossEntropy::new(s, 0.0), z.clone(), z.clone(), cfg.rho0))
             .collect();
 
         let wall_start = Instant::now();
         let mut history = RunHistory::new("newton-admm-reference", shards[0].name(), n);
-        let objective = |z: &[f64], locals: &[SoftmaxCrossEntropy]| -> f64 {
-            locals.iter().map(|l| l.value(z)).sum::<f64>() + 0.5 * cfg.lambda * vector::norm2_sq(z)
+        let objective = |z: &[f64], augs: &[ProximalAugmented<SoftmaxCrossEntropy>]| -> f64 {
+            augs.iter().map(|a| a.base().value(z)).sum::<f64>() + 0.5 * cfg.lambda * vector::norm2_sq(z)
         };
-        let mut record = IterationRecord::new(0, 0.0, wall_start.elapsed().as_secs_f64(), objective(&z, &locals));
+        let mut record = IterationRecord::new(0, 0.0, wall_start.elapsed().as_secs_f64(), objective(&z, &augs));
         if let Some(t) = test {
-            record = record.with_accuracy(locals[0].accuracy(t, &z));
+            record = record.with_accuracy(augs[0].base().accuracy(t, &z));
         }
         history.push(record);
 
@@ -513,11 +511,11 @@ impl NewtonAdmm {
                     }
                 };
             }
-            let mut record = IterationRecord::new(k, k as f64, wall_start.elapsed().as_secs_f64(), objective(&z, &locals))
+            let mut record = IterationRecord::new(k, k as f64, wall_start.elapsed().as_secs_f64(), objective(&z, &augs))
                 .with_mean_rho(rhos.iter().sum::<f64>() / n as f64)
                 .with_consensus_residual(xs.iter().map(|x| vector::distance(x, &z)).fold(0.0, f64::max));
             if let Some(t) = test {
-                record = record.with_accuracy(locals[0].accuracy(t, &z));
+                record = record.with_accuracy(augs[0].base().accuracy(t, &z));
             }
             history.push(record);
         }

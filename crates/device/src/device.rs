@@ -1,6 +1,5 @@
 //! The simulated device: executes linalg kernels and charges the cost model.
 
-use crate::buffer::DeviceBuffer;
 use crate::clock::SimClock;
 use crate::spec::{DeviceSpec, Precision};
 use nadmm_linalg::{half, vector, DenseMatrix, Matrix, SweepBuffers};
@@ -118,40 +117,14 @@ impl Device {
         nadmm_trace::span_dur(nadmm_trace::Tag::KernelLaunch, dt);
     }
 
-    /// Uploads host data into a device buffer, charging the transfer.
-    pub fn upload(&self, data: &[f64]) -> DeviceBuffer {
-        self.charge_transfer(std::mem::size_of_val(data) as f64);
-        DeviceBuffer::from_host_unchecked(data.to_vec())
-    }
-
-    /// Downloads a device buffer back to the host, charging the transfer.
-    pub fn download(&self, buf: &DeviceBuffer) -> Vec<f64> {
-        self.charge_transfer(buf.size_bytes() as f64);
-        buf.as_slice().to_vec()
-    }
-
-    /// Moves a buffer to the host without copying (consumes it), still
-    /// charging the transfer.
-    pub fn download_into(&self, buf: DeviceBuffer) -> Vec<f64> {
-        self.charge_transfer(buf.size_bytes() as f64);
-        buf.into_vec()
-    }
-
     // --------------------------------------------------------------------
     // Kernels. Each one executes numerically via nadmm-linalg and charges
     // the roofline cost model with its FLOP / byte footprint.
     // --------------------------------------------------------------------
 
-    /// Margin kernel `Z = X Wᵀ` (`X`: n×p features, `W`: k×p weights).
-    pub fn gemm_nt(&self, x: &Matrix, w: &DenseMatrix) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(x.rows(), w.rows());
-        self.gemm_nt_into(x, w, &mut out);
-        out
-    }
-
-    /// In-place margin kernel `out = X Wᵀ` (`out` pre-sized to n×k); sparse
-    /// `X` allocates its scratch ([`Device::gemm_nt_scratch_into`] takes it
-    /// from the caller).
+    /// In-place margin kernel `out = X Wᵀ` (`X`: n×p features, `W`: k×p
+    /// weights, `out` pre-sized to n×k); sparse `X` allocates its scratch
+    /// ([`Device::gemm_nt_scratch_into`] takes it from the caller).
     pub fn gemm_nt_into(&self, x: &Matrix, w: &DenseMatrix, out: &mut DenseMatrix) {
         self.charge_gemm_nt(x, w);
         x.gemm_nt_into(w, out).expect("device gemm_nt: shape mismatch");
@@ -176,15 +149,8 @@ impl Device {
         self.charge_kernel(flops, bytes);
     }
 
-    /// Gradient-accumulation kernel `G = Mᵀ X` (`M`: n×k, `X`: n×p).
-    pub fn gemm_tn(&self, x: &Matrix, m: &DenseMatrix) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(m.cols(), x.cols());
-        self.gemm_tn_into(x, m, &mut out);
-        out
-    }
-
-    /// In-place gradient-accumulation kernel `out = Mᵀ X` (`out` pre-sized to
-    /// k×p).
+    /// In-place gradient-accumulation kernel `out = Mᵀ X` (`M`: n×k, `X`: n×p,
+    /// `out` pre-sized to k×p).
     pub fn gemm_tn_into(&self, x: &Matrix, m: &DenseMatrix, out: &mut DenseMatrix) {
         self.charge_gemm_tn(x, m);
         x.gemm_tn_from_dense_into(m, out).expect("device gemm_tn: shape mismatch");
@@ -226,25 +192,11 @@ impl Device {
             .expect("device gemm_nt_map_tn: shape mismatch");
     }
 
-    /// Matrix–vector product `X v`.
-    pub fn matvec(&self, x: &Matrix, v: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; x.rows()];
-        self.matvec_into(x, v, &mut out);
-        out
-    }
-
     /// In-place matrix–vector product `out = X v`.
     pub fn matvec_into(&self, x: &Matrix, v: &[f64], out: &mut [f64]) {
         let nnz = x.stored_entries() as f64;
         self.charge_kernel(2.0 * nnz, x.storage_bytes() as f64 + (v.len() + x.rows()) as f64 * 8.0);
         x.matvec_into(v, out).expect("device matvec: shape mismatch");
-    }
-
-    /// Transposed matrix–vector product `Xᵀ v`.
-    pub fn t_matvec(&self, x: &Matrix, v: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; x.cols()];
-        self.t_matvec_into(x, v, &mut out);
-        out
     }
 
     /// In-place transposed matrix–vector product `out = Xᵀ v`.
@@ -299,21 +251,11 @@ impl Device {
         vector::copy(src, dst);
     }
 
-    /// Row-wise softmax-with-reference-class kernel used by the softmax
-    /// objective: for each row of `margins` (n×(C−1)), writes the class
-    /// probabilities in place and returns the per-row log-partition values.
-    pub fn softmax_rows(&self, margins: &mut DenseMatrix) -> Vec<f64> {
-        let mut logz = vec![0.0; margins.rows()];
-        let mut scratch = vec![0.0; margins.cols()];
-        self.softmax_rows_into(margins, &mut scratch, &mut logz);
-        logz
-    }
-
-    /// In-place row-wise softmax kernel: overwrites each row of `margins`
-    /// with its class probabilities and writes the per-row log-partition
-    /// values into `logz`. `row_scratch` must have `margins.cols()` elements;
-    /// it is the only working storage, so repeated launches with pooled
-    /// buffers allocate nothing.
+    /// In-place row-wise softmax-with-reference-class kernel: overwrites each
+    /// row of `margins` (n×(C−1)) with its class probabilities and writes the
+    /// per-row log-partition values into `logz`. `row_scratch` must have
+    /// `margins.cols()` elements; it is the only working storage, so repeated
+    /// launches with pooled buffers allocate nothing.
     pub fn softmax_rows_into(&self, margins: &mut DenseMatrix, row_scratch: &mut [f64], logz: &mut [f64]) {
         let n = margins.rows();
         let c = margins.cols();
@@ -463,9 +405,8 @@ mod tests {
         let d = Device::p100();
         let x = feature_matrix();
         let w = DenseMatrix::from_vec(2, 2, vec![1.0, 1.0, -1.0, 0.5]);
-        let z = d.gemm_nt(&x, &w);
-        assert_eq!(z.rows(), 3);
-        assert_eq!(z.cols(), 2);
+        let mut z = DenseMatrix::zeros(3, 2);
+        d.gemm_nt_into(&x, &w, &mut z);
         assert!(d.elapsed() > 0.0);
         let stats = d.stats();
         assert_eq!(stats.kernels_launched, 1);
@@ -477,13 +418,21 @@ mod tests {
         let d = Device::new(DeviceSpec::cpu_like());
         let x = feature_matrix();
         let w = DenseMatrix::from_vec(2, 2, vec![1.0, 1.0, -1.0, 0.5]);
-        assert_eq!(d.gemm_nt(&x, &w), x.gemm_nt(&w).unwrap());
+        let mut z = DenseMatrix::zeros(3, 2);
+        d.gemm_nt_into(&x, &w, &mut z);
+        assert_eq!(z, x.gemm_nt(&w).unwrap());
         let m = DenseMatrix::from_vec(3, 2, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
-        assert_eq!(d.gemm_tn(&x, &m), x.gemm_tn_from_dense(&m).unwrap());
+        let mut g = DenseMatrix::zeros(2, 2);
+        d.gemm_tn_into(&x, &m, &mut g);
+        assert_eq!(g, x.gemm_tn_from_dense(&m).unwrap());
         let v = [1.0, -1.0];
-        assert_eq!(d.matvec(&x, &v), x.matvec(&v).unwrap());
+        let mut xv = [0.0; 3];
+        d.matvec_into(&x, &v, &mut xv);
+        assert_eq!(xv.to_vec(), x.matvec(&v).unwrap());
         let u = [1.0, 2.0, 3.0];
-        assert_eq!(d.t_matvec(&x, &u), x.t_matvec(&u).unwrap());
+        let mut xtu = [0.0; 2];
+        d.t_matvec_into(&x, &u, &mut xtu);
+        assert_eq!(xtu.to_vec(), x.t_matvec(&u).unwrap());
     }
 
     #[test]
@@ -493,8 +442,9 @@ mod tests {
         let dense_x = Matrix::Dense(DenseMatrix::from_fn(100, 50, |i, j| if j == i % 50 { 1.0 } else { 0.0 }));
         let sparse_x = Matrix::Sparse(CsrMatrix::from_dense(&dense_x.to_dense()));
         let w = DenseMatrix::from_fn(4, 50, |_, j| j as f64 * 0.01);
-        let zd = dense_dev.gemm_nt(&dense_x, &w);
-        let zs = sparse_dev.gemm_nt(&sparse_x, &w);
+        let (mut zd, mut zs) = (DenseMatrix::zeros(100, 4), DenseMatrix::zeros(100, 4));
+        dense_dev.gemm_nt_into(&dense_x, &w, &mut zd);
+        sparse_dev.gemm_nt_into(&sparse_x, &w, &mut zs);
         assert_eq!(zd, zs);
         // The sparse kernel touches ~50x fewer entries, so it must be cheaper.
         assert!(sparse_dev.stats().flops < dense_dev.stats().flops);
@@ -503,12 +453,9 @@ mod tests {
     #[test]
     fn transfers_are_charged() {
         let d = Device::p100();
-        let buf = d.upload(&[1.0, 2.0, 3.0]);
-        assert_eq!(buf.len(), 3);
-        let back = d.download(&buf);
-        assert_eq!(back, vec![1.0, 2.0, 3.0]);
-        let owned = d.download_into(buf);
-        assert_eq!(owned, vec![1.0, 2.0, 3.0]);
+        for _ in 0..3 {
+            d.charge_transfer(24.0);
+        }
         let s = d.stats();
         assert_eq!(s.transfers, 3);
         assert!(s.transfer_bytes > 0.0);
@@ -531,8 +478,9 @@ mod tests {
     fn softmax_rows_produces_probabilities() {
         let d = Device::p100();
         let mut m = DenseMatrix::from_vec(2, 3, vec![1.0, 0.0, -1.0, 5.0, 5.0, 5.0]);
-        let logz = d.softmax_rows(&mut m);
-        assert_eq!(logz.len(), 2);
+        let mut logz = [0.0; 2];
+        d.softmax_rows_into(&mut m, &mut [0.0; 3], &mut logz);
+        assert!(logz.iter().all(|&lz| lz > 0.0));
         for i in 0..2 {
             let s: f64 = m.row(i).iter().sum();
             assert!(s < 1.0 && s > 0.0);
@@ -565,7 +513,8 @@ mod tests {
             let x = feature_matrix();
             let w = DenseMatrix::from_vec(2, 2, vec![1.0, 1.0, -1.0, 0.5]);
 
-            let z_full = full.gemm_nt(&x, &w);
+            let mut z_full = DenseMatrix::zeros(3, 2);
+            full.gemm_nt_into(&x, &w, &mut z_full);
             let mut z_mixed = DenseMatrix::zeros(3, 2);
             mixed.gemm_nt_into_mixed(&x, &w, &mut z_mixed);
             for (m, f) in z_mixed.as_slice().iter().zip(z_full.as_slice()) {
@@ -573,7 +522,8 @@ mod tests {
             }
 
             let v = [0.25, -1.5];
-            let mv_full = full.matvec(&x, &v);
+            let mut mv_full = vec![0.0; 3];
+            full.matvec_into(&x, &v, &mut mv_full);
             let mut mv_mixed = vec![0.0; 3];
             mixed.matvec_into_mixed(&x, &v, &mut mv_mixed);
             for (m, f) in mv_mixed.iter().zip(&mv_full) {
@@ -647,7 +597,8 @@ mod tests {
             let d = Device::new(DeviceSpec::cpu_like());
             let mut margins = DenseMatrix::zeros(40, 5);
             d.gemm_nt_into(&x, &w, &mut margins);
-            let logz = d.softmax_rows(&mut margins);
+            let mut logz = vec![0.0; 40];
+            d.softmax_rows_into(&mut margins, &mut [0.0; 5], &mut logz);
             let mut out: Vec<u64> = margins.as_slice().iter().map(|v| v.to_bits()).collect();
             out.extend(logz.iter().map(|v| v.to_bits()));
             out

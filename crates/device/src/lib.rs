@@ -31,13 +31,11 @@
 //! full Device → Workspace → Objective → Solver layering and how to add a
 //! real GPU or `f32` backend behind this seam.
 
-pub mod buffer;
 pub mod clock;
 pub mod device;
 pub mod spec;
 pub mod workspace;
 
-pub use buffer::DeviceBuffer;
 pub use clock::SimClock;
 pub use device::{Device, DeviceStats};
 pub use spec::{DeviceSpec, Precision};

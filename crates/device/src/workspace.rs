@@ -14,7 +14,6 @@
 //! it to the free list. Contents of an acquired buffer are unspecified —
 //! callers must fill or overwrite it.
 
-use crate::buffer::DeviceBuffer;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -93,17 +92,6 @@ impl Workspace {
             outstanding,
             ..WorkspaceStats::default()
         };
-    }
-
-    /// Acquires a pooled [`DeviceBuffer`] (device-resident scratch with
-    /// unspecified contents).
-    pub fn acquire_buffer(&mut self, len: usize) -> DeviceBuffer {
-        DeviceBuffer::from_host_unchecked(self.acquire(len))
-    }
-
-    /// Returns a [`DeviceBuffer`] to the pool.
-    pub fn release_buffer(&mut self, buf: DeviceBuffer) {
-        self.release(buf.into_vec());
     }
 
     /// Number of buffers currently parked in the free list.

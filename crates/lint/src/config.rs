@@ -29,7 +29,6 @@ impl Config {
             "crates/solver/src/cg.rs",
             "crates/linalg/src/vector.rs",
             "crates/device/src/workspace.rs",
-            "crates/device/src/buffer.rs",
             "crates/cluster/src/workspace.rs",
             "shims/rayon/src/det.rs",
             "shims/rayon/src/pool.rs",

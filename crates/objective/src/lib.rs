@@ -6,8 +6,10 @@
 //! softmax cross-entropy loss of sample `i` (paper §5) and `g(x) = λ‖x‖²/2`.
 //! This crate provides:
 //!
-//! * the [`Objective`] trait — value / gradient / Hessian-vector product plus
-//!   an analytic FLOP cost estimate used by the simulated device,
+//! * the [`Objective`] trait — value, gradient and prepared Hessian-vector
+//!   products written into caller storage with pooled scratch, every kernel
+//!   billed on the objective's device; the allocating `value` / `gradient` /
+//!   `value_and_gradient` / `hessian_vec` are provided one-liners over them,
 //! * [`SoftmaxCrossEntropy`] — the paper's multiclass loss with the
 //!   Log-Sum-Exp stabilisation of §6 (dense or sparse features),
 //! * [`BinaryLogistic`] — the two-class special case (HIGGS),
@@ -32,7 +34,7 @@ pub use proximal::ProximalAugmented;
 pub use quadratic::Quadratic;
 pub use ridge::RidgeRegression;
 pub use softmax::SoftmaxCrossEntropy;
-pub use traits::{HvpOperator, HvpState, Objective};
+pub use traits::{HvpState, Objective};
 
 #[cfg(test)]
 mod tests {

@@ -9,15 +9,18 @@
 //! Labels are `{0, 1}`; the model is `Pr(y=1|a) = σ(⟨a, x⟩)` and
 //! `F(x) = Σ_i log(1 + e^{⟨a_i,x⟩}) − Σ_i y_i ⟨a_i, x⟩ + λ‖x‖²/2`.
 
-use crate::traits::Objective;
+use crate::traits::{HvpState, Objective};
 use nadmm_data::Dataset;
-use nadmm_linalg::{reduce, vector, Matrix};
+use nadmm_device::{Device, Workspace};
+use nadmm_linalg::{reduce, Matrix};
 
-/// Binary logistic regression objective.
+/// Binary logistic regression objective, executing its matrix–vector kernels
+/// through the [`Device`] engine.
 #[derive(Debug, Clone)]
 pub struct BinaryLogistic {
     features: Matrix,
     labels: Vec<f64>,
+    device: Device,
     /// L2 regularization weight λ.
     pub lambda: f64,
 }
@@ -32,8 +35,15 @@ impl BinaryLogistic {
         Self {
             features: data.features().clone(),
             labels: data.labels().iter().map(|&l| if l == 0 { 1.0 } else { 0.0 }).collect(),
+            device: Device::default(),
             lambda,
         }
+    }
+
+    /// Attaches the execution engine all kernels launch on.
+    pub fn with_device(mut self, device: Device) -> Self {
+        self.device = device;
+        self
     }
 
     /// Stable sigmoid σ(t) = 1/(1+e^{−t}).
@@ -60,6 +70,45 @@ impl BinaryLogistic {
             .count();
         correct as f64 / data.num_samples().max(1) as f64
     }
+
+    /// Margins `A x` into pooled storage.
+    fn pooled_margins(&self, x: &[f64], ws: &mut Workspace) -> Vec<f64> {
+        let mut margins = ws.acquire(self.features.rows());
+        self.device.matvec_into(&self.features, x, &mut margins);
+        margins
+    }
+
+    /// Bills one element-wise pass over the per-sample margins.
+    fn charge_row_pass(&self, flops_per_row: f64) {
+        let n = self.features.rows() as f64;
+        self.device.charge_kernel(flops_per_row * n, 3.0 * n * 8.0);
+    }
+
+    /// `Σ_i log(1 + e^{m_i}) − y_i m_i` over the margins.
+    fn loss(&self, margins: &[f64]) -> f64 {
+        self.charge_row_pass(5.0);
+        reduce::par_sum_over(margins.len(), |i| {
+            let m = margins[i];
+            // log(1 + e^m) computed stably.
+            let log1pexp = if m > 0.0 { m + (-m).exp().ln_1p() } else { m.exp().ln_1p() };
+            log1pexp - self.labels[i] * m
+        })
+    }
+
+    /// Turns the margins into the residuals `σ(m) − y` in place.
+    fn residuals(&self, margins: &mut [f64]) {
+        self.charge_row_pass(4.0);
+        for (m, y) in margins.iter_mut().zip(&self.labels) {
+            *m = Self::sigmoid(*m) - y;
+        }
+    }
+
+    /// `out = Aᵀr + λx`, returning the per-sample buffer `r` to the pool.
+    fn accumulate_into(&self, r: Vec<f64>, x: &[f64], out: &mut [f64], ws: &mut Workspace) {
+        self.device.t_matvec_into(&self.features, &r, out);
+        ws.release(r);
+        self.device.axpy(self.lambda, x, out);
+    }
 }
 
 impl Objective for BinaryLogistic {
@@ -71,58 +120,49 @@ impl Objective for BinaryLogistic {
         self.features.rows()
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
-        let margins = self.features.matvec(x).expect("logistic matvec");
-        let n = margins.len();
-        let loss = reduce::par_sum_over(n, |i| {
-            let m = margins[i];
-            // log(1 + e^m) computed stably.
-            let log1pexp = if m > 0.0 { m + (-m).exp().ln_1p() } else { m.exp().ln_1p() };
-            log1pexp - self.labels[i] * m
-        });
-        loss + 0.5 * self.lambda * vector::norm2_sq(x)
+    fn device(&self) -> &Device {
+        &self.device
     }
 
-    fn gradient(&self, x: &[f64]) -> Vec<f64> {
-        let margins = self.features.matvec(x).expect("logistic matvec");
-        let residual: Vec<f64> = margins.iter().zip(&self.labels).map(|(&m, &y)| Self::sigmoid(m) - y).collect();
-        let mut g = self.features.t_matvec(&residual).expect("logistic t_matvec");
-        vector::axpy(self.lambda, x, &mut g);
-        g
+    fn value_ws(&self, x: &[f64], ws: &mut Workspace) -> f64 {
+        let margins = self.pooled_margins(x, ws);
+        let loss = self.loss(&margins);
+        ws.release(margins);
+        loss + 0.5 * self.lambda * self.device.dot(x, x)
     }
 
-    fn hessian_vec(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
-        let margins = self.features.matvec(x).expect("logistic matvec");
-        let av = self.features.matvec(v).expect("logistic matvec direction");
-        let weighted: Vec<f64> = margins
-            .iter()
-            .zip(&av)
-            .map(|(&m, &u)| {
-                let s = Self::sigmoid(m);
-                s * (1.0 - s) * u
-            })
-            .collect();
-        let mut hv = self.features.t_matvec(&weighted).expect("logistic t_matvec");
-        vector::axpy(self.lambda, v, &mut hv);
-        hv
+    fn gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace) {
+        let mut margins = self.pooled_margins(x, ws);
+        self.residuals(&mut margins);
+        self.accumulate_into(margins, x, out, ws);
     }
 
-    fn hvp_operator<'a>(&'a self, x: &[f64]) -> Box<dyn Fn(&[f64]) -> Vec<f64> + Send + Sync + 'a> {
-        let margins = self.features.matvec(x).expect("logistic matvec");
-        let weights: Vec<f64> = margins
-            .iter()
-            .map(|&m| {
-                let s = Self::sigmoid(m);
-                s * (1.0 - s)
-            })
-            .collect();
-        Box::new(move |v| {
-            let av = self.features.matvec(v).expect("logistic matvec direction");
-            let weighted: Vec<f64> = av.iter().zip(&weights).map(|(&u, &w)| w * u).collect();
-            let mut hv = self.features.t_matvec(&weighted).expect("logistic t_matvec");
-            vector::axpy(self.lambda, v, &mut hv);
-            hv
-        })
+    fn value_and_gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace) -> f64 {
+        let mut margins = self.pooled_margins(x, ws);
+        let loss = self.loss(&margins);
+        self.residuals(&mut margins);
+        self.accumulate_into(margins, x, out, ws);
+        loss + 0.5 * self.lambda * self.device.dot(x, x)
+    }
+
+    fn prepare_hvp(&self, x: &[f64], ws: &mut Workspace) -> HvpState {
+        // The Hessian is Aᵀ diag(σ(1−σ)) A + λI: hold the weights.
+        let mut weights = self.pooled_margins(x, ws);
+        self.charge_row_pass(5.0);
+        for w in weights.iter_mut() {
+            let s = Self::sigmoid(*w);
+            *w = s * (1.0 - s);
+        }
+        HvpState::with_buf(weights)
+    }
+
+    fn hvp_prepared_into(&self, state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
+        let mut av = self.pooled_margins(v, ws);
+        self.charge_row_pass(1.0);
+        for (u, w) in av.iter_mut().zip(state.buf()) {
+            *u *= w;
+        }
+        self.accumulate_into(av, v, out, ws);
     }
 }
 
@@ -189,19 +229,24 @@ mod tests {
 
     #[test]
     fn hvp_operator_caches_correctly() {
+        // Three products from one prepared state equal the one-shot HVP.
         let data = higgs_small();
         let obj = BinaryLogistic::new(&data, 1e-2);
         let mut rng = gen::seeded_rng(4);
         let x = gen::gaussian_vector(obj.dim(), &mut rng);
-        let op = obj.hvp_operator(&x);
+        let mut ws = Workspace::new();
+        let state = obj.prepare_hvp(&x, &mut ws);
+        let mut a = vec![0.0; obj.dim()];
         for _ in 0..3 {
             let v = gen::gaussian_vector(obj.dim(), &mut rng);
-            let a = op(&v);
+            obj.hvp_prepared_into(&state, &v, &mut a, &mut ws);
             let b = obj.hessian_vec(&x, &v);
             for (u, w) in a.iter().zip(&b) {
                 assert!((u - w).abs() < 1e-10);
             }
         }
+        obj.release_hvp(state, &mut ws);
+        assert_eq!(ws.stats().outstanding, 0);
     }
 
     #[test]

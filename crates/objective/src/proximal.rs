@@ -12,7 +12,7 @@
 //! term also makes the subproblem strongly convex with parameter at least
 //! `ρ_i`, which is what gives ADMM its robustness on ill-conditioned shards.
 
-use crate::traits::{HvpOperator, HvpState, Objective};
+use crate::traits::{HvpState, Objective};
 use nadmm_device::{Device, Workspace};
 use nadmm_linalg::vector;
 
@@ -71,46 +71,20 @@ impl<O: Objective> ProximalAugmented<O> {
         a
     }
 
-    /// Offset `x − (z + y/ρ)` used by value/gradient.
-    fn offset(&self, x: &[f64]) -> Vec<f64> {
-        let mut d = x.to_vec();
-        vector::sub_assign(&mut d, &self.z);
-        vector::axpy(-1.0 / self.rho, &self.y, &mut d);
-        d
-    }
-
     /// Offset `x − (z + y/ρ)` into pooled storage, charged on the base
-    /// objective's device when one is attached.
+    /// objective's device.
     fn offset_into(&self, x: &[f64], ws: &mut Workspace) -> Vec<f64> {
         let mut d = ws.acquire(x.len());
         d.copy_from_slice(x);
-        match self.base.device() {
-            Some(dev) => {
-                dev.axpy(-1.0, &self.z, &mut d);
-                dev.axpy(-1.0 / self.rho, &self.y, &mut d);
-            }
-            None => {
-                vector::sub_assign(&mut d, &self.z);
-                vector::axpy(-1.0 / self.rho, &self.y, &mut d);
-            }
-        }
+        let dev = self.base.device();
+        dev.axpy(-1.0, &self.z, &mut d);
+        dev.axpy(-1.0 / self.rho, &self.y, &mut d);
         d
     }
 
     /// Adds the proximal gradient term `ρ·(x − anchor)` to `g`.
     fn add_proximal_gradient(&self, d: &[f64], g: &mut [f64]) {
-        match self.base.device() {
-            Some(dev) => dev.axpy(self.rho, d, g),
-            None => vector::axpy(self.rho, d, g),
-        }
-    }
-
-    /// `‖d‖²` through the device when available.
-    fn norm2_sq_dev(&self, d: &[f64]) -> f64 {
-        match self.base.device() {
-            Some(dev) => dev.dot(d, d),
-            None => vector::norm2_sq(d),
-        }
+        self.base.device().axpy(self.rho, d, g);
     }
 }
 
@@ -123,49 +97,14 @@ impl<O: Objective> Objective for ProximalAugmented<O> {
         self.base.num_samples()
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
-        let d = self.offset(x);
-        self.base.value(x) + 0.5 * self.rho * vector::norm2_sq(&d)
-    }
-
-    fn gradient(&self, x: &[f64]) -> Vec<f64> {
-        let mut g = self.base.gradient(x);
-        let d = self.offset(x);
-        vector::axpy(self.rho, &d, &mut g);
-        g
-    }
-
-    fn value_and_gradient(&self, x: &[f64]) -> (f64, Vec<f64>) {
-        let (v, mut g) = self.base.value_and_gradient(x);
-        let d = self.offset(x);
-        vector::axpy(self.rho, &d, &mut g);
-        (v + 0.5 * self.rho * vector::norm2_sq(&d), g)
-    }
-
-    fn hessian_vec(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
-        let mut hv = self.base.hessian_vec(x, v);
-        vector::axpy(self.rho, v, &mut hv);
-        hv
-    }
-
-    fn hvp_operator<'a>(&'a self, x: &[f64]) -> HvpOperator<'a> {
-        let base_op = self.base.hvp_operator(x);
-        let rho = self.rho;
-        Box::new(move |v| {
-            let mut hv = base_op(v);
-            vector::axpy(rho, v, &mut hv);
-            hv
-        })
-    }
-
-    fn device(&self) -> Option<&Device> {
+    fn device(&self) -> &Device {
         self.base.device()
     }
 
     fn value_ws(&self, x: &[f64], ws: &mut Workspace) -> f64 {
         let base_value = self.base.value_ws(x, ws);
         let d = self.offset_into(x, ws);
-        let value = base_value + 0.5 * self.rho * self.norm2_sq_dev(&d);
+        let value = base_value + 0.5 * self.rho * self.base.device().dot(&d, &d);
         ws.release(d);
         value
     }
@@ -181,14 +120,9 @@ impl<O: Objective> Objective for ProximalAugmented<O> {
         let base_value = self.base.value_and_gradient_into(x, out, ws);
         let d = self.offset_into(x, ws);
         self.add_proximal_gradient(&d, out);
-        let value = base_value + 0.5 * self.rho * self.norm2_sq_dev(&d);
+        let value = base_value + 0.5 * self.rho * self.base.device().dot(&d, &d);
         ws.release(d);
         value
-    }
-
-    fn hessian_vec_into(&self, x: &[f64], v: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        self.base.hessian_vec_into(x, v, out, ws);
-        self.add_proximal_gradient(v, out);
     }
 
     fn prepare_hvp(&self, x: &[f64], ws: &mut Workspace) -> HvpState {
@@ -285,16 +219,44 @@ mod tests {
         let aug = ProximalAugmented::new(base, z, y, 1.5);
         let x = gen::gaussian_vector_with(d, 0.0, 0.1, &mut rng);
         assert!(finite_diff::max_relative_gradient_error(&aug, &x, 1e-5) < 1e-5);
-        let op = aug.hvp_operator(&x);
-        let v = gen::gaussian_vector(d, &mut rng);
-        let a = op(&v);
-        let b = aug.hessian_vec(&x, &v);
-        for (u, w) in a.iter().zip(&b) {
-            assert!((u - w).abs() < 1e-9);
+        let mut ws = Workspace::new();
+        let state = aug.prepare_hvp(&x, &mut ws);
+        let mut a = vec![0.0; d];
+        for _ in 0..3 {
+            let v = gen::gaussian_vector(d, &mut rng);
+            aug.hvp_prepared_into(&state, &v, &mut a, &mut ws);
+            let b = aug.hessian_vec(&x, &v);
+            for (u, w) in a.iter().zip(&b) {
+                assert!((u - w).abs() < 1e-9);
+            }
         }
+        aug.release_hvp(state, &mut ws);
+        assert_eq!(ws.stats().outstanding, 0);
         assert_eq!(aug.num_samples(), 25);
         assert_eq!(aug.rho(), 1.5);
         assert_eq!(aug.base().dim(), d);
+    }
+
+    #[test]
+    fn allocating_forms_bill_the_device_like_the_workspace_forms() {
+        // (kernel launches, simulated seconds) `call` bills a fresh device.
+        let billed = |call: &mut dyn FnMut(&ProximalAugmented<Quadratic>)| {
+            let device = Device::default();
+            let base = quadratic_base().with_device(device.clone());
+            call(&ProximalAugmented::new(base, vec![0.5; 4], vec![-0.25; 4], 2.0));
+            (device.stats().kernels_launched, device.elapsed())
+        };
+        let (x, v) = ([1.0, -2.0, 0.5, 3.0], [0.1, 0.2, -0.3, 0.4]);
+        let mut ws = Workspace::new();
+        let vg = billed(&mut |aug| drop(aug.value_and_gradient(&x)));
+        let vg_into = billed(&mut |aug| {
+            aug.value_and_gradient_into(&x, &mut [0.0; 4], &mut ws);
+        });
+        assert_eq!(vg, vg_into);
+        let hv = billed(&mut |aug| drop(aug.hessian_vec(&x, &v)));
+        let hv_into = billed(&mut |aug| aug.hessian_vec_into(&x, &v, &mut [0.0; 4], &mut ws));
+        assert_eq!(hv, hv_into);
+        assert!(vg.0 > hv.0 && hv.0 > 0, "the proximal term must be billed: {vg:?} {hv:?}");
     }
 
     #[test]

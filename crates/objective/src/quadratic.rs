@@ -4,7 +4,7 @@
 //! solve it exactly, Newton must converge in one step, and consensus ADMM
 //! must converge to the known minimiser `x* = A⁻¹ b`.
 
-use crate::traits::Objective;
+use crate::traits::{HvpState, Objective};
 use nadmm_device::{Device, Workspace};
 use nadmm_linalg::{DenseMatrix, Matrix};
 
@@ -114,24 +114,8 @@ impl Objective for Quadratic {
         self.b.len()
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
-        self.value_ws(x, &mut Workspace::new())
-    }
-
-    fn gradient(&self, x: &[f64]) -> Vec<f64> {
-        let mut g = vec![0.0; self.dim()];
-        self.gradient_into(x, &mut g, &mut Workspace::new());
-        g
-    }
-
-    fn hessian_vec(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
-        let mut hv = vec![0.0; self.dim()];
-        self.hessian_vec_into(x, v, &mut hv, &mut Workspace::new());
-        hv
-    }
-
-    fn device(&self) -> Option<&Device> {
-        Some(&self.device)
+    fn device(&self) -> &Device {
+        &self.device
     }
 
     fn value_ws(&self, x: &[f64], ws: &mut Workspace) -> f64 {
@@ -156,18 +140,13 @@ impl Objective for Quadratic {
         value
     }
 
-    fn hessian_vec_into(&self, _x: &[f64], v: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        let _ = ws;
-        self.device.matvec_into(&self.a, v, out);
-    }
-
-    fn prepare_hvp(&self, _x: &[f64], _ws: &mut Workspace) -> crate::traits::HvpState {
+    fn prepare_hvp(&self, _x: &[f64], _ws: &mut Workspace) -> HvpState {
         // The Hessian is constant: no per-x state needed.
-        crate::traits::HvpState::empty((self.dim(), 0))
+        HvpState::empty()
     }
 
-    fn hvp_prepared_into(&self, _state: &crate::traits::HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        self.hessian_vec_into(&[], v, out, ws);
+    fn hvp_prepared_into(&self, _state: &HvpState, v: &[f64], out: &mut [f64], _ws: &mut Workspace) {
+        self.device.matvec_into(&self.a, v, out);
     }
 }
 

@@ -73,24 +73,8 @@ impl Objective for RidgeRegression {
         self.features.rows()
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
-        self.value_ws(x, &mut Workspace::new())
-    }
-
-    fn gradient(&self, x: &[f64]) -> Vec<f64> {
-        let mut g = vec![0.0; self.dim()];
-        self.gradient_into(x, &mut g, &mut Workspace::new());
-        g
-    }
-
-    fn hessian_vec(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
-        let mut hv = vec![0.0; self.dim()];
-        self.hessian_vec_into(x, v, &mut hv, &mut Workspace::new());
-        hv
-    }
-
-    fn device(&self) -> Option<&Device> {
-        Some(&self.device)
+    fn device(&self) -> &Device {
+        &self.device
     }
 
     fn value_ws(&self, x: &[f64], ws: &mut Workspace) -> f64 {
@@ -116,21 +100,17 @@ impl Objective for RidgeRegression {
         value
     }
 
-    fn hessian_vec_into(&self, _x: &[f64], v: &[f64], out: &mut [f64], ws: &mut Workspace) {
+    fn prepare_hvp(&self, _x: &[f64], _ws: &mut Workspace) -> HvpState {
+        // The Gauss-Newton Hessian AᵀA + λI is constant in x.
+        HvpState::empty()
+    }
+
+    fn hvp_prepared_into(&self, _state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
         let mut av = ws.acquire(self.features.rows());
         self.device.matvec_into(&self.features, v, &mut av);
         self.device.t_matvec_into(&self.features, &av, out);
         ws.release(av);
         self.device.axpy(self.lambda, v, out);
-    }
-
-    fn prepare_hvp(&self, _x: &[f64], _ws: &mut Workspace) -> HvpState {
-        // The Gauss-Newton Hessian AᵀA + λI is constant in x.
-        HvpState::empty((self.dim(), 0))
-    }
-
-    fn hvp_prepared_into(&self, _state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        self.hessian_vec_into(&[], v, out, ws);
     }
 }
 

@@ -19,7 +19,7 @@
 //! (softmax, `P − Y`, the loss term; the `S` transform) are the row map of
 //! [`Device::gemm_nt_map_tn_into`].
 
-use crate::traits::{HvpOperator, HvpState, Objective};
+use crate::traits::{HvpState, Objective};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace};
 use nadmm_linalg::{reduce, DenseMatrix, Matrix, SweepBuffers};
@@ -28,10 +28,8 @@ use nadmm_linalg::{reduce, DenseMatrix, Matrix, SweepBuffers};
 ///
 /// All dense kernel work (margins GEMM, row softmax, gradient/HVP sweeps)
 /// executes through the attached [`Device`] engine, which charges the
-/// simulated-GPU cost model per launch. The workspace-aware methods
-/// (`value_ws`, `gradient_into`, `prepare_hvp` + `hvp_prepared_into`) reuse
-/// pooled buffers and perform zero heap allocations once warm; the
-/// allocating `Objective` methods are thin wrappers over the same code path.
+/// simulated-GPU cost model per launch, reusing pooled buffers: zero heap
+/// allocations once warm.
 #[derive(Debug, Clone)]
 pub struct SoftmaxCrossEntropy {
     features: Matrix,
@@ -112,20 +110,6 @@ impl SoftmaxCrossEntropy {
         margins
     }
 
-    /// Computes per-sample class probabilities (n × (C−1), reference class
-    /// implicit) and the per-sample log-partition values, all in pooled
-    /// storage. Callers release both returned buffers.
-    fn probabilities_into(&self, x: &[f64], ws: &mut Workspace) -> (DenseMatrix, Vec<f64>) {
-        let mut probs = self.pooled_margins(x, ws);
-        let n = probs.rows();
-        let c1 = probs.cols();
-        let mut logz = ws.acquire(n);
-        let mut row_scratch = ws.acquire(c1);
-        self.device.softmax_rows_into(&mut probs, &mut row_scratch, &mut logz);
-        ws.release(row_scratch);
-        (probs, logz)
-    }
-
     /// Predicted class labels for a feature matrix given flat weights.
     pub fn predict(&self, features: &Matrix, x: &[f64]) -> Vec<usize> {
         let w = self.weights_from_flat(x);
@@ -164,41 +148,8 @@ impl Objective for SoftmaxCrossEntropy {
         self.features.rows()
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
-        self.value_ws(x, &mut Workspace::new())
-    }
-
-    fn gradient(&self, x: &[f64]) -> Vec<f64> {
-        let mut g = vec![0.0; self.dim()];
-        self.gradient_into(x, &mut g, &mut Workspace::new());
-        g
-    }
-
-    fn value_and_gradient(&self, x: &[f64]) -> (f64, Vec<f64>) {
-        let mut g = vec![0.0; self.dim()];
-        let v = self.value_and_gradient_into(x, &mut g, &mut Workspace::new());
-        (v, g)
-    }
-
-    fn hessian_vec(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
-        let mut hv = vec![0.0; self.dim()];
-        self.hessian_vec_into(x, v, &mut hv, &mut Workspace::new());
-        hv
-    }
-
-    fn hvp_operator<'a>(&'a self, x: &[f64]) -> HvpOperator<'a> {
-        let mut ws = Workspace::new();
-        let (probs, logz) = self.probabilities_into(x, &mut ws);
-        ws.release(logz);
-        Box::new(move |v| {
-            let mut out = vec![0.0; self.dim()];
-            self.hvp_core(probs.as_slice(), v, &mut out, &mut Workspace::new());
-            out
-        })
-    }
-
-    fn device(&self) -> Option<&Device> {
-        Some(&self.device)
+    fn device(&self) -> &Device {
+        &self.device
     }
 
     fn value_ws(&self, x: &[f64], ws: &mut Workspace) -> f64 {
@@ -242,22 +193,37 @@ impl Objective for SoftmaxCrossEntropy {
         loss + 0.5 * self.lambda * self.device.dot(x, x)
     }
 
-    fn hessian_vec_into(&self, x: &[f64], v: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        let state = self.prepare_hvp(x, ws);
-        self.hvp_prepared_into(&state, v, out, ws);
-        self.release_hvp(state, ws);
-    }
-
     fn prepare_hvp(&self, x: &[f64], ws: &mut Workspace) -> HvpState {
-        let (probs, logz) = self.probabilities_into(x, ws);
+        // The per-sample class probabilities (n × (C−1), reference class
+        // implicit); the log-partition values are not needed.
+        let mut probs = self.pooled_margins(x, ws);
+        let mut logz = ws.acquire(probs.rows());
+        let mut row_scratch = ws.acquire(probs.cols());
+        self.device.softmax_rows_into(&mut probs, &mut row_scratch, &mut logz);
+        ws.release(row_scratch);
         ws.release(logz);
-        let n = probs.rows();
-        let c1 = probs.cols();
-        HvpState::with_buf(probs.into_vec(), (n, c1))
+        HvpState::with_buf(probs.into_vec())
     }
 
+    /// `Hv = Sᵀ X + λv` with `S_i = diag(p_i) u_i − p_i (p_iᵀ u_i)`,
+    /// `U = X Vᵀ`, from the class probabilities `state` holds (row-major
+    /// n × (C−1)). This is the kernel CG launches every inner iteration.
     fn hvp_prepared_into(&self, state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        self.hvp_core(state.buf(0), v, out, ws);
+        assert_eq!(v.len(), self.dim(), "direction vector has wrong length");
+        let probs = state.buf();
+        let c1 = self.num_classes - 1;
+        let nc = self.features.rows() * c1;
+        // S_i = diag(p_i) u_i − p_i (p_iᵀ u_i), overwriting U row by row.
+        let costs = [(4.0 * nc as f64, 3.0 * nc as f64 * 8.0)];
+        let to_s = |first: usize, rows: &mut [f64], _: &mut [f64]| {
+            for (urow, p) in rows.chunks_exact_mut(c1).zip(probs[first * c1..].chunks_exact(c1)) {
+                let pu: f64 = p.iter().zip(urow.iter()).map(|(a, b)| a * b).sum();
+                for c in 0..c1 {
+                    urow[c] = p[c] * urow[c] - p[c] * pu;
+                }
+            }
+        };
+        self.sweep_into(v, &costs, &mut [], to_s, out, ws);
     }
 }
 
@@ -315,27 +281,6 @@ impl SoftmaxCrossEntropy {
                 *p += -1.0 * y;
             }
         }
-    }
-
-    /// Hessian-vector product given precomputed class probabilities (row-major
-    /// n × (C−1) slice): `Hv = Sᵀ X + λv` with
-    /// `S_i = diag(p_i) u_i − p_i (p_iᵀ u_i)`, `U = X Vᵀ`. All scratch is
-    /// pooled; this is the kernel CG launches every inner iteration.
-    fn hvp_core(&self, probs: &[f64], v: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        assert_eq!(v.len(), self.dim(), "direction vector has wrong length");
-        let c1 = self.num_classes - 1;
-        let nc = self.features.rows() * c1;
-        // S_i = diag(p_i) u_i − p_i (p_iᵀ u_i), overwriting U row by row.
-        let costs = [(4.0 * nc as f64, 3.0 * nc as f64 * 8.0)];
-        let to_s = |first: usize, rows: &mut [f64], _: &mut [f64]| {
-            for (urow, p) in rows.chunks_exact_mut(c1).zip(probs[first * c1..].chunks_exact(c1)) {
-                let pu: f64 = p.iter().zip(urow.iter()).map(|(a, b)| a * b).sum();
-                for c in 0..c1 {
-                    urow[c] = p[c] * urow[c] - p[c] * pu;
-                }
-            }
-        };
-        self.sweep_into(v, &costs, &mut [], to_s, out, ws);
     }
 }
 
@@ -440,16 +385,23 @@ mod tests {
 
     #[test]
     fn hvp_operator_matches_hessian_vec() {
+        // Three products from one prepared state equal the one-shot HVP.
         let (_, obj) = small_problem(4, false);
         let mut rng = gen::seeded_rng(8);
         let x = gen::gaussian_vector_with(obj.dim(), 0.0, 0.1, &mut rng);
-        let op = obj.hvp_operator(&x);
-        let v = gen::gaussian_vector(obj.dim(), &mut rng);
-        let a = op(&v);
-        let b = obj.hessian_vec(&x, &v);
-        for (u, w) in a.iter().zip(&b) {
-            assert!((u - w).abs() < 1e-10);
+        let mut ws = Workspace::new();
+        let state = obj.prepare_hvp(&x, &mut ws);
+        let mut a = vec![0.0; obj.dim()];
+        for _ in 0..3 {
+            let v = gen::gaussian_vector(obj.dim(), &mut rng);
+            obj.hvp_prepared_into(&state, &v, &mut a, &mut ws);
+            let b = obj.hessian_vec(&x, &v);
+            for (u, w) in a.iter().zip(&b) {
+                assert!((u - w).abs() < 1e-10);
+            }
         }
+        obj.release_hvp(state, &mut ws);
+        assert_eq!(ws.stats().outstanding, 0);
     }
 
     #[test]
@@ -498,7 +450,7 @@ mod tests {
         // What one gradient and one Hessian-vector product charge the
         // objective's device clock — the billing in force.
         let billed = |obj: &SoftmaxCrossEntropy| {
-            let device = obj.device().expect("softmax objectives own a device");
+            let device = obj.device();
             let x = vec![0.0; obj.dim()];
             let start = device.elapsed();
             obj.gradient(&x);

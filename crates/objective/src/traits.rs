@@ -1,82 +1,58 @@
 //! The objective-function interface shared by every solver in the workspace.
 //!
-//! Two families of methods coexist:
+//! One interface: an objective writes the **workspace forms** the solvers
+//! call — `value_ws`, `gradient_into`, `value_and_gradient_into` and the
+//! per-`x` pair `prepare_hvp` → `hvp_prepared_into` — with results written
+//! into caller-provided slices, all scratch acquired from a [`Workspace`]
+//! pool, and every kernel launched through (and billed on) the objective's
+//! [`Device`]. Steady-state solver loops therefore allocate nothing.
 //!
-//! * **Allocating** (`value`, `gradient`, `hessian_vec`, …) — the ergonomic
-//!   API used by tests and one-shot callers; every call returns fresh
-//!   storage.
-//! * **In-place / workspace** (`value_ws`, `gradient_into`,
-//!   `hessian_vec_into`, `prepare_hvp` + `hvp_prepared_into`) — the hot-path
-//!   API: results are written into caller-provided slices and all scratch is
-//!   acquired from a [`Workspace`] pool, so steady-state solver loops
-//!   allocate nothing. Default implementations delegate to the allocating
-//!   methods, so existing `Objective` impls keep working; the workspace-aware
-//!   objectives (`SoftmaxCrossEntropy`, `Quadratic`, `RidgeRegression`,
-//!   `ProximalAugmented`) override them to execute through the
-//!   [`nadmm_device::Device`] engine, which also charges the simulated-GPU
-//!   cost model per actual kernel launch.
+//! The allocating conveniences `value` / `gradient` / `value_and_gradient` /
+//! `hessian_vec` are provided one-liners over those forms with a fresh
+//! [`Workspace`]: same code path, same bits, same device billing. They serve
+//! tests, oracles and one-shot callers; no objective overrides them.
 
 use nadmm_device::{Device, Workspace};
-
-/// Boxed Hessian-vector operator returned by [`Objective::hvp_operator`].
-pub type HvpOperator<'a> = Box<dyn Fn(&[f64]) -> Vec<f64> + Send + Sync + 'a>;
 
 /// Opaque per-`x` state for repeated Hessian-vector products, produced by
 /// [`Objective::prepare_hvp`] and consumed by [`Objective::hvp_prepared_into`].
 ///
-/// The buffers come from (and return to) a [`Workspace`], and the state
-/// itself holds them in a fixed two-slot inline array — no heap shell — so
-/// `prepare_hvp` allocates **nothing** once the pool is warm (the
-/// zero-allocation proofs in the bench crate depend on this). The
-/// interpretation of the buffers and `dims` is private to the objective that
+/// The buffer comes from (and returns to) a [`Workspace`], and the state
+/// holds it inline — no heap shell — so `prepare_hvp` allocates **nothing**
+/// once the pool is warm (the zero-allocation proofs in the bench crate
+/// depend on this). What the buffer holds is private to the objective that
 /// created the state.
 #[derive(Debug, Default)]
 pub struct HvpState {
-    /// Pooled buffers owned by this state (returned via
-    /// [`Objective::release_hvp`]); at most two, held inline.
-    bufs: [Option<Vec<f64>>; 2],
-    /// Implementation-defined shape information.
-    pub dims: (usize, usize),
+    /// Pooled buffer owned by this state (returned via
+    /// [`Objective::release_hvp`]).
+    buf: Option<Vec<f64>>,
 }
 
 impl HvpState {
-    /// A state with no pooled buffers (objectives whose HVP needs no per-`x`
+    /// A state with no pooled buffer (objectives whose HVP needs no per-`x`
     /// scratch, like quadratics).
-    pub fn empty(dims: (usize, usize)) -> Self {
-        Self {
-            bufs: [None, None],
-            dims,
-        }
+    pub fn empty() -> Self {
+        Self::default()
     }
 
     /// A state owning one pooled buffer.
-    pub fn with_buf(buf: Vec<f64>, dims: (usize, usize)) -> Self {
-        Self {
-            bufs: [Some(buf), None],
-            dims,
-        }
+    pub fn with_buf(buf: Vec<f64>) -> Self {
+        Self { buf: Some(buf) }
     }
 
-    /// A state owning two pooled buffers.
-    pub fn with_bufs(first: Vec<f64>, second: Vec<f64>, dims: (usize, usize)) -> Self {
-        Self {
-            bufs: [Some(first), Some(second)],
-            dims,
-        }
-    }
-
-    /// Borrows pooled buffer `i`.
+    /// Borrows the pooled buffer.
     ///
     /// # Panics
-    /// Panics if slot `i` is empty.
-    pub fn buf(&self, i: usize) -> &[f64] {
-        self.bufs[i].as_deref().expect("HvpState buffer slot is empty")
+    /// Panics if the state holds none.
+    pub fn buf(&self) -> &[f64] {
+        self.buf.as_deref().expect("HvpState holds no buffer")
     }
 
-    /// Consumes the state, yielding its pooled buffers (for
+    /// Consumes the state, yielding its pooled buffer (for
     /// [`Objective::release_hvp`]).
-    pub fn into_bufs(self) -> impl Iterator<Item = Vec<f64>> {
-        self.bufs.into_iter().flatten()
+    pub fn into_buf(self) -> Option<Vec<f64>> {
+        self.buf
     }
 }
 
@@ -96,90 +72,70 @@ pub trait Objective: Sync + Send {
         0
     }
 
-    /// Objective value `F(x)`.
-    fn value(&self, x: &[f64]) -> f64;
+    /// The execution engine this objective launches its kernels on. Wrappers
+    /// ([`crate::ProximalAugmented`]) forward their base objective's device
+    /// so composite terms charge the same simulated clock.
+    fn device(&self) -> &Device;
 
-    /// Gradient `∇F(x)`.
-    fn gradient(&self, x: &[f64]) -> Vec<f64>;
+    /// Objective value `F(x)`, with pooled scratch.
+    fn value_ws(&self, x: &[f64], ws: &mut Workspace) -> f64;
 
-    /// Value and gradient together (implementations can share work).
-    fn value_and_gradient(&self, x: &[f64]) -> (f64, Vec<f64>) {
-        (self.value(x), self.gradient(x))
-    }
+    /// Gradient `∇F(x)` written into `out` (length [`Objective::dim`]).
+    fn gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace);
 
-    /// Hessian-vector product `∇²F(x) · v`.
-    fn hessian_vec(&self, x: &[f64], v: &[f64]) -> Vec<f64>;
-
-    /// Returns a Hessian-vector operator at a fixed point `x`. The default
-    /// simply forwards to [`Objective::hessian_vec`]; implementations with
-    /// reusable per-`x` state (like the softmax probabilities) override this
-    /// so that the `m` CG iterations at one Newton step cost `m` GEMM pairs
-    /// instead of `2m`.
-    fn hvp_operator<'a>(&'a self, x: &[f64]) -> HvpOperator<'a> {
-        let x = x.to_vec();
-        Box::new(move |v| self.hessian_vec(&x, v))
-    }
-
-    // ------------------------------------------------------------------
-    // Workspace / in-place API (the solver hot path). Defaults delegate to
-    // the allocating methods so third-party objectives keep working.
-    // ------------------------------------------------------------------
-
-    /// The execution engine this objective launches kernels on, when it has
-    /// been threaded through one. Wrappers ([`crate::ProximalAugmented`])
-    /// forward their base objective's device so composite terms charge the
-    /// same simulated clock.
-    fn device(&self) -> Option<&Device> {
-        None
-    }
-
-    /// Objective value with pooled scratch.
-    fn value_ws(&self, x: &[f64], ws: &mut Workspace) -> f64 {
-        let _ = ws;
-        self.value(x)
-    }
-
-    /// Gradient written into `out` (length [`Objective::dim`]).
-    fn gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        let _ = ws;
-        out.copy_from_slice(&self.gradient(x));
-    }
-
-    /// Value and gradient together; the gradient is written into `out` and
-    /// the value returned.
-    fn value_and_gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace) -> f64 {
-        let _ = ws;
-        let (v, g) = self.value_and_gradient(x);
-        out.copy_from_slice(&g);
-        v
-    }
-
-    /// Hessian-vector product written into `out`.
-    fn hessian_vec_into(&self, x: &[f64], v: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        let _ = ws;
-        out.copy_from_slice(&self.hessian_vec(x, v));
-    }
+    /// Value and gradient together (implementations share work); the
+    /// gradient is written into `out` and the value returned.
+    fn value_and_gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace) -> f64;
 
     /// Captures the per-`x` state needed for repeated Hessian-vector
-    /// products (e.g. the softmax probabilities), using pooled buffers.
-    /// Callers must hand the state back via [`Objective::release_hvp`].
-    fn prepare_hvp(&self, x: &[f64], ws: &mut Workspace) -> HvpState {
-        let mut snapshot = ws.acquire(x.len());
-        snapshot.copy_from_slice(x);
-        HvpState::with_buf(snapshot, (x.len(), 0))
-    }
+    /// products (e.g. the softmax probabilities) in a pooled buffer, so the
+    /// `m` CG iterations of one Newton step cost `m` products instead of
+    /// `2m`. Callers must hand the state back via [`Objective::release_hvp`].
+    fn prepare_hvp(&self, x: &[f64], ws: &mut Workspace) -> HvpState;
 
-    /// Allocation-free Hessian-vector product at the point captured by
-    /// `state`.
-    fn hvp_prepared_into(&self, state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        self.hessian_vec_into(state.buf(0), v, out, ws);
-    }
+    /// Allocation-free Hessian-vector product `∇²F(x) · v` at the point
+    /// captured by `state`, written into `out`.
+    fn hvp_prepared_into(&self, state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace);
 
-    /// Returns a prepared-HVP state's buffers to the workspace pool.
+    /// Returns a prepared-HVP state's buffer to the workspace pool.
     fn release_hvp(&self, state: HvpState, ws: &mut Workspace) {
-        for buf in state.into_bufs() {
+        if let Some(buf) = state.into_buf() {
             ws.release(buf);
         }
+    }
+
+    /// One-shot Hessian-vector product written into `out`: prepare, apply,
+    /// release.
+    fn hessian_vec_into(&self, x: &[f64], v: &[f64], out: &mut [f64], ws: &mut Workspace) {
+        let state = self.prepare_hvp(x, ws);
+        self.hvp_prepared_into(&state, v, out, ws);
+        self.release_hvp(state, ws);
+    }
+
+    /// Allocating [`Objective::value_ws`].
+    fn value(&self, x: &[f64]) -> f64 {
+        self.value_ws(x, &mut Workspace::new())
+    }
+
+    /// Allocating [`Objective::gradient_into`].
+    fn gradient(&self, x: &[f64]) -> Vec<f64> {
+        let mut g = vec![0.0; self.dim()];
+        self.gradient_into(x, &mut g, &mut Workspace::new());
+        g
+    }
+
+    /// Allocating [`Objective::value_and_gradient_into`].
+    fn value_and_gradient(&self, x: &[f64]) -> (f64, Vec<f64>) {
+        let mut g = vec![0.0; self.dim()];
+        let v = self.value_and_gradient_into(x, &mut g, &mut Workspace::new());
+        (v, g)
+    }
+
+    /// Allocating [`Objective::hessian_vec_into`].
+    fn hessian_vec(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
+        let mut hv = vec![0.0; self.dim()];
+        self.hessian_vec_into(x, v, &mut hv, &mut Workspace::new());
+        hv
     }
 }
 
@@ -187,31 +143,55 @@ pub trait Objective: Sync + Send {
 mod tests {
     use super::*;
 
-    struct Parabola;
+    /// `½(x₀² + 3x₁²)`, written with the required methods only.
+    #[derive(Default)]
+    struct Parabola {
+        device: Device,
+    }
 
     impl Objective for Parabola {
         fn dim(&self) -> usize {
             2
         }
-        fn value(&self, x: &[f64]) -> f64 {
+        fn device(&self) -> &Device {
+            &self.device
+        }
+        fn value_ws(&self, x: &[f64], _ws: &mut Workspace) -> f64 {
             0.5 * (x[0] * x[0] + 3.0 * x[1] * x[1])
         }
-        fn gradient(&self, x: &[f64]) -> Vec<f64> {
-            vec![x[0], 3.0 * x[1]]
+        fn gradient_into(&self, x: &[f64], out: &mut [f64], _ws: &mut Workspace) {
+            out.copy_from_slice(&[x[0], 3.0 * x[1]]);
         }
-        fn hessian_vec(&self, _x: &[f64], v: &[f64]) -> Vec<f64> {
-            vec![v[0], 3.0 * v[1]]
+        fn value_and_gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace) -> f64 {
+            self.gradient_into(x, out, ws);
+            self.value_ws(x, ws)
+        }
+        fn prepare_hvp(&self, x: &[f64], ws: &mut Workspace) -> HvpState {
+            // The Hessian is constant; hold a buffer anyway so the provided
+            // release path is exercised.
+            HvpState::with_buf(ws.acquire(x.len()))
+        }
+        fn hvp_prepared_into(&self, _state: &HvpState, v: &[f64], out: &mut [f64], _ws: &mut Workspace) {
+            out.copy_from_slice(&[v[0], 3.0 * v[1]]);
         }
     }
 
     #[test]
     fn default_methods_work() {
-        let p = Parabola;
+        let p = Parabola::default();
+        let x = [1.0, 2.0];
         assert_eq!(p.num_samples(), 0);
-        let (v, g) = p.value_and_gradient(&[1.0, 2.0]);
+        assert!((p.value(&x) - 6.5).abs() < 1e-12);
+        assert_eq!(p.gradient(&x), vec![1.0, 6.0]);
+        let (v, g) = p.value_and_gradient(&x);
         assert!((v - 6.5).abs() < 1e-12);
         assert_eq!(g, vec![1.0, 6.0]);
-        let hvp = p.hvp_operator(&[1.0, 2.0]);
-        assert_eq!(hvp(&[1.0, 1.0]), vec![1.0, 3.0]);
+        assert_eq!(p.hessian_vec(&x, &[1.0, 1.0]), vec![1.0, 3.0]);
+        let mut ws = Workspace::new();
+        let mut hv = [0.0; 2];
+        p.hessian_vec_into(&x, &[2.0, -1.0], &mut hv, &mut ws);
+        assert_eq!(hv, [2.0, -3.0]);
+        assert_eq!(ws.stats().outstanding, 0, "hessian_vec_into must release its state");
+        assert_eq!(ws.pooled_buffers(), 1);
     }
 }
