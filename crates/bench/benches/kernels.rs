@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nadmm_bench::alloc_counter::{count_allocations, CountingAllocator};
 use nadmm_bench::report::{criterion_entries, merge_bench_json, report_path, BenchEntry};
-use nadmm_data::{Dataset, SyntheticConfig};
+use nadmm_data::{partition_strong, Dataset, SyntheticConfig};
 use nadmm_device::Workspace;
 use nadmm_linalg::{gen, DenseMatrix, Matrix};
 use nadmm_objective::{Objective, SoftmaxCrossEntropy};
@@ -183,6 +183,25 @@ fn bench_warm_paths(group: &mut criterion::BenchmarkGroup, suffix: &str, obj: &S
     });
 }
 
+/// Who pays for a copy of the features: partitioning the `mnist_dense_*`
+/// training set onto 1 or 2 ranks, then building a rank's objective.
+fn bench_feature_residency(c: &mut Criterion) {
+    let cfg = SyntheticConfig::mnist_like().with_train_size(2 * SHARD.0).with_test_size(64);
+    let (train, _) = cfg.generate(2);
+    let mut group = c.benchmark_group("data");
+    for ranks in [1, 2] {
+        let id = format!("partition_strong/16000x784/{ranks}");
+        group.bench_function(id, |b| b.iter(|| black_box(partition_strong(&train, ranks))));
+    }
+    group.finish();
+    let shard = train.slice(0, SHARD.0);
+    let mut group = c.benchmark_group("softmax_objective");
+    group.bench_function(format!("new/{SHARD_ID}"), |b| {
+        b.iter(|| black_box(SoftmaxCrossEntropy::new(&shard, 1e-5)))
+    });
+    group.finish();
+}
+
 fn bench_transpose_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("t_matvec");
     let mut rng = gen::seeded_rng(4);
@@ -241,6 +260,7 @@ criterion_group!(
     bench_gemm,
     bench_gemm_tn,
     bench_softmax_objective,
+    bench_feature_residency,
     bench_transpose_kernels,
     emit_report
 );

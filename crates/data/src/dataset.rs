@@ -2,7 +2,7 @@
 
 use nadmm_linalg::{gen, DenseMatrix, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A labelled multiclass classification dataset.
 ///
@@ -10,9 +10,9 @@ use serde::{Deserialize, Serialize};
 /// parameterisation (§5), class `num_classes − 1` acts as the reference class
 /// whose weight vector is pinned to zero, so the model has `(C−1)·p` degrees
 /// of freedom.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
-    features: Matrix,
+    features: Arc<Matrix>,
     labels: Vec<usize>,
     num_classes: usize,
     name: String,
@@ -29,7 +29,7 @@ impl Dataset {
         assert!(num_classes >= 2, "need at least two classes");
         assert!(labels.iter().all(|&l| l < num_classes), "label out of range");
         Self {
-            features,
+            features: Arc::new(features),
             labels,
             num_classes,
             name: name.into(),
@@ -44,6 +44,13 @@ impl Dataset {
     /// The feature matrix (n × p).
     pub fn features(&self) -> &Matrix {
         &self.features
+    }
+
+    /// The shared, immutable handle to the feature matrix: what a clone, a
+    /// whole-range slice and an objective built on this dataset hold instead
+    /// of a copy.
+    pub fn shared_features(&self) -> Arc<Matrix> {
+        Arc::clone(&self.features)
     }
 
     /// The label vector (length n).
@@ -76,10 +83,16 @@ impl Dataset {
         self.features.is_sparse()
     }
 
-    /// Returns a new dataset containing rows `start..end`.
+    /// Returns a new dataset containing rows `start..end`; a slice of every
+    /// row shares this dataset's feature storage instead of copying it.
     pub fn slice(&self, start: usize, end: usize) -> Dataset {
+        let features = if (start, end) == (0, self.num_samples()) {
+            Arc::clone(&self.features)
+        } else {
+            Arc::new(self.features.slice_rows(start, end))
+        };
         Dataset {
-            features: self.features.slice_rows(start, end),
+            features,
             labels: self.labels[start..end].to_vec(),
             num_classes: self.num_classes,
             name: format!("{}[{start}..{end}]", self.name),
@@ -89,7 +102,7 @@ impl Dataset {
     /// Returns a new dataset containing the rows selected by `indices`.
     pub fn select(&self, indices: &[usize]) -> Dataset {
         Dataset {
-            features: self.features.select_rows(indices),
+            features: Arc::new(self.features.select_rows(indices)),
             labels: indices.iter().map(|&i| self.labels[i]).collect(),
             num_classes: self.num_classes,
             name: format!("{}[selected {}]", self.name, indices.len()),
@@ -114,15 +127,18 @@ impl Dataset {
     /// Splits into `(train, test)` at `train_fraction` of the samples.
     ///
     /// # Panics
-    /// Panics if the fraction is not in `(0, 1)`.
+    /// Panics if the fraction is not in `(0, 1)` or the dataset has fewer
+    /// than two samples (each side must get at least one).
     pub fn split(&self, train_fraction: f64) -> (Dataset, Dataset) {
         assert!(
             train_fraction > 0.0 && train_fraction < 1.0,
             "train_fraction must be in (0,1)"
         );
-        let n_train = ((self.num_samples() as f64) * train_fraction).round() as usize;
-        let n_train = n_train.clamp(1, self.num_samples() - 1);
-        (self.slice(0, n_train), self.slice(n_train, self.num_samples()))
+        let (n, name) = (self.num_samples(), &self.name);
+        assert!(n >= 2, "cannot split dataset `{name}` with {n} sample(s): need at least 2");
+        let n_train = ((n as f64) * train_fraction).round() as usize;
+        let n_train = n_train.clamp(1, n - 1);
+        (self.slice(0, n_train), self.slice(n_train, n))
     }
 
     /// Standardises every feature column (zero mean, unit variance) for dense
@@ -130,7 +146,7 @@ impl Dataset {
     /// destroy sparsity), matching standard practice for sparse text/genomics
     /// data.
     pub fn standardized(&self) -> Dataset {
-        match &self.features {
+        match &*self.features {
             Matrix::Sparse(_) => self.clone(),
             Matrix::Dense(d) => {
                 let means = d.col_means();
@@ -144,7 +160,7 @@ impl Dataset {
                     }
                 }
                 Dataset {
-                    features: Matrix::Dense(out),
+                    features: Arc::new(Matrix::Dense(out)),
                     labels: self.labels.clone(),
                     num_classes: self.num_classes,
                     name: self.name.clone(),
@@ -248,6 +264,53 @@ mod tests {
         let (tr, te) = d.split(0.9);
         assert_eq!(tr.num_samples() + te.num_samples(), 4);
         assert!(te.num_samples() >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot split dataset `one` with 1 sample(s)")]
+    fn split_rejects_a_single_sample_dataset() {
+        Dataset::new("one", Matrix::Dense(DenseMatrix::zeros(1, 2)), vec![0], 2).split(0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot split dataset `none` with 0 sample(s)")]
+    fn split_rejects_an_empty_dataset() {
+        Dataset::new("none", Matrix::Dense(DenseMatrix::zeros(0, 2)), vec![], 2).split(0.5);
+    }
+
+    fn shares_storage(a: &Dataset, b: &Dataset) -> bool {
+        Arc::ptr_eq(&a.shared_features(), &b.shared_features())
+    }
+
+    #[test]
+    fn identity_slices_clones_and_sparse_standardization_share_the_features() {
+        let d = toy();
+        let whole = d.slice(0, 4);
+        assert!(shares_storage(&d, &whole));
+        assert_eq!(whole.name(), "toy[0..4]");
+        assert_eq!(whole.labels(), d.labels());
+        assert!(shares_storage(&d, &d.clone()));
+        let csr = nadmm_linalg::CsrMatrix::from_dense(&d.features().to_dense());
+        let sparse = Dataset::new("toy-csr", Matrix::Sparse(csr), d.labels().to_vec(), 3);
+        assert!(shares_storage(&sparse, &sparse.standardized()));
+        assert!(shares_storage(&sparse, &sparse.slice(0, 4)));
+    }
+
+    #[test]
+    fn proper_slices_selections_and_dense_standardization_copy_bit_for_bit() {
+        let d = toy();
+        let tail = d.slice(1, 4);
+        assert!(!shares_storage(&d, &tail));
+        assert_eq!(tail.features(), &d.features().slice_rows(1, 4));
+        assert_eq!(tail.name(), "toy[1..4]");
+        let all = d.select(&[0, 1, 2, 3]);
+        assert!(
+            !shares_storage(&d, &all),
+            "a selection is a copy even when it names every row"
+        );
+        assert_eq!(all.features(), &d.features().select_rows(&[0, 1, 2, 3]));
+        assert!(!shares_storage(&d, &d.standardized()));
+        assert_eq!(d.features().to_dense().get(3, 1), 7.0, "the source is never written through");
     }
 
     #[test]

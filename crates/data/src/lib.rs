@@ -25,7 +25,7 @@ pub use libsvm::{
     parse_libsvm, parse_libsvm_pair, parse_libsvm_with_schema, read_libsvm, read_libsvm_pair, read_libsvm_with_schema,
     LibsvmError, LibsvmSchema,
 };
-pub use partition::{partition_strong, partition_weak, PartitionPlan};
+pub use partition::{partition_strong, partition_weak, strong_range, PartitionPlan};
 pub use synthetic::{DatasetKind, SyntheticConfig};
 
 #[cfg(test)]

@@ -21,15 +21,32 @@ pub struct PartitionPlan {
 }
 
 impl PartitionPlan {
+    /// The plan that describes `shards` (one per worker, in rank order).
+    pub fn of(mode: &str, shards: &[Dataset]) -> Self {
+        Self {
+            num_workers: shards.len(),
+            samples_per_worker: shards.iter().map(Dataset::num_samples).collect(),
+            mode: mode.to_string(),
+        }
+    }
+
     /// Total number of samples across all workers.
     pub fn total_samples(&self) -> usize {
         self.samples_per_worker.iter().sum()
     }
 }
 
+/// Rows of worker `w` when `n` samples are strong-scaled across `num_workers`:
+/// contiguous, (nearly) equal, the first `n % num_workers` one sample longer.
+pub fn strong_range(n: usize, num_workers: usize, w: usize) -> std::ops::Range<usize> {
+    let (base, extra) = (n / num_workers, n % num_workers);
+    let start = w * base + w.min(extra);
+    start..start + base + usize::from(w < extra)
+}
+
 /// Strong-scaling partition: splits the *entire* dataset across `num_workers`
 /// shards of (nearly) equal size. Every sample is assigned to exactly one
-/// worker; the first `n % num_workers` workers get one extra sample.
+/// worker, in the rows [`strong_range`] gives it.
 ///
 /// # Panics
 /// Panics if `num_workers == 0` or exceeds the number of samples.
@@ -37,22 +54,9 @@ pub fn partition_strong(data: &Dataset, num_workers: usize) -> (Vec<Dataset>, Pa
     assert!(num_workers > 0, "need at least one worker");
     let n = data.num_samples();
     assert!(num_workers <= n, "cannot split {n} samples across {num_workers} workers");
-    let base = n / num_workers;
-    let extra = n % num_workers;
-    let mut shards = Vec::with_capacity(num_workers);
-    let mut sizes = Vec::with_capacity(num_workers);
-    let mut start = 0usize;
-    for w in 0..num_workers {
-        let len = base + usize::from(w < extra);
-        shards.push(data.slice(start, start + len));
-        sizes.push(len);
-        start += len;
-    }
-    let plan = PartitionPlan {
-        num_workers,
-        samples_per_worker: sizes,
-        mode: "strong".to_string(),
-    };
+    let ranges = (0..num_workers).map(|w| strong_range(n, num_workers, w));
+    let shards: Vec<Dataset> = ranges.map(|r| data.slice(r.start, r.end)).collect();
+    let plan = PartitionPlan::of("strong", &shards);
     (shards, plan)
 }
 
@@ -80,11 +84,7 @@ pub fn partition_weak(data: &Dataset, num_workers: usize, per_worker: usize) -> 
     for w in 0..num_workers {
         shards.push(data.slice(w * per_worker, (w + 1) * per_worker));
     }
-    let plan = PartitionPlan {
-        num_workers,
-        samples_per_worker: vec![per_worker; num_workers],
-        mode: "weak".to_string(),
-    };
+    let plan = PartitionPlan::of("weak", &shards);
     (shards, plan)
 }
 
@@ -160,5 +160,32 @@ mod tests {
         assert_eq!(plan.samples_per_worker, vec![7]);
         let (w, _) = partition_weak(&d, 1, 7);
         assert_eq!(w[0].num_samples(), 7);
+    }
+
+    #[test]
+    fn a_single_worker_partition_shares_the_feature_storage() {
+        let d = dataset(7);
+        let shares = |shard: &Dataset| std::sync::Arc::ptr_eq(&shard.shared_features(), &d.shared_features());
+        let (s, _) = partition_strong(&d, 1);
+        assert!(shares(&s[0]));
+        assert_eq!(s[0].name(), "part-test[0..7]");
+        assert!(shares(&partition_weak(&d, 1, 7).0[0]));
+        assert!(!shares(&partition_strong(&d, 2).0[0]));
+    }
+
+    #[test]
+    fn strong_ranges_tile_the_samples_in_rank_order() {
+        for n in [1usize, 7, 10, 64] {
+            for workers in 1..=n.min(5) {
+                let mut next = 0;
+                for w in 0..workers {
+                    let r = strong_range(n, workers, w);
+                    assert_eq!(r.start, next);
+                    assert_eq!(r.len(), n / workers + usize::from(w < n % workers));
+                    next = r.end;
+                }
+                assert_eq!(next, n);
+            }
+        }
     }
 }

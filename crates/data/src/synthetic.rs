@@ -248,18 +248,19 @@ impl SyntheticConfig {
         } else {
             // Sparsify: keep each entry with probability `density`, clamp to
             // non-negative counts (gene-expression-like), drop exact zeros.
-            let mut triplets = Vec::new();
+            // The row-major mask visits entries in CSR order already.
+            let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
             for i in 0..n {
-                for j in 0..p {
-                    if rng.gen::<f64>() < self.density {
-                        let v = dense.get(i, j).abs();
-                        if v > 1e-9 {
-                            triplets.push((i, j, v));
-                        }
+                for (j, v) in dense.row(i).iter().enumerate() {
+                    if rng.gen::<f64>() < self.density && v.abs() > 1e-9 {
+                        indices.push(j);
+                        values.push(v.abs());
                     }
                 }
+                indptr.push(indices.len());
             }
-            let csr = CsrMatrix::from_triplets(n, p, &triplets);
+            drop(dense);
+            let csr = CsrMatrix::from_raw(n, p, indptr, indices, values);
             Dataset::new(name, Matrix::Sparse(csr), labels, c)
         };
         (dataset, means)
@@ -313,6 +314,39 @@ mod tests {
         // Density should be roughly the configured 5%.
         let density = train.features().stored_entries() as f64 / (80.0 * 200.0);
         assert!(density < 0.15, "density {density} too high for a sparse dataset");
+    }
+
+    #[test]
+    fn the_sparse_generator_equals_from_triplets_of_the_same_draws() {
+        let sparse_cfg = SyntheticConfig::e18_like().with_train_size(300).with_num_features(200);
+        // Density only matters after the dense draws, so the dense twin
+        // replays them and leaves the RNG where the mask starts.
+        let dense_cfg = SyntheticConfig {
+            density: 1.0,
+            ..sparse_cfg.clone()
+        };
+        for seed in [11, 23] {
+            let mut rng = gen::seeded_rng(seed);
+            let (dense, _) = dense_cfg.generate_split(300, &mut rng, "train", None);
+            let dense = dense.features().to_dense();
+            let mut triplets = Vec::new();
+            for i in 0..300 {
+                for j in 0..200 {
+                    if rng.gen::<f64>() < sparse_cfg.density && dense.get(i, j).abs() > 1e-9 {
+                        triplets.push((i, j, dense.get(i, j).abs()));
+                    }
+                }
+            }
+            let expected = CsrMatrix::from_triplets(300, 200, &triplets);
+            let (generated, _) = sparse_cfg.generate_split(300, &mut gen::seeded_rng(seed), "train", None);
+            let Matrix::Sparse(generated) = generated.features() else {
+                panic!("an e18-like dataset is CSR");
+            };
+            assert_eq!(generated, &expected);
+            let bits = |m: &CsrMatrix| (0..300).flat_map(|i| m.row(i).1.to_vec()).map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(generated), bits(&expected));
+            assert!(generated.nnz() > 2_000, "the mask kept about 5 % of 60 000 entries");
+        }
     }
 
     #[test]

@@ -48,9 +48,7 @@ impl From<ConfigError> for ExperimentError {
 }
 
 /// The experiment's data source: a declarative spec or materialized
-/// in-memory datasets. One instance exists per experiment, so the size gap
-/// between a spec and a whole dataset is irrelevant.
-#[allow(clippy::large_enum_variant)]
+/// in-memory datasets.
 #[derive(Debug, Clone)]
 enum DataSource {
     Spec(DataSpec),
@@ -212,8 +210,8 @@ impl Experiment {
 
     /// Runs every solver with this process acting as **one rank** of a
     /// cluster connected over `transport` (e.g. TCP sockets to peer
-    /// processes started by the launcher). Every rank loads and partitions
-    /// the same data identically and keeps its own shard; collectives run
+    /// processes started by the launcher). Every rank loads the same data
+    /// identically and cuts only its own shard of it; collectives run
     /// over the transport against the same simulated cost models as
     /// [`Experiment::run`], so the reports are byte-identical to the
     /// thread-backed ones. Returns `Some(reports)` on rank 0 — the rank
@@ -242,9 +240,8 @@ impl Experiment {
                 (&loaded.0, loaded.1.as_ref())
             }
         };
-        let (shards, _plan) = self.partition.apply(train, self.cluster.ranks)?;
         let rank = transport.rank();
-        let shard = &shards[rank];
+        let shard = &self.partition.shard(train, self.cluster.ranks, rank)?;
         let cluster = self.cluster.build();
         let rank_devices = self.cluster.rank_devices.as_deref();
         let root = rank == 0;

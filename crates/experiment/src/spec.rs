@@ -9,7 +9,7 @@
 use crate::solver::{Aide, Solver};
 use nadmm_baselines::{AideConfig, DaneConfig, Disco, DiscoConfig, Giant, GiantConfig, InexactDane, SyncSgd, SyncSgdConfig};
 use nadmm_cluster::{Cluster, CollectiveSelector, Compression, NetworkModel, StragglerModel, TransportSpec};
-use nadmm_data::{partition_strong, partition_weak, read_libsvm, read_libsvm_pair, Dataset, PartitionPlan, SyntheticConfig};
+use nadmm_data::{read_libsvm, read_libsvm_pair, strong_range, Dataset, PartitionPlan, SyntheticConfig};
 use nadmm_device::DeviceSpec;
 use nadmm_solver::validate::{require_nonzero, require_positive, ConfigError};
 use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
@@ -111,18 +111,19 @@ pub enum PartitionSpec {
 }
 
 impl PartitionSpec {
-    /// Splits `data` into one shard per rank, returning an error (instead of
-    /// panicking) when the dataset is too small for the requested layout.
-    pub fn apply(&self, data: &Dataset, ranks: usize) -> Result<(Vec<Dataset>, PartitionPlan), crate::ExperimentError> {
+    /// Cuts only `rank`'s shard of `data` split across `ranks`; a dataset too
+    /// small for the requested layout is an error, not a panic.
+    pub fn shard(&self, data: &Dataset, ranks: usize, rank: usize) -> Result<Dataset, crate::ExperimentError> {
+        assert!(rank < ranks, "rank {rank} is not one of {ranks} ranks");
         let n = data.num_samples();
-        match self {
+        let rows = match self {
             PartitionSpec::Strong => {
                 if ranks > n {
                     return Err(crate::ExperimentError::Partition(format!(
                         "cannot split {n} samples across {ranks} ranks"
                     )));
                 }
-                Ok(partition_strong(data, ranks))
+                strong_range(n, ranks, rank)
             }
             PartitionSpec::Weak { per_worker } => {
                 if *per_worker == 0 {
@@ -138,9 +139,19 @@ impl PartitionSpec {
                         "weak scaling needs {needed} samples but the dataset has {n}"
                     )));
                 }
-                Ok(partition_weak(data, ranks, *per_worker))
+                rank * per_worker..(rank + 1) * per_worker
             }
-        }
+        };
+        Ok(data.slice(rows.start, rows.end))
+    }
+
+    /// Splits `data` into one shard per rank: [`PartitionSpec::shard`] for
+    /// every rank, with the same errors.
+    pub fn apply(&self, data: &Dataset, ranks: usize) -> Result<(Vec<Dataset>, PartitionPlan), crate::ExperimentError> {
+        let shards = (0..ranks).map(|r| self.shard(data, ranks, r)).collect::<Result<Vec<_>, _>>()?;
+        let mode = if *self == PartitionSpec::Strong { "strong" } else { "weak" };
+        let plan = PartitionPlan::of(mode, &shards);
+        Ok((shards, plan))
     }
 }
 
@@ -649,6 +660,58 @@ mod tests {
         let (shards, plan) = PartitionSpec::Weak { per_worker: 5 }.apply(&train, 2).unwrap();
         assert_eq!(shards.len(), 2);
         assert_eq!(plan.total_samples(), 10);
+    }
+
+    #[test]
+    fn one_rank_shards_equal_the_whole_partition_and_fail_the_same_way() {
+        let (train, _) = SyntheticConfig::mnist_like()
+            .with_train_size(23)
+            .with_test_size(0)
+            .with_num_features(4)
+            .generate(1);
+        for ranks in 1..=5 {
+            for spec in [PartitionSpec::Strong, PartitionSpec::Weak { per_worker: 4 }] {
+                let (shards, plan) = spec.apply(&train, ranks).unwrap();
+                assert_eq!(plan.num_workers, ranks);
+                assert_eq!(plan.mode, if spec == PartitionSpec::Strong { "strong" } else { "weak" });
+                for (r, whole) in shards.iter().enumerate() {
+                    let one = spec.shard(&train, ranks, r).unwrap();
+                    assert_eq!(one.features(), whole.features());
+                    assert_eq!(one.labels(), whole.labels());
+                    assert_eq!(one.name(), whole.name());
+                    assert_eq!(plan.samples_per_worker[r], one.num_samples());
+                }
+            }
+            // The row ranges are `nadmm_data`'s.
+            let (reference, reference_plan) = nadmm_data::partition_strong(&train, ranks);
+            let (shards, plan) = PartitionSpec::Strong.apply(&train, ranks).unwrap();
+            assert_eq!(plan, reference_plan);
+            for (a, b) in shards.iter().zip(&reference) {
+                assert_eq!((a.features(), a.name()), (b.features(), b.name()));
+            }
+        }
+        let weak = PartitionSpec::Weak { per_worker: 4 };
+        assert_eq!(weak.apply(&train, 3).unwrap().1, nadmm_data::partition_weak(&train, 3, 4).1);
+        let huge = PartitionSpec::Weak {
+            per_worker: usize::MAX / 2,
+        };
+        for (spec, ranks) in [
+            (PartitionSpec::Strong, 24),
+            (PartitionSpec::Weak { per_worker: 6 }, 4),
+            (PartitionSpec::Weak { per_worker: 0 }, 2),
+            (huge, 3),
+        ] {
+            let whole = spec.apply(&train, ranks).unwrap_err();
+            assert!(matches!(whole, crate::ExperimentError::Partition(_)));
+            for r in 0..ranks {
+                assert_eq!(spec.shard(&train, ranks, r).unwrap_err(), whole);
+            }
+        }
+        let err = PartitionSpec::Strong.shard(&train, 24, 23).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "partitioning failed: cannot split 23 samples across 24 ranks"
+        );
     }
 
     #[test]

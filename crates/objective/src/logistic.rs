@@ -13,12 +13,13 @@ use crate::traits::{HvpState, Objective};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace};
 use nadmm_linalg::{reduce, Matrix};
+use std::sync::Arc;
 
 /// Binary logistic regression objective, executing its matrix–vector kernels
-/// through the [`Device`] engine.
+/// through the [`Device`] engine, on the dataset's own (shared) features.
 #[derive(Debug, Clone)]
 pub struct BinaryLogistic {
-    features: Matrix,
+    features: Arc<Matrix>,
     labels: Vec<f64>,
     device: Device,
     /// L2 regularization weight λ.
@@ -33,7 +34,7 @@ impl BinaryLogistic {
     pub fn new(data: &Dataset, lambda: f64) -> Self {
         assert_eq!(data.num_classes(), 2, "BinaryLogistic needs a two-class dataset");
         Self {
-            features: data.features().clone(),
+            features: data.shared_features(),
             labels: data.labels().iter().map(|&l| if l == 0 { 1.0 } else { 0.0 }).collect(),
             device: Device::default(),
             lambda,
@@ -189,6 +190,13 @@ mod tests {
         assert!(BinaryLogistic::sigmoid(1000.0) <= 1.0);
         assert!(BinaryLogistic::sigmoid(-1000.0) >= 0.0);
         assert!((BinaryLogistic::sigmoid(2.0) + BinaryLogistic::sigmoid(-2.0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_objective_shares_the_dataset_features_instead_of_copying_them() {
+        let data = higgs_small();
+        let obj = BinaryLogistic::new(&data, 1e-3).with_device(Device::default());
+        assert!(Arc::ptr_eq(&obj.features, &data.shared_features()));
     }
 
     #[test]

@@ -23,16 +23,17 @@ use crate::traits::{HvpState, Objective};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace};
 use nadmm_linalg::{reduce, DenseMatrix, Matrix, SweepBuffers};
+use std::sync::Arc;
 
 /// Softmax cross-entropy objective over a dataset shard.
 ///
 /// All dense kernel work (margins GEMM, row softmax, gradient/HVP sweeps)
 /// executes through the attached [`Device`] engine, which charges the
 /// simulated-GPU cost model per launch, reusing pooled buffers: zero heap
-/// allocations once warm.
+/// allocations once warm. The features are the shard's own storage, shared.
 #[derive(Debug, Clone)]
 pub struct SoftmaxCrossEntropy {
-    features: Matrix,
+    features: Arc<Matrix>,
     one_hot: DenseMatrix,
     labels: Vec<usize>,
     num_classes: usize,
@@ -48,7 +49,7 @@ impl SoftmaxCrossEntropy {
     /// one device (one simulated clock) across a worker's objectives.
     pub fn new(data: &Dataset, lambda: f64) -> Self {
         Self {
-            features: data.features().clone(),
+            features: data.shared_features(),
             one_hot: data.one_hot_reduced(),
             labels: data.labels().to_vec(),
             num_classes: data.num_classes(),
@@ -313,6 +314,21 @@ mod tests {
         assert_eq!(obj.num_classes(), 5);
         assert_eq!(obj.num_features(), 6);
         assert_eq!(train.weight_dim(), obj.dim());
+    }
+
+    #[test]
+    fn the_objective_shares_the_shard_features_instead_of_copying_them() {
+        use crate::proximal::ProximalAugmented;
+        for sparse in [false, true] {
+            let (train, obj) = small_problem(4, sparse);
+            assert!(Arc::ptr_eq(&obj.features, &train.shared_features()));
+            // `AdmmWorker::new`'s construction: the shard's objective on the
+            // rank's device, owned by the augmented objective.
+            let local = SoftmaxCrossEntropy::new(&train, 0.0).with_device(Device::default());
+            let aug = ProximalAugmented::new(local, vec![0.0; obj.dim()], vec![0.0; obj.dim()], 1.0);
+            assert!(Arc::ptr_eq(&aug.base().features, &train.shared_features()));
+            assert!(Arc::ptr_eq(&aug.base().clone().features, &train.shared_features()));
+        }
     }
 
     #[test]
