@@ -69,6 +69,24 @@ fn bench_gemm(c: &mut Criterion) {
             black_box(out.as_slice()[0])
         });
     });
+    // Served shapes: `serve_mnist_mix`'s four batch sizes, and one E18 batch
+    // (requests are dense rows). The id ends in the kernel path that ran.
+    for (batch, p, c1) in [(1, 784, 9), (8, 784, 9), (32, 784, 9), (256, 784, 9), (256, 2800, 19)] {
+        let shape = if c1 == 9 {
+            format!("{batch}x{p}")
+        } else {
+            format!("{batch}x{p}x{c1}")
+        };
+        let x = Matrix::Dense(gen::gaussian_matrix(batch, p, &mut rng));
+        let w = gen::gaussian_matrix(c1, p, &mut rng);
+        let mut out = DenseMatrix::zeros(batch, c1);
+        group.bench_function(format!("dense_into/{shape}/{}", nadmm_linalg::dense_kernel_path()), |b| {
+            b.iter(|| {
+                x.gemm_nt_into(&w, &mut out).unwrap();
+                black_box(out.as_slice()[0])
+            });
+        });
+    }
     let shard = csr_shard();
     let xs = shard.features();
     let (n, p, c1) = CSR_SHARD;

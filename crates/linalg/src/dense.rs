@@ -12,9 +12,16 @@
 //! rows, every element taking its rows' products in ascending order,
 //! exact-zero coefficients skipped) — applied to the same rows a sub-block at
 //! a time inside `scatter_rows`' chunks. `gemm_tn_into` applies `tn_rows_acc`
-//! chunk by chunk and `gemm_nt_into` writes each element as [`vector::dot`]
-//! itself, which is why one pass over the features and two passes give the
-//! same bits.
+//! chunk by chunk and `gemm_nt_into` applies `nt_rows` chunk by chunk, which
+//! is why one pass over the features and two passes give the same bits.
+//!
+//! Both row-block kernels have two bodies: the portable one, and on x86-64
+//! hosts whose CPUID reports AVX2 a 256-bit one, picked inside the kernel on
+//! every call ([`dense_kernel_path`] says which). The AVX2 bodies keep the
+//! portable arithmetic operation for operation — the same eight dot lanes,
+//! the same reduction tree, a multiply and then an add, never a fused
+//! multiply-add — so the two bodies agree bit for bit (NaN payloads aside,
+//! which no Rust source pins down) and the choice moves cost only.
 
 use crate::error::{LinalgError, Result};
 use crate::vector;
@@ -354,27 +361,56 @@ impl DenseMatrix {
         rayon::det::run(self.rows, 1, use_pool, |s, e| {
             // SAFETY: canonical chunks are disjoint row ranges of `out`.
             let block = unsafe { std::slice::from_raw_parts_mut(op.get().add(s * brows), (e - s) * brows) };
-            for (i, out_row) in (s..e).zip(block.chunks_exact_mut(brows)) {
-                let arow = self.row(i);
-                for (j, oj) in out_row.iter_mut().enumerate() {
-                    *oj = vector::dot(arow, b.row(j));
-                }
-            }
+            self.nt_rows(s, e, b, block);
         });
         Ok(())
     }
 
     /// Rows `s..e` of `A · Bᵀ` into `out_rows` (`(e − s) × B.rows`, row-major,
-    /// `B.rows > 0`): the fused sweep's kernel. Every element is bit for bit
-    /// [`vector::dot`] of its row pair — [`DenseMatrix::gemm_nt_into`]'s
-    /// value — without entering the `rayon::det` dispatcher once per element;
-    /// rows are independent, so callers may cut `s..e` anywhere.
+    /// `B.rows > 0`): the kernel of the fused sweep and of
+    /// [`DenseMatrix::gemm_nt_into`]. Every element is bit for bit
+    /// [`vector::dot`] of its row pair, without entering the `rayon::det`
+    /// dispatcher once per element; rows are independent, so callers may cut
+    /// `s..e` anywhere.
     pub(crate) fn nt_rows(&self, s: usize, e: usize, b: &DenseMatrix, out_rows: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU running this code reports AVX2, the one
+            // feature `nt_rows_avx2` is compiled for.
+            return unsafe { self.nt_rows_avx2(s, e, b, out_rows) };
+        }
+        self.nt_rows_portable(s, e, b, out_rows)
+    }
+
+    /// [`DenseMatrix::nt_rows`] in portable Rust: the only body on other
+    /// hosts, and the reference the AVX2 body is held to.
+    fn nt_rows_portable(&self, s: usize, e: usize, b: &DenseMatrix, out_rows: &mut [f64]) {
         let chunk_len = vector::reduce_chunk_len(self.cols);
         for (i, out_row) in (s..e).zip(out_rows.chunks_exact_mut(b.rows)) {
             let arow = self.row(i);
             for (j, oj) in out_row.iter_mut().enumerate() {
                 *oj = vector::dot_in_chunk(arow, b.row(j), chunk_len);
+            }
+        }
+    }
+
+    /// [`DenseMatrix::nt_rows`] for AVX2 hosts: a row of `A` is walked once
+    /// per [`NT_CLASS_BLOCK`] rows of `B` instead of once per row, see
+    /// [`row_dots_avx2`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn nt_rows_avx2(&self, s: usize, e: usize, b: &DenseMatrix, out_rows: &mut [f64]) {
+        let chunk_len = vector::reduce_chunk_len(self.cols);
+        for (i, out_row) in (s..e).zip(out_rows.chunks_exact_mut(b.rows)) {
+            let arow = self.row(i);
+            for (block, out_block) in out_row.chunks_mut(NT_CLASS_BLOCK).enumerate() {
+                let j = block * NT_CLASS_BLOCK;
+                let b_rows = b.rows_slice(j, j + out_block.len());
+                match out_block.len() {
+                    NT_CLASS_BLOCK => row_dots_avx2::<NT_CLASS_BLOCK>(arow, b_rows, chunk_len, out_block),
+                    2 => row_dots_avx2::<2>(arow, b_rows, chunk_len, out_block),
+                    _ => row_dots_avx2::<1>(arow, b_rows, chunk_len, out_block),
+                }
             }
         }
     }
@@ -493,6 +529,79 @@ impl DenseMatrix {
     }
 }
 
+/// Which bodies the dense row-block kernels (`X·Wᵀ` and `Mᵀ·X`) run on this
+/// host: `"avx2"` or `"portable"`. Same bits either way; benches record it
+/// next to their timings.
+pub fn dense_kernel_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
+
+/// Rows of `B` the AVX2 `A·Bᵀ` body takes through one pass over a row of `A`;
+/// `nt_rows_avx2` finishes a row count that is no multiple with a block of 2
+/// or of 1.
+#[cfg(target_arch = "x86_64")]
+const NT_CLASS_BLOCK: usize = 3;
+
+/// `out[c] = x · w[c·p..(c+1)·p]` for `B` contiguous rows of length
+/// `p = x.len()`, each [`vector::dot_in_chunk`]'s value bit for bit:
+/// [`vector::dot_kernel`]'s eight lanes are two 256-bit accumulators per row
+/// (a multiply, then an add), finished by its reduction tree and sequential
+/// tail, and the `chunk_len` partials fold left to right. One load of `x`
+/// serves all `B` rows, whose `2·B` accumulators are independent add chains.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn row_dots_avx2<const B: usize>(x: &[f64], w: &[f64], chunk_len: usize, out: &mut [f64]) {
+    use std::arch::x86_64::{_mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd};
+    let p = x.len();
+    assert!(
+        w.len() == B * p && out.len() == B,
+        "row_dots_avx2: {} weights, {} outputs for {B} rows of {p}",
+        w.len(),
+        out.len()
+    );
+    out.fill(0.0);
+    for s in (0..p).step_by(chunk_len) {
+        let e = (s + chunk_len).min(p);
+        let tail_start = e - (e - s) % 8;
+        let mut lanes = [[_mm256_setzero_pd(); 2]; B];
+        for g in (s..tail_start).step_by(8) {
+            // SAFETY: `g + 8 <= tail_start <= p`, `x` holds `p` elements and
+            // `w` holds `B` rows of `p` (asserted above), so all four-element
+            // loads at `g` and `g + 4` of `x` and of row `c < B` are in bounds.
+            unsafe {
+                let (x_lo, x_hi) = (_mm256_loadu_pd(x.as_ptr().add(g)), _mm256_loadu_pd(x.as_ptr().add(g + 4)));
+                for (c, [lo, hi]) in lanes.iter_mut().enumerate() {
+                    let w_c = w.as_ptr().add(c * p + g);
+                    *lo = _mm256_add_pd(*lo, _mm256_mul_pd(x_lo, _mm256_loadu_pd(w_c)));
+                    *hi = _mm256_add_pd(*hi, _mm256_mul_pd(x_hi, _mm256_loadu_pd(w_c.add(4))));
+                }
+            }
+        }
+        for (c, (o, [lo, hi])) in out.iter_mut().zip(lanes).enumerate() {
+            let mut acc = [0.0f64; 8];
+            // SAFETY: `acc` holds eight elements, four per store.
+            unsafe {
+                _mm256_storeu_pd(acc.as_mut_ptr(), lo);
+                _mm256_storeu_pd(acc.as_mut_ptr().add(4), hi);
+            }
+            let mut tail = 0.0;
+            for (a, b) in x[tail_start..e].iter().zip(&w[c * p + tail_start..c * p + e]) {
+                tail += a * b;
+            }
+            let part = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail;
+            if s == 0 {
+                *o = part;
+            } else {
+                *o += part;
+            }
+        }
+    }
+}
+
 /// `drow += a · x_row`, unless `a` is an exact zero.
 #[inline]
 fn add_scaled_row(a: f64, x_row: &[f64], drow: &mut [f64]) {
@@ -511,6 +620,27 @@ fn add_scaled_row(a: f64, x_row: &[f64], drow: &mut [f64]) {
 /// store of a `dst` row; a group holding an exact zero for a class goes row
 /// by row for that class.
 pub(crate) fn tn_rows_acc(m_rows: &[f64], k: usize, x_rows: &[f64], p: usize, dst: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU running this code reports AVX2, the one feature
+        // `tn_rows_acc_avx2` is compiled for.
+        return unsafe { tn_rows_acc_avx2(m_rows, k, x_rows, p, dst) };
+    }
+    tn_rows_acc_portable(m_rows, k, x_rows, p, dst)
+}
+
+/// [`tn_rows_acc_portable`]'s source compiled a second time, for AVX2: the
+/// elementwise loop runs four elements to a register. Rust never contracts a
+/// multiply and an add into one rounding, so no bit can differ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tn_rows_acc_avx2(m_rows: &[f64], k: usize, x_rows: &[f64], p: usize, dst: &mut [f64]) {
+    tn_rows_acc_portable(m_rows, k, x_rows, p, dst)
+}
+
+/// [`tn_rows_acc`]'s one source, inlined into each of its two builds.
+#[inline(always)]
+fn tn_rows_acc_portable(m_rows: &[f64], k: usize, x_rows: &[f64], p: usize, dst: &mut [f64]) {
     if k == 0 || p == 0 {
         return;
     }
@@ -677,5 +807,186 @@ mod tests {
     fn transpose_round_trip() {
         let m = small();
         assert_eq!(m.transpose().transpose(), m);
+    }
+
+    /// The bits of `v`, every NaN alike: when two NaNs meet, which payload
+    /// survives depends on the operand order the compiler picked — in the
+    /// portable body as much as in the AVX2 one.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() })
+            .collect()
+    }
+
+    /// Gaussian entries with `+0.0`, `−0.0`, both infinities and a NaN mixed
+    /// in (`awkward_features` of `proptest_parallel.rs`, plus the NaN).
+    fn awkward(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+        let mut x = crate::gen::gaussian_matrix(rows, cols, &mut crate::gen::seeded_rng(seed));
+        for i in 0..rows {
+            for j in 0..cols {
+                match (i * 7 + j * 5) % 17 {
+                    0 => x.set(i, j, 0.0),
+                    1 => x.set(i, j, -0.0),
+                    _ => {}
+                }
+            }
+        }
+        for (i, j, v) in [
+            (0, 11, f64::NAN),
+            (1, 0, f64::INFINITY),
+            (2, 1, f64::NEG_INFINITY),
+            (2, 9, f64::INFINITY),
+        ] {
+            if i < rows && j < cols {
+                x.set(i, j, v);
+            }
+        }
+        x
+    }
+
+    /// `(rows, k, cols)`: every class-block remainder (`k`), column tails and
+    /// one, two and three `REDUCE_CHUNK`s (`cols`), row groups of four with
+    /// and without a remainder (`rows`) — the full cross product below a few
+    /// hundred columns, and past that every `k` at one row count and every
+    /// row count at one `k`.
+    fn kernel_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for cols in [1, 7, 8, 9, 15, 783, 784, 4096, 4097, 8200] {
+            for k in 1..=21 {
+                for rows in [1, 3, 4, 5, 31, 32, 33] {
+                    if cols < 783 || rows == 5 || k == 4 {
+                        shapes.push((rows, k, cols));
+                    }
+                }
+            }
+        }
+        shapes
+    }
+
+    /// `vector::dot` one scalar at a time: eight lanes, `dot_kernel`'s tree,
+    /// the sequential tail, and the `REDUCE_CHUNK` partials left to right.
+    fn dot_spelled_out(x: &[f64], w: &[f64]) -> f64 {
+        let mut total: Option<f64> = None;
+        for (xc, wc) in x.chunks(4096).zip(w.chunks(4096)) {
+            let full = xc.len() / 8 * 8;
+            let mut lanes = [0.0f64; 8];
+            for t in 0..full {
+                lanes[t % 8] += xc[t] * wc[t];
+            }
+            let mut tail = 0.0;
+            for t in full..xc.len() {
+                tail += xc[t] * wc[t];
+            }
+            let part = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])) + tail;
+            total = Some(total.map_or(part, |t| t + part));
+        }
+        total.unwrap_or(0.0)
+    }
+
+    /// Rows `s..e` of `x · wᵀ` from every body this host can run.
+    fn nt_bodies(x: &DenseMatrix, s: usize, e: usize, w: &DenseMatrix) -> Vec<(&'static str, Vec<f64>)> {
+        let fresh = || vec![7.0; (e - s) * w.rows()];
+        let mut outs = vec![("portable", fresh()), ("chosen", fresh())];
+        x.nt_rows_portable(s, e, w, &mut outs[0].1);
+        x.nt_rows(s, e, w, &mut outs[1].1);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let mut out = fresh();
+            // SAFETY: AVX2 was detected on the line above.
+            unsafe { x.nt_rows_avx2(s, e, w, &mut out) };
+            outs.push(("avx2", out));
+        }
+        outs
+    }
+
+    /// `dst + mᵀ · x` from every body this host can run.
+    fn tn_bodies(m: &DenseMatrix, x: &DenseMatrix, dst: &[f64]) -> Vec<(&'static str, Vec<f64>)> {
+        let (k, p) = (m.cols(), x.cols());
+        let mut outs = vec![("portable", dst.to_vec()), ("chosen", dst.to_vec())];
+        tn_rows_acc_portable(m.as_slice(), k, x.as_slice(), p, &mut outs[0].1);
+        tn_rows_acc(m.as_slice(), k, x.as_slice(), p, &mut outs[1].1);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let mut out = dst.to_vec();
+            // SAFETY: AVX2 was detected on the line above.
+            unsafe { tn_rows_acc_avx2(m.as_slice(), k, x.as_slice(), p, &mut out) };
+            outs.push(("avx2", out));
+        }
+        outs
+    }
+
+    #[test]
+    fn dense_kernel_nt_rows_bodies_equal_the_dot_spelled_out_scalar_by_scalar() {
+        for (rows, k, cols) in kernel_shapes() {
+            // One spare row on either side: the kernels take a row range.
+            let x = awkward(rows + 2, cols, (rows * 31 + k) as u64);
+            let w = awkward(k, cols, (cols + 17 * k) as u64);
+            let expect = DenseMatrix::from_fn(rows, k, |i, c| dot_spelled_out(x.row(i + 1), w.row(c)));
+            assert_eq!(expect.get(0, 0).to_bits(), vector::dot(x.row(1), w.row(0)).to_bits());
+            for (body, out) in nt_bodies(&x, 1, rows + 1, &w) {
+                assert_eq!(
+                    bits(&out),
+                    bits(expect.as_slice()),
+                    "{body} nt_rows at {rows}x{cols}, k = {k}"
+                );
+            }
+        }
+        // The public product is the same kernel chunk by chunk.
+        let (x, w) = (awkward(300, 15, 1), awkward(5, 15, 2));
+        let expect = DenseMatrix::from_fn(300, 5, |i, c| dot_spelled_out(x.row(i), w.row(c)));
+        assert_eq!(bits(x.gemm_nt(&w).unwrap().as_slice()), bits(expect.as_slice()));
+    }
+
+    #[test]
+    fn dense_kernel_tn_rows_acc_bodies_equal_ascending_row_adds_with_exact_zeros_skipped() {
+        for (rows, k, cols) in kernel_shapes() {
+            let x = awkward(rows, cols, (rows * 13 + k) as u64);
+            // Coefficients with exact zeros of both signs (so some groups of
+            // four rows take the shared pass and some go row by row) and an
+            // accumulator that already holds `−0.0` and an infinity.
+            let mut m = crate::gen::gaussian_matrix(rows, k, &mut crate::gen::seeded_rng((cols + k) as u64));
+            for i in 0..rows {
+                for c in 0..k {
+                    match (i * 5 + c * 3) % 11 {
+                        0 => m.set(i, c, 0.0),
+                        1 => m.set(i, c, -0.0),
+                        _ => {}
+                    }
+                }
+            }
+            let mut dst = awkward(k, cols, 3).into_vec();
+            dst[0] = -0.0;
+            let mut expect = dst.clone();
+            for i in 0..rows {
+                for c in 0..k {
+                    let a = m.get(i, c);
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for j in 0..cols {
+                        expect[c * cols + j] += a * x.get(i, j);
+                    }
+                }
+            }
+            for (body, out) in tn_bodies(&m, &x, &dst) {
+                assert_eq!(bits(&out), bits(&expect), "{body} tn_rows_acc at {rows}x{cols}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_kernel_path_names_the_bodies_the_tests_above_exercised() {
+        let ran = nt_bodies(&small(), 0, 2, &small()).len();
+        match dense_kernel_path() {
+            "avx2" => {
+                assert_eq!(ran, 3);
+                println!("dense kernels: avx2");
+            }
+            "portable" => {
+                assert_eq!(ran, 2);
+                println!("dense kernels: portable (AVX2 body not exercised on this host)");
+            }
+            other => panic!("unknown dense kernel path {other:?}"),
+        }
     }
 }

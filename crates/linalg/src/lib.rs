@@ -4,9 +4,11 @@
 //! reproduction.
 //!
 //! The crate intentionally avoids external BLAS bindings: every kernel is a
-//! plain-Rust, rayon-parallel implementation so that the whole workspace
-//! builds offline and the simulated GPU device (`nadmm-device`) can reuse the
-//! same kernels while attaching an analytic cost model to them.
+//! plain-Rust, rayon-parallel implementation (the two dense row-block kernels
+//! also carry a `std::arch` AVX2 body with the same bits, see [`dense`]) so
+//! that the whole workspace builds offline and the simulated GPU device
+//! (`nadmm-device`) can reuse the same kernels while attaching an analytic
+//! cost model to them.
 //!
 //! The main building blocks are:
 //!
@@ -36,7 +38,9 @@
 //! products before moving on changes which bytes are in cache, not which
 //! additions happen in which order. Neither do the CSR kernels, which hold
 //! their weight-space operands class-interleaved (see [`sparse`]): that
-//! moves operands, not operations. Scratch comes from the caller
+//! moves operands, not operations. Nor do the AVX2 bodies of the dense
+//! kernels (see [`dense`]): the same operations, four to a register, a
+//! multiply and an add never fused. Scratch comes from the caller
 //! ([`row_partials`] and [`Matrix::sweep_scratch_len`] say how much), so none
 //! of these drivers allocates.
 
@@ -49,7 +53,7 @@ pub mod reduce;
 pub mod sparse;
 pub mod vector;
 
-pub use dense::DenseMatrix;
+pub use dense::{dense_kernel_path, DenseMatrix};
 pub use error::{LinalgError, Result};
 pub use matrix::{Matrix, SweepBuffers};
 pub use sparse::CsrMatrix;

@@ -103,6 +103,22 @@ pub fn argmax(values: &[f64]) -> Option<usize> {
     Some(best)
 }
 
+/// Predicted class for a row of `C − 1` margins beside the implicit reference
+/// class, whose index is `row.len()` and whose margin is 0. The reference
+/// class wins a margin of exactly 0, the lowest index wins among equal
+/// positive margins, and a NaN margin never wins.
+pub fn argmax_with_reference(row: &[f64]) -> usize {
+    let mut best = row.len();
+    let mut best_val = 0.0;
+    for (c, &m) in row.iter().enumerate() {
+        if m > best_val {
+            best_val = m;
+            best = c;
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +197,22 @@ mod tests {
         let serial: f64 = (0..n).map(|i| (i % 7) as f64).sum();
         let par = par_sum_over(n, |i| (i % 7) as f64);
         assert!((serial - par).abs() < 1e-6);
+    }
+
+    #[test]
+    fn argmax_with_reference_tie_rules() {
+        // The reference class (index = number of margins) wins a margin of
+        // exactly 0 of either sign, and everything negative.
+        assert_eq!(argmax_with_reference(&[]), 0);
+        assert_eq!(argmax_with_reference(&[0.0, -0.0, -1.0]), 3);
+        assert_eq!(argmax_with_reference(&[-2.0, f64::NEG_INFINITY]), 2);
+        // The lowest index wins among equal positive margins.
+        assert_eq!(argmax_with_reference(&[1.0, 3.0, 3.0, 2.0]), 1);
+        assert_eq!(argmax_with_reference(&[f64::MIN_POSITIVE, f64::MIN_POSITIVE]), 0);
+        // A NaN margin never wins, wherever it stands.
+        assert_eq!(argmax_with_reference(&[f64::NAN, 2.0, f64::NAN, 5.0]), 3);
+        assert_eq!(argmax_with_reference(&[f64::NAN, -1.0]), 2);
+        assert_eq!(argmax_with_reference(&[f64::NAN, f64::INFINITY]), 1);
     }
 
     #[test]

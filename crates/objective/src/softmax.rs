@@ -115,20 +115,8 @@ impl SoftmaxCrossEntropy {
     pub fn predict(&self, features: &Matrix, x: &[f64]) -> Vec<usize> {
         let w = self.weights_from_flat(x);
         let margins = features.gemm_nt(&w).expect("predict gemm");
-        let c1 = self.num_classes - 1;
         (0..margins.rows())
-            .map(|i| {
-                let row = margins.row(i);
-                let mut best = c1; // reference class, margin 0
-                let mut best_val = 0.0;
-                for (c, &m) in row.iter().enumerate() {
-                    if m > best_val {
-                        best_val = m;
-                        best = c;
-                    }
-                }
-                best
-            })
+            .map(|i| reduce::argmax_with_reference(margins.row(i)))
             .collect()
     }
 

@@ -18,7 +18,7 @@
 use crate::artifact::{ArtifactError, ModelArtifact};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, DeviceSpec, Workspace, WorkspaceStats};
-use nadmm_linalg::{DenseMatrix, Matrix};
+use nadmm_linalg::{reduce, DenseMatrix, Matrix};
 
 /// Simulated cost of one batched predict call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,8 +176,7 @@ impl InferenceSession {
     }
 
     /// Shared core: margins = X·Wᵀ through the device GEMM, then the exact
-    /// training-time argmax (reference class starts as best with margin 0;
-    /// strictly greater margins win).
+    /// training-time argmax ([`reduce::argmax_with_reference`]).
     fn margins_decode(&mut self, x: &Matrix, out: &mut [usize]) {
         let batch = out.len();
         let c1 = self.num_classes - 1;
@@ -187,16 +186,7 @@ impl InferenceSession {
         self.device
             .charge_kernel(batch as f64 * c1 as f64, batch as f64 * c1 as f64 * 8.0);
         for (i, slot) in out.iter_mut().enumerate() {
-            let row = margins.row(i);
-            let mut best = c1;
-            let mut best_val = 0.0;
-            for (c, &m) in row.iter().enumerate() {
-                if m > best_val {
-                    best_val = m;
-                    best = c;
-                }
-            }
-            *slot = best;
+            *slot = reduce::argmax_with_reference(margins.row(i));
         }
         self.ws.release(margins.into_vec());
     }
@@ -241,16 +231,7 @@ impl InferenceSession {
         // `predict_batch_into` would return (indices fit f64 exactly).
         let mut argmax = self.ws.acquire(batch);
         for (i, slot) in argmax.iter_mut().enumerate() {
-            let row = margins.row(i);
-            let mut best = c1;
-            let mut best_val = 0.0;
-            for (c, &m) in row.iter().enumerate() {
-                if m > best_val {
-                    best_val = m;
-                    best = c;
-                }
-            }
-            *slot = best as f64;
+            *slot = reduce::argmax_with_reference(margins.row(i)) as f64;
         }
         let mut logz = self.ws.acquire(batch);
         let mut row_scratch = self.ws.acquire(c1);
