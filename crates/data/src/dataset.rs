@@ -19,7 +19,8 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Creates a dataset from a feature matrix and labels.
+    /// Creates a dataset from a feature matrix and labels; dense features are
+    /// moved behind a shared handle ([`DenseMatrix::into_shared`]).
     ///
     /// # Panics
     /// Panics if the number of labels differs from the number of feature
@@ -28,6 +29,10 @@ impl Dataset {
         assert_eq!(features.rows(), labels.len(), "features/labels length mismatch");
         assert!(num_classes >= 2, "need at least two classes");
         assert!(labels.iter().all(|&l| l < num_classes), "label out of range");
+        let features = match features {
+            Matrix::Dense(d) => Matrix::Dense(d.into_shared()),
+            sparse => sparse,
+        };
         Self {
             features: Arc::new(features),
             labels,
@@ -83,8 +88,9 @@ impl Dataset {
         self.features.is_sparse()
     }
 
-    /// Returns a new dataset containing rows `start..end`; a slice of every
-    /// row shares this dataset's feature storage instead of copying it.
+    /// Returns a new dataset containing rows `start..end`. A slice of every
+    /// row shares this dataset's feature matrix, any other slice of dense
+    /// features is a copy-on-write view of its buffer, and of CSR a copy.
     pub fn slice(&self, start: usize, end: usize) -> Dataset {
         let features = if (start, end) == (0, self.num_samples()) {
             Arc::clone(&self.features)
@@ -296,21 +302,36 @@ mod tests {
         assert!(shares_storage(&sparse, &sparse.slice(0, 4)));
     }
 
+    /// Whether the first value of `part` is the very value `whole` holds at
+    /// `row`: `part` reads `whole`'s buffer rather than a copy of it.
+    fn reads_rows_of(part: &Dataset, whole: &Dataset, row: usize) -> bool {
+        let (Matrix::Dense(p), Matrix::Dense(w)) = (part.features(), whole.features()) else {
+            panic!("expected dense features")
+        };
+        std::ptr::eq(p.as_slice().as_ptr(), w.row(row).as_ptr())
+    }
+
     #[test]
-    fn proper_slices_selections_and_dense_standardization_copy_bit_for_bit() {
+    fn proper_slices_view_their_rows_selections_and_dense_standardization_copy() {
         let d = toy();
         let tail = d.slice(1, 4);
-        assert!(!shares_storage(&d, &tail));
+        assert!(reads_rows_of(&tail, &d, 1), "a proper slice is a view of the parent's rows");
         assert_eq!(tail.features(), &d.features().slice_rows(1, 4));
         assert_eq!(tail.name(), "toy[1..4]");
+        let (train, test) = d.split(0.5);
+        assert!(reads_rows_of(&train, &d, 0));
+        assert!(reads_rows_of(&test, &d, 2));
+        assert!(reads_rows_of(&tail.slice(1, 3), &d, 2), "a slice of a view is a view");
         let all = d.select(&[0, 1, 2, 3]);
         assert!(
-            !shares_storage(&d, &all),
+            !shares_storage(&d, &all) && !reads_rows_of(&all, &d, 0),
             "a selection is a copy even when it names every row"
         );
         assert_eq!(all.features(), &d.features().select_rows(&[0, 1, 2, 3]));
-        assert!(!shares_storage(&d, &d.standardized()));
+        let standardized = d.standardized();
+        assert!(!shares_storage(&d, &standardized) && !reads_rows_of(&standardized, &d, 0));
         assert_eq!(d.features().to_dense().get(3, 1), 7.0, "the source is never written through");
+        assert_eq!(tail.features().to_dense().get(2, 1), 7.0, "nor is a view of it");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::path::Path;
 pub enum LibsvmError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A malformed line (bad label, bad index:value pair, …).
+    /// A malformed line (bad label, bad index:value pair, non-finite number, …).
     Parse { line: usize, message: String },
     /// The file does not fit the declared [`LibsvmSchema`].
     Schema { line: usize, message: String },
@@ -114,13 +114,7 @@ fn parse_raw(reader: impl BufRead) -> Result<RawFile, LibsvmError> {
             line: lineno + 1,
             message: "missing label".into(),
         })?;
-        let label: i64 = label_tok
-            .parse::<f64>()
-            .map_err(|e| LibsvmError::Parse {
-                line: lineno + 1,
-                message: format!("bad label '{label_tok}': {e}"),
-            })?
-            .round() as i64;
+        let label = parse_finite(label_tok, "label", lineno + 1)?.round() as i64;
         raw.raw_labels.push(label);
         raw.lines.push(lineno + 1);
         for tok in parts {
@@ -138,10 +132,7 @@ fn parse_raw(reader: impl BufRead) -> Result<RawFile, LibsvmError> {
                     message: "LIBSVM indices are 1-based".into(),
                 });
             }
-            let val: f64 = val.parse().map_err(|e| LibsvmError::Parse {
-                line: lineno + 1,
-                message: format!("bad value '{val}': {e}"),
-            })?;
+            let val = parse_finite(val, "value", lineno + 1)?;
             raw.max_col = raw.max_col.max(idx);
             raw.triplets.push((row, idx - 1, val));
         }
@@ -153,6 +144,17 @@ fn parse_raw(reader: impl BufRead) -> Result<RawFile, LibsvmError> {
         });
     }
     Ok(raw)
+}
+
+/// Parses token `tok` of line `line` as a finite number: NaN, the infinities
+/// and overflows (`1e400`) are errors, as reports are bit-identical only on finite data.
+fn parse_finite(tok: &str, what: &str, line: usize) -> Result<f64, LibsvmError> {
+    let message = match tok.parse::<f64>() {
+        Ok(v) if v.is_finite() => return Ok(v),
+        Ok(v) => format!("bad {what} '{tok}': {v} is not finite"),
+        Err(e) => format!("bad {what} '{tok}': {e}"),
+    };
+    Err(LibsvmError::Parse { line, message })
 }
 
 /// Assembles a parsed file into a [`Dataset`] under a schema.
@@ -320,6 +322,34 @@ mod tests {
         assert!(parse_libsvm(Cursor::new("1 x:1.0\n"), "bad").is_err());
         assert!(parse_libsvm(Cursor::new("1 1:zz\n"), "bad").is_err());
         assert!(parse_libsvm(Cursor::new(""), "bad").is_err());
+    }
+
+    /// `text`, whose second line is bad, fails to parse with an error that
+    /// names that line and `token`.
+    fn assert_rejected_on_line_2(text: &str, token: &str) {
+        let err = parse_libsvm(Cursor::new(text), "bad").unwrap_err();
+        assert!(matches!(err, LibsvmError::Parse { line: 2, .. }), "{err}");
+        assert!(format!("{err}").contains(&format!("'{token}'")), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_nan_value() {
+        assert_rejected_on_line_2("1 1:0.5\n2 3:nan\n", "nan");
+    }
+
+    #[test]
+    fn rejects_an_infinite_value() {
+        assert_rejected_on_line_2("1 1:0.5\n2 7:inf\n", "inf");
+    }
+
+    #[test]
+    fn rejects_a_value_that_overflows_to_infinity() {
+        assert_rejected_on_line_2("1 1:0.5\n2 5:1e400\n", "1e400");
+    }
+
+    #[test]
+    fn rejects_a_nan_label() {
+        assert_rejected_on_line_2("1 1:0.5\nnan 1:1.0\n", "nan");
     }
 
     #[test]

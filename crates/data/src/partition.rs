@@ -46,7 +46,8 @@ pub fn strong_range(n: usize, num_workers: usize, w: usize) -> std::ops::Range<u
 
 /// Strong-scaling partition: splits the *entire* dataset across `num_workers`
 /// shards of (nearly) equal size. Every sample is assigned to exactly one
-/// worker, in the rows [`strong_range`] gives it.
+/// worker, in the rows [`strong_range`] gives it. Dense shards are views of
+/// `data`'s feature buffer, not copies (see [`Dataset::slice`]).
 ///
 /// # Panics
 /// Panics if `num_workers == 0` or exceeds the number of samples.
@@ -170,7 +171,27 @@ mod tests {
         assert!(shares(&s[0]));
         assert_eq!(s[0].name(), "part-test[0..7]");
         assert!(shares(&partition_weak(&d, 1, 7).0[0]));
-        assert!(!shares(&partition_strong(&d, 2).0[0]));
+    }
+
+    #[test]
+    fn every_shard_reads_its_rows_from_the_parent_buffer() {
+        let d = dataset(13);
+        let Matrix::Dense(parent) = d.features() else {
+            panic!("expected dense features")
+        };
+        let first_value = |shard: &Dataset| match shard.features() {
+            Matrix::Dense(m) => m.as_slice().as_ptr(),
+            Matrix::Sparse(_) => panic!("expected dense features"),
+        };
+        for workers in 2..=4 {
+            let (strong, _) = partition_strong(&d, workers);
+            let (weak, _) = partition_weak(&d, workers, 3);
+            for w in 0..workers {
+                let start = strong_range(13, workers, w).start;
+                assert!(std::ptr::eq(first_value(&strong[w]), parent.row(start).as_ptr()));
+                assert!(std::ptr::eq(first_value(&weak[w]), parent.row(3 * w).as_ptr()));
+            }
+        }
     }
 
     #[test]

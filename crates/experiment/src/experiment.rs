@@ -513,6 +513,66 @@ mod tests {
         assert!(grid_best <= tiny[0].final_objective.unwrap() + 1e-12);
     }
 
+    /// Newton-ADMM that first notes, per rank, the address of the first
+    /// feature value of the shard it was handed.
+    struct ShardProbe {
+        inner: newton_admm::NewtonAdmm,
+        first_values: std::sync::Mutex<Vec<(usize, usize)>>,
+    }
+
+    impl Solver for ShardProbe {
+        fn name(&self) -> &str {
+            Solver::name(&self.inner)
+        }
+
+        fn validate(&self) -> Result<(), ConfigError> {
+            Solver::validate(&self.inner)
+        }
+
+        fn run(&self, comm: &mut dyn Communicator, shard: &Dataset, test: Option<&Dataset>) -> RunReport {
+            let nadmm_linalg::Matrix::Dense(x) = shard.features() else {
+                panic!("expected dense features")
+            };
+            let first = x.as_slice().as_ptr() as usize;
+            self.first_values.lock().unwrap().push((comm.rank(), first));
+            self.inner.run(comm, shard, test)
+        }
+    }
+
+    #[test]
+    fn every_rank_of_a_two_rank_run_reads_its_shard_from_the_train_buffer() {
+        let (train, test) = tiny_data_spec().load().unwrap();
+        let nadmm_linalg::Matrix::Dense(x) = train.features() else {
+            panic!("expected dense features")
+        };
+        let row_address = |row: usize| x.row(row).as_ptr() as usize;
+        let probe = ShardProbe {
+            inner: newton_admm::NewtonAdmm::new(NewtonAdmmConfig::default().with_max_iters(1).with_lambda(1e-3)),
+            first_values: std::sync::Mutex::new(Vec::new()),
+        };
+        // The two steps of `Experiment::run`: cut the shards, then hand one
+        // to each rank.
+        let (shards, _) = PartitionSpec::Strong.apply(&train, 2).unwrap();
+        let report = run_solver_on(
+            &ClusterSpec::new(2, NetworkModel::ideal()).build(),
+            &probe,
+            &shards,
+            test.as_ref(),
+        );
+        assert!(report.final_objective.unwrap().is_finite());
+        let mut seen = probe.first_values.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(0, row_address(0)), (1, row_address(30))]);
+        // `run_with_transport` cuts only its own rank's shard: a view too.
+        for rank in 0..2 {
+            let shard = PartitionSpec::Weak { per_worker: 20 }.shard(&train, 2, rank).unwrap();
+            let nadmm_linalg::Matrix::Dense(s) = shard.features() else {
+                panic!("expected dense features")
+            };
+            assert_eq!(s.as_slice().as_ptr() as usize, row_address(20 * rank));
+        }
+    }
+
     #[test]
     fn per_rank_devices_make_the_fleet_heterogeneous() {
         use nadmm_device::DeviceSpec;

@@ -26,29 +26,38 @@
 use crate::error::{LinalgError, Result};
 use crate::vector;
 use crate::vector::SendMutPtr;
-
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A row-major dense matrix of `f64` values.
 ///
 /// The layout is row-major so that a "row" of the matrix (a sample in the ML
 /// setting, or a class-weight vector when the matrix stores `W ∈ R^{(C-1)×p}`)
 /// is a contiguous slice, which is what the objective kernels iterate over.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A row slice of a [`DenseMatrix::into_shared`] matrix is a view of its
+/// buffer, not a copy. Reads go through [`DenseMatrix::as_slice`]; writes go
+/// through [`DenseMatrix::as_mut_slice`], which first copies a view's rows
+/// (copy-on-write), so a write never reaches a parent or a sibling.
+#[derive(Clone)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Values,
+}
+
+/// Where a [`DenseMatrix`]'s values live.
+#[derive(Clone)]
+enum Values {
+    /// Exactly `rows × cols` values that only this matrix holds.
+    Owned(Vec<f64>),
+    /// `rows × cols` values from the offset on, in a buffer others read too.
+    Shared(Arc<Vec<f64>>, usize),
 }
 
 impl DenseMatrix {
     /// Creates a `rows × cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Self::from_vec(rows, cols, vec![0.0; rows * cols])
     }
 
     /// Creates a matrix from an existing row-major buffer.
@@ -62,7 +71,11 @@ impl DenseMatrix {
             "from_vec: buffer length {} != {rows}x{cols}",
             data.len()
         );
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data: Values::Owned(data),
+        }
     }
 
     /// Creates a matrix by evaluating `f(row, col)` at every position.
@@ -73,7 +86,7 @@ impl DenseMatrix {
                 data.push(f(i, j));
             }
         }
-        Self { rows, cols, data }
+        Self::from_vec(rows, cols, data)
     }
 
     /// Creates an identity matrix of size `n × n`.
@@ -95,11 +108,7 @@ impl DenseMatrix {
             assert_eq!(r.len(), cols, "from_rows: inconsistent row length");
             data.extend_from_slice(r);
         }
-        Self {
-            rows: rows.len(),
-            cols,
-            data,
-        }
+        Self::from_vec(rows.len(), cols, data)
     }
 
     /// Number of rows.
@@ -117,56 +126,80 @@ impl DenseMatrix {
     /// Total number of stored elements (`rows * cols`).
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.rows * self.cols
     }
 
     /// Whether the matrix has no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
-    /// Immutable view of the underlying row-major buffer.
+    /// The `rows × cols` values, row-major.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        &self.data
+        match &self.data {
+            Values::Owned(v) => v,
+            Values::Shared(buf, start) => &buf[*start..*start + self.len()],
+        }
     }
 
-    /// Mutable view of the underlying row-major buffer.
+    /// The values for writing; a view first copies its rows to its own buffer.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
+        if let Values::Shared(..) = self.data {
+            self.data = Values::Owned(self.as_slice().to_vec());
+        }
+        match &mut self.data {
+            Values::Owned(v) => v,
+            Values::Shared(..) => unreachable!("a view was copied on write above"),
+        }
     }
 
-    /// Consumes the matrix and returns the row-major buffer.
+    /// Consumes the matrix and returns its row-major values (a view's copied).
     pub fn into_vec(self) -> Vec<f64> {
-        self.data
+        match self.data {
+            Values::Owned(v) => v,
+            Values::Shared(..) => self.as_slice().to_vec(),
+        }
+    }
+
+    /// This matrix with its buffer moved, not copied, behind a shared
+    /// handle, so that its row slices are views of it.
+    pub fn into_shared(self) -> Self {
+        let data = match self.data {
+            Values::Owned(v) => Values::Shared(Arc::new(v), 0),
+            shared => shared,
+        };
+        Self { data, ..self }
     }
 
     /// Element accessor.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j]
+        self.as_slice()[i * self.cols + j]
     }
 
     /// Element mutator.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j] = v;
+        let k = i * self.cols + j;
+        self.as_mut_slice()[k] = v;
     }
 
     /// Contiguous slice holding row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
+        self.rows_slice(i, i + 1)
     }
 
     /// Mutable contiguous slice holding row `i`.
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
+        let cols = self.cols;
+        &mut self.as_mut_slice()[i * cols..(i + 1) * cols]
     }
 
     /// Copies column `j` into a new vector.
@@ -174,17 +207,22 @@ impl DenseMatrix {
         (0..self.rows).map(|i| self.get(i, j)).collect()
     }
 
-    /// Returns a new matrix containing rows `range.start..range.end`.
+    /// Returns a matrix holding rows `start..end`: a view of the same buffer
+    /// when this matrix is shared, a copy when it is owned.
     pub fn slice_rows(&self, start: usize, end: usize) -> DenseMatrix {
         assert!(
             start <= end && end <= self.rows,
             "slice_rows: invalid range {start}..{end} of {}",
             self.rows
         );
+        let data = match &self.data {
+            Values::Owned(_) => Values::Owned(self.rows_slice(start, end).to_vec()),
+            Values::Shared(buf, offset) => Values::Shared(Arc::clone(buf), offset + start * self.cols),
+        };
         DenseMatrix {
             rows: end - start,
             cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
+            data,
         }
     }
 
@@ -195,11 +233,7 @@ impl DenseMatrix {
             assert!(i < self.rows, "select_rows: row {i} out of {}", self.rows);
             data.extend_from_slice(self.row(i));
         }
-        DenseMatrix {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        }
+        DenseMatrix::from_vec(indices.len(), self.cols, data)
     }
 
     /// Transposed copy of the matrix.
@@ -215,7 +249,7 @@ impl DenseMatrix {
 
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
-        vector::norm2(&self.data)
+        vector::norm2(self.as_slice())
     }
 
     /// Matrix–vector product `y = A x`.
@@ -245,7 +279,7 @@ impl DenseMatrix {
             )));
         }
         let yp = SendMutPtr(y.as_mut_ptr());
-        rayon::det::run(self.rows, 1, self.data.len() >= crate::par_threshold(), |s, e| {
+        rayon::det::run(self.rows, 1, self.len() >= crate::par_threshold(), |s, e| {
             // SAFETY: canonical chunks are disjoint row ranges, so each
             // closure call owns its span of `y` exclusively.
             let yc = unsafe { std::slice::from_raw_parts_mut(yp.get().add(s), e - s) };
@@ -284,7 +318,7 @@ impl DenseMatrix {
                 y.len()
             )));
         }
-        crate::scatter_rows_alloc(self.rows, self.data.len() >= crate::par_threshold(), y, |dst, s, e| {
+        crate::scatter_rows_alloc(self.rows, self.len() >= crate::par_threshold(), y, |dst, s, e| {
             for (i, &xi) in (s..e).zip(&x[s..e]) {
                 vector::axpy(xi, self.row(i), dst);
             }
@@ -305,11 +339,11 @@ impl DenseMatrix {
         }
         let mut out = DenseMatrix::zeros(self.rows, b.cols);
         let bcols = b.cols;
-        if out.data.is_empty() {
+        if out.is_empty() {
             return Ok(out);
         }
-        let use_pool = self.data.len().max(b.data.len()).max(out.data.len()) >= crate::par_threshold();
-        let op = SendMutPtr(out.data.as_mut_ptr());
+        let use_pool = self.len().max(b.len()).max(out.len()) >= crate::par_threshold();
+        let op = SendMutPtr(out.as_mut_slice().as_mut_ptr());
         rayon::det::run(self.rows, 1, use_pool, |s, e| {
             // SAFETY: canonical chunks are disjoint row ranges of `out`.
             let block = unsafe { std::slice::from_raw_parts_mut(op.get().add(s * bcols), (e - s) * bcols) };
@@ -353,11 +387,11 @@ impl DenseMatrix {
             )));
         }
         let brows = b.rows;
-        if out.data.is_empty() {
+        if out.is_empty() {
             return Ok(());
         }
-        let use_pool = self.data.len().max(b.data.len()).max(out.data.len()) >= crate::par_threshold();
-        let op = SendMutPtr(out.data.as_mut_ptr());
+        let use_pool = self.len().max(b.len()).max(out.len()) >= crate::par_threshold();
+        let op = SendMutPtr(out.as_mut_slice().as_mut_ptr());
         rayon::det::run(self.rows, 1, use_pool, |s, e| {
             // SAFETY: canonical chunks are disjoint row ranges of `out`.
             let block = unsafe { std::slice::from_raw_parts_mut(op.get().add(s * brows), (e - s) * brows) };
@@ -445,8 +479,8 @@ impl DenseMatrix {
         }
         crate::scatter_rows_alloc(
             self.rows,
-            self.data.len().max(b.data.len()) >= crate::par_threshold(),
-            &mut out.data,
+            self.len().max(b.len()) >= crate::par_threshold(),
+            out.as_mut_slice(),
             |dst, s, e| tn_rows_acc(self.rows_slice(s, e), self.cols, b.rows_slice(s, e), b.cols, dst),
         );
         Ok(())
@@ -455,12 +489,12 @@ impl DenseMatrix {
     /// The contiguous storage of rows `s..e`.
     #[inline]
     pub(crate) fn rows_slice(&self, s: usize, e: usize) -> &[f64] {
-        &self.data[s * self.cols..e * self.cols]
+        &self.as_slice()[s * self.cols..e * self.cols]
     }
 
     /// In-place scalar multiplication.
     pub fn scale(&mut self, a: f64) {
-        vector::scale(a, &mut self.data);
+        vector::scale(a, self.as_mut_slice());
     }
 
     /// In-place addition `self += other`.
@@ -474,7 +508,7 @@ impl DenseMatrix {
                 self.rows, self.cols, other.rows, other.cols
             )));
         }
-        vector::add_assign(&mut self.data, &other.data);
+        vector::add_assign(self.as_mut_slice(), other.as_slice());
         Ok(())
     }
 
@@ -489,13 +523,13 @@ impl DenseMatrix {
                 self.rows, self.cols, other.rows, other.cols
             )));
         }
-        vector::axpy(a, &other.data, &mut self.data);
+        vector::axpy(a, other.as_slice(), self.as_mut_slice());
         Ok(())
     }
 
     /// Maximum absolute element.
     pub fn max_abs(&self) -> f64 {
-        vector::norm_inf(&self.data)
+        vector::norm_inf(self.as_slice())
     }
 
     /// Mean of every column, returned as a length-`cols` vector.
@@ -526,6 +560,24 @@ impl DenseMatrix {
             }
         }
         s
+    }
+}
+
+/// Equal shapes and equal values, wherever the values live.
+impl PartialEq for DenseMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.as_slice() == other.as_slice()
+    }
+}
+
+/// Prints the shape and this matrix's own values, never a parent buffer.
+impl std::fmt::Debug for DenseMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DenseMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.as_slice())
+            .finish()
     }
 }
 
@@ -778,6 +830,75 @@ mod tests {
         let sel = m.select_rows(&[4, 0]);
         assert_eq!(sel.row(0), &[8.0, 9.0]);
         assert_eq!(sel.row(1), &[0.0, 1.0]);
+    }
+
+    /// A shared 5×2 parent holding `0.0..10.0`, its rows 1..3 and its rows
+    /// 3..5.
+    fn parent_and_views() -> (DenseMatrix, DenseMatrix, DenseMatrix) {
+        let parent = DenseMatrix::from_fn(5, 2, |i, j| (i * 2 + j) as f64).into_shared();
+        let (view, sibling) = (parent.slice_rows(1, 3), parent.slice_rows(3, 5));
+        (parent, view, sibling)
+    }
+
+    /// Whether `part`'s first value is the very value `whole` holds at `row`.
+    fn aliases(part: &DenseMatrix, whole: &DenseMatrix, row: usize) -> bool {
+        std::ptr::eq(part.as_slice().as_ptr(), whole.row(row).as_ptr())
+    }
+
+    #[test]
+    fn slices_of_a_shared_matrix_are_views_of_its_rows() {
+        let (parent, view, sibling) = parent_and_views();
+        assert!(aliases(&view, &parent, 1) && aliases(&sibling, &parent, 3));
+        assert_eq!((view.rows(), view.cols(), view.len()), (2, 2, 4));
+        assert_eq!(view.as_slice(), &[2.0, 3.0, 4.0, 5.0]);
+        assert_eq!((view.row(1), view.get(1, 1)), (&[4.0, 5.0][..], 5.0));
+        assert!(aliases(&view.clone(), &parent, 1), "a clone of a view still aliases");
+        assert!(aliases(&view.slice_rows(1, 2), &parent, 2), "so does a view of a view");
+        assert_eq!(
+            view.clone().into_vec(),
+            vec![2.0, 3.0, 4.0, 5.0],
+            "into_vec returns exactly its rows"
+        );
+        let elsewhere = DenseMatrix::from_vec(3, 2, vec![9.0, 9.0, 2.0, 3.0, 4.0, 5.0]).into_shared();
+        assert_eq!(view, elsewhere.slice_rows(1, 3), "views over equal rows compare equal");
+        assert_eq!(view, DenseMatrix::from_vec(2, 2, vec![2.0, 3.0, 4.0, 5.0]));
+        assert_ne!(view, sibling);
+        assert_eq!(
+            format!("{view:?}"),
+            "DenseMatrix { rows: 2, cols: 2, data: [2.0, 3.0, 4.0, 5.0] }"
+        );
+        let owned = DenseMatrix::from_fn(5, 2, |i, j| (i * 2 + j) as f64);
+        assert!(
+            !aliases(&owned.slice_rows(1, 3), &owned, 1),
+            "a slice of an owned matrix copies"
+        );
+    }
+
+    #[test]
+    fn every_mutator_copies_a_view_before_writing_to_it() {
+        let delta = DenseMatrix::from_vec(2, 2, vec![0.0, 0.0, -5.0, 0.0]);
+        type Mutator = fn(&mut DenseMatrix, &DenseMatrix);
+        let mutators: [(&str, Mutator); 6] = [
+            ("row_mut", |m, _| m.row_mut(1)[0] = -1.0),
+            ("set", |m, _| m.set(1, 0, -1.0)),
+            ("as_mut_slice", |m, _| m.as_mut_slice()[2] = -1.0),
+            ("scale", |m, _| m.scale(-0.25)),
+            ("add_assign", |m, d| m.add_assign(d).unwrap()),
+            ("axpy", |m, d| m.axpy(1.0, d).unwrap()),
+        ];
+        for (name, mutate) in mutators {
+            let (parent, mut view, sibling) = parent_and_views();
+            mutate(&mut view, &delta);
+            assert_eq!(view.get(1, 0), -1.0, "{name}: the view reads back what was written");
+            assert!(!aliases(&view, &parent, 1), "{name}: the view wrote to rows of its own");
+            assert_eq!(
+                bits(parent.as_slice()),
+                bits(&(0..10).map(f64::from).collect::<Vec<_>>()),
+                "{name}: parent"
+            );
+            assert!(aliases(&sibling, &parent, 3), "{name}: the sibling still reads the parent");
+            assert_eq!(sibling.as_slice(), &[6.0, 7.0, 8.0, 9.0], "{name}: sibling");
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::dense::{self, DenseMatrix};
 use crate::error::{LinalgError, Result};
 use crate::sparse::{self, CsrMatrix};
 use crate::vector::SendMutPtr;
-use serde::{Deserialize, Serialize};
 
 /// Caller-owned buffers of one [`Matrix::gemm_nt_map_tn_into`] sweep, so the
 /// sweep itself never allocates.
@@ -76,7 +75,7 @@ where
 }
 
 /// Feature matrix that is either dense or CSR sparse.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Matrix {
     /// Dense row-major storage.
     Dense(DenseMatrix),

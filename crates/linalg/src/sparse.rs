@@ -27,10 +27,9 @@ use crate::dense::DenseMatrix;
 use crate::error::{LinalgError, Result};
 use crate::vector;
 use crate::vector::SendMutPtr;
-use serde::{Deserialize, Serialize};
 
 /// Compressed sparse row matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
