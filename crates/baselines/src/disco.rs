@@ -8,7 +8,7 @@
 //! rounds) the paper's related-work discussion draws.
 
 use crate::common::{global_gradient_into, local_objective_on, record_iteration, DistributedRun, EngineSync};
-use nadmm_cluster::{Cluster, Communicator};
+use nadmm_cluster::Communicator;
 use nadmm_data::Dataset;
 use nadmm_device::{Device, DeviceSpec, Workspace};
 use nadmm_linalg::vector;
@@ -151,24 +151,19 @@ impl Disco {
             workspace: ws.stats(),
         }
     }
-
-    /// Convenience wrapper spawning one rank per shard.
-    ///
-    /// Superseded by the experiment layer (`nadmm-experiment`): build an
-    /// `Experiment` with `SolverSpec::Disco` instead.
-    #[deprecated(since = "0.1.0", note = "use the `nadmm-experiment` builder (`SolverSpec::Disco`) instead")]
-    pub fn run_cluster(&self, cluster: &Cluster, shards: &[Dataset], test: Option<&Dataset>) -> DistributedRun {
-        let mut outputs = cluster.run_sharded(shards, |comm, shard| self.run_distributed(comm, shard, test));
-        outputs.swap_remove(0)
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated `run_cluster` wrapper stays under test
 mod tests {
     use super::*;
-    use nadmm_cluster::NetworkModel;
+    use nadmm_cluster::{Cluster, NetworkModel};
     use nadmm_data::{partition_strong, SyntheticConfig};
+
+    /// Runs `cfg` on one rank per shard and keeps rank 0's output.
+    fn run_on(cfg: DiscoConfig, cluster: &Cluster, shards: &[Dataset]) -> DistributedRun {
+        let mut outputs = cluster.run_sharded(shards, |comm, shard| Disco::new(cfg).run_distributed(comm, shard, None));
+        outputs.swap_remove(0)
+    }
 
     fn dataset(seed: u64) -> Dataset {
         SyntheticConfig::mnist_like()
@@ -190,7 +185,7 @@ mod tests {
             lambda: 1e-3,
             ..Default::default()
         };
-        let run = Disco::new(cfg).run_cluster(&cluster, &shards, None);
+        let run = run_on(cfg, &cluster, &shards);
         let first = run.history.records[0].objective;
         let last = run.history.final_objective().unwrap();
         assert!(
@@ -213,7 +208,7 @@ mod tests {
             cg_tolerance: 1e-12,
             ..Default::default()
         };
-        let run = Disco::new(cfg).run_cluster(&cluster, &shards, None);
+        let run = run_on(cfg, &cluster, &shards);
         // Per iteration: 1 gradient allreduce + up to cg_iters HVP allreduces
         // + 1 instrumentation allreduce; plus 1 for iteration 0. With a tiny
         // tolerance CG runs its full budget, so the count is exact.
@@ -235,7 +230,7 @@ mod tests {
             lambda: 1e-3,
             ..Default::default()
         };
-        let run = Disco::new(cfg).run_cluster(&cluster, &shards, None);
+        let run = run_on(cfg, &cluster, &shards);
         let rounds_per_iter = (run.comm_stats.collectives - 1) as f64 / 4.0;
         assert!(
             rounds_per_iter > 4.0,

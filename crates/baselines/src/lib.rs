@@ -36,7 +36,6 @@ pub use newton_exact::{reference_optimum, ReferenceOptimum};
 pub use sgd::{SyncSgd, SyncSgdConfig};
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated `run_cluster` wrapper stays under test
 mod tests {
     use super::*;
     use nadmm_cluster::{Cluster, NetworkModel};
@@ -57,7 +56,9 @@ mod tests {
             lambda: 1e-3,
             ..Default::default()
         };
-        let run = Giant::new(cfg).run_cluster(&cluster, &shards, None);
+        let run = cluster
+            .run_sharded(&shards, |comm, shard| Giant::new(cfg).run_distributed(comm, shard, None))
+            .swap_remove(0);
         assert!(run.history.final_objective().unwrap() < run.history.records[0].objective);
     }
 }

@@ -2,13 +2,11 @@
 //! iteration vs one GIANT outer iteration on the same simulated cluster
 //! (this is the real-time analogue of the simulated Figure 2).
 
-// This bench predates the experiment layer and keeps exercising the legacy
-// per-solver wrappers directly.
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nadmm_baselines::{Giant, GiantConfig};
 use nadmm_cluster::{Cluster, NetworkModel};
 use nadmm_data::{partition_strong, SyntheticConfig};
+use nadmm_experiment::run_solver_on;
 use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
 use std::hint::black_box;
 
@@ -26,7 +24,7 @@ fn bench_epoch(c: &mut Criterion) {
             b.iter(|| {
                 let cluster = Cluster::new(workers, NetworkModel::infiniband_100g());
                 let cfg = NewtonAdmmConfig::default().with_lambda(1e-5).with_max_iters(1);
-                black_box(NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, None))
+                black_box(run_solver_on(&cluster, &NewtonAdmm::new(cfg), &shards, None))
             });
         });
         group.bench_with_input(BenchmarkId::new("giant", workers), &workers, |b, &workers| {
@@ -37,7 +35,7 @@ fn bench_epoch(c: &mut Criterion) {
                     lambda: 1e-5,
                     ..Default::default()
                 };
-                black_box(Giant::new(cfg).run_cluster(&cluster, &shards, None))
+                black_box(run_solver_on(&cluster, &Giant::new(cfg), &shards, None))
             });
         });
     }

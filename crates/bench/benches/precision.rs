@@ -1,8 +1,7 @@
-//! Criterion benches for the reduced-precision path, end to end: per-
-//! precision roofline kernel costs, f16/bf16 pack–unpack wall clock,
-//! compressed-collective cost modeling (including the logical-byte
-//! crossover shift), artifact sizes per encoding, and the f16 artifact's
-//! prediction agreement with full precision.
+//! Criterion benches for the reduced-precision path, end to end: f16/bf16
+//! rounding wall clock, compressed-collective cost modeling (including the
+//! logical-byte crossover shift), artifact sizes per encoding, and the f16
+//! artifact's prediction agreement with full precision.
 //!
 //! Everything merges into `BENCH_kernels.json` under the `precision` group;
 //! `check_precision_report` gates the recorded numbers in CI. Set
@@ -12,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nadmm_bench::alloc_counter::{count_allocations, CountingAllocator};
 use nadmm_bench::report::{criterion_entries, merge_bench_json, report_path, BenchEntry};
 use nadmm_cluster::{Cluster, CollectiveAlgorithm, CollectiveKind, Communicator, Compression, NetworkModel};
-use nadmm_device::{DeviceSpec, Precision};
+use nadmm_device::DeviceSpec;
 use nadmm_linalg::half::{round_bf16, round_f16};
 use nadmm_serve::{InferenceSession, ModelArtifact, Provenance, TensorEncoding};
 use std::hint::black_box;
@@ -69,29 +68,12 @@ fn bench_compressed_allreduce_wallclock(c: &mut Criterion) {
     group.finish();
 }
 
-/// Records the modeled per-precision kernel costs, the compressed-collective
-/// cost model (and its logical-byte crossover shift), artifact sizes per
-/// encoding, the f16 artifact's prediction agreement, and the compressed
-/// warm-path allocation count. Runs last.
+/// Records the compressed-collective cost model (and its logical-byte
+/// crossover shift), artifact sizes per encoding, the f16 artifact's
+/// prediction agreement, and the compressed warm-path allocation count.
+/// Runs last.
 fn emit_report(_c: &mut Criterion) {
     let mut entries = criterion_entries();
-
-    // Per-precision roofline: one P100 GEMM shape, modeled ns at each
-    // compute precision (reduced precision doubles flops and halves bytes).
-    let spec = DeviceSpec::tesla_p100();
-    let m = 512.0f64;
-    let flops = 2.0 * m * m * m;
-    for precision in Precision::ALL {
-        let bytes = 3.0 * m * m * precision.bytes_per_element();
-        let ns = spec.kernel_time_at(precision, flops, bytes) * 1e9;
-        entries.push(BenchEntry {
-            group: "precision".into(),
-            id: format!("kernel_model/{}/gemm512", precision.name()),
-            ns_per_iter: ns,
-            ops_per_sec: if ns > 0.0 { 1e9 / ns } else { f64::INFINITY },
-            allocs_per_iter: None,
-        });
-    }
 
     // Compressed allreduce cost model: the same logical payload billed at
     // full width vs f16 on the wire (ethernet, ring regime).

@@ -1,10 +1,10 @@
 //! CI gate for the precision bench: asserts that `BENCH_kernels.json`
 //! contains the `precision` section and that the recorded numbers prove the
-//! reduced-precision path pays off at every layer — f16 kernels beat f32 on
-//! the modeled roofline, f16-on-the-wire allreduce beats full width and
-//! shifts the tree→ring crossover ~4× later in logical bytes, the f16
-//! artifact is under half the f64 file, its predictions agree with full
-//! precision, and the compressed warm path allocates nothing.
+//! reduced-precision path pays off at every layer — f16-on-the-wire
+//! allreduce beats full width and shifts the tree→ring crossover ~4× later
+//! in logical bytes, the f16 artifact is under half the f64 file, its
+//! predictions agree with full precision, and the compressed warm path
+//! allocates nothing.
 //!
 //! ```text
 //! NADMM_BENCH_SMOKE=1 cargo bench -p nadmm-bench --bench precision
@@ -47,19 +47,7 @@ fn main() {
             .and_then(|r| num(r, "ns_per_iter"))
     };
 
-    // 1. Per-precision roofline: reduced-precision kernels must be modeled
-    //    strictly faster than f32.
-    let f32_ns = value_of("kernel_model/f32/").unwrap_or_else(|| fail("no f32 kernel model row"));
-    for half in ["f16", "bf16"] {
-        let ns = value_of(&format!("kernel_model/{half}/")).unwrap_or_else(|| fail(&format!("no {half} kernel model row")));
-        if ns >= f32_ns {
-            fail(&format!(
-                "{half} kernel modeled at {ns:.1}ns, not faster than f32's {f32_ns:.1}ns"
-            ));
-        }
-    }
-
-    // 2. Compressed allreduce: every logical payload must cost strictly less
+    // 1. Compressed allreduce: every logical payload must cost strictly less
     //    on the wire with f16 than at full width.
     let mut allreduce_pairs = 0;
     for row in &precision {
@@ -81,7 +69,7 @@ fn main() {
         fail("no compressed/full-width allreduce model pairs found");
     }
 
-    // 3. Crossover shift: f16 payloads are 2 of 8 bytes per element, so the
+    // 2. Crossover shift: f16 payloads are 2 of 8 bytes per element, so the
     //    tree→ring switch point must land ~4× later in logical bytes.
     let none_cross = value_of("allreduce_crossover_logical_bytes/none/").unwrap_or_else(|| fail("no full-width crossover row"));
     let f16_cross = value_of("allreduce_crossover_logical_bytes/f16/").unwrap_or_else(|| fail("no f16 crossover row"));
@@ -92,7 +80,7 @@ fn main() {
         ));
     }
 
-    // 4. Artifact sizes: the f16 file must be under half the f64 file.
+    // 3. Artifact sizes: the f16 file must be under half the f64 file.
     let f64_bytes = value_of("artifact_bytes/f64").unwrap_or_else(|| fail("no f64 artifact size row"));
     let f16_bytes = value_of("artifact_bytes/f16").unwrap_or_else(|| fail("no f16 artifact size row"));
     if !strictly_below(f16_bytes, 0.5 * f64_bytes) {
@@ -101,13 +89,13 @@ fn main() {
         ));
     }
 
-    // 5. The f16 model must agree with full precision on ≥99% of rows.
+    // 4. The f16 model must agree with full precision on ≥99% of rows.
     let agreement = value_of("f16_prediction_agreement/").unwrap_or_else(|| fail("no f16 prediction agreement row"));
     if strictly_below(agreement, 0.99) || agreement.is_nan() {
         fail(&format!("f16 prediction agreement is {agreement:.4}, below the 0.99 gate"));
     }
 
-    // 6. Compressed warm path stays allocation-free.
+    // 5. Compressed warm path stays allocation-free.
     for row in &precision {
         if str_field(row, "id") == Some("compressed_allreduce_warm_allocs") {
             let allocs = num(row, "allocs_per_iter").unwrap_or(f64::NAN);

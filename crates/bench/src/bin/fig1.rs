@@ -9,12 +9,10 @@
 //! cargo run --release -p nadmm-bench --bin fig1
 //! ```
 
-// These figure-reproduction scripts predate the experiment layer and keep
-// exercising the legacy per-solver wrappers directly.
-#![allow(deprecated)]
 use nadmm_baselines::{AideConfig, DaneConfig, Giant, GiantConfig, InexactDane};
 use nadmm_bench::{bench_dataset, paper_cluster, strong_shards};
 use nadmm_data::DatasetKind;
+use nadmm_experiment::{run_solver_on, Aide};
 use nadmm_metrics::{RunHistory, TextTable};
 use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
 
@@ -57,14 +55,12 @@ fn main() {
         NewtonAdmmConfig::default()
             .with_lambda(lambda)
             .with_max_iters(second_order_epochs),
-    )
-    .run_cluster(&cluster, &shards, None);
+    );
     let giant = Giant::new(GiantConfig {
         max_iters: second_order_epochs,
         lambda,
         ..Default::default()
-    })
-    .run_cluster(&cluster, &shards, None);
+    });
     let dane_cfg = DaneConfig {
         max_iters: dane_epochs,
         lambda,
@@ -72,17 +68,15 @@ fn main() {
         svrg_step: 3e-4,
         ..Default::default()
     };
-    let dane = InexactDane::new(dane_cfg).run_cluster(&cluster, &shards, None);
-    let aide = InexactDane::new(dane_cfg).run_cluster_aide(
-        &cluster,
-        &shards,
-        None,
-        &AideConfig {
-            dane: dane_cfg,
-            tau: 10.0,
-            zeta: 0.3,
-        },
-    );
+    let aide = Aide::new(AideConfig {
+        dane: dane_cfg,
+        tau: 10.0,
+        zeta: 0.3,
+    });
+    let admm = run_solver_on(&cluster, &admm, &shards, None);
+    let giant = run_solver_on(&cluster, &giant, &shards, None);
+    let dane = run_solver_on(&cluster, &InexactDane::new(dane_cfg), &shards, None);
+    let aide = run_solver_on(&cluster, &aide, &shards, None);
 
     for history in [&admm.history, &giant.history, &dane.history, &aide.history] {
         print_series(history);

@@ -5,12 +5,10 @@
 //! cargo run --release -p nadmm-bench --bin fig2
 //! ```
 
-// These figure-reproduction scripts predate the experiment layer and keep
-// exercising the legacy per-solver wrappers directly.
-#![allow(deprecated)]
 use nadmm_baselines::{Giant, GiantConfig};
 use nadmm_bench::{bench_dataset, paper_cluster, strong_shards, weak_shards, WORKER_SWEEP};
 use nadmm_data::{Dataset, DatasetKind};
+use nadmm_experiment::run_solver_on;
 use nadmm_metrics::TextTable;
 use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
 
@@ -19,14 +17,14 @@ const LAMBDA: f64 = 1e-5;
 
 fn epoch_times(shards: &[Dataset], workers: usize) -> (f64, f64) {
     let cluster = paper_cluster(workers);
-    let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(EPOCHS))
-        .run_cluster(&cluster, shards, None);
+    let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(EPOCHS));
     let giant = Giant::new(GiantConfig {
         max_iters: EPOCHS,
         lambda: LAMBDA,
         ..Default::default()
-    })
-    .run_cluster(&cluster, shards, None);
+    });
+    let admm = run_solver_on(&cluster, &admm, shards, None);
+    let giant = run_solver_on(&cluster, &giant, shards, None);
     (admm.history.avg_epoch_time(), giant.history.avg_epoch_time())
 }
 

@@ -11,12 +11,10 @@
 //! cargo run --release -p nadmm-bench --bin fig3
 //! ```
 
-// These figure-reproduction scripts predate the experiment layer and keep
-// exercising the legacy per-solver wrappers directly.
-#![allow(deprecated)]
 use nadmm_baselines::{reference_optimum, Giant, GiantConfig};
 use nadmm_bench::{bench_dataset, paper_cluster, strong_shards, weak_shards, WORKER_SWEEP};
 use nadmm_data::{Dataset, DatasetKind};
+use nadmm_experiment::run_solver_on;
 use nadmm_metrics::relative::{iterations_to_relative_objective, speedup_ratio};
 use nadmm_metrics::TextTable;
 use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
@@ -27,14 +25,14 @@ const MAX_EPOCHS: usize = 60;
 
 fn run_pair(shards: &[Dataset], workers: usize) -> (nadmm_metrics::RunHistory, nadmm_metrics::RunHistory) {
     let cluster = paper_cluster(workers);
-    let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(MAX_EPOCHS))
-        .run_cluster(&cluster, shards, None);
+    let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(MAX_EPOCHS));
     let giant = Giant::new(GiantConfig {
         max_iters: MAX_EPOCHS,
         lambda: LAMBDA,
         ..Default::default()
-    })
-    .run_cluster(&cluster, shards, None);
+    });
+    let admm = run_solver_on(&cluster, &admm, shards, None);
+    let giant = run_solver_on(&cluster, &giant, shards, None);
     (admm.history, giant.history)
 }
 

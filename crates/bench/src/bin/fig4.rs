@@ -9,12 +9,10 @@
 //! cargo run --release -p nadmm-bench --bin fig4
 //! ```
 
-// These figure-reproduction scripts predate the experiment layer and keep
-// exercising the legacy per-solver wrappers directly.
-#![allow(deprecated)]
-use nadmm_baselines::{SyncSgd, SyncSgdConfig};
+use nadmm_baselines::SyncSgdConfig;
 use nadmm_bench::{bench_dataset, paper_cluster, weak_shards};
 use nadmm_data::DatasetKind;
+use nadmm_experiment::{run_solver_on, run_spec_on, RunReport, SolverSpec};
 use nadmm_metrics::{RunHistory, TextTable};
 use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
 
@@ -60,13 +58,13 @@ fn main() {
         let cluster = paper_cluster(workers);
 
         // Newton-ADMM: best of CG ∈ {10, 20, 30}, as in the paper.
-        let mut best_admm: Option<newton_admm::NewtonAdmmOutput> = None;
+        let mut best_admm: Option<RunReport> = None;
         for cg in [10usize, 20, 30] {
             let cfg = NewtonAdmmConfig::default()
                 .with_lambda(LAMBDA)
                 .with_max_iters(EPOCHS)
                 .with_cg_iters(cg);
-            let run = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, Some(&test));
+            let run = run_solver_on(&cluster, &NewtonAdmm::new(cfg), &shards, Some(&test));
             let better = best_admm
                 .as_ref()
                 .map(|b| {
@@ -88,7 +86,12 @@ fn main() {
             batch_size: 128,
             ..Default::default()
         };
-        let sgd = SyncSgd::new(sgd_cfg).run_cluster_best_of_grid(&cluster, &shards, Some(&test), &[1e-2, 1e-1, 1.0, 10.0]);
+        let sgd_grid = SolverSpec::SyncSgdGrid {
+            base: sgd_cfg,
+            grid: vec![1e-2, 1e-1, 1.0, 10.0],
+        };
+        let sgd = run_spec_on(&cluster, &sgd_grid, &shards, Some(&test), None)
+            .expect("at least one SGD step size must produce a finite objective");
 
         let name = format!("{}-like", kind.paper_name().to_lowercase());
         print_series(&name, &admm.history);

@@ -6,12 +6,10 @@
 //! cargo run --release -p nadmm-bench --bin fig5
 //! ```
 
-// These figure-reproduction scripts predate the experiment layer and keep
-// exercising the legacy per-solver wrappers directly.
-#![allow(deprecated)]
 use nadmm_baselines::{Giant, GiantConfig};
 use nadmm_bench::{bench_dataset, paper_cluster, weak_shards};
 use nadmm_data::DatasetKind;
+use nadmm_experiment::run_solver_on;
 use nadmm_metrics::{RunHistory, TextTable};
 use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
 
@@ -46,17 +44,14 @@ fn main() {
     );
 
     for lambda in [1e-3, 1e-5] {
-        let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(lambda).with_max_iters(EPOCHS)).run_cluster(
-            &cluster,
-            &shards,
-            Some(&test),
-        );
+        let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(lambda).with_max_iters(EPOCHS));
         let giant = Giant::new(GiantConfig {
             max_iters: EPOCHS,
             lambda,
             ..Default::default()
-        })
-        .run_cluster(&cluster, &shards, Some(&test));
+        });
+        let admm = run_solver_on(&cluster, &admm, &shards, Some(&test));
+        let giant = run_solver_on(&cluster, &giant, &shards, Some(&test));
 
         let label = format!("λ = {lambda:.0e}");
         print_series(&label, &admm.history);

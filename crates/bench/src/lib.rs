@@ -3,9 +3,7 @@
 //! Benchmark harness of the reproduction:
 //!
 //! * one runnable binary per paper table/figure (`table1`, `fig1` … `fig5`),
-//!   each printing the same rows/series the paper reports (see
-//!   EXPERIMENTS.md at the workspace root for the recorded outputs and the
-//!   paper-vs-measured comparison), and
+//!   each printing the same rows/series the paper reports, and
 //! * criterion micro-benches for the kernels the solvers are built from
 //!   (GEMM, Hessian-vector products, CG, collectives, epoch time, penalty
 //!   rules).
@@ -91,8 +89,8 @@ pub fn scaled(n: usize) -> usize {
 }
 
 /// The dataset configurations used by the figure binaries: scaled-down
-/// versions of the paper's four datasets that run on one machine. The scale
-/// relative to Table 1 is recorded in EXPERIMENTS.md.
+/// versions of the paper's four datasets that run on one machine. The
+/// `table1` binary prints their scale relative to the paper's Table 1.
 pub fn bench_config(kind: DatasetKind) -> SyntheticConfig {
     match kind {
         DatasetKind::Higgs => SyntheticConfig::higgs_like()

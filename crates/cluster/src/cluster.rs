@@ -176,8 +176,7 @@ impl Cluster {
 
     /// Runs `f` on every rank, handing rank `i` the `i`-th shard. This is the
     /// one copy of the "spawn ranks, hand off shards, collect in rank order"
-    /// scaffolding that the experiment layer and the per-solver convenience
-    /// wrappers share.
+    /// scaffolding the experiment layer runs every solver through.
     ///
     /// # Panics
     /// Panics if the shard count does not match the cluster size.

@@ -13,7 +13,7 @@
 
 use crate::config::NewtonAdmmConfig;
 use crate::penalty::{residual_balancing_update, spectral_update, PenaltyRule, SpectralState};
-use nadmm_cluster::{Cluster, CollectiveHandle, CommStats, Communicator, Contribution};
+use nadmm_cluster::{CollectiveHandle, CommStats, Communicator, Contribution};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace, WorkspaceStats};
 use nadmm_linalg::vector;
@@ -417,26 +417,6 @@ impl NewtonAdmm {
         }
     }
 
-    /// Convenience wrapper: spawns a simulated cluster with one rank per
-    /// shard, runs [`NewtonAdmm::run_distributed`] on each, and returns the
-    /// master rank's output.
-    ///
-    /// Superseded by the experiment layer (`nadmm-experiment`): build an
-    /// `Experiment` with `SolverSpec::NewtonAdmm` instead, which validates
-    /// the configuration, owns the rank spawning, and returns a structured
-    /// `RunReport`.
-    ///
-    /// # Panics
-    /// Panics if the shard count does not match the cluster size.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `nadmm-experiment` builder (`SolverSpec::NewtonAdmm`) instead"
-    )]
-    pub fn run_cluster(&self, cluster: &Cluster, shards: &[Dataset], test: Option<&Dataset>) -> NewtonAdmmOutput {
-        let mut outputs = cluster.run_sharded(shards, |comm, shard| self.run_distributed(comm, shard, test));
-        outputs.swap_remove(0)
-    }
-
     /// Sequential single-process reference implementation of Algorithm 2,
     /// mathematically identical to the distributed path but with no
     /// communicator and no simulated timing (sim time = iteration index).
@@ -533,13 +513,18 @@ impl NewtonAdmm {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated `run_cluster` wrapper stays under test
 mod tests {
     use super::*;
     use crate::penalty::SpectralConfig;
-    use nadmm_cluster::NetworkModel;
+    use nadmm_cluster::{Cluster, NetworkModel};
     use nadmm_data::{partition_strong, SyntheticConfig};
     use nadmm_solver::{CgConfig, NewtonConfig};
+
+    /// Runs `cfg` on one rank per shard and keeps rank 0's output.
+    fn run_on(cluster: &Cluster, cfg: NewtonAdmmConfig, shards: &[Dataset], test: Option<&Dataset>) -> NewtonAdmmOutput {
+        let mut outputs = cluster.run_sharded(shards, |comm, shard| NewtonAdmm::new(cfg).run_distributed(comm, shard, test));
+        outputs.swap_remove(0)
+    }
 
     fn small_dataset(n: usize, classes: usize, features: usize, seed: u64) -> (Dataset, Dataset) {
         SyntheticConfig::mnist_like()
@@ -577,7 +562,7 @@ mod tests {
         let cfg = quick_config(8);
         let reference = NewtonAdmm::new(cfg).run_reference(&shards, None);
         let cluster = Cluster::new(3, NetworkModel::infiniband_100g());
-        let distributed = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, None);
+        let distributed = run_on(&cluster, cfg, &shards, None);
         // The consensus iterates must agree to floating-point reduction noise.
         let dist = vector::distance(&reference.z, &distributed.z);
         let scale = vector::norm2(&reference.z).max(1.0);
@@ -607,7 +592,7 @@ mod tests {
         let (train, _) = small_dataset(80, 3, 6, 3);
         let (shards, _) = partition_strong(&train, 2);
         let cluster = Cluster::new(2, NetworkModel::ideal());
-        let out = NewtonAdmm::new(quick_config(6)).run_cluster(&cluster, &shards, None);
+        let out = run_on(&cluster, quick_config(6), &shards, None);
         let residuals: Vec<f64> = out.history.records.iter().filter_map(|r| r.consensus_residual).collect();
         assert_eq!(residuals.len(), 7, "every distributed record carries the residual");
         assert!(residuals[1] > 0.0);
@@ -675,7 +660,7 @@ mod tests {
         let (train, _) = small_dataset(80, 3, 6, 7);
         let (shards, _) = partition_strong(&train, 4);
         let cluster = Cluster::new(4, NetworkModel::infiniband_100g());
-        let out = NewtonAdmm::new(quick_config(5)).run_cluster(&cluster, &shards, None);
+        let out = run_on(&cluster, quick_config(5), &shards, None);
         assert!(out.history.total_sim_time() > 0.0);
         assert!(out.comm_stats.collectives > 0);
         assert!(out.comm_stats.bytes_sent > 0.0);
@@ -699,12 +684,12 @@ mod tests {
         let (train, _) = small_dataset(90, 3, 8, 9);
         let (shards, _) = partition_strong(&train, 3);
         let cluster = Cluster::new(3, NetworkModel::ethernet_10g());
-        let overlapped = NewtonAdmm::new(quick_config(6)).run_cluster(&cluster, &shards, None);
+        let overlapped = run_on(&cluster, quick_config(6), &shards, None);
         let blocking_cfg = NewtonAdmmConfig {
             consensus_tol: 1e-300,
             ..quick_config(6)
         };
-        let blocking = NewtonAdmm::new(blocking_cfg).run_cluster(&cluster, &shards, None);
+        let blocking = run_on(&cluster, blocking_cfg, &shards, None);
         assert_eq!(overlapped.z, blocking.z, "overlap must not change the math");
         for (a, b) in overlapped.history.records.iter().zip(&blocking.history.records) {
             assert!((a.objective - b.objective).abs() < 1e-12 * (1.0 + a.objective.abs()));
@@ -725,7 +710,7 @@ mod tests {
             ..Default::default()
         };
         let cluster = Cluster::new(2, NetworkModel::ideal());
-        let out = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, None);
+        let out = run_on(&cluster, cfg, &shards, None);
         assert!(out.history.len() < 101, "should stop well before 100 iterations");
     }
 
@@ -734,7 +719,7 @@ mod tests {
         let (train, test) = small_dataset(90, 3, 8, 11);
         let (shards, _) = partition_strong(&train, 3);
         let cluster = Cluster::new(3, NetworkModel::infiniband_100g());
-        let base = NewtonAdmm::new(quick_config(5)).run_cluster(&cluster, &shards, Some(&test));
+        let base = run_on(&cluster, quick_config(5), &shards, Some(&test));
         // `None` knobs are the *same* config, so run the explicit struct to
         // prove the defaults are the disabled values.
         let cfg = NewtonAdmmConfig {
@@ -742,7 +727,7 @@ mod tests {
             dropout: None,
             ..quick_config(5)
         };
-        let explicit = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, Some(&test));
+        let explicit = run_on(&cluster, cfg, &shards, Some(&test));
         assert_eq!(base.z, explicit.z);
         assert_eq!(base.shed_newton_steps, 0);
         for (a, b) in base.history.records.iter().zip(&explicit.history.records) {
@@ -762,7 +747,7 @@ mod tests {
 
         // Measure a fast rank's synchronous per-iteration compute to pick a
         // deadline that fits all 4 steps at 1× but not at 8×.
-        let sync = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, None);
+        let sync = run_on(&cluster, cfg, &shards, None);
         let per_iter = sync.comm_stats.compute_time / 6.0;
         let deadline = per_iter * 1.5;
 
@@ -917,6 +902,6 @@ mod tests {
         let (train, _) = small_dataset(40, 3, 4, 9);
         let (shards, _) = partition_strong(&train, 2);
         let cluster = Cluster::new(3, NetworkModel::ideal());
-        NewtonAdmm::new(quick_config(2)).run_cluster(&cluster, &shards, None);
+        run_on(&cluster, quick_config(2), &shards, None);
     }
 }

@@ -19,11 +19,10 @@
 //!    safeguarded correlation tests of the ACADMM paper. Residual balancing
 //!    and a fixed penalty are provided for ablations.
 //!
-//! The solver runs in three modes sharing one code path:
+//! The solver runs in two modes:
 //! * [`NewtonAdmm::run_distributed`] — inside a rank of a simulated cluster
-//!   (`nadmm-cluster`), which is how every figure of the paper is reproduced;
-//! * [`NewtonAdmm::run_cluster`] — convenience wrapper that spawns the
-//!   cluster threads and collects the master's history;
+//!   (`nadmm-cluster`), which is how every figure of the paper is reproduced
+//!   (the `nadmm-experiment` layer spawns the ranks);
 //! * [`NewtonAdmm::run_reference`] — a sequential single-process reference
 //!   implementation used by the tests to validate the distributed execution.
 

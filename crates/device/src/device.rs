@@ -1,8 +1,8 @@
 //! The simulated device: executes linalg kernels and charges the cost model.
 
 use crate::clock::SimClock;
-use crate::spec::{DeviceSpec, Precision};
-use nadmm_linalg::{half, vector, DenseMatrix, Matrix, SweepBuffers};
+use crate::spec::DeviceSpec;
+use nadmm_linalg::{vector, DenseMatrix, Matrix, SweepBuffers};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -83,20 +83,6 @@ impl Device {
     /// executing anything. Building block for composite operations.
     pub fn charge_kernel(&self, flops: f64, bytes: f64) {
         let dt = self.spec.kernel_time(flops, bytes);
-        let mut s = self.state.lock();
-        s.clock.advance(dt);
-        s.stats.kernels_launched += 1;
-        s.stats.flops += flops;
-        s.stats.bytes_moved += bytes;
-        drop(s);
-        nadmm_trace::span_dur(nadmm_trace::Tag::KernelLaunch, dt);
-    }
-
-    /// Charges a kernel like [`Device::charge_kernel`], but with the compute
-    /// term running at `precision`'s multiple of the FP64 rate (the caller
-    /// passes bytes already scaled to the storage width).
-    pub fn charge_kernel_at(&self, precision: Precision, flops: f64, bytes: f64) {
-        let dt = self.spec.kernel_time_at(precision, flops, bytes);
         let mut s = self.state.lock();
         s.clock.advance(dt);
         s.stats.kernels_launched += 1;
@@ -276,113 +262,6 @@ impl Device {
     pub fn softmax_rows_cost(rows: usize, cols: usize) -> (f64, f64) {
         (5.0 * (rows * cols) as f64, 2.0 * (rows * cols) as f64 * 8.0)
     }
-
-    // --------------------------------------------------------------------
-    // Mixed-precision kernels. Each variant stores operands and results at
-    // the spec's `precision` (outputs rounded through the storage format),
-    // accumulates in the full-width carrier, and bills the roofline with
-    // byte footprints scaled to the storage width and the compute term at
-    // the precision's throughput multiple. Results are exactly
-    // `precision.round(plain_kernel_result)` — the equivalence the tests
-    // pin.
-    // --------------------------------------------------------------------
-
-    /// f32→f16/bf16 pack kernel: converts `src` into 16-bit storage. One
-    /// launch; one conversion per element, reading full-width and writing
-    /// half-width.
-    pub fn pack_half_into(&self, precision: Precision, src: &[f64], dst: &mut [u16]) {
-        assert_eq!(src.len(), dst.len(), "pack_half_into: length mismatch");
-        let n = src.len() as f64;
-        self.charge_kernel_at(precision, n, n * (8.0 + 2.0));
-        match precision {
-            Precision::F16 => {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = half::f32_to_f16_bits(s as f32);
-                }
-            }
-            Precision::Bf16 => {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = half::f32_to_bf16_bits(s as f32);
-                }
-            }
-            Precision::F32 => panic!("pack_half_into: F32 is not a 16-bit storage format"),
-        }
-    }
-
-    /// f16/bf16→f32 unpack kernel: the inverse of [`Device::pack_half_into`]
-    /// (exact — every 16-bit value is representable in the carrier).
-    pub fn unpack_half_into(&self, precision: Precision, src: &[u16], dst: &mut [f64]) {
-        assert_eq!(src.len(), dst.len(), "unpack_half_into: length mismatch");
-        let n = src.len() as f64;
-        self.charge_kernel_at(precision, n, n * (2.0 + 8.0));
-        match precision {
-            Precision::F16 => {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = half::f16_bits_to_f32(s) as f64;
-                }
-            }
-            Precision::Bf16 => {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = half::bf16_bits_to_f32(s) as f64;
-                }
-            }
-            Precision::F32 => panic!("unpack_half_into: F32 is not a 16-bit storage format"),
-        }
-    }
-
-    /// Mixed-precision margin kernel `out = X Wᵀ`: operands stream at the
-    /// spec's storage width, products accumulate full-width, and the stored
-    /// result is rounded through the storage format.
-    pub fn gemm_nt_into_mixed(&self, x: &Matrix, w: &DenseMatrix, out: &mut DenseMatrix) {
-        let p = self.spec.precision;
-        let n = x.rows() as f64;
-        let k = w.rows() as f64;
-        let nnz = x.stored_entries() as f64;
-        let flops = 2.0 * nnz * k;
-        let bpe = p.bytes_per_element();
-        // The feature operand's storage shrinks with the element width too
-        // (the model scales the whole operand, treating sparse index storage
-        // as proportionally packed).
-        let bytes = (x.storage_bytes() as f64) * (bpe / 8.0) + (w.len() as f64 + n * k) * bpe;
-        self.charge_kernel_at(p, flops, bytes);
-        x.gemm_nt_into(w, out).expect("device gemm_nt_mixed: shape mismatch");
-        for v in out.as_mut_slice() {
-            *v = p.round(*v);
-        }
-    }
-
-    /// Mixed-precision matrix–vector product `out = X v` (accumulate
-    /// full-width, store rounded).
-    pub fn matvec_into_mixed(&self, x: &Matrix, v: &[f64], out: &mut [f64]) {
-        let p = self.spec.precision;
-        let nnz = x.stored_entries() as f64;
-        let bpe = p.bytes_per_element();
-        let bytes = (x.storage_bytes() as f64) * (bpe / 8.0) + (v.len() + x.rows()) as f64 * bpe;
-        self.charge_kernel_at(p, 2.0 * nnz, bytes);
-        x.matvec_into(v, out).expect("device matvec_mixed: shape mismatch");
-        for o in out.iter_mut() {
-            *o = p.round(*o);
-        }
-    }
-
-    /// Mixed-precision row-wise softmax: probabilities are stored rounded to
-    /// the spec's precision; the per-row log-partition values stay
-    /// full-width (they feed scalar reductions, not storage).
-    pub fn softmax_rows_into_mixed(&self, margins: &mut DenseMatrix, row_scratch: &mut [f64], logz: &mut [f64]) {
-        let p = self.spec.precision;
-        let n = margins.rows();
-        let c = margins.cols();
-        assert_eq!(row_scratch.len(), c, "softmax_rows_into_mixed: scratch must hold one row");
-        assert_eq!(logz.len(), n, "softmax_rows_into_mixed: logz must hold one value per row");
-        self.charge_kernel_at(p, 5.0 * (n * c) as f64, 2.0 * (n * c) as f64 * p.bytes_per_element());
-        for (i, lz) in logz.iter_mut().enumerate() {
-            let row = margins.row_mut(i);
-            *lz = nadmm_linalg::reduce::softmax_with_reference(row, row_scratch);
-            for (dst, &src) in row.iter_mut().zip(row_scratch.iter()) {
-                *dst = p.round(src);
-            }
-        }
-    }
 }
 
 impl Default for Device {
@@ -486,90 +365,6 @@ mod tests {
             assert!(s < 1.0 && s > 0.0);
             assert!(m.row(i).iter().all(|&p| (0.0..=1.0).contains(&p)));
         }
-    }
-
-    #[test]
-    fn pack_unpack_round_trips_and_is_billed() {
-        let d = Device::p100();
-        let src: Vec<f64> = (0..64).map(|i| ((i as f64) * 0.37).sin() * 3.0).collect();
-        for p in [Precision::F16, Precision::Bf16] {
-            let mut packed = vec![0u16; src.len()];
-            let mut back = vec![0.0f64; src.len()];
-            d.pack_half_into(p, &src, &mut packed);
-            d.unpack_half_into(p, &packed, &mut back);
-            for (&b, &s) in back.iter().zip(&src) {
-                assert_eq!(b, p.round(s), "unpack(pack(x)) must equal the rounding of x at {p:?}");
-            }
-        }
-        assert_eq!(d.stats().kernels_launched, 4);
-        assert!(d.elapsed() > 0.0);
-    }
-
-    #[test]
-    fn mixed_kernels_equal_rounded_full_precision_results() {
-        for p in [Precision::F32, Precision::F16, Precision::Bf16] {
-            let full = Device::p100();
-            let mixed = Device::new(DeviceSpec::tesla_p100().with_precision(p));
-            let x = feature_matrix();
-            let w = DenseMatrix::from_vec(2, 2, vec![1.0, 1.0, -1.0, 0.5]);
-
-            let mut z_full = DenseMatrix::zeros(3, 2);
-            full.gemm_nt_into(&x, &w, &mut z_full);
-            let mut z_mixed = DenseMatrix::zeros(3, 2);
-            mixed.gemm_nt_into_mixed(&x, &w, &mut z_mixed);
-            for (m, f) in z_mixed.as_slice().iter().zip(z_full.as_slice()) {
-                assert_eq!(*m, p.round(*f), "gemm at {p:?} must store the rounded accumulation");
-            }
-
-            let v = [0.25, -1.5];
-            let mut mv_full = vec![0.0; 3];
-            full.matvec_into(&x, &v, &mut mv_full);
-            let mut mv_mixed = vec![0.0; 3];
-            mixed.matvec_into_mixed(&x, &v, &mut mv_mixed);
-            for (m, f) in mv_mixed.iter().zip(&mv_full) {
-                assert_eq!(*m, p.round(*f));
-            }
-
-            let mut margins_full = DenseMatrix::from_vec(2, 3, vec![1.0, 0.0, -1.0, 5.0, 5.0, 5.0]);
-            let mut margins_mixed = margins_full.clone();
-            let mut scratch = vec![0.0; 3];
-            let mut logz_full = vec![0.0; 2];
-            let mut logz_mixed = vec![0.0; 2];
-            full.softmax_rows_into(&mut margins_full, &mut scratch, &mut logz_full);
-            mixed.softmax_rows_into_mixed(&mut margins_mixed, &mut scratch, &mut logz_mixed);
-            assert_eq!(logz_mixed, logz_full, "log-partition values stay full-width");
-            for (m, f) in margins_mixed.as_slice().iter().zip(margins_full.as_slice()) {
-                assert_eq!(*m, p.round(*f));
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_kernels_are_cheaper_than_full_precision() {
-        // A compute-bound GEMM: f16 must beat f32 must beat the FP64 path,
-        // both in billed time and in billed bytes.
-        let x = Matrix::Dense(DenseMatrix::from_fn(64, 48, |i, j| ((i * 7 + j) as f64 * 0.01).cos()));
-        let w = DenseMatrix::from_fn(16, 48, |i, j| ((i + j) as f64 * 0.02).sin());
-        let mut out = DenseMatrix::zeros(64, 16);
-
-        let mut elapsed = Vec::new();
-        let mut bytes = Vec::new();
-        let full = Device::p100();
-        full.gemm_nt_into(&x, &w, &mut out);
-        elapsed.push(full.elapsed());
-        bytes.push(full.stats().bytes_moved);
-        for p in [Precision::F32, Precision::F16] {
-            let d = Device::new(DeviceSpec::tesla_p100().with_precision(p));
-            d.gemm_nt_into_mixed(&x, &w, &mut out);
-            elapsed.push(d.elapsed());
-            bytes.push(d.stats().bytes_moved);
-        }
-        assert!(elapsed[1] < elapsed[0], "f32 mixed must beat FP64: {elapsed:?}");
-        assert!(elapsed[2] < elapsed[1], "f16 must beat f32: {elapsed:?}");
-        assert!(
-            bytes[1] == bytes[0] / 2.0 && bytes[2] == bytes[0] / 4.0,
-            "storage bytes must scale: {bytes:?}"
-        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod workspace;
 
 pub use clock::SimClock;
 pub use device::{Device, DeviceStats};
-pub use spec::{DeviceSpec, Precision};
+pub use spec::DeviceSpec;
 pub use workspace::{Workspace, WorkspaceStats};
 
 #[cfg(test)]

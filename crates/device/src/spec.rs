@@ -2,104 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Storage precision of the mixed-precision device kernels.
-///
-/// The plain kernels model the paper's FP64 path (8 bytes/element, the
-/// spec's base throughput). A `Precision` buys roofline headroom the way
-/// real accelerators do: narrower storage (fewer bytes per element through
-/// the memory system) and higher arithmetic throughput (FP32 runs 2× FP64
-/// on P100-class parts, FP16/BF16 4×), while accumulation stays wide — the
-/// mixed kernels compute in the full-width carrier and round only what is
-/// *stored*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Single precision: 4 bytes/element, 2× the spec's FP64 throughput.
-    #[default]
-    F32,
-    /// IEEE half precision: 2 bytes/element, 4× FP64 throughput.
-    F16,
-    /// bfloat16: 2 bytes/element, 4× FP64 throughput (f32 range, 8-bit
-    /// mantissa).
-    Bf16,
-}
-
-impl Precision {
-    /// Every precision, in documentation order.
-    pub const ALL: [Precision; 3] = [Precision::F32, Precision::F16, Precision::Bf16];
-
-    /// The spellings [`Precision::parse`] accepts, for error messages.
-    pub const ACCEPTED_SPELLINGS: &'static str = "f32|fp32|single, f16|fp16|half, bf16|bfloat16";
-
-    /// Canonical lowercase name (also the serialized form).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::F16 => "f16",
-            Precision::Bf16 => "bf16",
-        }
-    }
-
-    /// Parses a precision name (case-insensitive, common aliases accepted).
-    pub fn parse(raw: &str) -> Option<Precision> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "f32" | "fp32" | "single" => Some(Precision::F32),
-            "f16" | "fp16" | "half" => Some(Precision::F16),
-            "bf16" | "bfloat16" => Some(Precision::Bf16),
-            _ => None,
-        }
-    }
-
-    /// Bytes per stored element at this precision.
-    pub fn bytes_per_element(&self) -> f64 {
-        match self {
-            Precision::F32 => 4.0,
-            Precision::F16 | Precision::Bf16 => 2.0,
-        }
-    }
-
-    /// Arithmetic-throughput multiplier over the spec's FP64 rate.
-    pub fn flops_multiplier(&self) -> f64 {
-        match self {
-            Precision::F32 => 2.0,
-            Precision::F16 | Precision::Bf16 => 4.0,
-        }
-    }
-
-    /// Rounds a full-width carrier value through this storage format:
-    /// exactly what a mixed kernel's store unit does to an accumulated
-    /// result.
-    pub fn round(&self, x: f64) -> f64 {
-        match self {
-            Precision::F32 => nadmm_linalg::half::round_f32(x),
-            Precision::F16 => nadmm_linalg::half::round_f16(x),
-            Precision::Bf16 => nadmm_linalg::half::round_bf16(x),
-        }
-    }
-}
-
-impl Serialize for Precision {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_string())
-    }
-}
-
-impl Deserialize for Precision {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            // Pre-reduced-precision specs omit the field entirely; the shim
-            // hands deserializers `Null` for missing keys.
-            serde::Value::Null => Ok(Precision::default()),
-            serde::Value::Str(s) => Precision::parse(s).ok_or_else(|| {
-                serde::DeError(format!(
-                    "`{s}` does not name a precision; accepted values: {}",
-                    Precision::ACCEPTED_SPELLINGS
-                ))
-            }),
-            other => Err(serde::DeError::expected("precision string", other)),
-        }
-    }
-}
-
 /// Static description of an accelerator, in SI units (FLOP/s, bytes/s,
 /// seconds). The defaults below are the public spec-sheet numbers for the
 /// hardware classes the paper used, de-rated to realistic sustained
@@ -118,10 +20,6 @@ pub struct DeviceSpec {
     pub pcie_bandwidth: f64,
     /// Fixed latency per host↔device transfer, in seconds.
     pub pcie_latency: f64,
-    /// Storage precision of the mixed-precision kernels
-    /// ([`crate::Device::gemm_nt_into_mixed`] and friends). The plain
-    /// kernels ignore it and stay on the FP64 path.
-    pub precision: Precision,
 }
 
 impl DeviceSpec {
@@ -136,7 +34,6 @@ impl DeviceSpec {
             launch_latency: 5.0e-6,
             pcie_bandwidth: 12.0e9,
             pcie_latency: 10.0e-6,
-            precision: Precision::F32,
         }
     }
 
@@ -151,7 +48,6 @@ impl DeviceSpec {
             launch_latency: 0.0,
             pcie_bandwidth: f64::INFINITY,
             pcie_latency: 0.0,
-            precision: Precision::F32,
         }
     }
 
@@ -165,14 +61,7 @@ impl DeviceSpec {
             launch_latency: 5.0e-6,
             pcie_bandwidth: 14.0e9,
             pcie_latency: 10.0e-6,
-            precision: Precision::F32,
         }
-    }
-
-    /// Returns the same spec with a different mixed-kernel storage precision.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// Time to run a kernel touching `flops` floating-point operations and
@@ -184,21 +73,6 @@ impl DeviceSpec {
         } else {
             0.0
         };
-        let memory = if self.mem_bandwidth > 0.0 {
-            bytes / self.mem_bandwidth
-        } else {
-            0.0
-        };
-        self.launch_latency + compute.max(memory)
-    }
-
-    /// Per-precision roofline: like [`DeviceSpec::kernel_time`], but the
-    /// compute term runs at the precision's multiple of the FP64 rate. The
-    /// byte footprint is whatever the caller already scaled to the storage
-    /// width.
-    pub fn kernel_time_at(&self, precision: Precision, flops: f64, bytes: f64) -> f64 {
-        let rate = self.flops_per_sec * precision.flops_multiplier();
-        let compute = if rate > 0.0 { flops / rate } else { 0.0 };
         let memory = if self.mem_bandwidth > 0.0 {
             bytes / self.mem_bandwidth
         } else {
@@ -270,67 +144,21 @@ mod tests {
     #[test]
     fn default_is_p100() {
         assert_eq!(DeviceSpec::default(), DeviceSpec::tesla_p100());
-        assert_eq!(DeviceSpec::default().precision, Precision::F32);
     }
 
     #[test]
-    fn precision_names_parse_back() {
-        for p in Precision::ALL {
-            assert_eq!(Precision::parse(p.name()), Some(p));
-        }
-        assert_eq!(Precision::parse(" FP16 "), Some(Precision::F16));
-        assert_eq!(Precision::parse("bfloat16"), Some(Precision::Bf16));
-        assert_eq!(Precision::parse("single"), Some(Precision::F32));
-        assert_eq!(Precision::parse("f64"), None);
-        assert_eq!(Precision::parse(""), None);
-    }
-
-    #[test]
-    fn per_precision_roofline_is_faster_in_reduced_precision() {
-        let s = DeviceSpec::tesla_p100();
-        // Compute-bound shape: f16 runs 2× faster than f32, 4× than FP64.
-        let flops = 1e12;
-        let t64 = s.kernel_time(flops, 1e3);
-        let t32 = s.kernel_time_at(Precision::F32, flops, 1e3);
-        let t16 = s.kernel_time_at(Precision::F16, flops, 1e3);
-        assert!(t32 < t64 && t16 < t32);
-        assert!(
-            ((t16 - s.launch_latency) * 4.0 - (t64 - s.launch_latency)).abs() < 1e-12,
-            "f16 compute term must be a quarter of the FP64 one"
-        );
-        // Memory-bound shape: the byte term is untouched (the caller scales
-        // the bytes, not the bandwidth).
-        let m64 = s.kernel_time(1.0, 1e12);
-        let m16 = s.kernel_time_at(Precision::F16, 1.0, 1e12);
-        assert_eq!(m64, m16);
-    }
-
-    #[test]
-    fn precision_serde_round_trips_and_defaults_to_f32() {
+    fn a_spec_written_with_a_precision_key_loads_as_the_same_device() {
         use serde::{Deserialize as _, Serialize as _};
-        for p in Precision::ALL {
-            let back = Precision::from_value(&p.to_value()).unwrap();
-            assert_eq!(back, p);
-        }
-        // Missing field (Null) is the pre-v2 spelling of F32.
-        assert_eq!(Precision::from_value(&serde::Value::Null).unwrap(), Precision::F32);
-        let err = Precision::from_value(&serde::Value::Str("f8".into())).unwrap_err();
-        assert!(
-            err.0.contains("accepted values") && err.0.contains("bf16"),
-            "parse error must list the accepted spellings: {err}"
-        );
-        // A spec without the field parses (old JSON), one with it honors it.
-        let spec = DeviceSpec::tesla_p100().with_precision(Precision::F16);
-        let v = spec.to_value();
-        assert_eq!(DeviceSpec::from_value(&v).unwrap(), spec);
-        let stripped = match v {
-            serde::Value::Map(entries) => serde::Value::Map(entries.into_iter().filter(|(k, _)| k != "precision").collect()),
-            _ => unreachable!("specs serialize as maps"),
+        // Older scenario files carry a `"precision"` key, which selected the
+        // storage width of kernels no solver launched. It is ignored.
+        let serde::Value::Map(entries) = DeviceSpec::tesla_p100().to_value() else {
+            unreachable!("specs serialize as maps")
         };
+        let mut legacy: Vec<_> = entries.into_iter().filter(|(k, _)| k != "precision").collect();
+        legacy.push(("precision".to_string(), serde::Value::Str("f16".into())));
         assert_eq!(
-            DeviceSpec::from_value(&stripped).unwrap(),
-            DeviceSpec::tesla_p100(),
-            "a pre-v2 spec (no precision key) must load as F32"
+            DeviceSpec::from_value(&serde::Value::Map(legacy)).unwrap(),
+            DeviceSpec::tesla_p100()
         );
     }
 }

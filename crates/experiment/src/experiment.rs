@@ -295,27 +295,38 @@ pub fn run_spec_on(
     };
     match spec {
         SolverSpec::SyncSgdGrid { base, grid } => {
-            let mut best: Option<RunReport> = None;
-            for &step in grid {
-                let candidate = SolverSpec::SyncSgd(SyncSgdConfig {
-                    step_size: step,
-                    ..*base
-                });
-                let report = run_one(&candidate);
-                let objective = report.final_objective.unwrap_or(f64::INFINITY);
-                let is_better = best
-                    .as_ref()
-                    .and_then(|b| b.final_objective)
-                    .map(|b| objective < b)
-                    .unwrap_or(true);
-                if objective.is_finite() && is_better {
-                    best = Some(report);
-                }
-            }
-            best.ok_or(ExperimentError::GridDiverged)
+            best_of_grid(base, grid, |candidate| Some(run_one(candidate))).ok_or(ExperimentError::GridDiverged)
         }
         other => Ok(run_one(other)),
     }
+}
+
+/// The paper's SGD protocol, shared by [`run_spec_on`] and [`run_spec_over`]:
+/// runs one `SyncSgd` candidate per grid step, in grid order, and keeps the
+/// first report whose final objective is finite and strictly below every
+/// earlier one's. `run` returns `None` on ranks that hold no report; `None`
+/// overall means no candidate held a finite objective.
+fn best_of_grid(base: &SyncSgdConfig, grid: &[f64], mut run: impl FnMut(&SolverSpec) -> Option<RunReport>) -> Option<RunReport> {
+    let mut best: Option<RunReport> = None;
+    for &step in grid {
+        let candidate = SolverSpec::SyncSgd(SyncSgdConfig {
+            step_size: step,
+            ..*base
+        });
+        let Some(report) = run(&candidate) else {
+            continue;
+        };
+        let objective = report.final_objective.unwrap_or(f64::INFINITY);
+        let is_better = best
+            .as_ref()
+            .and_then(|b| b.final_objective)
+            .map(|b| objective < b)
+            .unwrap_or(true);
+        if objective.is_finite() && is_better {
+            best = Some(report);
+        }
+    }
+    best
 }
 
 /// One-rank counterpart of [`run_spec_on`]: runs one solver spec over an
@@ -336,31 +347,16 @@ pub fn run_spec_over(
     match spec {
         SolverSpec::SyncSgdGrid { base, grid } => {
             // Every rank runs every candidate (the collectives need the
-            // whole fleet), but only rank 0 holds reports to select among —
-            // the same best-by-final-objective arithmetic as the
-            // thread-backed grid.
+            // whole fleet), but only rank 0 holds reports to select among.
             let root = transport.rank() == 0;
-            let mut reclaimed = transport;
-            let mut best: Option<RunReport> = None;
-            for &step in grid {
-                let candidate = SolverSpec::SyncSgd(SyncSgdConfig {
-                    step_size: step,
-                    ..*base
-                });
-                let (report, back) = run_candidate_over(cluster, &candidate, shard, test, rank_devices, reclaimed);
-                reclaimed = back;
-                if let Some(report) = report {
-                    let objective = report.final_objective.unwrap_or(f64::INFINITY);
-                    let is_better = best
-                        .as_ref()
-                        .and_then(|b| b.final_objective)
-                        .map(|b| objective < b)
-                        .unwrap_or(true);
-                    if objective.is_finite() && is_better {
-                        best = Some(report);
-                    }
-                }
-            }
+            let mut slot = Some(transport);
+            let best = best_of_grid(base, grid, |candidate| {
+                let transport = slot.take().expect("each candidate hands the transport back");
+                let (report, back) = run_candidate_over(cluster, candidate, shard, test, rank_devices, transport);
+                slot = Some(back);
+                report
+            });
+            let reclaimed = slot.expect("each candidate hands the transport back");
             if root {
                 Ok((Some(best.ok_or(ExperimentError::GridDiverged)?), reclaimed))
             } else {

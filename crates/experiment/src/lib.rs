@@ -24,10 +24,11 @@
 //!   final objective/accuracy, per-collective [`CommStats`] breakdown,
 //!   workspace-pool counters, simulated and wall time; serializes to JSON.
 //!
-//! Every run through this layer is bit-identical to the superseded
-//! per-solver `run_cluster` entry points (proven by the equivalence tests in
-//! `tests/equivalence.rs`): the experiment layer adds validation, uniform
-//! reporting and declarative composition, not new numerics.
+//! Every run through this layer is bit-identical to spawning the ranks by
+//! hand and calling each solver's `run_distributed` (proven by the
+//! equivalence tests in `tests/equivalence.rs`): the experiment layer adds
+//! validation, uniform reporting and declarative composition, not new
+//! numerics.
 
 pub mod experiment;
 pub mod report;

@@ -4,8 +4,7 @@
 //! `run` executes the solver inside one rank of a communicator (every rank
 //! calls it with its own shard, exactly like the underlying
 //! `run_distributed` methods) and returns a structured [`RunReport`]. The
-//! experiment layer owns the rank spawning ([`crate::run_solver_on`]), so
-//! the per-solver `run_cluster` wrappers are no longer needed.
+//! experiment layer owns the rank spawning ([`crate::run_solver_on`]).
 
 use crate::report::{RankSkew, RunReport};
 use nadmm_baselines::{AideConfig, Disco, Giant, InexactDane, SyncSgd};
@@ -34,22 +33,12 @@ pub trait Solver: Send + Sync {
 
 /// Runs a solver on every rank of a cluster (one shard per rank) and returns
 /// the master rank's report, annotated with the fleet's per-rank skew
-/// summary. This is the single copy of the spawn/hand-off/collect
-/// scaffolding that used to be duplicated across the five `run_cluster`
-/// wrappers.
+/// summary.
 ///
 /// # Panics
 /// Panics if the shard count does not match the cluster size.
 pub fn run_solver_on(cluster: &Cluster, solver: &dyn Solver, shards: &[Dataset], test: Option<&Dataset>) -> RunReport {
-    let outputs = cluster.run_sharded(shards, |comm, shard| {
-        nadmm_trace::install(comm.rank());
-        let report = solver.run(comm, shard, test);
-        (report, nadmm_trace::uninstall())
-    });
-    let (reports, traces): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
-    let mut master = master_with_skew(reports);
-    attach_trace(&mut master, solver.name(), traces);
-    master
+    run_ranks_on(cluster, |_| solver, shards, test)
 }
 
 /// Runs one solver *instance per rank* — a heterogeneous fleet where each
@@ -66,23 +55,28 @@ pub fn run_rank_solvers_on(
     test: Option<&Dataset>,
 ) -> RunReport {
     assert_eq!(solvers.len(), cluster.size(), "need exactly one solver instance per rank");
-    let outputs = cluster.run_sharded(shards, |comm, shard| {
-        nadmm_trace::install(comm.rank());
-        let report = solvers[comm.rank()].run(comm, shard, test);
-        (report, nadmm_trace::uninstall())
-    });
-    let (reports, traces): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
-    let mut master = master_with_skew(reports);
-    attach_trace(&mut master, solvers[0].name(), traces);
-    master
+    run_ranks_on(cluster, |rank| solvers[rank].as_ref(), shards, test)
 }
 
-/// Keeps the master rank's report and folds every rank's communication
-/// counters into its [`RankSkew`] summary.
-fn master_with_skew(mut reports: Vec<RunReport>) -> RunReport {
+/// The one copy of the spawn/hand-off/collect scaffolding: rank `r` runs
+/// `solver_of(r)` on its shard; the master's report comes back with the
+/// fleet's [`RankSkew`] summary and, when tracing is on, its flat profile.
+fn run_ranks_on<'s>(
+    cluster: &Cluster,
+    solver_of: impl Fn(usize) -> &'s (dyn Solver + 's) + Sync,
+    shards: &[Dataset],
+    test: Option<&Dataset>,
+) -> RunReport {
+    let outputs = cluster.run_sharded(shards, |comm, shard| {
+        nadmm_trace::install(comm.rank());
+        let report = solver_of(comm.rank()).run(comm, shard, test);
+        (report, nadmm_trace::uninstall())
+    });
+    let (mut reports, traces): (Vec<RunReport>, Vec<_>) = outputs.into_iter().unzip();
     let stats: Vec<CommStats> = reports.iter().map(|r| r.comm_stats).collect();
     let mut master = reports.swap_remove(0);
     master.rank_skew = Some(RankSkew::from_rank_stats(&stats));
+    attach_trace(&mut master, solver_of(0).name(), traces);
     master
 }
 
@@ -176,8 +170,7 @@ impl Solver for SyncSgd {
 }
 
 /// AIDE as a standalone solver: InexactDANE (the inner configuration lives
-/// in [`AideConfig::dane`]) wrapped in catalyst acceleration. Absorbs the
-/// old `run_cluster_aide` entry point.
+/// in [`AideConfig::dane`]) wrapped in catalyst acceleration.
 #[derive(Debug, Clone, Default)]
 pub struct Aide {
     config: AideConfig,

@@ -3,8 +3,8 @@
 //!
 //! No `half` crate is available offline, so the conversions are hand-rolled
 //! bit manipulation with round-to-nearest-even, full subnormal support, and
-//! inf/NaN preservation. Everything downstream (the device pack kernels, the
-//! compressed collectives, the artifact v2 weight blocks) routes through
+//! inf/NaN preservation. Everything downstream (the compressed collectives,
+//! the artifact v2 weight blocks) routes through
 //! these few functions, so their semantics are pinned by exhaustive and
 //! property tests here and in `proptest_collectives.rs` /
 //! `proptest_artifact.rs`.

@@ -23,8 +23,8 @@
 //! * [`gen`] — random matrix/vector generation with controllable spectra
 //!   (used by the tests and the synthetic dataset generators),
 //! * [`half`] — hand-rolled f16/bf16 conversions and symmetric i8
-//!   quantization (the reduced-precision seam: device pack kernels,
-//!   compressed collectives, and artifact v2 weight blocks all use these).
+//!   quantization (the reduced-precision seam: compressed collectives and
+//!   artifact v2 weight blocks both use these).
 //!
 //! ## Reduction order
 //!
