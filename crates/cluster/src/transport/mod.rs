@@ -9,8 +9,8 @@
 //! * [`thread::ThreadTransport`] — the simulated in-process cluster: per-edge
 //!   pooled mailboxes in shared memory, zero-allocation once warm;
 //! * [`tcp::TcpTransport`] — real sockets: one listener per rank, a
-//!   connection cache keyed by peer rank, a dedicated send thread fed by an
-//!   mpsc channel, length-prefixed frames ([`wire`]).
+//!   connection cache keyed by peer rank, length-prefixed frames ([`wire`])
+//!   written by the calling thread in one vectored write.
 //!
 //! Because the engine's *billing* is driven by the network cost model and the
 //! logical payload sizes (never by transport wall time), a scenario produces
@@ -40,8 +40,18 @@ pub trait Transport: Send {
     /// Short backend name for diagnostics ("thread", "tcp").
     fn backend(&self) -> &'static str;
 
-    /// Queues `frame` for delivery to rank `to`. May return before the peer
-    /// receives it (both backends are fire-and-forget on the send side).
+    /// Hands `frame` over for delivery to rank `to`. Returns once the
+    /// backend has taken the bytes — a mailbox on the thread fabric, the
+    /// kernel's socket buffer on TCP — so it may return before the peer
+    /// reads the frame, and blocks at most until the backend accepts it.
+    ///
+    /// Blocking there cannot deadlock the collective engine, because every
+    /// round is a star: a peer writes its contribution to the root and then
+    /// reads; the root reads every contribution and then writes the result.
+    /// No two ranks ever write to each other while neither reads, so every
+    /// blocked write has a reader on the other end. A poison notice is small
+    /// enough for any socket buffer and goes to peers that are blocked in
+    /// [`Transport::recv_into`] or about to be.
     fn send(&mut self, to: usize, frame: &[u8]);
 
     /// Blocks until the next frame from rank `from` arrives and copies it

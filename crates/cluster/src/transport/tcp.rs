@@ -7,22 +7,25 @@
 //! rank, identified by a hello frame. The result is a full-mesh connection
 //! cache keyed by peer rank.
 //!
-//! Sends are non-blocking for the caller: frames go through an mpsc channel
-//! to a dedicated send thread that writes length-prefixed frames
-//! ([`wire::write_frame`]) to the cached streams — the gridiron
-//! `message/tcp.rs` shape. Receives block on the peer's stream through a
-//! buffered reader.
+//! A send is one vectored write of the length-prefixed frame
+//! ([`wire::write_frame`]) from the calling thread into the peer's socket:
+//! no copy, no queue, no helper thread. It blocks at most until the kernel
+//! has taken every byte, which the round protocol cannot deadlock (see
+//! [`Transport::send`]). Receives block on the peer's stream through a
+//! buffered reader, which picks up a small frame's prefix and payload in
+//! one read.
 //!
 //! A dead peer surfaces as an EOF/reset on its stream, which `recv_into`
-//! turns into a loud panic; an explicit [`Transport::poison`] additionally
-//! pushes a wire error frame to every peer so they panic with the original
-//! message instead of a bare connection error.
+//! turns into a loud panic; a failed write is logged once and drops the
+//! write half, leaving the report to that receive. An explicit
+//! [`Transport::poison`] additionally writes a wire error frame to every
+//! peer so they panic with the original message instead of a bare
+//! connection error.
 
 use super::wire;
 use super::Transport;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Pause after the first refused bind or connect; every further one is twice
@@ -91,11 +94,11 @@ pub fn reserve_loopback_peers(n: usize) -> std::io::Result<Vec<String>> {
 pub struct TcpTransport {
     rank: usize,
     size: usize,
+    /// Write halves keyed by peer rank (`None` at `self.rank`, and for a
+    /// peer once a write to it has failed).
+    writers: Vec<Option<TcpStream>>,
     /// Read halves keyed by peer rank (`None` at `self.rank`).
     readers: Vec<Option<BufReader<TcpStream>>>,
-    /// Feed of the send thread; dropped (closing the channel) on teardown.
-    sink: Option<mpsc::Sender<(usize, Vec<u8>)>>,
-    sender: Option<std::thread::JoinHandle<()>>,
     /// Scratch for `recv_into`'s length-prefixed reads.
     rx_scratch: Vec<u8>,
 }
@@ -117,7 +120,6 @@ impl TcpTransport {
             stream.set_nodelay(true)?;
             wire::encode_hello(&mut hello, rank as u64, size as u64);
             wire::write_frame(&mut stream, &hello)?;
-            stream.flush()?;
             writers[peer] = Some(stream.try_clone()?);
             readers[peer] = Some(BufReader::new(stream));
         }
@@ -160,29 +162,11 @@ impl TcpTransport {
             writers[peer] = Some(stream);
             readers[peer] = Some(reader);
         }
-        // The dedicated send thread owns every write half and drains the
-        // channel until the transport drops it.
-        let (tx, rx) = mpsc::channel::<(usize, Vec<u8>)>();
-        let sender = std::thread::Builder::new()
-            .name(format!("nadmm-tcp-send-{rank}"))
-            .spawn(move || {
-                for (to, frame) in rx {
-                    let Some(stream) = writers[to].as_mut() else { continue };
-                    if let Err(e) = wire::write_frame(stream, &frame).and_then(|()| stream.flush()) {
-                        // The receiving side of the dead connection reports
-                        // the failure loudly; the send thread just stops
-                        // feeding it.
-                        eprintln!("nadmm-tcp rank {rank}: send to rank {to} failed: {e}");
-                        writers[to] = None;
-                    }
-                }
-            })?;
         Ok(Self {
             rank,
             size,
+            writers,
             readers,
-            sink: Some(tx),
-            sender: Some(sender),
             rx_scratch: Vec::new(),
         })
     }
@@ -207,10 +191,15 @@ impl Transport for TcpTransport {
 
     fn send(&mut self, to: usize, frame: &[u8]) {
         assert_ne!(to, self.rank, "a rank does not send frames to itself");
-        if let Some(sink) = &self.sink {
-            // A closed channel means the send thread is gone; the matching
-            // recv will report the dead connection.
-            let _ = sink.send((to, frame.to_vec()));
+        let Some(mut stream) = self.writers[to].as_ref() else { return };
+        // A vectored write to a reset connection raises SIGPIPE; the Rust
+        // runtime ignores that signal before `main`, so it surfaces here as
+        // an EPIPE error instead of ending the process.
+        if let Err(e) = wire::write_frame(&mut stream, frame) {
+            // The receiving side of the dead connection reports the failure
+            // loudly; this side just stops writing to it.
+            eprintln!("nadmm-tcp rank {}: send to rank {to} failed: {e}", self.rank);
+            self.writers[to] = None;
         }
     }
 
@@ -230,23 +219,11 @@ impl Transport for TcpTransport {
     }
 
     fn poison(&self, message: &str) {
-        if let Some(sink) = &self.sink {
-            let mut frame = Vec::new();
-            wire::encode_error(&mut frame, message);
-            for peer in (0..self.size).filter(|&p| p != self.rank) {
-                let _ = sink.send((peer, frame.clone()));
-            }
-        }
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        // Closing the channel lets the send thread drain queued frames
-        // (poison notices included) and exit.
-        drop(self.sink.take());
-        if let Some(h) = self.sender.take() {
-            let _ = h.join();
+        let mut frame = Vec::new();
+        wire::encode_error(&mut frame, message);
+        for mut stream in self.writers.iter().flatten() {
+            // Best effort: a peer that is already gone needs no notice.
+            let _ = wire::write_frame(&mut stream, &frame);
         }
     }
 }
@@ -331,6 +308,55 @@ mod tests {
         let r1 = ranks.pop().unwrap();
         let mut r0 = ranks.pop().unwrap();
         drop(r1);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut buf = Vec::new();
+            r0.recv_into(1, &mut buf);
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("lost the connection to rank 1"), "got: {msg}");
+    }
+
+    #[test]
+    fn a_frame_larger_than_both_socket_buffers_arrives_whole() {
+        // 40 MiB is more than the default send and receive buffers hold
+        // together, so the send blocks partway until the late receiver
+        // drains the socket. (A blocking socket finishes the write in the
+        // kernel; the resume-after-a-short-write loop is pinned by the
+        // wire codec's own tests.)
+        let mut ranks = mesh(2);
+        let mut r1 = ranks.pop().unwrap();
+        let mut r0 = ranks.pop().unwrap();
+        let frame: Vec<u8> = (0..40usize << 20).map(|i| (i % 251) as u8).collect();
+        let receiver = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            let mut buf = Vec::new();
+            r1.recv_into(0, &mut buf);
+            buf
+        });
+        r0.send(1, &frame);
+        let got = receiver.join().unwrap();
+        assert_eq!(got.len(), frame.len());
+        assert!(got == frame, "the 40 MiB frame arrived corrupted");
+    }
+
+    #[test]
+    fn a_send_to_a_dropped_peer_returns_and_the_receive_names_it() {
+        let mut ranks = mesh(2);
+        let r1 = ranks.pop().unwrap();
+        let mut r0 = ranks.pop().unwrap();
+        drop(r1);
+        // The first write lands in the kernel buffer and draws a reset; a
+        // later one fails with EPIPE or ECONNRESET (not a SIGPIPE death),
+        // which drops the write half. Further sends are no-ops.
+        for _ in 0..1000 {
+            if r0.writers[1].is_none() {
+                break;
+            }
+            r0.send(1, &[7; 4096]);
+        }
+        assert!(r0.writers[1].is_none(), "no write to the dropped peer ever failed");
+        r0.send(1, b"after the failure");
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut buf = Vec::new();
             r0.recv_into(1, &mut buf);

@@ -13,7 +13,7 @@
 //! yields a [`WireError`] naming the offending field instead of a silent
 //! wrong answer — the same philosophy as the model-artifact loader.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Leading magic of every frame.
 pub const WIRE_MAGIC: [u8; 4] = *b"NADW";
@@ -322,8 +322,10 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
 }
 
 fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    for &v in vs {
-        put_f64(buf, v);
+    let start = buf.len();
+    buf.resize(start + vs.len() * 8, 0);
+    for (dst, v) in buf[start..].chunks_exact_mut(8).zip(vs) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -527,10 +529,25 @@ pub fn decode(frame: &[u8]) -> Result<Frame<'_>, WireError> {
 }
 
 /// Writes `frame` to a byte stream with a little-endian `u32` length prefix.
+///
+/// Prefix and frame go down in one vectored write, so a socket that has
+/// room sends them as one segment, and neither is copied. Partial writes
+/// resume where the stream stopped and `Interrupted` is retried, until the
+/// stream has taken every byte or fails.
 pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> std::io::Result<()> {
     assert!(frame.len() <= MAX_FRAME_BYTES, "frame exceeds MAX_FRAME_BYTES");
-    w.write_all(&(frame.len() as u32).to_le_bytes())?;
-    w.write_all(frame)
+    let prefix = (frame.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(frame)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads one length-prefixed frame from a byte stream into `buf` (resized in
@@ -735,6 +752,101 @@ mod tests {
                 count: 1
             }
         );
+    }
+
+    /// Appends `vs` one element at a time: the reference the bulk
+    /// `put_f64s` must match byte for byte.
+    fn put_f64s_per_element(buf: &mut Vec<u8>, vs: &[f64]) {
+        for &v in vs {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn bulk_payload_encode_matches_the_per_element_reference() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN
+            f64::MIN_POSITIVE / 4.0,               // subnormal
+            -f64::from_bits(1),                    // smallest negative subnormal
+            f64::MAX,
+            1.5,
+        ];
+        let long: Vec<f64> = (0..7056).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        let payloads: [&[f64]; 4] = [&[], &specials, &specials[..1], &long];
+        let (mut bulk, mut reference) = (Vec::new(), Vec::new());
+        for payload in payloads {
+            let len = payload.len() as u64;
+            encode_contribution(&mut bulk, 5, RoundOp::Sum, false, -0.0, len, payload);
+            header(&mut reference, KIND_CONTRIBUTION, 0);
+            put_u64(&mut reference, 5);
+            reference.push(RoundOp::Sum.tag());
+            put_u64(&mut reference, RoundOp::Sum.sum_len());
+            put_f64(&mut reference, -0.0);
+            put_u64(&mut reference, len);
+            put_f64s_per_element(&mut reference, payload);
+            assert_eq!(bulk, reference, "contribution of {len} elements");
+
+            let lens = [len, 0];
+            encode_result(&mut bulk, 6, f64::INFINITY, f64::NAN, &lens, payload);
+            header(&mut reference, KIND_RESULT, 0);
+            put_u64(&mut reference, 6);
+            put_f64(&mut reference, f64::INFINITY);
+            put_f64(&mut reference, f64::NAN);
+            put_u64(&mut reference, 2);
+            put_u64(&mut reference, len);
+            put_u64(&mut reference, 0);
+            put_u64(&mut reference, len);
+            put_f64s_per_element(&mut reference, payload);
+            assert_eq!(bulk, reference, "result of {len} elements");
+        }
+    }
+
+    /// A stream that takes at most 3 bytes per call and fails every other
+    /// call with `Interrupted`, as a signal-interrupted socket write can.
+    struct Trickle {
+        taken: Vec<u8>,
+        interrupt: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(3);
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn framing_survives_partial_and_interrupted_writes() {
+        let mut frame = Vec::new();
+        encode_result(&mut frame, 1, 0.0, 0.0, &[2], &[1.0, -2.0]);
+        for frame in [&frame[..], &[]] {
+            let mut whole = Vec::new();
+            write_frame(&mut whole, frame).unwrap();
+            let mut trickle = Trickle {
+                taken: Vec::new(),
+                interrupt: false,
+            };
+            write_frame(&mut trickle, frame).unwrap();
+            assert_eq!(trickle.taken, whole);
+            let mut out = vec![9];
+            read_frame_into(&mut std::io::Cursor::new(&trickle.taken), &mut out).unwrap();
+            assert_eq!(out, frame);
+        }
     }
 
     #[test]

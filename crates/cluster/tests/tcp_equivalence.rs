@@ -6,6 +6,8 @@
 
 use nadmm_cluster::transport::tcp::reserve_loopback_peers;
 use nadmm_cluster::{Cluster, CommStats, Communicator, Compression, Contribution, NetworkModel, StragglerModel, TcpTransport};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// One rank's outcome of the exercise workload.
 type Outcome = (Vec<f64>, f64, CommStats);
@@ -56,9 +58,50 @@ fn exercise(comm: &mut dyn Communicator, tombstones: bool) -> Outcome {
     (buf, comm.elapsed(), comm.stats())
 }
 
-/// Runs the workload over real TCP sockets: every rank is a thread owning a
+/// Payload length of the large rounds: 2^20 doubles (8 MiB) per
+/// contribution, more than a loopback socket buffers in either direction, so
+/// every write blocks until the other side reads.
+const BIG: usize = 1 << 20;
+
+/// An allreduce, a broadcast and an allgather whose frames each outgrow the
+/// socket buffers.
+fn big_rounds(comm: &mut dyn Communicator) -> Outcome {
+    let rank = comm.rank() as f64;
+    let mut buf: Vec<f64> = (0..BIG).map(|i| (i as f64 * 1e-3).cos() + rank).collect();
+    comm.allreduce_sum_into(&mut buf);
+    if !comm.is_root() {
+        buf.fill(-1.0);
+    }
+    comm.broadcast_root_into(&mut buf);
+    let mine: Vec<f64> = buf.iter().map(|v| v * (rank + 1.0)).collect();
+    let mut gathered = vec![0.0; BIG * comm.size()];
+    comm.allgather_into(&mine, &mut gathered);
+    (gathered, comm.elapsed(), comm.stats())
+}
+
+/// Runs `body` on a thread of its own and fails the test if it has not
+/// finished within `limit`, so a deadlock fails instead of hanging.
+fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = done.send(body());
+    });
+    match finished.recv_timeout(limit) {
+        Ok(v) => {
+            worker.join().expect("the body already reported");
+            v
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("deadlock: the body did not finish within {limit:?}"),
+        Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(worker.join().unwrap_err()),
+    }
+}
+
+/// Runs `work` over real TCP sockets: every rank is a thread owning a
 /// `TcpTransport` on a loopback full mesh.
-fn run_tcp(cluster: &Cluster, tombstones: bool) -> Vec<Outcome> {
+fn run_tcp<W>(cluster: &Cluster, work: W) -> Vec<Outcome>
+where
+    W: Fn(&mut dyn Communicator) -> Outcome + Sync,
+{
     let n = cluster.size();
     let peers = reserve_loopback_peers(n).expect("loopback ports");
     std::thread::scope(|scope| {
@@ -66,10 +109,11 @@ fn run_tcp(cluster: &Cluster, tombstones: bool) -> Vec<Outcome> {
         for rank in 0..n {
             let peers = peers.clone();
             let cluster = cluster.clone();
+            let work = &work;
             handles.push(scope.spawn(move || {
                 let transport = TcpTransport::connect(rank, &peers).expect("tcp bootstrap");
                 let mut comm = cluster.connect(Box::new(transport));
-                exercise(&mut comm, tombstones)
+                work(&mut comm)
             }));
         }
         handles.into_iter().map(|h| h.join().expect("tcp rank panicked")).collect()
@@ -96,10 +140,10 @@ fn assert_bit_identical(thread: &[Outcome], tcp: &[Outcome]) {
 fn tcp_backend_is_bit_identical_to_the_thread_backend() {
     let cluster = Cluster::new(4, NetworkModel::infiniband_100g());
     let thread = cluster.run(|comm| exercise(comm, true));
-    let tcp = run_tcp(&cluster, true);
+    let tcp = run_tcp(&cluster, |comm| exercise(comm, true));
     assert_bit_identical(&thread, &tcp);
     // And on the real wire a tombstone is the zeros it stands for.
-    assert_bit_identical(&tcp, &run_tcp(&cluster, false));
+    assert_bit_identical(&tcp, &run_tcp(&cluster, |comm| exercise(comm, false)));
 }
 
 #[test]
@@ -108,10 +152,21 @@ fn tcp_backend_matches_under_compression_and_stragglers() {
         .with_compression(Compression::F16)
         .with_straggler(&StragglerModel::jitter(0.5, 42).with_slow_rank(2, 2.0));
     let thread = cluster.run(|comm| exercise(comm, true));
-    let tcp = run_tcp(&cluster, true);
+    let tcp = run_tcp(&cluster, |comm| exercise(comm, true));
     assert_bit_identical(&thread, &tcp);
     // And on the real wire a tombstone is the zeros it stands for.
-    assert_bit_identical(&tcp, &run_tcp(&cluster, false));
+    assert_bit_identical(&tcp, &run_tcp(&cluster, |comm| exercise(comm, false)));
+}
+
+#[test]
+fn frames_beyond_the_socket_buffers_neither_deadlock_nor_deviate() {
+    within(Duration::from_secs(60), || {
+        for n in [2, 3] {
+            let cluster = Cluster::new(n, NetworkModel::infiniband_100g());
+            let thread = cluster.run(|comm| big_rounds(comm));
+            assert_bit_identical(&thread, &run_tcp(&cluster, big_rounds));
+        }
+    });
 }
 
 #[test]
