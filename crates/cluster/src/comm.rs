@@ -184,10 +184,6 @@ pub trait Communicator {
     /// every other rank's same-length `buf` is overwritten with it.
     fn broadcast_root_into(&mut self, buf: &mut [f64]);
 
-    /// Allgather into a caller buffer: `out` (length `size() * data.len()`)
-    /// receives every rank's contribution concatenated in rank order.
-    fn allgather_into(&mut self, data: &[f64], out: &mut [f64]);
-
     /// Starts a nonblocking mixed allreduce of `data`: the first `sum_len`
     /// elements are reduced by sum, the rest by max — one collective instead
     /// of two, the way MPI codes pack instrumentation reductions into a
@@ -277,12 +273,6 @@ impl Communicator for SingleProcessComm {
         self.note(CollectiveKind::Broadcast);
     }
 
-    fn allgather_into(&mut self, data: &[f64], out: &mut [f64]) {
-        self.note(CollectiveKind::Allgather);
-        assert_eq!(out.len(), data.len(), "allgather_into on one rank copies the contribution");
-        out.copy_from_slice(data);
-    }
-
     fn start_allreduce_sum_max(&mut self, data: Contribution<&[f64]>, sum_len: usize) -> CollectiveHandle {
         assert!(sum_len <= data.len());
         self.note(CollectiveKind::Allreduce);
@@ -342,9 +332,6 @@ mod tests {
         assert!(c.reduce_sum_root_into(Contribution::Data(&mut buf)));
         c.broadcast_root_into(&mut buf);
         assert_eq!(buf, [1.0, 2.0]);
-        let mut out = [0.0, 0.0];
-        c.allgather_into(&[3.0, 4.0], &mut out);
-        assert_eq!(out, [3.0, 4.0]);
         assert_eq!(c.stats().kind(CollectiveKind::Allreduce).count, 1);
     }
 

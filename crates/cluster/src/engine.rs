@@ -13,9 +13,9 @@
 //! never by transport wall time, so a scenario produces byte-identical
 //! reports on either backend.
 //!
-//! All engine scratch (frame buffers, the fold accumulator, length tables)
-//! is reused across rounds, so a warm collective performs zero heap
-//! allocations on the thread backend.
+//! All engine scratch (frame buffers, the fold accumulator) is reused
+//! across rounds, so a warm collective performs zero heap allocations on
+//! the thread backend.
 //!
 //! Collective-order violations (mismatched operation or payload length
 //! across ranks) poison the transport and panic **loudly** on every rank,
@@ -72,8 +72,6 @@ struct Scratch {
     rx: Vec<u8>,
     /// The round's result elements (on the root: the fold accumulator).
     acc: Vec<f64>,
-    /// Per-rank contribution lengths of the round.
-    lens: Vec<u64>,
 }
 
 /// Communicator handle owned by one rank, layered over a boxed transport.
@@ -226,8 +224,7 @@ impl ClusterComm {
 
     /// Runs one collective round: contributes `give`, synchronises with
     /// every rank through the root, and leaves the round's result in
-    /// `scratch.acc` and the per-rank contribution lengths in
-    /// `scratch.lens`. With `compress`, payload elements are rounded
+    /// `scratch.acc`. With `compress`, payload elements are rounded
     /// through the wire format first (staged in the pooled workspace) — the
     /// compress→send→decompress pipeline; every rank then observes the
     /// identical compressed values, including its own.
@@ -288,22 +285,15 @@ impl ClusterComm {
         my_time: f64,
     ) -> RoundTiming {
         let n = self.size;
-        let Scratch {
-            ref mut acc,
-            ref mut lens,
-            ..
-        } = self.scratch;
+        let acc = &mut self.scratch.acc;
         acc.clear();
-        lens.clear();
         // Seed in rank order: the root's own contribution is slot 0. A
         // tombstone seeds explicit zeros — the identical bits a dead rank
         // used to deposit.
         if tombstone {
             acc.extend(std::iter::repeat_n(0.0, len_field as usize));
-            lens.push(len_field);
         } else {
             acc.extend_from_slice(payload);
-            lens.push(payload.len() as u64);
         }
         let root_len = acc.len();
         // Completion is governed by the *latest* arrival — a straggling rank
@@ -383,7 +373,7 @@ impl ClusterComm {
                         break 'peers;
                     }
                 }
-                RoundOp::Barrier | RoundOp::Concat => {}
+                RoundOp::Barrier => {}
             }
             let acc = &mut self.scratch.acc;
             match op {
@@ -420,11 +410,7 @@ impl ClusterComm {
                         }
                     }
                 }
-                RoundOp::Concat => peer_payload.extend_into(acc),
             }
-            self.scratch
-                .lens
-                .push(if peer_tomb { len } else { peer_payload.count() as u64 });
             max_time = max_time.max(time);
             min_time = min_time.min(time);
         }
@@ -435,7 +421,7 @@ impl ClusterComm {
         // Reply with the folded result (peers that contributed after a
         // violation never get one — they panic on the poison notice).
         let mut tx = std::mem::take(&mut self.scratch.tx);
-        wire::encode_result(&mut tx, my_round, max_time, min_time, &self.scratch.lens, &self.scratch.acc);
+        wire::encode_result(&mut tx, my_round, max_time, min_time, &self.scratch.acc);
         for peer in 1..n {
             self.transport.send(peer, &tx);
             nadmm_trace::instant(nadmm_trace::Tag::TransportSendRecv);
@@ -468,7 +454,6 @@ impl ClusterComm {
                 round,
                 max_time,
                 min_time,
-                lens,
                 payload,
             }) => {
                 if round != my_round {
@@ -482,10 +467,6 @@ impl ClusterComm {
                 let acc = &mut self.scratch.acc;
                 acc.clear();
                 payload.extend_into(acc);
-                self.scratch.lens.clear();
-                for i in 0..lens.count() {
-                    self.scratch.lens.push(lens.get(i));
-                }
                 RoundTiming { max_time, min_time }
             }
             // The root (or a peer, relayed by its poison) hit a violation:
@@ -657,38 +638,6 @@ impl Communicator for ClusterComm {
             received,
             logical_sent,
             logical_received,
-            timing,
-        );
-    }
-
-    fn allgather_into(&mut self, data: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            out.len(),
-            data.len() * self.size,
-            "allgather_into: output buffer must hold size() * data.len() elements"
-        );
-        let logical = data.len() as f64 * F64_BYTES;
-        let wire = data.len() as f64 * self.wire_bpe();
-        let peers = self.size as f64 - 1.0;
-        let rank = self.rank;
-        let expected = data.len() as u64;
-        let timing = self.run_round(RoundOp::Concat, Contribution::Data(data), true);
-        if let Some(bad) = (0..self.scratch.lens.len()).find(|&r| self.scratch.lens[r] != expected) {
-            let msg = format!(
-                "collective-order violation: rank {bad} contributed {} elements to allgather_into, \
-                 expected {expected} (as supplied by rank {rank})",
-                self.scratch.lens[bad]
-            );
-            self.poison_and_panic(msg);
-        }
-        out.copy_from_slice(&self.scratch.acc);
-        self.bill_blocking(
-            CollectiveKind::Allgather,
-            wire,
-            wire,
-            wire * peers,
-            logical,
-            logical * peers,
             timing,
         );
     }

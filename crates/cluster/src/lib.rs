@@ -4,17 +4,20 @@
 //!
 //! The paper evaluates Newton-ADMM on up to 16 MPI ranks connected by a
 //! 100 Gbps Infiniband fabric. This crate substitutes that substrate with an
-//! in-process cluster: every simulated rank runs on its own OS thread,
-//! collectives are implemented with a shared-memory rendezvous, and the
-//! *time* each collective would have taken on a real fabric is charged
-//! against a latency/bandwidth [`NetworkModel`].
+//! in-process cluster: every simulated rank runs on its own OS thread (or,
+//! over the TCP transport, its own process), every collective is a star
+//! through rank 0 — peers send to rank 0, which folds in rank order and
+//! replies, as the paper's master node does (Algorithm 4) — and the *time*
+//! each collective would have taken on a real fabric is charged against a
+//! latency/bandwidth [`NetworkModel`].
 //!
 //! Unlike the seed's single ⌈log₂N⌉-tree asymptotic, each collective is
 //! costed per [`CollectiveAlgorithm`] (naive star, binomial tree, ring,
 //! recursive halving-doubling) with automatic payload-size crossover
 //! selection — ring allreduce wins the large d×k parameter reductions of the
 //! ADMM outer loop, trees win the scalar instrumentation reductions — and
-//! the choice is recorded per collective kind in [`CommStats`].
+//! the choice is recorded per collective kind in [`CommStats`]. The menu
+//! prices the simulated clock only; the bytes always move through the star.
 //!
 //! Because the algorithms in this workspace differ mainly in *how many
 //! communication rounds and bytes* they need per iteration (Newton-ADMM: one

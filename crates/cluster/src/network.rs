@@ -12,9 +12,12 @@
 //! forces one (configurable per [`crate::Cluster`] or via the
 //! `NADMM_COLLECTIVE_ALGO` environment variable).
 //!
-//! The algorithm choice only affects *simulated cost*: the data path of the
-//! in-process rendezvous is shared, so every algorithm is bit-identical by
-//! construction (and the cluster test-suite asserts it).
+//! The algorithm menu prices the *simulated clock* only. On the wire, every
+//! round on either transport backend is a star through rank 0 (see
+//! [`crate::engine`]), so every algorithm is bit-identical by construction
+//! (and the cluster test-suite asserts it). `Gather`, `Scatter` and
+//! `Allgather` are priced here and keep their slots in [`crate::CommStats`],
+//! though no communicator method issues them.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,16 +1,17 @@
 //! Pluggable point-to-point transports under the collective engine.
 //!
-//! The collective layer ([`crate::thread_comm`]) is a root-coordinated round
+//! The collective layer ([`crate::engine`]) is a root-coordinated round
 //! protocol over byte frames: every rank sends its contribution to rank 0,
 //! rank 0 folds them in fixed rank order and replies with the result. That
-//! protocol only needs rank-addressed, order-preserving byte delivery — which
-//! is exactly what [`Transport`] abstracts. Two backends implement it:
+//! protocol only needs rank-addressed, order-preserving byte delivery on the
+//! star edges between rank 0 and each other rank — which is exactly what
+//! [`Transport`] abstracts. Two backends implement it:
 //!
 //! * [`thread::ThreadTransport`] — the simulated in-process cluster: per-edge
 //!   pooled mailboxes in shared memory, zero-allocation once warm;
-//! * [`tcp::TcpTransport`] — real sockets: one listener per rank, a
-//!   connection cache keyed by peer rank, length-prefixed frames ([`wire`])
-//!   written by the calling thread in one vectored write.
+//! * [`tcp::TcpTransport`] — real sockets: one listener on rank 0, one
+//!   connection from each other rank to it, length-prefixed frames
+//!   ([`wire`]) written by the calling thread in one vectored write.
 //!
 //! Because the engine's *billing* is driven by the network cost model and the
 //! logical payload sizes (never by transport wall time), a scenario produces
@@ -27,9 +28,11 @@ pub const TRANSPORT_ENV: &str = "NADMM_TRANSPORT";
 /// Rank-addressed, order-preserving byte delivery between the ranks of one
 /// cluster. Object-safe: the collective engine owns a `Box<dyn Transport>`.
 ///
-/// Contract: frames sent on one (sender, receiver) edge arrive in send
-/// order; frames are delivered whole; a dead peer must surface as a loud
-/// panic on `recv_into`, never as a silent hang.
+/// Contract: the engine only uses the star edges, rank 0 ↔ rank r for every
+/// r > 0, and a backend need not carry any other (TCP panics on one); frames
+/// sent on one (sender, receiver) edge arrive in send order; frames are
+/// delivered whole; a dead peer must surface as a loud panic on
+/// `recv_into`, never as a silent hang.
 pub trait Transport: Send {
     /// This rank's id in `0..size()`.
     fn rank(&self) -> usize;
@@ -67,29 +70,6 @@ pub trait Transport: Send {
     /// panics, so peers blocked in [`Transport::recv_into`] panic too
     /// instead of waiting forever.
     fn poison(&self, message: &str);
-
-    /// Synchronises all ranks at the transport level (bootstrap/teardown;
-    /// not billed on the simulated clocks). The default runs a token
-    /// barrier over the point-to-point edges: everyone reports to rank 0,
-    /// rank 0 releases everyone.
-    fn barrier(&mut self) {
-        let (rank, n) = (self.rank(), self.size());
-        if n == 1 {
-            return;
-        }
-        let mut buf = Vec::new();
-        if rank == 0 {
-            for peer in 1..n {
-                self.recv_into(peer, &mut buf);
-            }
-            for peer in 1..n {
-                self.send(peer, &[]);
-            }
-        } else {
-            self.send(0, &[]);
-            self.recv_into(0, &mut buf);
-        }
-    }
 }
 
 /// Which transport backend to run a cluster on.
@@ -166,12 +146,13 @@ pub enum TransportSpec {
     /// this).
     #[default]
     Thread,
-    /// TCP sockets. `peers` lists one `host:port` listen address per rank in
-    /// rank order; an empty list defers the addresses to the launcher
-    /// (`--peers` / the parent spawner).
+    /// TCP sockets. `peers` lists one `host:port` address per rank in rank
+    /// order; an empty list defers the addresses to the launcher (`--peers`
+    /// / the parent spawner). The transport dials only `peers[0]`, rank 0's
+    /// listener; the other entries keep the list one per rank.
     Tcp {
-        /// Per-rank listen addresses, rank order. May be empty when the
-        /// launcher supplies them at run time.
+        /// Per-rank addresses, rank order (only rank 0's is listened on).
+        /// May be empty when the launcher supplies them at run time.
         peers: Vec<String>,
     },
 }

@@ -213,23 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn default_barrier_synchronises_ranks() {
-        let fabric = ThreadFabric::new(4);
-        let mut handles = Vec::new();
-        for rank in 1..4 {
-            let f = Arc::clone(&fabric);
-            handles.push(std::thread::spawn(move || {
-                let mut t = f.endpoint(rank);
-                t.barrier();
-            }));
-        }
-        fabric.endpoint(0).barrier();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
     fn poison_wakes_a_blocked_receiver() {
         let fabric = ThreadFabric::new(2);
         let f2 = Arc::clone(&fabric);

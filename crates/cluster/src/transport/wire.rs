@@ -20,7 +20,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"NADW";
 
 /// Current codec version. Decoders reject anything else loudly: the payload
 /// layout is not self-describing, so guessing would corrupt consensus state.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Hard ceiling on one frame's encoded size (1 GiB). A length prefix beyond
 /// this is treated as stream corruption, not an allocation request.
@@ -47,10 +47,8 @@ pub enum RoundOp {
         /// Number of leading elements reduced by sum.
         sum_len: usize,
     },
-    /// The root's contribution verbatim (broadcast/scatter source).
+    /// The root's contribution verbatim (broadcast source).
     CopyRoot,
-    /// All contributions concatenated in rank order (lengths may differ).
-    Concat,
 }
 
 impl RoundOp {
@@ -61,7 +59,6 @@ impl RoundOp {
             RoundOp::Max => 2,
             RoundOp::SumMax { .. } => 3,
             RoundOp::CopyRoot => 4,
-            RoundOp::Concat => 5,
         }
     }
 
@@ -81,7 +78,6 @@ impl RoundOp {
                 sum_len: sum_len as usize,
             },
             4 => RoundOp::CopyRoot,
-            5 => RoundOp::Concat,
             found => return Err(WireError::BadOp { found }),
         })
     }
@@ -232,25 +228,6 @@ impl<'a> PayloadView<'a> {
     }
 }
 
-/// Borrowed view over a frame's `u64` length table.
-#[derive(Debug, Clone, Copy)]
-pub struct LensView<'a>(&'a [u8]);
-
-impl<'a> LensView<'a> {
-    /// Number of entries.
-    pub fn count(&self) -> usize {
-        self.0.len() / 8
-    }
-
-    /// The `i`-th entry.
-    ///
-    /// # Panics
-    /// Panics if `i >= count()`.
-    pub fn get(&self, i: usize) -> u64 {
-        u64::from_le_bytes(self.0[i * 8..i * 8 + 8].try_into().expect("u64 payload slice is 8 bytes"))
-    }
-}
-
 /// One decoded frame, borrowing its payload sections from the encoded bytes.
 #[derive(Debug, Clone, Copy)]
 pub enum Frame<'a> {
@@ -287,9 +264,7 @@ pub enum Frame<'a> {
         max_time: f64,
         /// Earliest arrival (the spread is the round's skew).
         min_time: f64,
-        /// Per-rank contribution lengths in rank order.
-        lens: LensView<'a>,
-        /// The reduced / copied / concatenated result elements.
+        /// The reduced or copied result elements.
         payload: PayloadView<'a>,
     },
     /// A fatal notice: the sender is panicking and every peer should too,
@@ -357,15 +332,11 @@ pub fn encode_contribution(buf: &mut Vec<u8>, round: u64, op: RoundOp, tombstone
 
 /// Encodes the root's round result into `buf` (cleared first; capacity is
 /// kept).
-pub fn encode_result(buf: &mut Vec<u8>, round: u64, max_time: f64, min_time: f64, lens: &[u64], payload: &[f64]) {
+pub fn encode_result(buf: &mut Vec<u8>, round: u64, max_time: f64, min_time: f64, payload: &[f64]) {
     header(buf, KIND_RESULT, 0);
     put_u64(buf, round);
     put_f64(buf, max_time);
     put_f64(buf, min_time);
-    put_u64(buf, lens.len() as u64);
-    for &l in lens {
-        put_u64(buf, l);
-    }
     put_u64(buf, payload.len() as u64);
     put_f64s(buf, payload);
 }
@@ -500,8 +471,6 @@ pub fn decode(frame: &[u8]) -> Result<Frame<'_>, WireError> {
             let round = r.u64("result round")?;
             let max_time = r.f64("result max_time")?;
             let min_time = r.f64("result min_time")?;
-            let lens_count = r.u64("result lens count")? as usize;
-            let lens = LensView(r.take(lens_count.saturating_mul(8), "result lens")?);
             let payload_count = r.u64("result payload count")? as usize;
             let payload = PayloadView(r.take(payload_count.saturating_mul(8), "result payload")?);
             if r.remaining() > 0 {
@@ -514,7 +483,6 @@ pub fn decode(frame: &[u8]) -> Result<Frame<'_>, WireError> {
                 round,
                 max_time,
                 min_time,
-                lens,
                 payload,
             })
         }
@@ -631,20 +599,19 @@ mod tests {
     #[test]
     fn result_round_trips() {
         let mut buf = Vec::new();
-        encode_result(&mut buf, 9, 2.0, 0.5, &[3, 0, 4], &[1.0, 2.0, 3.0]);
+        encode_result(&mut buf, 9, 2.0, 0.5, &[1.0, 2.0, 3.0]);
+        // Header, round, two clocks, payload count, three elements.
+        assert_eq!(buf.len(), 8 + 8 + 16 + 8 + 3 * 8);
         match decode(&buf).unwrap() {
             Frame::Result {
                 round,
                 max_time,
                 min_time,
-                lens,
                 payload,
             } => {
                 assert_eq!(round, 9);
                 assert_eq!(max_time, 2.0);
                 assert_eq!(min_time, 0.5);
-                assert_eq!(lens.count(), 3);
-                assert_eq!((lens.get(0), lens.get(1), lens.get(2)), (3, 0, 4));
                 let mut out = vec![0.0; 3];
                 payload.copy_to(&mut out);
                 assert_eq!(out, vec![1.0, 2.0, 3.0]);
@@ -677,6 +644,15 @@ mod tests {
     }
 
     #[test]
+    fn the_deleted_concat_tag_is_an_unknown_op() {
+        let mut buf = Vec::new();
+        encode_contribution(&mut buf, 0, RoundOp::CopyRoot, false, 0.0, 0, &[]);
+        // The op byte follows the 8-byte header and the 8-byte round.
+        buf[16] = 5;
+        assert_eq!(decode(&buf).unwrap_err(), WireError::BadOp { found: 5 });
+    }
+
+    #[test]
     fn future_version_is_rejected() {
         let mut buf = Vec::new();
         encode_hello(&mut buf, 0, 1);
@@ -688,12 +664,22 @@ mod tests {
                 supported: WIRE_VERSION
             }
         );
+        // A version-1 peer, whose result frames carried a length table, is
+        // turned away by version instead of misparsed.
+        buf[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            decode(&buf).unwrap_err(),
+            WireError::UnsupportedVersion {
+                found: 1,
+                supported: WIRE_VERSION
+            }
+        );
     }
 
     #[test]
     fn truncation_names_the_field() {
         let mut buf = Vec::new();
-        encode_result(&mut buf, 1, 0.0, 0.0, &[2, 2], &[1.0, 2.0, 3.0, 4.0]);
+        encode_result(&mut buf, 1, 0.0, 0.0, &[1.0, 2.0, 3.0, 4.0]);
         let err = decode(&buf[..buf.len() - 1]).unwrap_err();
         assert_eq!(
             err,
@@ -792,15 +778,11 @@ mod tests {
             put_f64s_per_element(&mut reference, payload);
             assert_eq!(bulk, reference, "contribution of {len} elements");
 
-            let lens = [len, 0];
-            encode_result(&mut bulk, 6, f64::INFINITY, f64::NAN, &lens, payload);
+            encode_result(&mut bulk, 6, f64::INFINITY, f64::NAN, payload);
             header(&mut reference, KIND_RESULT, 0);
             put_u64(&mut reference, 6);
             put_f64(&mut reference, f64::INFINITY);
             put_f64(&mut reference, f64::NAN);
-            put_u64(&mut reference, 2);
-            put_u64(&mut reference, len);
-            put_u64(&mut reference, 0);
             put_u64(&mut reference, len);
             put_f64s_per_element(&mut reference, payload);
             assert_eq!(bulk, reference, "result of {len} elements");
@@ -833,7 +815,7 @@ mod tests {
     #[test]
     fn framing_survives_partial_and_interrupted_writes() {
         let mut frame = Vec::new();
-        encode_result(&mut frame, 1, 0.0, 0.0, &[2], &[1.0, -2.0]);
+        encode_result(&mut frame, 1, 0.0, 0.0, &[1.0, -2.0]);
         for frame in [&frame[..], &[]] {
             let mut whole = Vec::new();
             write_frame(&mut whole, frame).unwrap();

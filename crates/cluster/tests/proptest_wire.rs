@@ -40,13 +40,12 @@ fn build_payload(len: usize, seed: u64) -> Vec<f64> {
 
 /// The op under test, indexed so proptest can sample it.
 fn build_op(idx: usize, sum_len: usize) -> RoundOp {
-    match idx % 6 {
+    match idx % 5 {
         0 => RoundOp::Barrier,
         1 => RoundOp::Sum,
         2 => RoundOp::Max,
         3 => RoundOp::SumMax { sum_len },
-        4 => RoundOp::CopyRoot,
-        _ => RoundOp::Concat,
+        _ => RoundOp::CopyRoot,
     }
 }
 
@@ -62,7 +61,7 @@ proptest! {
         len in 0usize..600,
         seed in 0u64..1_000_000,
         round in 0u64..1_000_000,
-        op_idx in 0usize..6,
+        op_idx in 0usize..5,
         sum_len in 0usize..600,
         time_seed in 0u64..1_000_000,
     ) {
@@ -108,23 +107,17 @@ proptest! {
         payload_len in 0usize..600,
         seed in 0u64..1_000_000,
         round in 0u64..1_000_000,
-        ranks in 1usize..17,
     ) {
         let payload = build_payload(payload_len, seed);
-        let lens: Vec<u64> = (0..ranks).map(|r| (r as u64).wrapping_mul(seed) % 1_000).collect();
         let max_time = f64::from_bits(seed.wrapping_mul(3) | 1);
         let min_time = -0.0;
         let mut buf = Vec::new();
-        encode_result(&mut buf, round, max_time, min_time, &lens, &payload);
+        encode_result(&mut buf, round, max_time, min_time, &payload);
         match decode(&buf).map_err(|e| format!("decode failed: {e}"))? {
-            Frame::Result { round: r, max_time: mx, min_time: mn, lens: lv, payload: view } => {
+            Frame::Result { round: r, max_time: mx, min_time: mn, payload: view } => {
                 prop_assert_eq!(r, round);
                 prop_assert_eq!(mx.to_bits(), max_time.to_bits());
                 prop_assert_eq!(mn.to_bits(), min_time.to_bits());
-                prop_assert_eq!(lv.count(), lens.len());
-                for (i, &want) in lens.iter().enumerate() {
-                    prop_assert_eq!(lv.get(i), want);
-                }
                 let mut out = vec![0.0; view.count()];
                 view.copy_to(&mut out);
                 prop_assert_eq!(bits(&out), bits(&payload));
@@ -162,7 +155,7 @@ proptest! {
     ) {
         let payload = build_payload(len, seed);
         let mut buf = Vec::new();
-        encode_result(&mut buf, 5, 1.0, 0.5, &[len as u64, 0], &payload);
+        encode_result(&mut buf, 5, 1.0, 0.5, &payload);
         let cut = ((buf.len() as f64 * cut_fraction) as usize).min(buf.len() - 1);
         match decode(&buf[..cut]) {
             Err(WireError::Truncated { field, needed, have }) => {
@@ -257,7 +250,7 @@ proptest! {
             let mut frame = Vec::new();
             match i % 3 {
                 0 => encode_contribution(&mut frame, i as u64, RoundOp::Sum, false, 0.5, len as u64, &payload),
-                1 => encode_result(&mut frame, i as u64, 1.0, 0.0, &[len as u64], &payload),
+                1 => encode_result(&mut frame, i as u64, 1.0, 0.0, &payload),
                 _ => encode_hello(&mut frame, i as u64, lens.len() as u64),
             }
             write_frame(&mut stream, &frame).map_err(|e| format!("write failed: {e}"))?;

@@ -845,9 +845,6 @@ mod tests {
             fn broadcast_root_into(&mut self, buf: &mut [f64]) {
                 self.0.broadcast_root_into(buf)
             }
-            fn allgather_into(&mut self, data: &[f64], out: &mut [f64]) {
-                self.0.allgather_into(data, out)
-            }
             fn start_allreduce_sum_max(&mut self, data: Contribution<&[f64]>, sum_len: usize) -> CollectiveHandle {
                 match data {
                     Contribution::Tombstone(len) => self.0.start_allreduce_sum_max(Contribution::Data(&vec![0.0; len]), sum_len),

@@ -46,7 +46,7 @@ fn scenario(cluster: ClusterSpec) -> ScenarioSpec {
 }
 
 /// Runs the scenario with every rank as a thread owning a real TCP socket
-/// mesh on loopback, returning rank 0's reports.
+/// on a loopback star through rank 0, returning rank 0's reports.
 fn run_over_tcp(scenario: &ScenarioSpec) -> Vec<RunReport> {
     let ranks = scenario.cluster.ranks;
     let peers = reserve_loopback_peers(ranks).expect("loopback ports");

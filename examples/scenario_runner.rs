@@ -22,7 +22,7 @@
 //! rank as its **own OS process** over loopback sockets: without `--rank`
 //! this process is the launcher — it reserves one port per rank, spawns one
 //! child per rank (`--rank N --peers ...`), and waits for all of them; with
-//! `--rank N` it is rank `N` of the mesh (only rank 0 writes reports).
+//! `--rank N` it is rank `N` of the star (only rank 0 writes reports).
 //! Billing is model-driven, never wall-clock, so the TCP reports are
 //! byte-identical to the thread ones under `--deterministic`.
 //!
@@ -61,7 +61,7 @@ struct Options {
 }
 
 /// Runs the scenario's solvers on this process: on the thread transport all
-/// ranks live here; on TCP this process is exactly one rank of the mesh.
+/// ranks live here; on TCP this process is exactly one rank of the star.
 /// Returns `None` for non-root TCP ranks, which emit no reports.
 fn execute(scenario: &ScenarioSpec, opts: &Options) -> Result<Option<Vec<RunReport>>, String> {
     let kind = opts
@@ -90,7 +90,7 @@ fn execute(scenario: &ScenarioSpec, opts: &Options) -> Result<Option<Vec<RunRepo
                 ));
             }
             if rank >= peers.len() {
-                return Err(format!("--rank {rank} is outside the {}-rank mesh", peers.len()));
+                return Err(format!("--rank {rank} is outside the {}-rank star", peers.len()));
             }
             let transport = TcpTransport::connect(rank, &peers).map_err(|e| format!("tcp bootstrap failed: {e}"))?;
             scenario
