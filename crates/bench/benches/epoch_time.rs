@@ -3,11 +3,11 @@
 //! (this is the real-time analogue of the simulated Figure 2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nadmm_baselines::{Giant, GiantConfig};
+use nadmm_baselines::GiantConfig;
 use nadmm_cluster::{Cluster, NetworkModel};
 use nadmm_data::{partition_strong, SyntheticConfig};
-use nadmm_experiment::run_solver_on;
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use nadmm_experiment::{run_spec_on, SolverSpec};
+use newton_admm::NewtonAdmmConfig;
 use std::hint::black_box;
 
 fn bench_epoch(c: &mut Criterion) {
@@ -24,7 +24,7 @@ fn bench_epoch(c: &mut Criterion) {
             b.iter(|| {
                 let cluster = Cluster::new(workers, NetworkModel::infiniband_100g());
                 let cfg = NewtonAdmmConfig::default().with_lambda(1e-5).with_max_iters(1);
-                black_box(run_solver_on(&cluster, &NewtonAdmm::new(cfg), &shards, None))
+                black_box(run_spec_on(&cluster, &SolverSpec::NewtonAdmm(cfg), &shards, None, None))
             });
         });
         group.bench_with_input(BenchmarkId::new("giant", workers), &workers, |b, &workers| {
@@ -35,7 +35,7 @@ fn bench_epoch(c: &mut Criterion) {
                     lambda: 1e-5,
                     ..Default::default()
                 };
-                black_box(run_solver_on(&cluster, &Giant::new(cfg), &shards, None))
+                black_box(run_spec_on(&cluster, &SolverSpec::Giant(cfg), &shards, None, None))
             });
         });
     }

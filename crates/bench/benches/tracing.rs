@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nadmm_bench::alloc_counter::{count_allocations, CountingAllocator};
 use nadmm_bench::report::{criterion_entries, merge_bench_json, report_path, BenchEntry};
-use nadmm_cluster::SingleProcessComm;
+use nadmm_cluster::{Cluster, ClusterComm, NetworkModel, ThreadFabric};
 use nadmm_data::{Dataset, SyntheticConfig};
 use nadmm_trace::{Recorder, Tag};
 use newton_admm::{AdmmWorker, NewtonAdmmConfig};
@@ -33,14 +33,15 @@ fn shard() -> Dataset {
     train
 }
 
-/// One warm worker + single-rank communicator, past the allocating start-up.
-fn warm_worker(shard: &Dataset) -> (AdmmWorker, SingleProcessComm) {
+/// One warm worker + the communicator of a 1-rank cluster, past the
+/// allocating start-up.
+fn warm_worker(shard: &Dataset) -> (AdmmWorker, ClusterComm) {
     let cfg = NewtonAdmmConfig {
         lambda: 1e-3,
         ..Default::default()
     };
     let mut worker = AdmmWorker::new(&cfg, shard);
-    let mut comm = SingleProcessComm::new();
+    let mut comm = Cluster::new(1, NetworkModel::ideal()).connect(Box::new(ThreadFabric::new(1).endpoint(0)));
     for k in 1..=3 {
         worker.outer_iteration(&mut comm, k);
     }

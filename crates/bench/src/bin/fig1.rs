@@ -9,12 +9,12 @@
 //! cargo run --release -p nadmm-bench --bin fig1
 //! ```
 
-use nadmm_baselines::{AideConfig, DaneConfig, Giant, GiantConfig, InexactDane};
+use nadmm_baselines::{AideConfig, DaneConfig, GiantConfig};
 use nadmm_bench::{bench_dataset, paper_cluster, strong_shards};
 use nadmm_data::DatasetKind;
-use nadmm_experiment::{run_solver_on, Aide};
+use nadmm_experiment::{run_spec_on, SolverSpec};
 use nadmm_metrics::{RunHistory, TextTable};
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use newton_admm::NewtonAdmmConfig;
 
 fn print_series(history: &RunHistory) {
     let mut table = TextTable::new(
@@ -51,12 +51,12 @@ fn main() {
     let second_order_epochs = 100;
     let dane_epochs = 10;
 
-    let admm = NewtonAdmm::new(
+    let admm = SolverSpec::NewtonAdmm(
         NewtonAdmmConfig::default()
             .with_lambda(lambda)
             .with_max_iters(second_order_epochs),
     );
-    let giant = Giant::new(GiantConfig {
+    let giant = SolverSpec::Giant(GiantConfig {
         max_iters: second_order_epochs,
         lambda,
         ..Default::default()
@@ -68,15 +68,13 @@ fn main() {
         svrg_step: 3e-4,
         ..Default::default()
     };
-    let aide = Aide::new(AideConfig {
+    let aide = SolverSpec::Aide(AideConfig {
         dane: dane_cfg,
         tau: 10.0,
         zeta: 0.3,
     });
-    let admm = run_solver_on(&cluster, &admm, &shards, None);
-    let giant = run_solver_on(&cluster, &giant, &shards, None);
-    let dane = run_solver_on(&cluster, &InexactDane::new(dane_cfg), &shards, None);
-    let aide = run_solver_on(&cluster, &aide, &shards, None);
+    let [admm, giant, dane, aide] = [admm, giant, SolverSpec::InexactDane(dane_cfg), aide]
+        .map(|spec| run_spec_on(&cluster, &spec, &shards, None, None).expect("a non-grid spec always reports"));
 
     for history in [&admm.history, &giant.history, &dane.history, &aide.history] {
         print_series(history);

@@ -5,26 +5,27 @@
 //! cargo run --release -p nadmm-bench --bin fig2
 //! ```
 
-use nadmm_baselines::{Giant, GiantConfig};
+use nadmm_baselines::GiantConfig;
 use nadmm_bench::{bench_dataset, paper_cluster, strong_shards, weak_shards, WORKER_SWEEP};
 use nadmm_data::{Dataset, DatasetKind};
-use nadmm_experiment::run_solver_on;
+use nadmm_experiment::{run_spec_on, SolverSpec};
 use nadmm_metrics::TextTable;
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use newton_admm::NewtonAdmmConfig;
 
 const EPOCHS: usize = 10;
 const LAMBDA: f64 = 1e-5;
 
 fn epoch_times(shards: &[Dataset], workers: usize) -> (f64, f64) {
     let cluster = paper_cluster(workers);
-    let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(EPOCHS));
-    let giant = Giant::new(GiantConfig {
-        max_iters: EPOCHS,
-        lambda: LAMBDA,
-        ..Default::default()
-    });
-    let admm = run_solver_on(&cluster, &admm, shards, None);
-    let giant = run_solver_on(&cluster, &giant, shards, None);
+    let [admm, giant] = [
+        SolverSpec::NewtonAdmm(NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(EPOCHS)),
+        SolverSpec::Giant(GiantConfig {
+            max_iters: EPOCHS,
+            lambda: LAMBDA,
+            ..Default::default()
+        }),
+    ]
+    .map(|spec| run_spec_on(&cluster, &spec, shards, None, None).expect("a non-grid spec always reports"));
     (admm.history.avg_epoch_time(), giant.history.avg_epoch_time())
 }
 

@@ -11,13 +11,13 @@
 //! cargo run --release -p nadmm-bench --bin fig3
 //! ```
 
-use nadmm_baselines::{reference_optimum, Giant, GiantConfig};
+use nadmm_baselines::{reference_optimum, GiantConfig};
 use nadmm_bench::{bench_dataset, paper_cluster, strong_shards, weak_shards, WORKER_SWEEP};
 use nadmm_data::{Dataset, DatasetKind};
-use nadmm_experiment::run_solver_on;
+use nadmm_experiment::{run_spec_on, SolverSpec};
 use nadmm_metrics::relative::{iterations_to_relative_objective, speedup_ratio};
 use nadmm_metrics::TextTable;
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use newton_admm::NewtonAdmmConfig;
 
 const LAMBDA: f64 = 1e-5;
 const THETA: f64 = 0.05;
@@ -25,14 +25,15 @@ const MAX_EPOCHS: usize = 60;
 
 fn run_pair(shards: &[Dataset], workers: usize) -> (nadmm_metrics::RunHistory, nadmm_metrics::RunHistory) {
     let cluster = paper_cluster(workers);
-    let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(MAX_EPOCHS));
-    let giant = Giant::new(GiantConfig {
-        max_iters: MAX_EPOCHS,
-        lambda: LAMBDA,
-        ..Default::default()
-    });
-    let admm = run_solver_on(&cluster, &admm, shards, None);
-    let giant = run_solver_on(&cluster, &giant, shards, None);
+    let [admm, giant] = [
+        SolverSpec::NewtonAdmm(NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(MAX_EPOCHS)),
+        SolverSpec::Giant(GiantConfig {
+            max_iters: MAX_EPOCHS,
+            lambda: LAMBDA,
+            ..Default::default()
+        }),
+    ]
+    .map(|spec| run_spec_on(&cluster, &spec, shards, None, None).expect("a non-grid spec always reports"));
     (admm.history, giant.history)
 }
 

@@ -12,9 +12,9 @@
 use nadmm_baselines::SyncSgdConfig;
 use nadmm_bench::{bench_dataset, paper_cluster, weak_shards};
 use nadmm_data::DatasetKind;
-use nadmm_experiment::{run_solver_on, run_spec_on, RunReport, SolverSpec};
+use nadmm_experiment::{run_spec_on, RunReport, SolverSpec};
 use nadmm_metrics::{RunHistory, TextTable};
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use newton_admm::NewtonAdmmConfig;
 
 const LAMBDA: f64 = 1e-5;
 const EPOCHS: usize = 30;
@@ -64,7 +64,8 @@ fn main() {
                 .with_lambda(LAMBDA)
                 .with_max_iters(EPOCHS)
                 .with_cg_iters(cg);
-            let run = run_solver_on(&cluster, &NewtonAdmm::new(cfg), &shards, Some(&test));
+            let run = run_spec_on(&cluster, &SolverSpec::NewtonAdmm(cfg), &shards, Some(&test), None)
+                .expect("a non-grid spec always reports");
             let better = best_admm
                 .as_ref()
                 .map(|b| {

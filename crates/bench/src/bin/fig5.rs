@@ -6,12 +6,12 @@
 //! cargo run --release -p nadmm-bench --bin fig5
 //! ```
 
-use nadmm_baselines::{Giant, GiantConfig};
+use nadmm_baselines::GiantConfig;
 use nadmm_bench::{bench_dataset, paper_cluster, weak_shards};
 use nadmm_data::DatasetKind;
-use nadmm_experiment::run_solver_on;
+use nadmm_experiment::{run_spec_on, SolverSpec};
 use nadmm_metrics::{RunHistory, TextTable};
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use newton_admm::NewtonAdmmConfig;
 
 const EPOCHS: usize = 100;
 const WORKERS: usize = 16;
@@ -44,14 +44,15 @@ fn main() {
     );
 
     for lambda in [1e-3, 1e-5] {
-        let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(lambda).with_max_iters(EPOCHS));
-        let giant = Giant::new(GiantConfig {
-            max_iters: EPOCHS,
-            lambda,
-            ..Default::default()
-        });
-        let admm = run_solver_on(&cluster, &admm, &shards, Some(&test));
-        let giant = run_solver_on(&cluster, &giant, &shards, Some(&test));
+        let [admm, giant] = [
+            SolverSpec::NewtonAdmm(NewtonAdmmConfig::default().with_lambda(lambda).with_max_iters(EPOCHS)),
+            SolverSpec::Giant(GiantConfig {
+                max_iters: EPOCHS,
+                lambda,
+                ..Default::default()
+            }),
+        ]
+        .map(|spec| run_spec_on(&cluster, &spec, &shards, Some(&test), None).expect("a non-grid spec always reports"));
 
         let label = format!("λ = {lambda:.0e}");
         print_series(&label, &admm.history);

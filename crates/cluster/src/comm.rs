@@ -1,11 +1,12 @@
-//! The communicator interface the distributed solvers code against, plus the
-//! trivial single-process implementation.
+//! The communicator interface the distributed solvers code against. Its one
+//! implementation is [`crate::ClusterComm`]; a single-node run is a 1-rank
+//! cluster, whose collectives are free identities.
 //!
 //! One surface, two calling styles:
 //!
 //! * **In-place collectives** (`allreduce_sum_into`, `reduce_sum_root_into`,
 //!   `broadcast_root_into`, …): the caller's buffer is both input and output
-//!   and implementations stage through a pooled [`crate::CommWorkspace`], so
+//!   and implementations stage through a pooled `nadmm_device::Workspace`, so
 //!   a warm outer iteration allocates nothing.
 //! * **Split-phase** ([`Communicator::start_allreduce_sum_max`] →
 //!   [`Communicator::wait_into`]): the result materialises in a
@@ -223,143 +224,74 @@ pub trait Communicator {
     fn stats(&self) -> CommStats;
 }
 
-/// A size-1 communicator for single-node runs (collectives are identities and
-/// cost nothing). The simulated clock still advances through
-/// [`Communicator::advance_compute`], so single-node baselines report
-/// comparable timings.
-#[derive(Debug, Default, Clone)]
-pub struct SingleProcessComm {
-    elapsed: f64,
-    stats: CommStats,
-}
-
-impl SingleProcessComm {
-    /// Creates a fresh single-rank communicator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn note(&mut self, kind: CollectiveKind) {
-        self.stats.record_collective(kind, CollectiveAlgorithm::Naive, 0.0, 0.0, 0.0);
-    }
-}
-
-impl Communicator for SingleProcessComm {
-    fn rank(&self) -> usize {
-        0
-    }
-
-    fn size(&self) -> usize {
-        1
-    }
-
-    fn barrier(&mut self) {}
-
-    // Collectives are identities on one rank: no copies, no allocations.
-    fn allreduce_sum_into(&mut self, _buf: &mut [f64]) {
-        self.note(CollectiveKind::Allreduce);
-    }
-
-    fn allreduce_max_into(&mut self, _buf: &mut [f64]) {
-        self.note(CollectiveKind::Allreduce);
-    }
-
-    fn reduce_sum_root_into(&mut self, _buf: Contribution<&mut [f64]>) -> bool {
-        self.note(CollectiveKind::Reduce);
-        true
-    }
-
-    fn broadcast_root_into(&mut self, _buf: &mut [f64]) {
-        self.note(CollectiveKind::Broadcast);
-    }
-
-    fn start_allreduce_sum_max(&mut self, data: Contribution<&[f64]>, sum_len: usize) -> CollectiveHandle {
-        assert!(sum_len <= data.len());
-        self.note(CollectiveKind::Allreduce);
-        let result = match data {
-            Contribution::Data(data) => data.to_vec(),
-            Contribution::Tombstone(len) => vec![0.0; len],
-        };
-        CollectiveHandle::new(
-            result,
-            self.elapsed,
-            CollectiveKind::Allreduce,
-            CollectiveAlgorithm::Naive,
-            0.0,
-            0.0,
-        )
-    }
-
-    fn wait_into(&mut self, handle: CollectiveHandle, out: &mut [f64]) {
-        out.copy_from_slice(&handle.result);
-    }
-
-    fn advance_compute(&mut self, dt: f64) {
-        self.elapsed += dt.max(0.0);
-        self.stats.record_compute(dt.max(0.0));
-    }
-
-    fn elapsed(&self) -> f64 {
-        self.elapsed
-    }
-
-    fn stats(&self) -> CommStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Cluster, ClusterComm, NetworkModel};
+
+    /// Runs `f` on the one rank of a 1-rank cluster — on a real network
+    /// model, so "free" below means the model bills nothing, not that the
+    /// model is switched off.
+    fn single_rank<T: Send>(f: impl Fn(&mut ClusterComm) -> T + Sync) -> T {
+        Cluster::new(1, NetworkModel::infiniband_100g()).run(f).remove(0)
+    }
 
     #[test]
     fn single_process_collectives_are_identities() {
-        let mut c = SingleProcessComm::new();
-        assert_eq!(c.rank(), 0);
-        assert_eq!(c.size(), 1);
-        assert!(c.is_root());
-        c.barrier();
-        assert_eq!(c.allreduce_scalar_sum(2.5), 2.5);
-        assert_eq!(c.allreduce_scalar_max(-1.0), -1.0);
+        single_rank(|c| {
+            assert_eq!(c.rank(), 0);
+            assert_eq!(c.size(), 1);
+            assert!(c.is_root());
+            c.barrier();
+            assert_eq!(c.allreduce_scalar_sum(2.5), 2.5);
+            assert_eq!(c.allreduce_scalar_max(-1.0), -1.0);
+            assert_eq!(c.elapsed(), 0.0, "one-rank collectives cost nothing");
+        });
     }
 
     #[test]
     fn single_process_in_place_collectives_are_identities() {
-        let mut c = SingleProcessComm::new();
-        let mut buf = [1.0, 2.0];
-        c.allreduce_sum_into(&mut buf);
-        assert_eq!(buf, [1.0, 2.0]);
-        assert!(c.reduce_sum_root_into(Contribution::Data(&mut buf)));
-        c.broadcast_root_into(&mut buf);
-        assert_eq!(buf, [1.0, 2.0]);
-        assert_eq!(c.stats().kind(CollectiveKind::Allreduce).count, 1);
+        let stats = single_rank(|c| {
+            let mut buf = [1.0, 2.0];
+            c.allreduce_sum_into(&mut buf);
+            assert_eq!(buf, [1.0, 2.0]);
+            assert!(c.reduce_sum_root_into(Contribution::Data(&mut buf)));
+            c.broadcast_root_into(&mut buf);
+            assert_eq!(buf, [1.0, 2.0]);
+            c.stats()
+        });
+        assert_eq!(stats.kind(CollectiveKind::Allreduce).count, 1);
+        assert_eq!(stats.comm_time, 0.0);
     }
 
     #[test]
     fn single_process_split_phase_completes_eagerly() {
-        let mut c = SingleProcessComm::new();
-        for sum_len in [2, 0] {
-            let h = c.start_allreduce_sum_max(Contribution::Data(&[5.0, 6.0]), sum_len);
-            assert_eq!(h.len(), 2);
-            assert_eq!(h.kind(), CollectiveKind::Allreduce);
-            let mut out = [0.0, 0.0];
-            c.wait_into(h, &mut out);
-            assert_eq!(out, [5.0, 6.0]);
-        }
+        single_rank(|c| {
+            for sum_len in [2, 0] {
+                let h = c.start_allreduce_sum_max(Contribution::Data(&[5.0, 6.0]), sum_len);
+                assert_eq!(h.len(), 2);
+                assert_eq!(h.kind(), CollectiveKind::Allreduce);
+                assert_eq!(h.complete_at(), c.elapsed());
+                let mut out = [0.0, 0.0];
+                c.wait_into(h, &mut out);
+                assert_eq!(out, [5.0, 6.0]);
+            }
+        });
         // A tombstone is indistinguishable from the zeros it stands for.
         let run = |dead: bool| {
-            let mut c = SingleProcessComm::new();
-            let mut zeros = [0.0; 3];
-            let (reduce, start): (Contribution<&mut [f64]>, Contribution<&[f64]>) = if dead {
-                (Contribution::Tombstone(3), Contribution::Tombstone(4))
-            } else {
-                (Contribution::Data(&mut zeros), Contribution::Data(&[0.0; 4]))
-            };
-            assert!(c.reduce_sum_root_into(reduce));
-            let h = c.start_allreduce_sum_max(start, 3);
-            let mut out = [1.0; 4];
-            c.wait_into(h, &mut out);
-            (out, c.elapsed().to_bits(), c.stats())
+            single_rank(|c| {
+                let mut zeros = [0.0; 3];
+                let (reduce, start): (Contribution<&mut [f64]>, Contribution<&[f64]>) = if dead {
+                    (Contribution::Tombstone(3), Contribution::Tombstone(4))
+                } else {
+                    (Contribution::Data(&mut zeros), Contribution::Data(&[0.0; 4]))
+                };
+                assert!(c.reduce_sum_root_into(reduce));
+                let h = c.start_allreduce_sum_max(start, 3);
+                let mut out = [1.0; 4];
+                c.wait_into(h, &mut out);
+                (out, c.elapsed().to_bits(), c.stats())
+            })
         };
         assert_eq!(run(true), run(false));
         assert_eq!(run(true).0, [0.0; 4]);
@@ -367,11 +299,13 @@ mod tests {
 
     #[test]
     fn single_process_clock_tracks_compute() {
-        let mut c = SingleProcessComm::new();
-        c.advance_compute(1.25);
-        c.advance_compute(0.75);
-        assert!((c.elapsed() - 2.0).abs() < 1e-12);
-        assert!((c.stats().compute_time - 2.0).abs() < 1e-12);
-        assert_eq!(c.stats().comm_time, 0.0);
+        let (elapsed, stats) = single_rank(|c| {
+            c.advance_compute(1.25);
+            c.advance_compute(0.75);
+            (c.elapsed(), c.stats())
+        });
+        assert!((elapsed - 2.0).abs() < 1e-12);
+        assert!((stats.compute_time - 2.0).abs() < 1e-12);
+        assert_eq!(stats.comm_time, 0.0);
     }
 }

@@ -27,7 +27,7 @@ use crate::network::{CollectiveAlgorithm, CollectiveKind, CollectiveSelector, Co
 use crate::stats::CommStats;
 use crate::transport::wire::{self, RoundOp};
 use crate::transport::Transport;
-use crate::workspace::{CommWorkspace, CommWorkspaceStats};
+use nadmm_device::{Workspace, WorkspaceStats};
 
 /// The tracer's mirror of [`CollectiveKind`] (keeps `nadmm-trace` a leaf).
 fn trace_kind(kind: CollectiveKind) -> nadmm_trace::CollKind {
@@ -89,7 +89,7 @@ pub struct ClusterComm {
     /// (exactly 1.0 on homogeneous clusters, which multiplies bit-exactly).
     compute_scale: f64,
     stats: CommStats,
-    pool: CommWorkspace,
+    pool: Workspace,
     scratch: Scratch,
 }
 
@@ -116,7 +116,7 @@ impl ClusterComm {
             elapsed: 0.0,
             compute_scale,
             stats: CommStats::default(),
-            pool: CommWorkspace::new(),
+            pool: Workspace::new(),
             scratch: Scratch::default(),
         }
     }
@@ -147,9 +147,10 @@ impl ClusterComm {
         self.transport.backend()
     }
 
-    /// Pool counters of the communication workspace (staging buffers for the
-    /// split-phase handles). Used by the zero-allocation proofs.
-    pub fn comm_pool_stats(&self) -> CommWorkspaceStats {
+    /// Pool counters of the communication workspace — the device crate's
+    /// [`Workspace`], staging compressed payloads and the split-phase
+    /// handles' result buffers. Used by the zero-allocation proofs.
+    pub fn comm_pool_stats(&self) -> WorkspaceStats {
         self.pool.stats()
     }
 
@@ -166,9 +167,8 @@ impl ClusterComm {
 
     /// Gathers every rank's [`CommStats`] at the root, in rank order
     /// (`None` elsewhere). This is a transport-level side channel — nothing
-    /// is billed on the simulated clocks — used by the multi-process run to
-    /// reconstruct the cluster-wide skew summary the in-process path reads
-    /// directly from its per-rank results.
+    /// is billed on the simulated clocks — and the one source of the
+    /// cluster-wide skew summary on every transport.
     pub fn gather_comm_stats(&mut self) -> Option<Vec<CommStats>> {
         if self.size == 1 {
             return Some(vec![self.stats]);

@@ -35,8 +35,8 @@
 //!   split-phase allreduce (`start_allreduce_sum_max` → `wait_into`,
 //!   overlapping compute with communication on the simulated clocks); a
 //!   dead rank passes [`Contribution::Tombstone`] where a live one passes
-//!   its buffer;
-//! * [`SingleProcessComm`] — a size-1 communicator for single-node runs.
+//!   its buffer. Its one implementation, [`ClusterComm`], serves every
+//!   cluster size: a single-node run is a 1-rank cluster.
 
 pub mod cluster;
 pub mod comm;
@@ -45,10 +45,9 @@ pub mod network;
 pub mod stats;
 pub mod straggler;
 pub mod transport;
-pub mod workspace;
 
 pub use cluster::Cluster;
-pub use comm::{CollectiveHandle, Communicator, Contribution, SingleProcessComm, ROOT_RANK};
+pub use comm::{CollectiveHandle, Communicator, Contribution, ROOT_RANK};
 pub use engine::ClusterComm;
 pub use network::{
     CollectiveAlgorithm, CollectiveKind, CollectiveSelector, Compression, NetworkModel, COLLECTIVE_ALGO_ENV, COMPRESSION_ENV,
@@ -58,7 +57,6 @@ pub use straggler::{SlowRank, StragglerModel};
 pub use transport::tcp::{reserve_loopback_peers, TcpTransport};
 pub use transport::thread::{ThreadFabric, ThreadTransport};
 pub use transport::{Transport, TransportKind, TransportSpec, TRANSPORT_ENV};
-pub use workspace::{CommWorkspace, CommWorkspaceStats};
 
 /// The engine's and the cluster builder's unit tests: every one drives the
 /// engine through [`Cluster::run`], so they share one file. The module keeps

@@ -519,11 +519,6 @@ impl NetworkModel {
         Some(self.latency * self.bandwidth * (lb - la) / (ba - bb))
     }
 
-    /// Cost of a point-to-point message of `bytes`.
-    pub fn p2p(&self, bytes: f64) -> f64 {
-        self.latency + self.per_byte(bytes)
-    }
-
     /// Cost of a barrier among `n` ranks (auto-selected algorithm).
     pub fn barrier(&self, n: usize) -> f64 {
         self.select(CollectiveKind::Barrier, n, 0.0, CollectiveSelector::Auto).1
@@ -539,18 +534,6 @@ impl NetworkModel {
     /// (bottlenecked by the root's incoming link; auto-selected algorithm).
     pub fn gather(&self, n: usize, bytes: f64) -> f64 {
         self.select(CollectiveKind::Gather, n, bytes, CollectiveSelector::Auto).1
-    }
-
-    /// Cost of scattering per-rank payloads of `bytes` from the root
-    /// (auto-selected algorithm).
-    pub fn scatter(&self, n: usize, bytes: f64) -> f64 {
-        self.select(CollectiveKind::Scatter, n, bytes, CollectiveSelector::Auto).1
-    }
-
-    /// Cost of an allgather where each rank contributes `bytes`
-    /// (auto-selected algorithm).
-    pub fn allgather(&self, n: usize, bytes: f64) -> f64 {
-        self.select(CollectiveKind::Allgather, n, bytes, CollectiveSelector::Auto).1
     }
 
     /// Cost of an allreduce of a `bytes`-sized vector (auto-selected
@@ -588,7 +571,6 @@ mod tests {
         let net = NetworkModel::infiniband_100g();
         assert_eq!(net.allreduce(1, 1e6), 0.0);
         assert_eq!(net.gather(1, 1e6), 0.0);
-        assert_eq!(net.allgather(1, 1e6), 0.0);
         assert_eq!(net.reduce(1, 1e6), 0.0);
         assert_eq!(net.barrier(1), 0.0);
         for kind in CollectiveKind::ALL {
@@ -613,7 +595,6 @@ mod tests {
         let net = NetworkModel::ideal();
         assert_eq!(net.allreduce(8, 1e9), 0.0);
         assert_eq!(net.broadcast(8, 1e9), 0.0);
-        assert_eq!(net.p2p(1e9), 0.0);
     }
 
     #[test]
@@ -622,7 +603,6 @@ mod tests {
         assert!(net.gather(8, 1e6) > net.gather(8, 1e3));
         assert!(net.gather(16, 1e6) > net.gather(8, 1e6));
         assert!(net.broadcast(16, 1e6) > net.broadcast(2, 1e6));
-        assert!(net.p2p(1e6) > net.p2p(0.0));
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! cluster, and solvers, then run everything through one code path.
 
 use crate::report::{RankSkew, RunReport};
-use crate::solver::{run_rank_solvers_on, run_solver_on, Solver};
 use crate::spec::{ClusterSpec, DataSpec, PartitionSpec, SolverSpec};
 use nadmm_baselines::SyncSgdConfig;
-use nadmm_cluster::{Cluster, Communicator, Transport};
+use nadmm_cluster::{Cluster, ClusterComm, Communicator, Transport};
 use nadmm_data::Dataset;
 use nadmm_device::DeviceSpec;
 use nadmm_solver::ConfigError;
+use std::borrow::Cow;
 
 /// Why an experiment could not run.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,27 +185,14 @@ impl Experiment {
     /// candidate) but runs the cluster once per candidate.
     pub fn run(&self) -> Result<Vec<RunReport>, ExperimentError> {
         self.validate()?;
-        let loaded;
-        let (train, test): (&Dataset, Option<&Dataset>) = match &self.data {
-            None => return Err(ExperimentError::Data("no data source configured".into())),
-            Some(DataSource::InMemory { train, test }) => (train, test.as_ref()),
-            Some(DataSource::Spec(spec)) => {
-                loaded = spec.load()?;
-                (&loaded.0, loaded.1.as_ref())
-            }
-        };
-        let (shards, _plan) = self.partition.apply(train, self.cluster.ranks)?;
+        let Loaded { train, test, specs } = self.load()?;
+        let (shards, _plan) = self.partition.apply(&train, self.cluster.ranks)?;
         let cluster = self.cluster.build();
         let rank_devices = self.cluster.rank_devices.as_deref();
-        let mut reports = Vec::with_capacity(self.solvers.len());
-        for spec in &self.solvers {
-            let spec = match self.cluster.device {
-                Some(device) => spec.with_device(device),
-                None => spec.clone(),
-            };
-            reports.push(run_spec_on(&cluster, &spec, &shards, test, rank_devices)?);
-        }
-        Ok(reports)
+        specs
+            .iter()
+            .map(|spec| run_spec_on(&cluster, spec, &shards, test.as_deref(), rank_devices))
+            .collect()
     }
 
     /// Runs every solver with this process acting as **one rank** of a
@@ -231,27 +218,15 @@ impl Experiment {
             )
             .into());
         }
-        let loaded;
-        let (train, test): (&Dataset, Option<&Dataset>) = match &self.data {
-            None => return Err(ExperimentError::Data("no data source configured".into())),
-            Some(DataSource::InMemory { train, test }) => (train, test.as_ref()),
-            Some(DataSource::Spec(spec)) => {
-                loaded = spec.load()?;
-                (&loaded.0, loaded.1.as_ref())
-            }
-        };
+        let Loaded { train, test, specs } = self.load()?;
         let rank = transport.rank();
-        let shard = &self.partition.shard(train, self.cluster.ranks, rank)?;
+        let shard = &self.partition.shard(&train, self.cluster.ranks, rank)?;
         let cluster = self.cluster.build();
         let rank_devices = self.cluster.rank_devices.as_deref();
         let root = rank == 0;
-        let mut reports = Vec::with_capacity(self.solvers.len());
-        for spec in &self.solvers {
-            let spec = match self.cluster.device {
-                Some(device) => spec.with_device(device),
-                None => spec.clone(),
-            };
-            let (report, reclaimed) = run_spec_over(&cluster, &spec, shard, test, rank_devices, transport)?;
+        let mut reports = Vec::with_capacity(specs.len());
+        for spec in &specs {
+            let (report, reclaimed) = run_spec_over(&cluster, spec, shard, test.as_deref(), rank_devices, transport)?;
             transport = reclaimed;
             if root {
                 reports.push(report.expect("rank 0 gathers every report"));
@@ -259,6 +234,37 @@ impl Experiment {
         }
         Ok(root.then_some(reports))
     }
+
+    /// The data and solver list every rank starts from, whichever way the
+    /// ranks connect.
+    fn load(&self) -> Result<Loaded<'_>, ExperimentError> {
+        let (train, test) = match &self.data {
+            None => return Err(ExperimentError::Data("no data source configured".into())),
+            Some(DataSource::InMemory { train, test }) => (Cow::Borrowed(train), test.as_ref().map(Cow::Borrowed)),
+            Some(DataSource::Spec(spec)) => {
+                let (train, test) = spec.load()?;
+                (Cow::Owned(train), test.map(Cow::Owned))
+            }
+        };
+        let specs = self
+            .solvers
+            .iter()
+            .map(|spec| match self.cluster.device {
+                Some(device) => spec.with_device(device),
+                None => spec.clone(),
+            })
+            .collect();
+        Ok(Loaded { train, test, specs })
+    }
+}
+
+/// An experiment's inputs, materialized: the train/test sets (loaded from
+/// the spec, or borrowed when in memory) and every solver spec with the
+/// cluster-wide device override applied.
+struct Loaded<'a> {
+    train: Cow<'a, Dataset>,
+    test: Option<Cow<'a, Dataset>>,
+    specs: Vec<SolverSpec>,
 }
 
 impl Default for Experiment {
@@ -269,8 +275,9 @@ impl Default for Experiment {
 
 /// Runs one solver spec on a cluster: a single run for ordinary specs, one
 /// run per candidate (keeping the best by final objective) for the SGD grid.
-/// With `rank_devices` set, every run instantiates one solver per rank so
-/// rank `i` computes on `rank_devices[i]` (a heterogeneous fleet).
+/// Every rank runs the same per-rank body as a rank of [`run_spec_over`];
+/// the report is rank 0's. With `rank_devices` set, rank `i` computes on
+/// `rank_devices[i]` (a heterogeneous fleet).
 pub fn run_spec_on(
     cluster: &Cluster,
     spec: &SolverSpec,
@@ -278,20 +285,16 @@ pub fn run_spec_on(
     test: Option<&Dataset>,
     rank_devices: Option<&[DeviceSpec]>,
 ) -> Result<RunReport, ExperimentError> {
-    let run_one = |spec: &SolverSpec| -> RunReport {
-        match rank_devices {
-            None => {
-                let solver = spec.build().expect("every non-grid spec builds a solver");
-                run_solver_on(cluster, solver.as_ref(), shards, test)
-            }
-            Some(devices) => {
-                let solvers: Vec<Box<dyn Solver>> = devices
-                    .iter()
-                    .map(|d| spec.with_device(*d).build().expect("every non-grid spec builds a solver"))
-                    .collect();
-                run_rank_solvers_on(cluster, &solvers, shards, test)
-            }
-        }
+    let run_one = |candidate: &SolverSpec| -> RunReport {
+        let outputs = cluster.run_sharded(shards, |comm, shard| {
+            nadmm_trace::install(comm.rank());
+            let report = run_rank(comm, candidate, shard, test, rank_devices);
+            (report, nadmm_trace::uninstall())
+        });
+        let (mut reports, traces): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
+        let mut master = reports.swap_remove(0).expect("rank 0 gathers the fleet's counters");
+        attach_trace(&mut master, candidate.name(), traces);
+        master
     };
     match spec {
         SolverSpec::SyncSgdGrid { base, grid } => {
@@ -299,6 +302,20 @@ pub fn run_spec_on(
         }
         other => Ok(run_one(other)),
     }
+}
+
+/// When tracing is enabled, folds the per-rank recorder outputs into the
+/// master report's flat profile and deposits the raw spans in the process
+/// sink (one lane per solver run) for the Chrome export. A no-op — and the
+/// report stays byte-identical — when tracing is off: `traces` is then all
+/// `None` because `nadmm_trace::install` never armed a recorder.
+fn attach_trace(master: &mut RunReport, label: &str, traces: Vec<Option<nadmm_trace::RankTrace>>) {
+    let ranks: Vec<nadmm_trace::RankTrace> = traces.into_iter().flatten().collect();
+    if ranks.is_empty() {
+        return;
+    }
+    master.trace_profile = Some(nadmm_trace::profile_from_ranks(&ranks));
+    nadmm_trace::sink_deposit(label, ranks);
 }
 
 /// The paper's SGD protocol, shared by [`run_spec_on`] and [`run_spec_over`]:
@@ -331,10 +348,7 @@ fn best_of_grid(base: &SyncSgdConfig, grid: &[f64], mut run: impl FnMut(&SolverS
 
 /// One-rank counterpart of [`run_spec_on`]: runs one solver spec over an
 /// external transport, reclaiming the transport between candidate runs so a
-/// single connection serves the whole experiment. Rank 0 receives every
-/// peer's communication counters through the transport's stats side channel
-/// and annotates its own report with the fleet's [`RankSkew`] — exactly the
-/// scaffolding [`run_solver_on`] applies to thread-backed runs. Returns
+/// single connection serves the whole experiment. Returns
 /// `(Some(report), transport)` on rank 0 and `(None, transport)` elsewhere.
 pub fn run_spec_over(
     cluster: &Cluster,
@@ -369,8 +383,7 @@ pub fn run_spec_over(
 
 /// Runs one non-grid candidate over the transport: connect a fresh
 /// communicator (fresh clocks and counters, like each `run_sharded` spawn),
-/// run the solver, gather the fleet's counters at rank 0, and hand the
-/// transport back for the next run.
+/// run this rank's body, and hand the transport back for the next run.
 fn run_candidate_over(
     cluster: &Cluster,
     spec: &SolverSpec,
@@ -380,27 +393,37 @@ fn run_candidate_over(
     transport: Box<dyn Transport>,
 ) -> (Option<RunReport>, Box<dyn Transport>) {
     let mut comm = cluster.connect(transport);
+    let report = run_rank(&mut comm, spec, shard, test, rank_devices);
+    (report, comm.into_transport())
+}
+
+/// One rank's part in one non-grid run, the same on every transport: build
+/// this rank's solver (on `rank_devices[rank]` when set), run it on the
+/// shard, and gather every rank's communication counters at rank 0, which
+/// annotates its report with the fleet's [`RankSkew`]. Returns the report
+/// on rank 0 and `None` elsewhere.
+fn run_rank(
+    comm: &mut ClusterComm,
+    spec: &SolverSpec,
+    shard: &Dataset,
+    test: Option<&Dataset>,
+    rank_devices: Option<&[DeviceSpec]>,
+) -> Option<RunReport> {
     let solver = match rank_devices {
-        None => spec.build().expect("every non-grid spec builds a solver"),
-        Some(devices) => spec
-            .with_device(devices[comm.rank()])
-            .build()
-            .expect("every non-grid spec builds a solver"),
-    };
-    let report = solver.run(&mut comm, shard, test);
-    let gathered = comm.gather_comm_stats();
-    let transport = comm.into_transport();
-    let master = gathered.map(|stats| {
-        let mut master = report;
-        master.rank_skew = Some(RankSkew::from_rank_stats(&stats));
-        master
-    });
-    (master, transport)
+        None => spec.build(),
+        Some(devices) => spec.with_device(devices[comm.rank()]).build(),
+    }
+    .expect("every non-grid spec builds a solver");
+    let mut report = solver.run(comm, shard, test);
+    let stats = comm.gather_comm_stats()?;
+    report.rank_skew = Some(RankSkew::from_rank_stats(&stats));
+    Some(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::Solver;
     use nadmm_cluster::NetworkModel;
     use nadmm_data::SyntheticConfig;
     use newton_admm::NewtonAdmmConfig;
@@ -549,13 +572,10 @@ mod tests {
         // The two steps of `Experiment::run`: cut the shards, then hand one
         // to each rank.
         let (shards, _) = PartitionSpec::Strong.apply(&train, 2).unwrap();
-        let report = run_solver_on(
-            &ClusterSpec::new(2, NetworkModel::ideal()).build(),
-            &probe,
-            &shards,
-            test.as_ref(),
-        );
-        assert!(report.final_objective.unwrap().is_finite());
+        let reports = ClusterSpec::new(2, NetworkModel::ideal())
+            .build()
+            .run_sharded(&shards, |comm, shard| probe.run(comm, shard, test.as_ref()));
+        assert!(reports[0].final_objective.unwrap().is_finite());
         let mut seen = probe.first_values.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, vec![(0, row_address(0)), (1, row_address(30))]);
@@ -566,6 +586,66 @@ mod tests {
                 panic!("expected dense features")
             };
             assert_eq!(s.as_slice().as_ptr() as usize, row_address(20 * rank));
+        }
+    }
+
+    #[test]
+    fn rank_skew_from_the_gather_matches_every_ranks_own_counters() {
+        use nadmm_cluster::{CommStats, StragglerModel};
+        let (train, test) = tiny_data_spec().load().unwrap();
+        let spec = SolverSpec::NewtonAdmm(NewtonAdmmConfig::default().with_max_iters(2).with_lambda(1e-3));
+        let net = NetworkModel::infiniband_100g();
+        let clusters = [
+            ClusterSpec::new(1, net),
+            ClusterSpec::new(2, net),
+            ClusterSpec::new(4, net).with_straggler(StragglerModel::none().with_slow_rank(2, 3.0)),
+        ];
+        for cluster in clusters {
+            let ranks = cluster.ranks;
+            let (shards, _) = PartitionSpec::Strong.apply(&train, ranks).unwrap();
+            let solver = spec.build().unwrap();
+            let outputs = cluster.build().run_sharded(&shards, |comm, shard| {
+                solver.run(comm, shard, test.as_ref());
+                (comm.stats(), comm.gather_comm_stats())
+            });
+            let (own, gathered): (Vec<CommStats>, Vec<_>) = outputs.into_iter().unzip();
+            let mut gathered = gathered.into_iter();
+            let at_root = gathered.next().flatten().expect("rank 0 gathers every rank's counters");
+            assert!(gathered.all(|g| g.is_none()), "{ranks} ranks: only rank 0 holds the gather");
+            assert_eq!(
+                at_root, own,
+                "{ranks} ranks: the gather is every rank's counters, in rank order"
+            );
+
+            let from_gather = RankSkew::from_rank_stats(&at_root);
+            let from_ranks = RankSkew::from_rank_stats(&own);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(from_gather.max_compute_sec.to_bits(), from_ranks.max_compute_sec.to_bits());
+            assert_eq!(from_gather.min_compute_sec.to_bits(), from_ranks.min_compute_sec.to_bits());
+            assert_eq!(
+                from_gather.max_idle_wait_sec.to_bits(),
+                from_ranks.max_idle_wait_sec.to_bits()
+            );
+            assert_eq!(
+                from_gather.max_round_skew_sec.to_bits(),
+                from_ranks.max_round_skew_sec.to_bits()
+            );
+            assert_eq!(
+                bits(&from_gather.per_rank_compute_sec),
+                bits(&from_ranks.per_rank_compute_sec)
+            );
+            assert_eq!(
+                bits(&from_gather.per_rank_idle_wait_sec),
+                bits(&from_ranks.per_rank_idle_wait_sec)
+            );
+            assert_eq!(from_ranks.per_rank_compute_sec.len(), ranks);
+            if ranks == 4 {
+                assert!(from_ranks.compute_imbalance() > 2.0, "the straggler must show in the skew");
+            }
+
+            // The in-process runner reports exactly this summary.
+            let report = run_spec_on(&cluster.build(), &spec, &shards, test.as_ref(), None).unwrap();
+            assert_eq!(report.rank_skew.as_ref(), Some(&from_ranks), "{ranks} ranks");
         }
     }
 

@@ -15,8 +15,10 @@
 //!   problem-instance descriptions (synthetic preset or LIBSVM path,
 //!   strong/weak sharding, ranks + network + collective algorithm + optional
 //!   cluster-wide device override);
-//! * [`Experiment`] — the builder composing all of the above, owning the
-//!   one copy of the spawn-ranks/hand-off-shards/collect scaffolding;
+//! * [`Experiment`] — the builder composing all of the above; in process
+//!   ([`run_spec_on`]) and over an external transport ([`run_spec_over`])
+//!   every rank runs the same per-rank body, and rank 0's report carries
+//!   the fleet's [`RankSkew`] gathered over the communicator;
 //! * [`ScenarioSpec`] — the JSON-serializable mirror of an experiment,
 //!   executed end-to-end by the `scenario_runner` example and gated in CI
 //!   via `scenarios/smoke.json`;
@@ -39,7 +41,7 @@ pub mod spec;
 pub use experiment::{run_spec_on, run_spec_over, Experiment, ExperimentError};
 pub use report::{non_finite_path, to_finite_json_pretty, NonFiniteJsonError, RankSkew, RunReport};
 pub use scenario::ScenarioSpec;
-pub use solver::{run_rank_solvers_on, run_solver_on, Aide, Solver};
+pub use solver::{Aide, Solver};
 pub use spec::{validate_device, ClusterSpec, DataSpec, PartitionSpec, SolverSpec};
 
 // Re-exported so downstream users of the experiment API can name the shared

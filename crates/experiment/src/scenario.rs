@@ -160,6 +160,22 @@ mod tests {
     }
 
     #[test]
+    fn a_one_class_synthetic_spec_is_a_config_error_not_a_panic() {
+        let mut scenario = tiny_scenario();
+        let DataSpec::Synthetic { config, .. } = &mut scenario.data else {
+            unreachable!("the tiny scenario is synthetic")
+        };
+        config.num_classes = 1;
+        match scenario.run().unwrap_err() {
+            crate::ExperimentError::Config(e) => {
+                assert_eq!(e.config, "SyntheticConfig");
+                assert_eq!(e.field, "num_classes");
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn malformed_json_is_rejected() {
         assert!(ScenarioSpec::from_json("{\"name\": 3}").is_err());
         assert!(ScenarioSpec::from_json("not json at all").is_err());

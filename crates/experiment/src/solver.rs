@@ -4,11 +4,12 @@
 //! `run` executes the solver inside one rank of a communicator (every rank
 //! calls it with its own shard, exactly like the underlying
 //! `run_distributed` methods) and returns a structured [`RunReport`]. The
-//! experiment layer owns the rank spawning ([`crate::run_solver_on`]).
+//! experiment layer runs it on every rank, in process ([`crate::run_spec_on`])
+//! or as one rank of an external transport ([`crate::run_spec_over`]).
 
-use crate::report::{RankSkew, RunReport};
+use crate::report::RunReport;
 use nadmm_baselines::{AideConfig, Disco, Giant, InexactDane, SyncSgd};
-use nadmm_cluster::{Cluster, CommStats, Communicator};
+use nadmm_cluster::Communicator;
 use nadmm_data::Dataset;
 use nadmm_solver::ConfigError;
 use newton_admm::NewtonAdmm;
@@ -29,69 +30,6 @@ pub trait Solver: Send + Sync {
     /// call this with its own `shard`; `test` is optional instrumentation
     /// (per-iteration test accuracy, evaluated at the root).
     fn run(&self, comm: &mut dyn Communicator, shard: &Dataset, test: Option<&Dataset>) -> RunReport;
-}
-
-/// Runs a solver on every rank of a cluster (one shard per rank) and returns
-/// the master rank's report, annotated with the fleet's per-rank skew
-/// summary.
-///
-/// # Panics
-/// Panics if the shard count does not match the cluster size.
-pub fn run_solver_on(cluster: &Cluster, solver: &dyn Solver, shards: &[Dataset], test: Option<&Dataset>) -> RunReport {
-    run_ranks_on(cluster, |_| solver, shards, test)
-}
-
-/// Runs one solver *instance per rank* — a heterogeneous fleet where each
-/// rank's solver carries its own `DeviceSpec` — and returns the master's
-/// skew-annotated report. All instances must implement the same algorithm;
-/// only hardware models may differ.
-///
-/// # Panics
-/// Panics if the solver or shard counts do not match the cluster size.
-pub fn run_rank_solvers_on(
-    cluster: &Cluster,
-    solvers: &[Box<dyn Solver>],
-    shards: &[Dataset],
-    test: Option<&Dataset>,
-) -> RunReport {
-    assert_eq!(solvers.len(), cluster.size(), "need exactly one solver instance per rank");
-    run_ranks_on(cluster, |rank| solvers[rank].as_ref(), shards, test)
-}
-
-/// The one copy of the spawn/hand-off/collect scaffolding: rank `r` runs
-/// `solver_of(r)` on its shard; the master's report comes back with the
-/// fleet's [`RankSkew`] summary and, when tracing is on, its flat profile.
-fn run_ranks_on<'s>(
-    cluster: &Cluster,
-    solver_of: impl Fn(usize) -> &'s (dyn Solver + 's) + Sync,
-    shards: &[Dataset],
-    test: Option<&Dataset>,
-) -> RunReport {
-    let outputs = cluster.run_sharded(shards, |comm, shard| {
-        nadmm_trace::install(comm.rank());
-        let report = solver_of(comm.rank()).run(comm, shard, test);
-        (report, nadmm_trace::uninstall())
-    });
-    let (mut reports, traces): (Vec<RunReport>, Vec<_>) = outputs.into_iter().unzip();
-    let stats: Vec<CommStats> = reports.iter().map(|r| r.comm_stats).collect();
-    let mut master = reports.swap_remove(0);
-    master.rank_skew = Some(RankSkew::from_rank_stats(&stats));
-    attach_trace(&mut master, solver_of(0).name(), traces);
-    master
-}
-
-/// When tracing is enabled, folds the per-rank recorder outputs into the
-/// master report's flat profile and deposits the raw spans in the process
-/// sink (one lane per solver run) for the Chrome export. A no-op — and the
-/// report stays byte-identical — when tracing is off: `traces` is then all
-/// `None` because `nadmm_trace::install` never armed a recorder.
-fn attach_trace(master: &mut RunReport, label: &str, traces: Vec<Option<nadmm_trace::RankTrace>>) {
-    let ranks: Vec<nadmm_trace::RankTrace> = traces.into_iter().flatten().collect();
-    if ranks.is_empty() {
-        return;
-    }
-    master.trace_profile = Some(nadmm_trace::profile_from_ranks(&ranks));
-    nadmm_trace::sink_deposit(label, ranks);
 }
 
 impl Solver for NewtonAdmm {
@@ -206,7 +144,7 @@ impl Solver for Aide {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nadmm_cluster::NetworkModel;
+    use nadmm_cluster::{Cluster, NetworkModel};
     use nadmm_data::{partition_strong, SyntheticConfig};
     use newton_admm::NewtonAdmmConfig;
 
@@ -225,7 +163,9 @@ mod tests {
         ));
         assert_eq!(solver.name(), "newton-admm");
         solver.validate().unwrap();
-        let report = run_solver_on(&cluster, solver.as_ref(), &shards, Some(&test));
+        let report = cluster
+            .run_sharded(&shards, |comm, shard| solver.run(comm, shard, Some(&test)))
+            .swap_remove(0);
         assert_eq!(report.solver, "newton-admm");
         assert_eq!(report.num_workers, 2);
         assert_eq!(report.history.len(), 4);

@@ -51,13 +51,21 @@ impl DataSpec {
         }
     }
 
-    /// Rejects empty sizes/paths before any generation or file IO happens.
+    /// Rejects empty sizes/paths and a single-class problem before any
+    /// generation or file IO happens.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self {
             DataSpec::Synthetic { config, .. } => {
                 require_nonzero("SyntheticConfig", "train_size", config.train_size)?;
                 require_nonzero("SyntheticConfig", "num_features", config.num_features)?;
-                require_nonzero("SyntheticConfig", "num_classes", config.num_classes)
+                if config.num_classes < 2 {
+                    return Err(ConfigError::new(
+                        "SyntheticConfig",
+                        "num_classes",
+                        format!("a classifier needs at least 2 classes, got {}", config.num_classes),
+                    ));
+                }
+                Ok(())
             }
             DataSpec::Libsvm { train_path, .. } => {
                 if train_path.is_empty() {

@@ -8,19 +8,15 @@
 //! * [`linesearch`] — Armijo backtracking line search (paper Algorithm 3),
 //! * [`newton`] — the inexact Newton-CG method (paper Algorithm 1), the
 //!   building block run on every worker inside Newton-ADMM,
-//! * [`first_order`] — full-batch first-order methods (gradient descent,
-//!   momentum, Adagrad, Adam) used in examples and ablations,
 //! * [`trace`] — convergence-trace bookkeeping shared by all solvers.
 
 pub mod cg;
-pub mod first_order;
 pub mod linesearch;
 pub mod newton;
 pub mod trace;
 pub mod validate;
 
 pub use cg::{conjugate_gradient, conjugate_gradient_into, CgConfig, CgResult, CgStats};
-pub use first_order::{FirstOrderConfig, FirstOrderMethod, FirstOrderResult};
 pub use linesearch::{armijo_backtracking, armijo_backtracking_ws, LineSearchConfig, LineSearchResult};
 pub use newton::{NewtonCg, NewtonConfig, NewtonResult, NewtonStepStats};
 pub use trace::{ConvergenceTrace, TraceEntry};

@@ -9,8 +9,7 @@
 
 use nadmm_linalg::gen;
 use nadmm_objective::Quadratic;
-use nadmm_solver::first_order::minimize;
-use nadmm_solver::{FirstOrderConfig, NewtonCg, NewtonConfig};
+use nadmm_solver::{NewtonCg, NewtonConfig};
 
 fn problem() -> Quadratic {
     let mut rng = gen::seeded_rng(42);
@@ -37,26 +36,6 @@ fn newton_traces_are_identical_after_zeroing_wall_clock() {
         "identical runs must have identical traces once wall clock is scrubbed"
     );
     assert_eq!(a.x, b.x, "iterates are deterministic regardless");
-}
-
-#[test]
-fn first_order_traces_are_identical_after_zeroing_wall_clock() {
-    let q = problem();
-    let cfg = FirstOrderConfig {
-        step_size: 5e-3,
-        max_iters: 25,
-        ..Default::default()
-    };
-    let mut a = minimize(&q, &[0.0; 8], &cfg);
-    let mut b = minimize(&q, &[0.0; 8], &cfg);
-    assert!(a.iterations > 0, "test needs a non-trivial run");
-    a.zero_wall_clock();
-    b.zero_wall_clock();
-    assert!(a.trace.entries().iter().all(|e| e.elapsed_sec == 0.0));
-    assert_eq!(
-        a.trace, b.trace,
-        "identical runs must have identical traces once wall clock is scrubbed"
-    );
 }
 
 #[test]

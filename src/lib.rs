@@ -38,8 +38,8 @@ pub mod prelude {
     };
     pub use nadmm_cluster::{
         reserve_loopback_peers, Cluster, CollectiveAlgorithm, CollectiveKind, CollectiveSelector, CommStats, Communicator,
-        Compression, NetworkModel, SingleProcessComm, SlowRank, StragglerModel, TcpTransport, Transport, TransportKind,
-        TransportSpec, TRANSPORT_ENV,
+        Compression, NetworkModel, SlowRank, StragglerModel, TcpTransport, Transport, TransportKind, TransportSpec,
+        TRANSPORT_ENV,
     };
     pub use nadmm_data::{partition_strong, partition_weak, Dataset, DatasetKind, SyntheticConfig};
     pub use nadmm_device::{Device, DeviceSpec, Workspace};
@@ -53,7 +53,7 @@ pub mod prelude {
         artifact_for_scenario, run_serve, scenario_fingerprint, ArrivalSpec, ArtifactError, BatchingSpec, InferenceSession,
         ModelArtifact, ModelRegistry, NamedTensor, Provenance, ServeReport, ServeSpec, ServingScenario, TensorEncoding,
     };
-    pub use nadmm_solver::{CgConfig, FirstOrderConfig, FirstOrderMethod, LineSearchConfig, NewtonCg, NewtonConfig};
+    pub use nadmm_solver::{CgConfig, LineSearchConfig, NewtonCg, NewtonConfig};
     pub use nadmm_trace::{
         export_chrome_trace, trace_path_from_env, validate_chrome_value, ChromeStats, LaneTrace, TraceProfile, TRACE_ENV,
     };
