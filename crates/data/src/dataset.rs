@@ -89,8 +89,9 @@ impl Dataset {
     }
 
     /// Returns a new dataset containing rows `start..end`. A slice of every
-    /// row shares this dataset's feature matrix, any other slice of dense
-    /// features is a copy-on-write view of its buffer, and of CSR a copy.
+    /// row shares this dataset's feature matrix; any other slice is a view
+    /// of its storage (copy-on-write for dense features; CSR features are
+    /// never written), so no feature value is copied.
     pub fn slice(&self, start: usize, end: usize) -> Dataset {
         let features = if (start, end) == (0, self.num_samples()) {
             Arc::clone(&self.features)
@@ -332,6 +333,31 @@ mod tests {
         assert!(!shares_storage(&d, &standardized) && !reads_rows_of(&standardized, &d, 0));
         assert_eq!(d.features().to_dense().get(3, 1), 7.0, "the source is never written through");
         assert_eq!(tail.features().to_dense().get(2, 1), 7.0, "nor is a view of it");
+    }
+
+    #[test]
+    fn csr_slices_and_split_halves_read_the_parents_arrays() {
+        let d = toy();
+        let csr = nadmm_linalg::CsrMatrix::from_dense(&d.features().to_dense());
+        let sparse = Dataset::new("toy-csr", Matrix::Sparse(csr), d.labels().to_vec(), 3);
+        let Matrix::Sparse(whole) = sparse.features() else {
+            unreachable!("built from CSR")
+        };
+        let reads_row = |part: &Dataset, first: usize| {
+            let Matrix::Sparse(m) = part.features() else {
+                panic!("a slice of CSR features is CSR")
+            };
+            (0..m.rows()).all(|i| {
+                let ((pc, pv), (wc, wv)) = (m.row(i), whole.row(first + i));
+                std::ptr::eq(pc, wc) && std::ptr::eq(pv, wv)
+            })
+        };
+        let (train, test) = sparse.split(0.5);
+        assert!(reads_row(&train, 0) && reads_row(&test, 2));
+        assert!(reads_row(&sparse.slice(1, 4).slice(1, 3), 2), "a slice of a view is a view");
+        let copy = sparse.select(&[2, 3]);
+        assert_eq!(test.features(), copy.features());
+        assert_eq!(test.features().storage_bytes(), copy.features().storage_bytes());
     }
 
     #[test]

@@ -46,8 +46,9 @@ pub fn strong_range(n: usize, num_workers: usize, w: usize) -> std::ops::Range<u
 
 /// Strong-scaling partition: splits the *entire* dataset across `num_workers`
 /// shards of (nearly) equal size. Every sample is assigned to exactly one
-/// worker, in the rows [`strong_range`] gives it. Dense shards are views of
-/// `data`'s feature buffer, not copies (see [`Dataset::slice`]).
+/// worker, in the rows [`strong_range`] gives it. Shards are views of
+/// `data`'s feature storage, dense or CSR, not copies (see
+/// [`Dataset::slice`]).
 ///
 /// # Panics
 /// Panics if `num_workers == 0` or exceeds the number of samples.
@@ -191,6 +192,38 @@ mod tests {
                 assert!(std::ptr::eq(first_value(&strong[w]), parent.row(start).as_ptr()));
                 assert!(std::ptr::eq(first_value(&weak[w]), parent.row(3 * w).as_ptr()));
             }
+        }
+    }
+
+    #[test]
+    fn every_csr_shard_reads_its_rows_from_the_parent_arrays() {
+        let d = crate::SyntheticConfig::e18_like()
+            .with_train_size(13)
+            .with_test_size(1)
+            .with_num_features(60)
+            .generate(3)
+            .0;
+        let Matrix::Sparse(parent) = d.features() else {
+            panic!("e18-like features are CSR")
+        };
+        let reads_rows = |shard: &Dataset, start: usize| {
+            let Matrix::Sparse(m) = shard.features() else {
+                panic!("a shard of CSR features is CSR")
+            };
+            (0..m.rows()).all(|i| {
+                let ((sc, sv), (pc, pv)) = (m.row(i), parent.row(start + i));
+                std::ptr::eq(sc, pc) && std::ptr::eq(sv, pv)
+            })
+        };
+        for workers in 2..=4 {
+            let (strong, _) = partition_strong(&d, workers);
+            let (weak, _) = partition_weak(&d, workers, 3);
+            for w in 0..workers {
+                assert!(reads_rows(&strong[w], strong_range(13, workers, w).start));
+                assert!(reads_rows(&weak[w], 3 * w));
+            }
+            let shard_nnz: usize = strong.iter().map(|s| s.features().stored_entries()).sum();
+            assert_eq!(shard_nnz, parent.nnz(), "strong shards split the stored entries");
         }
     }
 

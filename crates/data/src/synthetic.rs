@@ -8,10 +8,18 @@
 //! convergence discussion relies on). The E18 analogue additionally applies a
 //! sparsification mask and a non-negativity clamp so the feature matrix is a
 //! realistic sparse count-like matrix stored in CSR form.
+//!
+//! The sparse generator's memory is O(nnz): it never builds the dense
+//! `n × p` matrix its draws describe. It saves the RNG at the start of each
+//! row's normals (32 bytes a row), and computes a normal only where the mask
+//! keeps its entry, so it runs Box–Muller for about `density` of the entries.
+//! The draws, their order and the arithmetic are those of drawing the whole
+//! dense matrix and then masking it, so its output has the same bits
+//! (`crates/data/tests/golden_fingerprint.rs` pins them).
 
 use crate::dataset::Dataset;
 use nadmm_linalg::{gen, CsrMatrix, DenseMatrix, Matrix};
-use rand::Rng;
+use rand::{Rng, StdRng};
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
@@ -199,7 +207,7 @@ impl SyntheticConfig {
     fn generate_split(
         &self,
         n: usize,
-        rng: &mut impl Rng,
+        rng: &mut StdRng,
         split: &str,
         shared_means: Option<&[Vec<f64>]>,
     ) -> (Dataset, Vec<Vec<f64>>) {
@@ -227,39 +235,65 @@ impl SyntheticConfig {
         // spectrum: sqrt(λ_j) with λ_j = exp(-decay * j).
         let stds: Vec<f64> = (0..p).map(|j| (-self.spectrum_decay * j as f64 / 2.0).exp()).collect();
 
-        let mut labels = Vec::with_capacity(n);
-        let mut dense = DenseMatrix::zeros(n, p);
-        for i in 0..n {
+        let name = format!("{}-like/{split}", self.kind.paper_name().to_lowercase());
+        let draw_label = |rng: &mut StdRng| {
             let mut label = rng.gen_range(0..c);
             if self.label_noise > 0.0 && rng.gen::<f64>() < self.label_noise {
                 label = rng.gen_range(0..c);
             }
-            labels.push(label);
-            let mu = &means[label];
-            let row = dense.row_mut(i);
-            for j in 0..p {
-                row[j] = mu[j] + stds[j] * normal.sample(rng);
-            }
-        }
-
-        let name = format!("{}-like/{split}", self.kind.paper_name().to_lowercase());
+            label
+        };
+        let mut labels = Vec::with_capacity(n);
         let dataset = if self.density >= 1.0 {
+            let mut dense = DenseMatrix::zeros(n, p);
+            for i in 0..n {
+                let label = draw_label(rng);
+                labels.push(label);
+                let mu = &means[label];
+                let row = dense.row_mut(i);
+                for j in 0..p {
+                    row[j] = mu[j] + stds[j] * normal.sample(rng);
+                }
+            }
             Dataset::new(name, Matrix::Dense(dense), labels, c)
         } else {
-            // Sparsify: keep each entry with probability `density`, clamp to
-            // non-negative counts (gene-expression-like), drop exact zeros.
-            // The row-major mask visits entries in CSR order already.
-            let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
-            for i in 0..n {
-                for (j, v) in dense.row(i).iter().enumerate() {
-                    if rng.gen::<f64>() < self.density && v.abs() > 1e-9 {
-                        indices.push(j);
-                        values.push(v.abs());
+            // The draws are those of the dense loop above followed by a
+            // row-major mask: keep each entry with probability `density`,
+            // clamp to non-negative counts (gene-expression-like), drop
+            // exact zeros. Pass 1 draws the labels and saves the RNG at each
+            // row's normals, skipping the 2p words they take (two uniforms
+            // per Box–Muller normal, one word per uniform), which leaves the
+            // RNG where the mask starts. Pass 2 reads the mask and computes
+            // a row's normal from its saved RNG only where the mask keeps
+            // the entry, so no dense matrix is ever built.
+            let mut row_rngs = Vec::with_capacity(n);
+            for _ in 0..n {
+                labels.push(draw_label(rng));
+                row_rngs.push(rng.clone());
+                for _ in 0..2 * p {
+                    rng.next_u64();
+                }
+            }
+            let (mut indptr, mut indices, mut values) = (Vec::with_capacity(n + 1), Vec::new(), Vec::new());
+            indptr.push(0);
+            for (row_rng, &label) in row_rngs.iter_mut().zip(&labels) {
+                let mu = &means[label];
+                for j in 0..p {
+                    if rng.gen::<f64>() < self.density {
+                        let v = mu[j] + stds[j] * normal.sample(row_rng);
+                        if v.abs() > 1e-9 {
+                            indices.push(j);
+                            values.push(v.abs());
+                        }
+                    } else {
+                        row_rng.next_u64();
+                        row_rng.next_u64();
                     }
                 }
                 indptr.push(indices.len());
             }
-            drop(dense);
+            indices.shrink_to_fit();
+            values.shrink_to_fit();
             let csr = CsrMatrix::from_raw(n, p, indptr, indices, values);
             Dataset::new(name, Matrix::Sparse(csr), labels, c)
         };

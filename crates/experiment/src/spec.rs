@@ -11,7 +11,7 @@ use nadmm_baselines::{AideConfig, DaneConfig, Disco, DiscoConfig, Giant, GiantCo
 use nadmm_cluster::{Cluster, CollectiveSelector, Compression, NetworkModel, StragglerModel, TransportSpec};
 use nadmm_data::{read_libsvm, read_libsvm_pair, strong_range, Dataset, PartitionPlan, SyntheticConfig};
 use nadmm_device::DeviceSpec;
-use nadmm_solver::validate::{require_nonzero, require_positive, ConfigError};
+use nadmm_solver::validate::{require_non_negative, require_nonzero, require_positive, ConfigError};
 use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
 use serde::{Deserialize, Serialize};
 
@@ -51,8 +51,9 @@ impl DataSpec {
         }
     }
 
-    /// Rejects empty sizes/paths and a single-class problem before any
-    /// generation or file IO happens.
+    /// Rejects empty sizes/paths, a single-class problem, and generator
+    /// parameters that would yield all-zero or non-finite features before
+    /// any generation or file IO happens.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self {
             DataSpec::Synthetic { config, .. } => {
@@ -65,7 +66,21 @@ impl DataSpec {
                         format!("a classifier needs at least 2 classes, got {}", config.num_classes),
                     ));
                 }
-                Ok(())
+                if !(config.density > 0.0 && config.density <= 1.0) {
+                    return Err(ConfigError::new(
+                        "SyntheticConfig",
+                        "density",
+                        format!("must lie in (0, 1], got {}", config.density),
+                    ));
+                }
+                if !(0.0..=1.0).contains(&config.label_noise) {
+                    return Err(ConfigError::new(
+                        "SyntheticConfig",
+                        "label_noise",
+                        format!("must lie in [0, 1], got {}", config.label_noise),
+                    ));
+                }
+                require_non_negative("SyntheticConfig", "spectrum_decay", config.spectrum_decay)
             }
             DataSpec::Libsvm { train_path, .. } => {
                 if train_path.is_empty() {
@@ -514,6 +529,67 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    /// The field `validate` names for an E18-like spec after `edit`.
+    fn rejected_synthetic_field(edit: impl FnOnce(&mut SyntheticConfig)) -> Option<String> {
+        let mut config = SyntheticConfig::e18_like();
+        edit(&mut config);
+        let spec = DataSpec::Synthetic { config, seed: 42 };
+        spec.validate().err().map(|e| {
+            assert_eq!(e.config, "SyntheticConfig");
+            e.field
+        })
+    }
+
+    #[test]
+    fn a_density_outside_the_unit_interval_is_rejected() {
+        for density in [0.0, -0.5, 1.5, f64::NAN] {
+            assert_eq!(
+                rejected_synthetic_field(|c| c.density = density).as_deref(),
+                Some("density"),
+                "density {density}"
+            );
+        }
+        for density in [1e-3, 0.05, 1.0] {
+            assert_eq!(rejected_synthetic_field(|c| c.density = density), None, "density {density}");
+        }
+    }
+
+    #[test]
+    fn a_label_noise_outside_the_unit_interval_is_rejected() {
+        for noise in [-0.1, 1.1, f64::NAN] {
+            assert_eq!(
+                rejected_synthetic_field(|c| c.label_noise = noise).as_deref(),
+                Some("label_noise"),
+                "label_noise {noise}"
+            );
+        }
+        for noise in [0.0, 0.05, 1.0] {
+            assert_eq!(
+                rejected_synthetic_field(|c| c.label_noise = noise),
+                None,
+                "label_noise {noise}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_negative_spectrum_decay_is_rejected() {
+        for decay in [-10.0, -1e-9, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                rejected_synthetic_field(|c| c.spectrum_decay = decay).as_deref(),
+                Some("spectrum_decay"),
+                "spectrum_decay {decay}"
+            );
+        }
+        for decay in [0.0, 0.002] {
+            assert_eq!(
+                rejected_synthetic_field(|c| c.spectrum_decay = decay),
+                None,
+                "spectrum_decay {decay}"
+            );
+        }
     }
 
     #[test]

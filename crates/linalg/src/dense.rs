@@ -4,7 +4,7 @@
 //! `NADMM_PAR_THRESHOLD` cutover: gather-style kernels (`Ax`, `A·Bᵀ`) write
 //! each output element from the same row arithmetic on both paths, and
 //! scatter-style kernels (`Aᵀx`, `AᵀB`) reduce through the canonical chunk
-//! layout via [`crate::scatter_rows`].
+//! layout (the crate's [reduction order](crate#reduction-order)).
 //!
 //! The fused sweep [`crate::Matrix::gemm_nt_map_tn_into`] is built from two
 //! row-block kernels — `nt_rows` (rows of `A·Bᵀ`, each element
@@ -302,8 +302,8 @@ impl DenseMatrix {
 
     /// In-place transposed matrix–vector product `y = Aᵀ x` (the core that
     /// [`DenseMatrix::t_matvec`] wraps). Reduces through the canonical row
-    /// chunking (see [`crate::scatter_rows`]); the single-chunk case
-    /// accumulates directly into `y` with no scratch.
+    /// chunking (see the crate's [reduction order](crate#reduction-order));
+    /// the single-chunk case accumulates directly into `y` with no scratch.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != rows` or
@@ -461,11 +461,11 @@ impl DenseMatrix {
 
     /// In-place `C = Aᵀ · B` writing into a pre-sized `out` (the core that
     /// [`DenseMatrix::gemm_tn`] wraps). Reduces through the canonical row
-    /// chunking (see [`crate::scatter_rows`]); the single-chunk case
-    /// accumulates directly into `out`, above 256 rows the chunk partials are
-    /// one allocation per call. The solver hot loop does not come through
-    /// here: it takes [`crate::Matrix::gemm_nt_map_tn_into`] with pooled
-    /// scratch.
+    /// chunking (see the crate's [reduction order](crate#reduction-order));
+    /// the single-chunk case accumulates directly into `out`, above 256 rows
+    /// the chunk partials are one allocation per call. The solver hot loop
+    /// does not come through here: it takes
+    /// [`crate::Matrix::gemm_nt_map_tn_into`] with pooled scratch.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `A.rows != B.rows` or `out`

@@ -210,8 +210,9 @@ impl Matrix {
     /// [`Matrix::gemm_tn_from_dense_into`], bit for bit, at every pool width
     /// and threshold.
     ///
-    /// Within each canonical row chunk (the [`crate::scatter_rows`] layout)
-    /// the sweep takes `SWEEP_ROWS` (32) rows at a time — their rows of
+    /// Within each canonical row chunk (the crate's
+    /// [reduction order](crate#reduction-order)) the sweep takes
+    /// `SWEEP_ROWS` (32) rows at a time — their rows of
     /// `A · Wᵀ`, then `map(first_row, block, row_out)` on those rows of `mid`
     /// (row-major, `W.rows` per row) and of `bufs.row_out`, then their
     /// products into the chunk's partial — so the feature rows are still in

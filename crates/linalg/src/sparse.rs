@@ -4,7 +4,8 @@
 //! feature space (single-cell gene counts), so the feature matrix must support
 //! a sparse representation. Only the operations used by the softmax objective
 //! are implemented: `A·x`, `Aᵀ·x`, `A·Bᵀ` (dense result) and `Mᵀ·A` (dense
-//! result), plus row slicing for data partitioning.
+//! result), plus row slicing for data partitioning (a slice is a view of
+//! the parent's arrays, see [`CsrMatrix`]).
 //!
 //! ## Class-interleaved layout
 //!
@@ -19,26 +20,35 @@
 //! The layout moves operands, not operations: every output element still
 //! receives the additions of the class-at-a-time kernels in their order
 //! (stated at `row_dots` and `CsrMatrix::tn_rows_acc`), and the chunk
-//! partials of [`crate::scatter_rows`] fold elementwise, which no layout
-//! changes. `crates/linalg/tests/proptest_parallel.rs` holds the kernels to
-//! the arithmetic spelled out one scalar at a time.
+//! partials of the crate's [reduction order](crate#reduction-order) fold
+//! elementwise, which no layout changes.
+//! `crates/linalg/tests/proptest_parallel.rs` holds the kernels to the
+//! arithmetic spelled out one scalar at a time.
 
 use crate::dense::DenseMatrix;
 use crate::error::{LinalgError, Result};
 use crate::vector;
 use crate::vector::SendMutPtr;
+use std::sync::Arc;
 
 /// Compressed sparse row matrix.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A row slice ([`CsrMatrix::slice_rows`]) is a view, not a copy: it shares
+/// its parent's column indices and values and holds only its own `rows + 1`
+/// row pointers. Nothing mutates a CSR matrix after construction, so views
+/// need no copy-on-write. Equality compares rows, so a view equals a copy of
+/// the same rows.
+#[derive(Clone)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
-    /// Row pointer array of length `rows + 1`.
+    /// Row pointer array of length `rows + 1`: absolute offsets into
+    /// `indices` and `values`, so a view's first entry need not be zero.
     indptr: Vec<usize>,
-    /// Column indices of stored values, length `nnz`.
-    indices: Vec<usize>,
-    /// Stored values, length `nnz`.
-    values: Vec<f64>,
+    /// Column indices of stored values, shared with every view.
+    indices: Arc<Vec<usize>>,
+    /// Stored values, shared with every view.
+    values: Arc<Vec<f64>>,
 }
 
 impl CsrMatrix {
@@ -72,13 +82,7 @@ impl CsrMatrix {
             }
             indptr.push(indices.len());
         }
-        Self {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        }
+        Self::from_parts(rows, cols, indptr, indices, values)
     }
 
     /// Builds a CSR matrix directly from raw CSR arrays.
@@ -97,12 +101,17 @@ impl CsrMatrix {
             assert!(w[0] <= w[1], "indptr must be non-decreasing");
         }
         assert!(indices.iter().all(|&c| c < cols), "column index out of bounds");
+        Self::from_parts(rows, cols, indptr, indices, values)
+    }
+
+    /// Moves already-consistent arrays behind the shared handles.
+    fn from_parts(rows: usize, cols: usize, indptr: Vec<usize>, indices: Vec<usize>, values: Vec<f64>) -> Self {
         Self {
             rows,
             cols,
             indptr,
-            indices,
-            values,
+            indices: Arc::new(indices),
+            values: Arc::new(values),
         }
     }
 
@@ -143,10 +152,11 @@ impl CsrMatrix {
         self.cols
     }
 
-    /// Number of stored (structurally non-zero) entries.
+    /// Number of stored (structurally non-zero) entries in this matrix's
+    /// rows.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.indptr[self.rows] - self.indptr[0]
     }
 
     /// Fraction of stored entries relative to a dense matrix of equal shape.
@@ -216,8 +226,9 @@ impl CsrMatrix {
 
     /// In-place transposed sparse matrix–vector product `y = Aᵀ x` (the core
     /// that [`CsrMatrix::t_matvec`] wraps). Reduces through the canonical row
-    /// chunking (see [`crate::scatter_rows`]); the single-chunk case scatters
-    /// directly into `y` with no scratch allocations.
+    /// chunking (see the crate's [reduction order](crate#reduction-order));
+    /// the single-chunk case scatters directly into `y` with no scratch
+    /// allocations.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != rows` or
@@ -343,7 +354,8 @@ impl CsrMatrix {
 
     /// In-place `C = Mᵀ · A`, writing into a pre-sized dense `out` (the core
     /// that [`CsrMatrix::gemm_tn_from_dense`] wraps). Reduces through the
-    /// canonical row chunking (see [`crate::scatter_rows`]) in the
+    /// canonical row chunking (see the crate's
+    /// [reduction order](crate#reduction-order)) in the
     /// class-interleaved layout, in scratch it allocates: the accumulator
     /// and one partial per chunk when there are several.
     ///
@@ -406,22 +418,20 @@ impl CsrMatrix {
         }
     }
 
-    /// Returns a new CSR matrix containing rows `start..end`.
+    /// Returns rows `start..end` as a view: it shares this matrix's column
+    /// indices and values and copies only `rows + 1` row pointers.
     pub fn slice_rows(&self, start: usize, end: usize) -> CsrMatrix {
         assert!(
             start <= end && end <= self.rows,
             "slice_rows: invalid range {start}..{end} of {}",
             self.rows
         );
-        let vs = self.indptr[start];
-        let ve = self.indptr[end];
-        let indptr: Vec<usize> = self.indptr[start..=end].iter().map(|p| p - vs).collect();
         CsrMatrix {
             rows: end - start,
             cols: self.cols,
-            indptr,
-            indices: self.indices[vs..ve].to_vec(),
-            values: self.values[vs..ve].to_vec(),
+            indptr: self.indptr[start..=end].to_vec(),
+            indices: Arc::clone(&self.indices),
+            values: Arc::clone(&self.values),
         }
     }
 
@@ -438,13 +448,27 @@ impl CsrMatrix {
             vals.extend_from_slice(vs);
             indptr.push(idx.len());
         }
-        CsrMatrix {
-            rows: rows.len(),
-            cols: self.cols,
-            indptr,
-            indices: idx,
-            values: vals,
-        }
+        Self::from_parts(rows.len(), self.cols, indptr, idx, vals)
+    }
+}
+
+impl PartialEq for CsrMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && (0..self.rows).all(|i| self.row(i) == other.row(i))
+    }
+}
+
+/// Prints the shape and this matrix's own entries, never a parent's.
+impl std::fmt::Debug for CsrMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (first, last) = (self.indptr[0], self.indptr[self.rows]);
+        f.debug_struct("CsrMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("indptr", &self.indptr.iter().map(|p| p - first).collect::<Vec<_>>())
+            .field("indices", &&self.indices[first..last])
+            .field("values", &&self.values[first..last])
+            .finish()
     }
 }
 
@@ -626,6 +650,91 @@ mod tests {
         let sel = m.select_rows(&[2, 0]);
         assert_eq!(sel.to_dense().get(0, 0), 4.0);
         assert_eq!(sel.to_dense().get(1, 0), 1.0);
+    }
+
+    /// Six rows, two of them empty, so views start and end mid-array.
+    fn ragged() -> CsrMatrix {
+        CsrMatrix::from_triplets(
+            6,
+            4,
+            &[
+                (0, 1, 1.0),
+                (0, 3, 2.0),
+                (2, 0, 3.0),
+                (3, 1, 4.0),
+                (3, 2, 5.0),
+                (3, 3, 6.0),
+                (5, 0, 7.0),
+            ],
+        )
+    }
+
+    #[test]
+    fn a_view_shares_its_parents_arrays() {
+        let m = ragged();
+        let v = m.slice_rows(2, 5);
+        for i in 0..3 {
+            let ((vc, vv), (pc, pv)) = (v.row(i), m.row(i + 2));
+            assert!(std::ptr::eq(vc, pc) && std::ptr::eq(vv, pv));
+        }
+        assert!(Arc::ptr_eq(&v.indices, &m.indices) && Arc::ptr_eq(&v.values, &m.values));
+    }
+
+    #[test]
+    fn a_view_counts_only_its_own_rows() {
+        let m = ragged();
+        let v = m.slice_rows(2, 5);
+        assert_eq!(v.nnz(), 4);
+        assert!((v.density() - 4.0 / 12.0).abs() < 1e-12);
+        let bytes = crate::Matrix::Sparse(v).storage_bytes();
+        assert_eq!(bytes, 4 * (std::mem::size_of::<f64>() + std::mem::size_of::<usize>()));
+        assert_eq!(m.slice_rows(4, 5).nnz(), 0);
+        assert_eq!(m.slice_rows(6, 6).nnz(), 0);
+    }
+
+    #[test]
+    fn a_view_equals_the_copied_rows() {
+        let m = ragged();
+        for (s, e) in [(0, 6), (0, 1), (1, 4), (2, 5), (4, 4), (5, 6)] {
+            let rows: Vec<usize> = (s..e).collect();
+            let view = m.slice_rows(s, e);
+            let copy = m.select_rows(&rows);
+            assert_eq!(view, copy, "rows {s}..{e}");
+            assert_eq!(format!("{view:?}"), format!("{copy:?}"));
+        }
+        assert_ne!(m.slice_rows(0, 2), m.slice_rows(1, 3));
+    }
+
+    #[test]
+    fn a_view_and_a_view_of_a_view_densify_to_their_rows() {
+        let m = ragged();
+        let full = m.to_dense();
+        let v = m.slice_rows(1, 6);
+        let vv = v.slice_rows(2, 4);
+        for (view, first) in [(&v, 1), (&vv, 3)] {
+            let d = view.to_dense();
+            assert_eq!(d.rows(), view.rows());
+            for i in 0..view.rows() {
+                assert_eq!(d.row(i), full.row(first + i));
+            }
+        }
+        assert_eq!(vv, m.slice_rows(3, 5));
+        assert!(std::ptr::eq(vv.row(0).1, m.row(3).1));
+    }
+
+    #[test]
+    fn kernels_on_a_view_match_kernels_on_a_copy() {
+        let m = ragged();
+        let view = m.slice_rows(2, 6);
+        let copy = m.select_rows(&[2, 3, 4, 5]);
+        let x = [1.0, -2.0, 0.5, 3.0];
+        assert_eq!(view.matvec(&x).unwrap(), copy.matvec(&x).unwrap());
+        let y = [1.0, 2.0, -1.0, 0.5];
+        assert_eq!(view.t_matvec(&y).unwrap(), copy.t_matvec(&y).unwrap());
+        let b = DenseMatrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64 * 0.25 - 1.0);
+        assert_eq!(view.gemm_nt(&b).unwrap(), copy.gemm_nt(&b).unwrap());
+        let p = DenseMatrix::from_fn(4, 3, |i, j| (i + 2 * j) as f64 - 2.0);
+        assert_eq!(view.gemm_tn_from_dense(&p).unwrap(), copy.gemm_tn_from_dense(&p).unwrap());
     }
 
     #[test]
