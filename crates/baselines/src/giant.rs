@@ -159,25 +159,23 @@ impl Giant {
             comm.allreduce_sum_into(&mut step_values);
 
             // Pick the largest step satisfying Armijo on the global
-            // objective; fall back to the best value if none does.
+            // objective; failing that, the lowest candidate if it is below
+            // `f0`. When every candidate overshoots, `w` stays put: GIANT
+            // never steps uphill.
             let f0 = history.records.last().map(|r| r.objective).unwrap_or_else(|| step_values[0]);
             let slope = -vector::dot(p, &g); // direction is −p
-            let mut chosen = None;
-            for (i, &alpha) in steps.iter().enumerate() {
-                if step_values[i] <= f0 + cfg.armijo_beta * alpha * slope {
-                    chosen = Some(i);
-                    break;
-                }
-            }
-            let best = chosen.unwrap_or_else(|| {
+            let armijo = (0..steps.len()).find(|&i| step_values[i] <= f0 + cfg.armijo_beta * steps[i] * slope);
+            let best = armijo.or_else(|| {
                 step_values
                     .iter()
                     .enumerate()
                     .min_by(|a, b| a.1.partial_cmp(b.1).expect("line-search step objective is NaN"))
+                    .filter(|&(_, &v)| v < f0)
                     .map(|(i, _)| i)
-                    .unwrap_or(0)
             });
-            vector::axpy(-steps[best], p, &mut w);
+            if let Some(best) = best {
+                vector::axpy(-steps[best], p, &mut w);
+            }
 
             record_iteration(comm, &local, &mut engine, test, &w, k, wall_start, &mut history);
         }
@@ -276,6 +274,35 @@ mod tests {
         let first_acc = run.history.records[0].test_accuracy.unwrap();
         let last_acc = run.history.final_accuracy().unwrap();
         assert!(last_acc > first_acc, "accuracy should improve: {first_acc} -> {last_acc}");
+    }
+
+    /// With λ = 1e-5 and fewer rows per rank (25) than weight dimensions
+    /// (960), every candidate step can overshoot; GIANT must then hold `w`
+    /// rather than take the least-bad uphill step.
+    #[test]
+    fn giant_never_steps_uphill() {
+        let (train, _) = SyntheticConfig::mnist_like()
+            .with_train_size(204)
+            .with_test_size(64)
+            .with_num_features(96)
+            .generate(1);
+        let (shards, _) = partition_strong(&train, 8);
+        let cluster = Cluster::new(8, NetworkModel::infiniband_100g());
+        let cfg = GiantConfig {
+            max_iters: 20,
+            lambda: 1e-5,
+            ..Default::default()
+        };
+        let run = run_on(cfg, &cluster, &shards, None);
+        for pair in run.history.records.windows(2) {
+            assert!(
+                pair[1].objective <= pair[0].objective,
+                "GIANT stepped uphill at iteration {}: {} -> {}",
+                pair[1].iteration,
+                pair[0].objective,
+                pair[1].objective
+            );
+        }
     }
 
     #[test]

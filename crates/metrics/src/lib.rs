@@ -1,17 +1,15 @@
 //! # nadmm-metrics
 //!
-//! Experiment harness shared by the Newton-ADMM driver, the baselines and
-//! the figure binaries: per-iteration run records, relative-objective (θ)
-//! computations, and plain-text / CSV table emitters that print the same rows
-//! and series the paper's tables and figures report.
+//! Run records shared by the Newton-ADMM driver, the baselines, the
+//! experiment reports and the `claims` binary: per-iteration records, run
+//! histories, and the relative objective θ that Figure 3's claims are
+//! measured in.
 
 pub mod record;
 pub mod relative;
-pub mod table;
 
 pub use record::{IterationRecord, RunHistory};
 pub use relative::{relative_objective, time_to_relative_objective};
-pub use table::TextTable;
 
 #[cfg(test)]
 mod tests {

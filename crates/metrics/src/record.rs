@@ -49,12 +49,6 @@ impl IterationRecord {
         self
     }
 
-    /// Builder-style setter for the gradient norm.
-    pub fn with_grad_norm(mut self, g: f64) -> Self {
-        self.grad_norm = Some(g);
-        self
-    }
-
     /// Builder-style setter for the consensus residual.
     pub fn with_consensus_residual(mut self, r: f64) -> Self {
         self.consensus_residual = Some(r);
@@ -118,14 +112,6 @@ impl RunHistory {
         self.records.last().map(|r| r.objective)
     }
 
-    /// Best (lowest) objective value seen.
-    pub fn best_objective(&self) -> Option<f64> {
-        self.records
-            .iter()
-            .map(|r| r.objective)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-    }
-
     /// Final test accuracy, if recorded.
     pub fn final_accuracy(&self) -> Option<f64> {
         self.records.last().and_then(|r| r.test_accuracy)
@@ -147,26 +133,10 @@ impl RunHistory {
         }
     }
 
-    /// First simulated time at which the objective dropped to or below
-    /// `threshold`, if ever.
-    pub fn time_to_objective(&self, threshold: f64) -> Option<f64> {
-        self.records.iter().find(|r| r.objective <= threshold).map(|r| r.sim_time_sec)
-    }
-
     /// First iteration at which the objective dropped to or below
     /// `threshold`, if ever.
     pub fn iterations_to_objective(&self, threshold: f64) -> Option<usize> {
         self.records.iter().find(|r| r.objective <= threshold).map(|r| r.iteration)
-    }
-
-    /// Serialises the run as pretty JSON (for archiving experiment outputs).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("RunHistory serialises")
-    }
-
-    /// Parses a run back from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
     }
 }
 
@@ -181,7 +151,6 @@ mod tests {
         h.push(
             IterationRecord::new(2, 2.0, 0.4, 0.40)
                 .with_accuracy(0.8)
-                .with_grad_norm(0.05)
                 .with_consensus_residual(0.01)
                 .with_comm_bytes(1e6),
         );
@@ -192,13 +161,12 @@ mod tests {
     fn builders_populate_fields() {
         let r = IterationRecord::new(3, 1.5, 0.7, 0.25)
             .with_accuracy(0.9)
-            .with_grad_norm(0.1)
             .with_consensus_residual(0.02)
             .with_comm_bytes(123.0)
             .with_mean_rho(2.5);
         assert_eq!(r.iteration, 3);
         assert_eq!(r.test_accuracy, Some(0.9));
-        assert_eq!(r.grad_norm, Some(0.1));
+        assert_eq!(r.grad_norm, None);
         assert_eq!(r.consensus_residual, Some(0.02));
         assert_eq!(r.comm_bytes, 123.0);
         assert_eq!(r.mean_rho, Some(2.5));
@@ -210,13 +178,11 @@ mod tests {
         assert_eq!(h.len(), 3);
         assert!(!h.is_empty());
         assert_eq!(h.final_objective(), Some(0.40));
-        assert_eq!(h.best_objective(), Some(0.40));
         assert_eq!(h.final_accuracy(), Some(0.8));
         assert_eq!(h.total_sim_time(), 2.0);
         assert_eq!(h.avg_epoch_time(), 1.0);
-        assert_eq!(h.time_to_objective(1.0), Some(1.0));
         assert_eq!(h.iterations_to_objective(1.0), Some(1));
-        assert_eq!(h.time_to_objective(0.01), None);
+        assert_eq!(h.iterations_to_objective(0.01), None);
     }
 
     #[test]
@@ -231,9 +197,9 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let h = sample_history();
-        let json = h.to_json();
-        let parsed = RunHistory::from_json(&json).unwrap();
+        let json = serde_json::to_string_pretty(&h).unwrap();
+        let parsed: RunHistory = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, h);
-        assert!(RunHistory::from_json("not json").is_err());
+        assert!(serde_json::from_str::<RunHistory>("not json").is_err());
     }
 }

@@ -26,15 +26,6 @@ pub fn time_to_relative_objective(history: &RunHistory, f_star: f64, threshold: 
         .map(|r| r.sim_time_sec)
 }
 
-/// First iteration index at which a run reached `θ ≤ threshold`, if ever.
-pub fn iterations_to_relative_objective(history: &RunHistory, f_star: f64, threshold: f64) -> Option<usize> {
-    history
-        .records
-        .iter()
-        .find(|r| relative_objective(r.objective, f_star) <= threshold)
-        .map(|r| r.iteration)
-}
-
 /// The paper's speed-up ratio: time for the `baseline` run to reach
 /// `θ ≤ threshold` divided by the time for the `candidate` run to do the
 /// same. Returns `None` if either run never reaches the threshold.
@@ -78,7 +69,6 @@ mod tests {
         let h = history("a", &[(0.0, 2.0), (1.0, 1.2), (2.0, 1.04), (3.0, 1.01)]);
         // f* = 1.0, threshold 0.05 -> first reached at objective 1.04 (t=2).
         assert_eq!(time_to_relative_objective(&h, 1.0, 0.05), Some(2.0));
-        assert_eq!(iterations_to_relative_objective(&h, 1.0, 0.05), Some(2));
         assert_eq!(time_to_relative_objective(&h, 1.0, 0.001), None);
     }
 

@@ -12,16 +12,16 @@
 
 use newton_admm_repro::prelude::*;
 
-/// Renders a solver's per-collective-kind communication breakdown.
-fn breakdown_table(solver: &str, stats: &CommStats) -> TextTable {
-    let mut t = TextTable::new(
-        format!("{solver} — communication breakdown (rank 0)"),
-        &["collective", "count", "bytes sent", "sim seconds", "algorithm"],
+/// Prints a solver's per-collective-kind communication breakdown.
+fn print_breakdown(solver: &str, stats: &CommStats) {
+    println!("== {solver} — communication breakdown (rank 0) ==");
+    println!(
+        "{:>10}  {:>5}  {:>12}  {:>11}  {:>9}",
+        "collective", "count", "bytes sent", "sim seconds", "algorithm"
     );
-    for row in stats.breakdown_rows() {
-        t.add_row(&row);
+    for [kind, count, bytes, seconds, algorithm] in stats.breakdown_rows() {
+        println!("{kind:>10}  {count:>5}  {bytes:>12}  {seconds:>11}  {algorithm:>9}");
     }
-    t
 }
 
 /// One Newton-ADMM + one GIANT run on the given cluster/partition layout,
@@ -66,27 +66,28 @@ fn main() {
         .generate(11);
 
     // Strong scaling: fixed total problem, more workers.
-    let mut strong = TextTable::new("Strong scaling (avg epoch time, ms)", &["workers", "newton-admm", "giant"]);
+    println!("== Strong scaling (avg epoch time, ms) ==");
+    println!("{:>7}  {:>11}  {:>7}", "workers", "newton-admm", "giant");
     for workers in [1usize, 2, 4, 8] {
         let (a, g) = epoch_times(NetworkModel::infiniband_100g(), workers, &train, None);
-        strong.add_row(&[format!("s{workers}"), format!("{:.3}", 1e3 * a), format!("{:.3}", 1e3 * g)]);
+        println!("{:>7}  {:>11.3}  {:>7.3}", format!("s{workers}"), 1e3 * a, 1e3 * g);
     }
-    println!("{}", strong.to_text());
 
     // Weak scaling: fixed per-worker problem, more workers.
     let per_worker = 256;
-    let mut weak = TextTable::new("Weak scaling (avg epoch time, ms)", &["workers", "newton-admm", "giant"]);
+    println!("== Weak scaling (avg epoch time, ms) ==");
+    println!("{:>7}  {:>11}  {:>7}", "workers", "newton-admm", "giant");
     for workers in [1usize, 2, 4, 8] {
         let (a, g) = epoch_times(NetworkModel::infiniband_100g(), workers, &train, Some(per_worker));
-        weak.add_row(&[format!("w{workers}"), format!("{:.3}", 1e3 * a), format!("{:.3}", 1e3 * g)]);
+        println!("{:>7}  {:>11.3}  {:>7.3}", format!("w{workers}"), 1e3 * a, 1e3 * g);
     }
-    println!("{}", weak.to_text());
 
     // Interconnect ablation: the paper argues Newton-ADMM's single round per
     // iteration matters most on slow networks.
-    let mut nets = TextTable::new(
-        "Interconnect ablation, 8 workers (avg epoch time, ms)",
-        &["network", "newton-admm", "giant", "giant / newton-admm"],
+    println!("== Interconnect ablation, 8 workers (avg epoch time, ms) ==");
+    println!(
+        "{:>16}  {:>11}  {:>7}  {:>19}",
+        "network", "newton-admm", "giant", "giant / newton-admm"
     );
     for network in [
         NetworkModel::infiniband_100g(),
@@ -94,21 +95,21 @@ fn main() {
         NetworkModel::ethernet_1g(),
     ] {
         let (a, g) = epoch_times(network, 8, &train, None);
-        nets.add_row(&[
-            network.name.to_string(),
-            format!("{:.3}", 1e3 * a),
-            format!("{:.3}", 1e3 * g),
-            format!("{:.2}x", g / a),
-        ]);
+        println!(
+            "{:>16}  {:>11.3}  {:>7.3}  {:>19}",
+            network.name,
+            1e3 * a,
+            1e3 * g,
+            format!("{:.2}x", g / a)
+        );
     }
-    println!("{}", nets.to_text());
 
     // Where does communication time go? Per-collective breakdown of an
     // 8-worker run, including which algorithm the payload-size crossover
     // rule picked for each collective kind — straight off the RunReports.
     let (admm, giant) = run_pair(NetworkModel::infiniband_100g(), 8, &train, None);
-    println!("{}", breakdown_table("newton-admm", &admm.comm_stats).to_text());
-    println!("{}", breakdown_table("giant", &giant.comm_stats).to_text());
+    print_breakdown("newton-admm", &admm.comm_stats);
+    print_breakdown("giant", &giant.comm_stats);
     println!(
         "newton-admm comm fraction: {:.1}%   giant comm fraction: {:.1}%",
         100.0 * admm.comm_stats.comm_fraction(),

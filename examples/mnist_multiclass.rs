@@ -53,28 +53,22 @@ fn main() {
         .run()
         .expect("comparison runs");
 
-    let mut table = TextTable::new(
-        "MNIST-like, 4 workers: objective / accuracy / time",
-        &[
-            "solver",
-            "final objective",
-            "test acc",
-            "avg epoch (ms)",
-            "total sim time (s)",
-            "bytes/worker",
-        ],
+    println!("== MNIST-like, 4 workers: objective / accuracy / time ==");
+    println!(
+        "{:>12}  {:>15}  {:>8}  {:>14}  {:>18}  {:>12}",
+        "solver", "final objective", "test acc", "avg epoch (ms)", "total sim time (s)", "bytes/worker"
     );
     for r in &reports {
-        table.add_row(&[
-            r.solver.clone(),
-            format!("{:.4}", r.final_objective.unwrap()),
-            r.final_accuracy.map(|a| format!("{:.1}%", 100.0 * a)).unwrap_or_default(),
-            format!("{:.3}", 1e3 * r.history.avg_epoch_time()),
-            format!("{:.4}", r.total_sim_time_sec),
-            format!("{:.0}", r.comm_stats.bytes_sent),
-        ]);
+        let acc = r.final_accuracy.map(|a| format!("{:.1}%", 100.0 * a)).unwrap_or_default();
+        println!(
+            "{:>12}  {:>15.4}  {acc:>8}  {:>14.3}  {:>18.4}  {:>12.0}",
+            r.solver,
+            r.final_objective.unwrap(),
+            1e3 * r.history.avg_epoch_time(),
+            r.total_sim_time_sec,
+            r.comm_stats.bytes_sent
+        );
     }
-    println!("{}", table.to_text());
 
     println!(
         "Newton-ADMM reached objective {:.4} in {:.3}s simulated time; GIANT reached {:.4} in {:.3}s.",

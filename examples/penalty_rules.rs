@@ -43,15 +43,10 @@ fn main() {
 
     let best_drop = reports.iter().map(|r| r.final_objective.unwrap()).fold(f64::MAX, f64::min);
 
-    let mut table = TextTable::new(
-        format!("Penalty-rule ablation on cifar10-like ({workers} workers, {iters} iterations)"),
-        &[
-            "rule",
-            "final objective",
-            "test acc",
-            "mean rho (final)",
-            "iters to 90% of best drop",
-        ],
+    println!("== Penalty-rule ablation on cifar10-like ({workers} workers, {iters} iterations) ==");
+    println!(
+        "{:>18}  {:>15}  {:>8}  {:>16}  {:>25}",
+        "rule", "final objective", "test acc", "mean rho (final)", "iters to 90% of best drop"
     );
     for ((name, _), report) in rules.iter().zip(&reports) {
         let first = report.history.records[0].objective;
@@ -61,19 +56,17 @@ fn main() {
             .iterations_to_objective(target)
             .map(|i| i.to_string())
             .unwrap_or_else(|| "-".to_string());
-        table.add_row(&[
-            name.to_string(),
-            format!("{:.4}", report.final_objective.unwrap()),
-            report.final_accuracy.map(|a| format!("{:.1}%", 100.0 * a)).unwrap_or_default(),
-            report
-                .history
-                .records
-                .last()
-                .and_then(|r| r.mean_rho)
-                .map(|r| format!("{r:.3}"))
-                .unwrap_or_default(),
-            iters_to_target,
-        ]);
+        let acc = report.final_accuracy.map(|a| format!("{:.1}%", 100.0 * a)).unwrap_or_default();
+        let rho = report
+            .history
+            .records
+            .last()
+            .and_then(|r| r.mean_rho)
+            .map(|r| format!("{r:.3}"))
+            .unwrap_or_default();
+        println!(
+            "{name:>18}  {:>15.4}  {acc:>8}  {rho:>16}  {iters_to_target:>25}",
+            report.final_objective.unwrap()
+        );
     }
-    println!("{}", table.to_text());
 }

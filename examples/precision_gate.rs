@@ -78,19 +78,13 @@ fn run(scenario_path: &str) -> Result<(), String> {
     let baseline = full_width.run().map_err(|e| format!("full-width run failed: {e}"))?;
 
     // ── Gates 1–3, per solver ────────────────────────────────────────────
-    let mut table = TextTable::new(
-        format!(
-            "compressed ({}) vs full-width collectives",
-            scenario.cluster.compression.name()
-        ),
-        &[
-            "solver",
-            "wire bytes",
-            "full-width bytes",
-            "ratio",
-            "comm time ratio",
-            "test acc Δ",
-        ],
+    println!(
+        "== compressed ({}) vs full-width collectives ==",
+        scenario.cluster.compression.name()
+    );
+    println!(
+        "{:>12}  {:>10}  {:>16}  {:>5}  {:>15}  {:>10}",
+        "solver", "wire bytes", "full-width bytes", "ratio", "comm time ratio", "test acc Δ"
     );
     for (comp, full) in compressed.iter().zip(&baseline) {
         if comp.solver != full.solver {
@@ -111,14 +105,13 @@ fn run(scenario_path: &str) -> Result<(), String> {
             (Some(c), Some(f)) => Some(c - f),
             _ => None,
         };
-        table.add_row(&[
-            comp.solver.clone(),
-            format!("{:.0}", cs.bytes_sent),
-            format!("{:.0}", fs.bytes_sent),
-            format!("{byte_ratio:.3}"),
-            format!("{time_ratio:.3}"),
-            acc_delta.map(|d| format!("{:+.2}%", 100.0 * d)).unwrap_or_default(),
-        ]);
+        println!(
+            "{:>12}  {:>10.0}  {:>16.0}  {byte_ratio:>5.3}  {time_ratio:>15.3}  {:>10}",
+            comp.solver,
+            cs.bytes_sent,
+            fs.bytes_sent,
+            acc_delta.map(|d| format!("{:+.2}%", 100.0 * d)).unwrap_or_default()
+        );
         if !within(byte_ratio, WIRE_BYTES_GATE) {
             return Err(format!(
                 "`{}`: compressed wire bytes are {byte_ratio:.3}× the full-width run's (gate: ≤ {WIRE_BYTES_GATE})",
@@ -142,7 +135,6 @@ fn run(scenario_path: &str) -> Result<(), String> {
             }
         }
     }
-    println!("{}", table.to_text());
 
     // ── Gate 4: f16 artifact serves within 0.1% of f64 ───────────────────
     // Export the full-width run's first iterate both ways; the scenario's

@@ -48,21 +48,20 @@ fn main() {
     );
 
     // 5. Report the convergence history from the structured RunReport.
-    let mut table = TextTable::new(
-        "Newton-ADMM on mnist-like (4 workers)",
-        &["iter", "objective", "test acc", "sim time (s)"],
+    println!("== Newton-ADMM on mnist-like (4 workers) ==");
+    println!(
+        "{:>4}  {:>10}  {:>8}  {:>12}",
+        "iter", "objective", "test acc", "sim time (s)"
     );
     for r in &report.history.records {
         if r.iteration % 5 == 0 || r.iteration == report.history.records.len() - 1 {
-            table.add_row(&[
-                r.iteration.to_string(),
-                format!("{:.4}", r.objective),
-                r.test_accuracy.map(|a| format!("{:.1}%", 100.0 * a)).unwrap_or_default(),
-                format!("{:.4}", r.sim_time_sec),
-            ]);
+            let acc = r.test_accuracy.map(|a| format!("{:.1}%", 100.0 * a)).unwrap_or_default();
+            println!(
+                "{:>4}  {:>10.4}  {acc:>8}  {:>12.4}",
+                r.iteration, r.objective, r.sim_time_sec
+            );
         }
     }
-    println!("{}", table.to_text());
     println!(
         "final objective {:.4}, final accuracy {:.1}%, avg epoch time {:.2} ms, {} bytes sent per worker",
         report.final_objective.unwrap(),

@@ -282,35 +282,30 @@ fn run(opts: &Options) -> Result<(), String> {
         );
     }
 
-    let mut table = TextTable::new(
-        format!(
-            "scenario `{}` — {} validated report(s) → {out_path}",
-            scenario.name,
-            parsed.len()
-        ),
-        &[
-            "solver",
-            "final objective",
-            "test acc",
-            "sim time (s)",
-            "collectives",
-            "rank imbalance",
-        ],
+    println!(
+        "== scenario `{}` — {} validated report(s) → {out_path} ==",
+        scenario.name,
+        parsed.len()
+    );
+    println!(
+        "{:>12}  {:>15}  {:>8}  {:>12}  {:>11}  {:>14}",
+        "solver", "final objective", "test acc", "sim time (s)", "collectives", "rank imbalance"
     );
     for r in &parsed {
-        table.add_row(&[
-            r.solver.clone(),
-            format!("{:.4}", r.final_objective.unwrap()),
-            r.final_accuracy.map(|a| format!("{:.1}%", 100.0 * a)).unwrap_or_default(),
-            format!("{:.5}", r.total_sim_time_sec),
-            r.comm_stats.collectives.to_string(),
-            r.rank_skew
-                .as_ref()
-                .map(|s| format!("{:.2}×", s.compute_imbalance()))
-                .unwrap_or_default(),
-        ]);
+        let acc = r.final_accuracy.map(|a| format!("{:.1}%", 100.0 * a)).unwrap_or_default();
+        let imbalance = r
+            .rank_skew
+            .as_ref()
+            .map(|s| format!("{:.2}×", s.compute_imbalance()))
+            .unwrap_or_default();
+        println!(
+            "{:>12}  {:>15.4}  {acc:>8}  {:>12.5}  {:>11}  {imbalance:>14}",
+            r.solver,
+            r.final_objective.unwrap(),
+            r.total_sim_time_sec,
+            r.comm_stats.collectives
+        );
     }
-    println!("{}", table.to_text());
     Ok(())
 }
 

@@ -158,34 +158,25 @@ fn run(scenario_path: &str, out_path: &str, deterministic: bool) -> Result<(), S
         .validate_schema()
         .map_err(|e| format!("schema-invalid serve report: {e}"))?;
 
-    let mut table = TextTable::new(
-        format!("serve `{}` — validated report → {out_path}", parsed.scenario),
-        &[
-            "model",
-            "requests",
-            "batches",
-            "mean occ",
-            "rps",
-            "p50 (µs)",
-            "p95 (µs)",
-            "p99 (µs)",
-            "max q",
-        ],
+    println!("== serve `{}` — validated report → {out_path} ==", parsed.scenario);
+    println!(
+        "{:>12}  {:>8}  {:>7}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>5}",
+        "model", "requests", "batches", "mean occ", "rps", "p50 (µs)", "p95 (µs)", "p99 (µs)", "max q"
     );
     for m in &parsed.per_model {
-        table.add_row(&[
-            m.model.clone(),
-            m.requests.to_string(),
-            m.batches.to_string(),
-            format!("{:.2}", m.mean_batch_occupancy),
-            format!("{:.0}", m.throughput_rps),
-            format!("{:.1}", 1e6 * m.latency.p50_sec),
-            format!("{:.1}", 1e6 * m.latency.p95_sec),
-            format!("{:.1}", 1e6 * m.latency.p99_sec),
-            m.max_queue_depth.to_string(),
-        ]);
+        println!(
+            "{:>12}  {:>8}  {:>7}  {:>8.2}  {:>8.0}  {:>8.1}  {:>8.1}  {:>8.1}  {:>5}",
+            m.model,
+            m.requests,
+            m.batches,
+            m.mean_batch_occupancy,
+            m.throughput_rps,
+            1e6 * m.latency.p50_sec,
+            1e6 * m.latency.p95_sec,
+            1e6 * m.latency.p99_sec,
+            m.max_queue_depth
+        );
     }
-    println!("{}", table.to_text());
     println!(
         "aggregate: {} requests in {:.3} sim-ms → {:.0} req/s, p99 {:.1} µs",
         parsed.total_requests,

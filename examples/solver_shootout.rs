@@ -65,19 +65,20 @@ fn main() {
         .run()
         .expect("shoot-out runs");
 
-    let mut table = TextTable::new(
-        "Solver shoot-out on mnist-like (4 workers): objective | accuracy | avg epoch | rounds/iter",
-        &["solver", "final objective", "test acc", "avg epoch (ms)", "collectives"],
+    println!("== Solver shoot-out on mnist-like (4 workers): objective | accuracy | avg epoch | rounds/iter ==");
+    println!(
+        "{:>12}  {:>15}  {:>8}  {:>14}  {:>11}",
+        "solver", "final objective", "test acc", "avg epoch (ms)", "collectives"
     );
     for r in &reports {
-        table.add_row(&[
-            r.solver.clone(),
-            format!("{:.4}", r.final_objective.unwrap()),
-            r.final_accuracy.map(|a| format!("{:.1}%", 100.0 * a)).unwrap_or_default(),
-            format!("{:.3}", 1e3 * r.history.avg_epoch_time()),
-            r.comm_stats.collectives.to_string(),
-        ]);
+        let acc = r.final_accuracy.map(|a| format!("{:.1}%", 100.0 * a)).unwrap_or_default();
+        println!(
+            "{:>12}  {:>15.4}  {acc:>8}  {:>14.3}  {:>11}",
+            r.solver,
+            r.final_objective.unwrap(),
+            1e3 * r.history.avg_epoch_time(),
+            r.comm_stats.collectives
+        );
     }
-    println!("{}", table.to_text());
     println!("Newton-ADMM reaches a competitive objective with the fewest communication rounds per iteration.");
 }

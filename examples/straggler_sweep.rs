@@ -122,20 +122,19 @@ fn main() -> ExitCode {
 
     // Time-to-target table: one row per slowdown factor, one column pair
     // (seconds, degradation vs 1×) per solver.
-    let mut header = vec!["slow-rank factor".to_string()];
+    println!("== time to target objective under one slow rank (`{}`) ==", scenario.name);
+    let mut header = format!("{:>16}", "slow-rank factor");
+    let mut widths = Vec::new();
     for s in &solvers {
-        header.push(format!("{s} t→target (s)"));
-        header.push(format!("{s} ×1x"));
+        let (time, ratio) = (format!("{s} t→target (s)"), format!("{s} ×1x"));
+        widths.push((time.chars().count(), ratio.chars().count()));
+        header += &format!("  {time}  {ratio}");
     }
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = TextTable::new(
-        format!("time to target objective under one slow rank (`{}`)", scenario.name),
-        &header_refs,
-    );
+    println!("{header}");
     let mut baseline: Vec<f64> = vec![f64::NAN; solvers.len()];
     let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); solvers.len()];
     for factor in FACTORS {
-        let mut row = vec![format!("{factor}×")];
+        let mut row = format!("{:>16}", format!("{factor}×"));
         for (i, solver) in solvers.iter().enumerate() {
             let target = target_for(&runs, solver);
             let run = runs
@@ -149,36 +148,39 @@ fn main() -> ExitCode {
                     }
                     let ratio = t / baseline[i];
                     ratios[i].push(ratio);
-                    row.push(format!("{t:.6}"));
-                    row.push(format!("{ratio:.2}×"));
+                    row += &format!(
+                        "  {t:>tw$.6}  {:>rw$}",
+                        format!("{ratio:.2}×"),
+                        tw = widths[i].0,
+                        rw = widths[i].1
+                    );
                 }
                 None => {
-                    row.push("never".into());
-                    row.push("∞".into());
+                    row += &format!("  {:>tw$}  {:>rw$}", "never", "∞", tw = widths[i].0, rw = widths[i].1);
                     ratios[i].push(f64::INFINITY);
                 }
             }
         }
-        table.add_row(&row);
+        println!("{row}");
     }
-    println!("{}", table.to_text());
 
     // Per-rank skew of the Newton-ADMM runs (the RunReport field this
     // example exists to surface).
-    let mut skew_table = TextTable::new(
-        "newton-admm per-rank skew".to_string(),
-        &["factor", "compute max/min", "max idle wait (s)", "max round skew (s)"],
+    println!("== newton-admm per-rank skew ==");
+    println!(
+        "{:>6}  {:>15}  {:>17}  {:>18}",
+        "factor", "compute max/min", "max idle wait (s)", "max round skew (s)"
     );
     for run in runs.iter().filter(|r| r.solver == "newton-admm") {
         let skew = run.skew.as_ref().expect("experiment reports carry rank skew");
-        skew_table.add_row(&[
+        println!(
+            "{:>6}  {:>15}  {:>17.6}  {:>18.6}",
             format!("{}×", run.factor),
             format!("{:.2}×", skew.compute_imbalance()),
-            format!("{:.6}", skew.max_idle_wait_sec),
-            format!("{:.6}", skew.max_round_skew_sec),
-        ]);
+            skew.max_idle_wait_sec,
+            skew.max_round_skew_sec
+        );
     }
-    println!("{}", skew_table.to_text());
 
     // The acceptance gate: Newton-ADMM's time-to-target must degrade
     // strictly less than GIANT's as the slow rank slows down.

@@ -47,7 +47,7 @@ pub mod prelude {
         ClusterSpec, ConfigError, DataSpec, Experiment, ExperimentError, NonFiniteJsonError, PartitionSpec, RankSkew, RunReport,
         ScenarioSpec, Solver, SolverSpec,
     };
-    pub use nadmm_metrics::{relative_objective, IterationRecord, RunHistory, TextTable};
+    pub use nadmm_metrics::{relative_objective, IterationRecord, RunHistory};
     pub use nadmm_objective::{BinaryLogistic, Objective, SoftmaxCrossEntropy};
     pub use nadmm_serve::{
         artifact_for_scenario, run_serve, scenario_fingerprint, ArrivalSpec, ArtifactError, BatchingSpec, InferenceSession,
