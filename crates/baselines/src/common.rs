@@ -3,9 +3,10 @@
 use nadmm_cluster::{CommStats, Communicator};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace, WorkspaceStats};
-use nadmm_linalg::vector;
+use nadmm_linalg::{gen, vector};
 use nadmm_metrics::{IterationRecord, RunHistory};
 use nadmm_objective::{Objective, SoftmaxCrossEntropy};
+use rand::rngs::StdRng;
 use std::time::Instant;
 
 /// Output common to every distributed baseline run.
@@ -32,6 +33,50 @@ pub fn local_objective(shard: &Dataset, lambda: f64, num_workers: usize) -> Soft
 /// objective launches charges that device's simulated clock.
 pub fn local_objective_on(shard: &Dataset, lambda: f64, num_workers: usize, device: &Device) -> SoftmaxCrossEntropy {
     local_objective(shard, lambda, num_workers).with_device(device.clone())
+}
+
+/// The minibatches a stochastic solver draws from its shard, one at a time.
+///
+/// Each draw samples `size` distinct rows with
+/// [`gen::sample_without_replacement`] on the sampler's own RNG and gathers
+/// them into one batch dataset that every draw refills
+/// ([`Dataset::select_into`]): a warm draw copies `size × p` values but
+/// allocates no buffer of that size. The batch is not pooled in the rank's
+/// [`Workspace`], whose counters every report carries.
+#[derive(Debug)]
+pub struct Minibatches<'a> {
+    shard: &'a Dataset,
+    size: usize,
+    rng: StdRng,
+    batch: Dataset,
+}
+
+impl<'a> Minibatches<'a> {
+    /// Minibatches of `size` rows of `shard`, sampled by an RNG seeded with
+    /// `seed`.
+    pub fn new(shard: &'a Dataset, size: usize, seed: u64) -> Self {
+        Self {
+            shard,
+            size,
+            rng: gen::seeded_rng(seed),
+            batch: shard.select(&[]),
+        }
+    }
+
+    /// Rows per minibatch.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Draws the next minibatch and returns its objective with regulariser
+    /// `lambda`, launching on `device`. The objective shares the batch's
+    /// features: drop it before the next draw, or that draw cannot refill
+    /// them in place.
+    pub fn draw(&mut self, lambda: f64, device: &Device) -> SoftmaxCrossEntropy {
+        let idx = gen::sample_without_replacement(self.shard.num_samples(), self.size, &mut self.rng);
+        self.shard.select_into(&idx, &mut self.batch);
+        SoftmaxCrossEntropy::new(&self.batch, lambda).with_device(device.clone())
+    }
 }
 
 /// Bridges a rank's [`Device`] clock into its communicator clock.

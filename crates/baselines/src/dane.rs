@@ -14,11 +14,11 @@
 //! AIDE wraps InexactDANE in catalyst-style acceleration: it repeatedly
 //! solves a `τ`-regularised problem centred at an extrapolated point.
 
-use crate::common::{global_gradient_into, local_objective_on, record_iteration, DistributedRun, EngineSync};
+use crate::common::{global_gradient_into, local_objective_on, record_iteration, DistributedRun, EngineSync, Minibatches};
 use nadmm_cluster::Communicator;
 use nadmm_data::Dataset;
 use nadmm_device::{Device, DeviceSpec};
-use nadmm_linalg::{gen, vector};
+use nadmm_linalg::vector;
 use nadmm_metrics::RunHistory;
 use nadmm_objective::{Objective, SoftmaxCrossEntropy};
 use nadmm_solver::validate::{require_non_negative, require_nonzero, require_positive, require_unit_coefficient, ConfigError};
@@ -165,7 +165,7 @@ impl InexactDane {
     fn solve_subproblem(
         &self,
         comm: &mut dyn Communicator,
-        shard: &Dataset,
+        minibatches: &mut Minibatches,
         local: &SoftmaxCrossEntropy,
         device: &Device,
         engine: &mut EngineSync,
@@ -173,11 +173,10 @@ impl InexactDane {
         global_grad: &[f64],
         catalyst_center: Option<&[f64]>,
         tau: f64,
-        rng: &mut impl rand::Rng,
     ) -> Vec<f64> {
         let cfg = &self.config;
         let dim = local.dim();
-        let n_local = shard.num_samples();
+        let n_local = local.num_samples();
         // Fixed DANE correction vector: ∇φ_i(w_t) − η ∇F(w_t).
         let local_grad_at_anchor = local.gradient(w_t);
         engine.sync(comm, device);
@@ -199,7 +198,7 @@ impl InexactDane {
         let mut snapshot = w.clone();
         let mut full_grad_snapshot = sub.eval(&snapshot);
         engine.sync(comm, device);
-        let batch = cfg.svrg_batch.min(n_local.max(1));
+        let batch = minibatches.size();
         let scale = n_local as f64 / batch as f64;
         for it in 0..cfg.svrg_iters {
             if it == cfg.svrg_iters / 2 {
@@ -207,13 +206,10 @@ impl InexactDane {
                 full_grad_snapshot = sub.eval(&snapshot);
                 engine.sync(comm, device);
             }
-            let idx = gen::sample_without_replacement(n_local, batch, rng);
-            let mini = shard.select(&idx);
-            let mini_obj = SoftmaxCrossEntropy::new(
-                &mini,
+            let mini_obj = minibatches.draw(
                 cfg.lambda * batch as f64 / (n_local.max(1) as f64 * comm.size() as f64),
-            )
-            .with_device(device.clone());
+                device,
+            );
             // Stochastic estimate of ∇φ_i: scaled minibatch gradient.
             let gw = vector::scaled(scale, &mini_obj.gradient(&w));
             let gs = vector::scaled(scale, &mini_obj.gradient(&snapshot));
@@ -269,7 +265,8 @@ impl InexactDane {
         let mut engine = EngineSync::new(&device);
         let mut ws = nadmm_device::Workspace::new();
         let dim = local.dim();
-        let mut rng = gen::seeded_rng(cfg.seed.wrapping_add(comm.rank() as u64 * 7919));
+        let batch = cfg.svrg_batch.min(shard.num_samples().max(1));
+        let mut minibatches = Minibatches::new(shard, batch, cfg.seed.wrapping_add(comm.rank() as u64 * 7919));
         let mut w = vec![0.0; dim];
         let mut w_prev = w.clone();
         let mut catalyst_y = w.clone();
@@ -291,7 +288,7 @@ impl InexactDane {
                 None => (None, 0.0),
             };
             let mut w_local =
-                self.solve_subproblem(comm, shard, &local, &device, &mut engine, &anchor, &g, center, tau, &mut rng);
+                self.solve_subproblem(comm, &mut minibatches, &local, &device, &mut engine, &anchor, &g, center, tau);
 
             // Round 2: average the local solutions with an in-place
             // allreduce (the local solution buffer becomes the new iterate).

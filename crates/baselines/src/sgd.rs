@@ -1,19 +1,23 @@
 //! Distributed synchronous minibatch SGD (the paper's Figure 4 comparator).
 //!
 //! Every worker repeatedly samples a minibatch from its shard, computes the
-//! minibatch gradient, and a *synchronous allreduce per minibatch* averages
-//! the gradients before the shared iterate is updated. One epoch is one pass
-//! over the local shard (`⌈n_local / batch⌉` minibatches), so the number of
-//! communication rounds per epoch is large — exactly the overhead the paper
-//! contrasts with Newton-ADMM's single round.
+//! minibatch gradient, and a *synchronous allreduce per minibatch* sums the
+//! gradients before the shared iterate is updated. That allreduce is the one
+//! collective round of a step — exactly the overhead the paper contrasts
+//! with Newton-ADMM's single round per outer iteration. Everything else a
+//! step needs from the other ranks is loop-invariant and is agreed on once,
+//! before the first epoch: the total sample count, which normalises the
+//! step, and the number of steps per epoch, the most any rank needs for one
+//! pass over its shard (`⌈n_local / batch⌉`), so that ranks with uneven
+//! shards still enter every round together.
 
-use crate::common::{local_objective_on, record_iteration, DistributedRun, EngineSync};
-use nadmm_cluster::Communicator;
+use crate::common::{local_objective_on, record_iteration, DistributedRun, EngineSync, Minibatches};
+use nadmm_cluster::{Communicator, Contribution};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, DeviceSpec};
-use nadmm_linalg::{gen, vector};
+use nadmm_linalg::vector;
 use nadmm_metrics::RunHistory;
-use nadmm_objective::{Objective, SoftmaxCrossEntropy};
+use nadmm_objective::Objective;
 use nadmm_solver::validate::{require_non_negative, require_nonzero, require_positive, require_unit_coefficient, ConfigError};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -90,8 +94,14 @@ impl SyncSgd {
         let dim = local.dim();
         let n_local = shard.num_samples();
         let batch = cfg.batch_size.min(n_local.max(1));
-        let batches_per_epoch = n_local.div_ceil(batch).max(1);
-        let mut rng = gen::seeded_rng(cfg.seed.wrapping_add(comm.rank() as u64 * 7919));
+        let mut minibatches = Minibatches::new(shard, batch, cfg.seed.wrapping_add(comm.rank() as u64 * 7919));
+        // The run's one setup round: the total sample count (a sum) and the
+        // steps per epoch (a max), which every rank then runs in lockstep.
+        let mut counts = [n_local as f64, n_local.div_ceil(batch) as f64];
+        let handle = comm.start_allreduce_sum_max(Contribution::Data(&counts), 1);
+        comm.wait_into(handle, &mut counts);
+        let total_samples = counts[0].max(1.0);
+        let steps_per_epoch = (counts[1] as usize).max(1);
 
         let mut w = vec![0.0; dim];
         let mut velocity = vec![0.0; dim];
@@ -102,24 +112,21 @@ impl SyncSgd {
         record_iteration(comm, &local, &mut engine, test, &w, 0, wall_start, &mut history);
 
         for epoch in 1..=cfg.epochs {
-            for _ in 0..batches_per_epoch {
-                let idx = gen::sample_without_replacement(n_local, batch, &mut rng);
-                let mini = shard.select(&idx);
+            for _ in 0..steps_per_epoch {
                 // Minibatch objective scaled so that it estimates the *local*
                 // sum objective (loss scaled up by n_local/batch, plus this
                 // worker's regulariser share). The minibatch kernels launch
                 // on the rank's shared device engine.
-                let mini_obj = SoftmaxCrossEntropy::new(&mini, 0.0).with_device(device.clone());
+                let mini_obj = minibatches.draw(0.0, &device);
                 mini_obj.gradient_into(&w, &mut g, &mut ws);
                 vector::scale(n_local as f64 / batch as f64, &mut g);
                 vector::axpy(cfg.lambda / n_workers as f64, &w, &mut g);
                 engine.sync(comm, &device);
-                // Synchronous in-place allreduce per minibatch (this is the
-                // expensive part the paper points at).
+                // The step's one collective: the synchronous in-place
+                // allreduce the paper points at. The sum is normalised by the
+                // total sample count, so the step size has a per-sample scale
+                // (standard minibatch SGD convention).
                 comm.allreduce_sum_into(&mut g);
-                // Normalise by the total sample count so the step size has a
-                // per-sample scale (standard minibatch SGD convention).
-                let total_samples = comm.allreduce_scalar_sum(n_local as f64).max(1.0);
                 if cfg.momentum > 0.0 {
                     for i in 0..dim {
                         velocity[i] = cfg.momentum * velocity[i] - cfg.step_size * g[i] / total_samples;
@@ -145,7 +152,9 @@ impl SyncSgd {
 mod tests {
     use super::*;
     use nadmm_cluster::{Cluster, NetworkModel};
-    use nadmm_data::{partition_weak, SyntheticConfig};
+    use nadmm_data::{partition_strong, partition_weak, SyntheticConfig};
+    use nadmm_linalg::gen;
+    use nadmm_objective::SoftmaxCrossEntropy;
 
     /// Runs `cfg` on one rank per shard and keeps rank 0's output.
     fn run_on(cfg: SyncSgdConfig, cluster: &Cluster, shards: &[Dataset], test: Option<&Dataset>) -> DistributedRun {
@@ -194,10 +203,142 @@ mod tests {
             ..Default::default()
         };
         let run = run_on(cfg, &cluster, &shards, None);
-        // 32/8 = 4 minibatches per epoch, each with 2 collectives (gradient +
-        // sample count), plus 1 instrumentation allreduce per epoch and one
-        // for epoch 0.
-        let expected = 2 * (4 * 2 + 1) + 1;
+        // One setup round, then 32/8 = 4 minibatches per epoch with one
+        // gradient allreduce each, plus 1 instrumentation allreduce per
+        // epoch and one for epoch 0.
+        let expected = 1 + 2 * 4 + (2 + 1);
         assert_eq!(run.comm_stats.collectives, expected as u64);
+    }
+
+    #[test]
+    fn ranks_with_uneven_shards_run_the_most_steps_any_rank_needs() {
+        let (train, _) = dataset(33, 3);
+        let (shards, _) = partition_strong(&train, 2);
+        assert_eq!([shards[0].num_samples(), shards[1].num_samples()], [17, 16]);
+        let cfg = SyncSgdConfig {
+            epochs: 2,
+            batch_size: 16,
+            lambda: 1e-3,
+            step_size: 0.1,
+            ..Default::default()
+        };
+        let runs = Cluster::new(2, NetworkModel::ideal())
+            .run_sharded(&shards, |comm, shard| SyncSgd::new(cfg).run_distributed(comm, shard, None));
+        // ⌈17/16⌉ = 2 steps on rank 0 and ⌈16/16⌉ = 1 on rank 1: both run 2.
+        for run in &runs {
+            assert_eq!(run.comm_stats.collectives, 1 + 2 * 2 + (2 + 1));
+            assert_eq!(run.history.len(), 3);
+        }
+        assert_eq!(bits(&runs[0].w), bits(&runs[1].w), "every rank ends on one iterate");
+        let first = runs[0].history.records[0].objective;
+        let last = runs[0].history.final_objective().unwrap();
+        assert!(
+            last.is_finite() && last < first,
+            "SGD should reduce the objective: {first} -> {last}"
+        );
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The step loop `SyncSgd` ran before its loop-invariant round was
+    /// hoisted: a fresh minibatch `select` and a scalar sample-count
+    /// allreduce on every step. The reference the one-round loop must match
+    /// bit for bit.
+    fn per_step_reference(
+        cfg: &SyncSgdConfig,
+        comm: &mut dyn Communicator,
+        shard: &Dataset,
+        test: Option<&Dataset>,
+    ) -> DistributedRun {
+        let n_workers = comm.size();
+        let device = Device::new(cfg.device);
+        let local = local_objective_on(shard, cfg.lambda, n_workers, &device);
+        let mut engine = EngineSync::new(&device);
+        let dim = local.dim();
+        let n_local = shard.num_samples();
+        let batch = cfg.batch_size.min(n_local.max(1));
+        let batches_per_epoch = n_local.div_ceil(batch).max(1);
+        let mut rng = gen::seeded_rng(cfg.seed.wrapping_add(comm.rank() as u64 * 7919));
+        let (mut w, mut velocity, mut g) = (vec![0.0; dim], vec![0.0; dim], vec![0.0; dim]);
+        let mut ws = nadmm_device::Workspace::new();
+        let wall_start = Instant::now();
+        let mut history = RunHistory::new("sync-sgd", shard.name(), n_workers);
+        record_iteration(comm, &local, &mut engine, test, &w, 0, wall_start, &mut history);
+        for epoch in 1..=cfg.epochs {
+            for _ in 0..batches_per_epoch {
+                let idx = gen::sample_without_replacement(n_local, batch, &mut rng);
+                let mini = shard.select(&idx);
+                let mini_obj = SoftmaxCrossEntropy::new(&mini, 0.0).with_device(device.clone());
+                mini_obj.gradient_into(&w, &mut g, &mut ws);
+                vector::scale(n_local as f64 / batch as f64, &mut g);
+                vector::axpy(cfg.lambda / n_workers as f64, &w, &mut g);
+                engine.sync(comm, &device);
+                comm.allreduce_sum_into(&mut g);
+                let total_samples = comm.allreduce_scalar_sum(n_local as f64).max(1.0);
+                if cfg.momentum > 0.0 {
+                    for i in 0..dim {
+                        velocity[i] = cfg.momentum * velocity[i] - cfg.step_size * g[i] / total_samples;
+                        w[i] += velocity[i];
+                    }
+                } else {
+                    vector::axpy(-cfg.step_size / total_samples, &g, &mut w);
+                }
+            }
+            record_iteration(comm, &local, &mut engine, test, &w, epoch, wall_start, &mut history);
+        }
+        DistributedRun {
+            w,
+            history,
+            comm_stats: comm.stats(),
+            workspace: ws.stats(),
+        }
+    }
+
+    #[test]
+    fn one_round_per_step_keeps_the_per_step_reference_bits() {
+        let (train, test) = dataset(96, 5);
+        let (epochs, per_rank, batch) = (3, 24usize, 5);
+        let steps = per_rank.div_ceil(batch);
+        for ranks in [1, 4] {
+            let (shards, _) = partition_weak(&train, ranks, per_rank);
+            let cluster = Cluster::new(ranks, NetworkModel::ideal());
+            for momentum in [0.0, 0.9] {
+                let cfg = SyncSgdConfig {
+                    epochs,
+                    lambda: 1e-3,
+                    batch_size: batch,
+                    step_size: 0.3,
+                    momentum,
+                    seed: 9,
+                    ..Default::default()
+                };
+                let run = run_on(cfg, &cluster, &shards, Some(&test));
+                let reference = cluster
+                    .run_sharded(&shards, |comm, shard| per_step_reference(&cfg, comm, shard, Some(&test)))
+                    .swap_remove(0);
+                let case = format!("{ranks} ranks, momentum {momentum}");
+                assert_eq!(bits(&run.w), bits(&reference.w), "final w, {case}");
+                let series = |r: &DistributedRun| -> Vec<(u64, u64)> {
+                    let records = &r.history.records;
+                    records
+                        .iter()
+                        .map(|x| (x.objective.to_bits(), x.test_accuracy.unwrap().to_bits()))
+                        .collect()
+                };
+                assert_eq!(series(&run), series(&reference), "objectives and accuracies, {case}");
+                assert_eq!(
+                    run.comm_stats.collectives,
+                    (1 + epochs * steps + 2 * (epochs + 1)) as u64,
+                    "{case}"
+                );
+                assert_eq!(
+                    reference.comm_stats.collectives,
+                    (2 * epochs * steps + 2 * (epochs + 1)) as u64,
+                    "{case}"
+                );
+            }
+        }
     }
 }

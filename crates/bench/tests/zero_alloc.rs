@@ -9,13 +9,14 @@
 //! **batched inference call** (`InferenceSession::predict_batch_into` and
 //! its top-k variant, the serving engine's hot path) perform **zero** heap
 //! allocations, and that the device and communication pools report zero
-//! misses.
+//! misses. A warm SGD minibatch step is pinned too: a fixed, small number of
+//! allocations, none of them the size of the batch.
 
-use nadmm_bench::alloc_counter::{count_allocations, CountingAllocator};
+use nadmm_baselines::common::Minibatches;
+use nadmm_bench::alloc_counter::{count_allocations, peak_bytes, CountingAllocator};
 use nadmm_cluster::{Cluster, Communicator, NetworkModel};
 use nadmm_data::{partition_strong, SyntheticConfig};
-use nadmm_device::DeviceSpec;
-use nadmm_device::Workspace;
+use nadmm_device::{Device, DeviceSpec, Workspace};
 use nadmm_linalg::gen;
 use nadmm_objective::{BinaryLogistic, Objective, ProximalAugmented, SoftmaxCrossEntropy};
 use nadmm_serve::{InferenceSession, ModelArtifact, Provenance};
@@ -188,6 +189,58 @@ fn assert_warm_evaluations_do_not_allocate(obj: &dyn Objective) {
         assert_eq!(ws.stats().pool_misses, 0, "width {width}: {:?}", ws.stats());
     }
     rayon::reset_num_threads();
+}
+
+#[test]
+fn warm_minibatch_refill_and_gradient_allocate_no_batch_sized_buffer() {
+    let _knobs = pool_knobs();
+    // The `sgd_mnist_tcp_2r` step shape: 32 rows of 784 features, 10
+    // classes. A warm draw gathers into the sampler's own batch buffer. What
+    // still allocates is small: the sampled index set, and the three buffers
+    // `SoftmaxCrossEntropy::new` builds (its labels, its one-hot matrix and
+    // the default device that `with_device` replaces).
+    let (batch, p) = (32, 784);
+    let (shard, _) = SyntheticConfig::mnist_like()
+        .with_train_size(256)
+        .with_test_size(16)
+        .generate(7);
+    assert_eq!(shard.num_features(), p);
+    let device = Device::new(DeviceSpec::tesla_p100());
+    let mut minibatches = Minibatches::new(&shard, batch, 5);
+    let mut ws = Workspace::new();
+    let x = vec![0.01; shard.weight_dim()];
+    let mut g = vec![0.0; x.len()];
+    // A twin of the sampler's RNG replays its index draws, so the index
+    // set's allocations (B-tree nodes, which vary with the draw) can be
+    // told apart from the rest of the step's.
+    let mut twin = gen::seeded_rng(5);
+    let mut index_allocs = || count_allocations(|| gen::sample_without_replacement(shard.num_samples(), batch, &mut twin)).0;
+    for _ in 0..2 {
+        minibatches.draw(0.0, &device).gradient_into(&x, &mut g, &mut ws);
+        index_allocs();
+    }
+    let batch_bytes = batch * p * 8;
+    for step in 0..8 {
+        let (peak, (allocs, ())) =
+            peak_bytes(|| count_allocations(|| minibatches.draw(0.0, &device).gradient_into(&x, &mut g, &mut ws)));
+        let index = index_allocs();
+        assert_eq!(
+            allocs - index,
+            3,
+            "step {step}: {allocs} allocations, {index} of them the index set"
+        );
+        assert!(
+            peak < batch_bytes,
+            "step {step}: peak {peak} B reaches a {batch_bytes} B batch buffer"
+        );
+    }
+    // The per-step gather the sampler replaced does allocate one.
+    let mut rng = gen::seeded_rng(5);
+    let (peak, ()) = peak_bytes(|| {
+        let idx = gen::sample_without_replacement(shard.num_samples(), batch, &mut rng);
+        SoftmaxCrossEntropy::new(&shard.select(&idx), 0.0).gradient_into(&x, &mut g, &mut ws);
+    });
+    assert!(peak >= batch_bytes, "a fresh select holds {peak} B");
 }
 
 #[test]

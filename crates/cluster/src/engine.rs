@@ -52,6 +52,21 @@ fn trace_algo(algo: CollectiveAlgorithm) -> nadmm_trace::CollAlgo {
     }
 }
 
+/// Folds one peer's contribution, `values` in element order, into the
+/// root's accumulator `acc` by `op`.
+fn fold(op: RoundOp, acc: &mut [f64], mut values: impl Iterator<Item = f64>) {
+    match op {
+        RoundOp::Barrier | RoundOp::CopyRoot => {}
+        RoundOp::Sum => acc.iter_mut().zip(values).for_each(|(a, v)| *a += v),
+        RoundOp::Max => acc.iter_mut().zip(values).for_each(|(a, v)| *a = a.max(v)),
+        RoundOp::SumMax { sum_len } => {
+            let (sums, maxes) = acc.split_at_mut(sum_len.min(acc.len()));
+            sums.iter_mut().zip(&mut values).for_each(|(a, v)| *a += v);
+            maxes.iter_mut().zip(values).for_each(|(a, v)| *a = a.max(v));
+        }
+    }
+}
+
 /// Arrival-time summary of one completed collective round: the latest and
 /// earliest per-rank arrival on the simulated clocks. The latest arrival
 /// gates completion (a straggler delays everyone); the spread is the round
@@ -375,41 +390,13 @@ impl ClusterComm {
                 }
                 RoundOp::Barrier => {}
             }
+            // A tombstone folds as exact zeros, as `Contribution::Tombstone`
+            // promises.
             let acc = &mut self.scratch.acc;
-            match op {
-                RoundOp::Barrier | RoundOp::CopyRoot => {}
-                RoundOp::Sum => {
-                    if peer_tomb {
-                        for a in acc.iter_mut() {
-                            *a += 0.0;
-                        }
-                    } else {
-                        for (i, a) in acc.iter_mut().enumerate() {
-                            *a += peer_payload.get(i);
-                        }
-                    }
-                }
-                RoundOp::Max => {
-                    if peer_tomb {
-                        for a in acc.iter_mut() {
-                            *a = a.max(0.0);
-                        }
-                    } else {
-                        for (i, a) in acc.iter_mut().enumerate() {
-                            *a = a.max(peer_payload.get(i));
-                        }
-                    }
-                }
-                RoundOp::SumMax { sum_len } => {
-                    for (i, a) in acc.iter_mut().enumerate() {
-                        let v = if peer_tomb { 0.0 } else { peer_payload.get(i) };
-                        if i < sum_len {
-                            *a += v;
-                        } else {
-                            *a = a.max(v);
-                        }
-                    }
-                }
+            if peer_tomb {
+                fold(op, acc, std::iter::repeat(0.0));
+            } else {
+                fold(op, acc, peer_payload.values());
             }
             max_time = max_time.max(time);
             min_time = min_time.min(time);
@@ -466,7 +453,7 @@ impl ClusterComm {
                 }
                 let acc = &mut self.scratch.acc;
                 acc.clear();
-                payload.extend_into(acc);
+                acc.extend(payload.values());
                 RoundTiming { max_time, min_time }
             }
             // The root (or a peer, relayed by its poison) hit a violation:

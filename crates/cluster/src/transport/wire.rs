@@ -201,30 +201,14 @@ impl<'a> PayloadView<'a> {
         self.0.is_empty()
     }
 
-    /// The `i`-th element.
-    ///
-    /// # Panics
-    /// Panics if `i >= count()`.
-    pub fn get(&self, i: usize) -> f64 {
-        f64::from_le_bytes(self.0[i * 8..i * 8 + 8].try_into().expect("f64 payload slice is 8 bytes"))
-    }
-
-    /// Copies every element into `out`.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != count()`.
-    pub fn copy_to(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.count(), "payload copy_to: length mismatch");
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.get(i);
-        }
-    }
-
-    /// Appends every element to `out` (capacity permitting, no allocation).
-    pub fn extend_into(&self, out: &mut Vec<f64>) {
-        for i in 0..self.count() {
-            out.push(self.get(i));
-        }
+    /// The elements in order, decoded in bulk from 8-byte little-endian
+    /// chunks — the inverse of the encoder's `put_f64s`. The iterator knows
+    /// its exact length, so extending a warm `Vec` with it does not
+    /// allocate.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        self.0
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
     }
 }
 
@@ -572,9 +556,8 @@ mod tests {
                 assert_eq!(time, 0.25);
                 assert_eq!(len, 5);
                 assert_eq!(view.count(), 5);
-                for (i, &want) in payload.iter().enumerate() {
-                    assert_eq!(view.get(i).to_bits(), want.to_bits());
-                }
+                let got: Vec<u64> = view.values().map(f64::to_bits).collect();
+                assert_eq!(got, payload.map(f64::to_bits));
             }
             other => panic!("decoded {other:?}"),
         }
@@ -612,9 +595,7 @@ mod tests {
                 assert_eq!(round, 9);
                 assert_eq!(max_time, 2.0);
                 assert_eq!(min_time, 0.5);
-                let mut out = vec![0.0; 3];
-                payload.copy_to(&mut out);
-                assert_eq!(out, vec![1.0, 2.0, 3.0]);
+                assert_eq!(payload.values().collect::<Vec<_>>(), vec![1.0, 2.0, 3.0]);
             }
             other => panic!("decoded {other:?}"),
         }
@@ -748,25 +729,32 @@ mod tests {
         }
     }
 
+    /// ±0, ±∞, quiet and signalling NaN, subnormals and plain values.
+    const SPECIALS: [f64; 11] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN
+        f64::MIN_POSITIVE / 4.0,               // subnormal
+        -f64::from_bits(1),                    // smallest negative subnormal
+        f64::MAX,
+        1.5,
+    ];
+
+    /// The payloads both bulk codec tests run: empty, the specials, one
+    /// element, and a 7056-element MNIST-sized gradient.
+    fn reference_payloads() -> Vec<Vec<f64>> {
+        let long = (0..7056).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        vec![Vec::new(), SPECIALS.to_vec(), SPECIALS[..1].to_vec(), long]
+    }
+
     #[test]
     fn bulk_payload_encode_matches_the_per_element_reference() {
-        let specials = [
-            0.0,
-            -0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            -f64::NAN,
-            f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN
-            f64::MIN_POSITIVE / 4.0,               // subnormal
-            -f64::from_bits(1),                    // smallest negative subnormal
-            f64::MAX,
-            1.5,
-        ];
-        let long: Vec<f64> = (0..7056).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
-        let payloads: [&[f64]; 4] = [&[], &specials, &specials[..1], &long];
         let (mut bulk, mut reference) = (Vec::new(), Vec::new());
-        for payload in payloads {
+        for payload in &reference_payloads() {
             let len = payload.len() as u64;
             encode_contribution(&mut bulk, 5, RoundOp::Sum, false, -0.0, len, payload);
             header(&mut reference, KIND_CONTRIBUTION, 0);
@@ -786,6 +774,28 @@ mod tests {
             put_u64(&mut reference, len);
             put_f64s_per_element(&mut reference, payload);
             assert_eq!(bulk, reference, "result of {len} elements");
+        }
+    }
+
+    /// Decodes element `i` on its own, bounds-checked: the reference the
+    /// bulk `PayloadView::values` must match bit for bit.
+    fn get_per_element(bytes: &[u8], i: usize) -> f64 {
+        f64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap())
+    }
+
+    #[test]
+    fn bulk_payload_decode_matches_the_per_element_reference() {
+        let mut buf = Vec::new();
+        for payload in &reference_payloads() {
+            encode_result(&mut buf, 6, 0.0, 0.0, payload);
+            let Frame::Result { payload: view, .. } = decode(&buf).unwrap() else {
+                panic!("a result frame decodes as a result");
+            };
+            let bulk: Vec<u64> = view.values().map(f64::to_bits).collect();
+            let reference: Vec<u64> = (0..view.count()).map(|i| get_per_element(view.0, i).to_bits()).collect();
+            assert_eq!(view.values().len(), payload.len());
+            assert_eq!(bulk, reference, "result of {} elements", payload.len());
+            assert_eq!(bulk, payload.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         }
     }
 

@@ -77,8 +77,7 @@ proptest! {
                 prop_assert!(!tombstone);
                 prop_assert_eq!(t.to_bits(), time.to_bits());
                 prop_assert_eq!(l, len as u64);
-                let mut out = vec![0.0; view.count()];
-                view.copy_to(&mut out);
+                let out: Vec<f64> = view.values().collect();
                 prop_assert_eq!(bits(&out), bits(&payload), "payload must survive bit-for-bit");
             }
             other => return Err(format!("expected a contribution, decoded {other:?}")),
@@ -118,8 +117,7 @@ proptest! {
                 prop_assert_eq!(r, round);
                 prop_assert_eq!(mx.to_bits(), max_time.to_bits());
                 prop_assert_eq!(mn.to_bits(), min_time.to_bits());
-                let mut out = vec![0.0; view.count()];
-                view.copy_to(&mut out);
+                let out: Vec<f64> = view.values().collect();
                 prop_assert_eq!(bits(&out), bits(&payload));
             }
             other => return Err(format!("expected a result, decoded {other:?}")),

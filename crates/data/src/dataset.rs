@@ -108,12 +108,31 @@ impl Dataset {
 
     /// Returns a new dataset containing the rows selected by `indices`.
     pub fn select(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            features: Arc::new(self.features.select_rows(indices)),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
+        let mut out = Dataset {
+            features: Arc::new(self.features.select_rows(&[])),
+            labels: Vec::with_capacity(indices.len()),
             num_classes: self.num_classes,
             name: format!("{}[selected {}]", self.name, indices.len()),
+        };
+        self.select_into(indices, &mut out);
+        out
+    }
+
+    /// Overwrites `out` with the rows selected by `indices`, keeping `out`'s
+    /// name. The features and labels are gathered into `out`'s own buffers
+    /// ([`Matrix::select_rows_into`]), so refilling a dense dataset of the
+    /// same shape allocates nothing — provided nothing else still holds its
+    /// features (an objective built on it, say). If something does, `out`
+    /// gets fresh features and the holder keeps the old ones.
+    pub fn select_into(&self, indices: &[usize], out: &mut Dataset) {
+        if Arc::get_mut(&mut out.features).is_none() {
+            out.features = Arc::new(self.features.select_rows(&[]));
         }
+        let features = Arc::get_mut(&mut out.features).expect("a fresh feature handle is unique");
+        self.features.select_rows_into(indices, features);
+        out.labels.clear();
+        out.labels.extend(indices.iter().map(|&i| self.labels[i]));
+        out.num_classes = self.num_classes;
     }
 
     /// Randomly subsamples `k` rows without replacement.
@@ -245,6 +264,34 @@ mod tests {
         let sel = d.select(&[3, 0]);
         assert_eq!(sel.labels(), &[0, 0]);
         assert_eq!(sel.features().to_dense().get(0, 0), 6.0);
+    }
+
+    #[test]
+    fn select_into_refills_the_same_buffer_with_what_select_returns() {
+        let d = toy();
+        let mut batch = d.select(&[0, 1]);
+        let values = |b: &Dataset| match b.features() {
+            Matrix::Dense(m) => m.as_slice().as_ptr(),
+            Matrix::Sparse(_) => unreachable!("dense toy"),
+        };
+        let before = values(&batch);
+        for idx in [[3, 0], [2, 2], [1, 3]] {
+            d.select_into(&idx, &mut batch);
+            let fresh = d.select(&idx);
+            assert_eq!((batch.features(), batch.labels()), (fresh.features(), fresh.labels()));
+            assert_eq!(batch.name(), "toy[selected 2]", "a refill keeps the name");
+            assert_eq!(values(&batch), before, "a warm refill reuses the buffer");
+        }
+        // Something else holding the features gets to keep them.
+        let held = batch.shared_features();
+        d.select_into(&[0, 1], &mut batch);
+        assert_eq!(held.as_ref(), d.select(&[1, 3]).features());
+        assert_eq!(batch.features(), d.select(&[0, 1]).features());
+        let csr = nadmm_linalg::CsrMatrix::from_dense(&d.features().to_dense());
+        let sparse = Dataset::new("toy-csr", Matrix::Sparse(csr), d.labels().to_vec(), 3);
+        let mut sparse_batch = sparse.select(&[0]);
+        sparse.select_into(&[3, 1], &mut sparse_batch);
+        assert_eq!(sparse_batch.features(), sparse.select(&[3, 1]).features());
     }
 
     #[test]

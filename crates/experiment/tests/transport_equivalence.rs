@@ -107,3 +107,27 @@ fn tcp_experiments_match_under_compression_stragglers_and_hetero_devices() {
         .with_straggler(StragglerModel::jitter(0.3, 11).with_slow_rank(1, 2.0));
     assert_reports_byte_identical(&scenario(cluster));
 }
+
+/// Sync SGD on 33 rows split 17/16 at batch 16: the ranks need 2 and 1
+/// steps per epoch, and both run 2.
+#[test]
+fn tcp_sgd_on_uneven_shards_matches_the_thread_run() {
+    let mut spec = scenario(ClusterSpec::new(2, NetworkModel::infiniband_100g()));
+    spec.name = "transport-equivalence-uneven-sgd".into();
+    spec.data = DataSpec::Synthetic {
+        config: SyntheticConfig::mnist_like()
+            .with_train_size(33)
+            .with_test_size(10)
+            .with_num_features(6)
+            .with_num_classes(3),
+        seed: 9,
+    };
+    spec.solvers = vec![SolverSpec::SyncSgd(SyncSgdConfig {
+        epochs: 2,
+        lambda: 1e-3,
+        batch_size: 16,
+        step_size: 0.1,
+        ..Default::default()
+    })];
+    assert_reports_byte_identical(&spec);
+}

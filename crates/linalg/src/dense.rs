@@ -228,12 +228,26 @@ impl DenseMatrix {
 
     /// Returns a new matrix containing the rows selected by `indices`.
     pub fn select_rows(&self, indices: &[usize]) -> DenseMatrix {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        let mut out = DenseMatrix::zeros(0, self.cols);
+        self.select_rows_into(indices, &mut out);
+        out
+    }
+
+    /// Overwrites `out` with the rows selected by `indices`, reusing `out`'s
+    /// buffer when it owns one: a warm refill of the same shape allocates
+    /// nothing.
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut DenseMatrix) {
+        let mut data = match std::mem::replace(&mut out.data, Values::Owned(Vec::new())) {
+            Values::Owned(v) => v,
+            Values::Shared(..) => Vec::new(),
+        };
+        data.clear();
+        data.reserve(indices.len() * self.cols);
         for &i in indices {
             assert!(i < self.rows, "select_rows: row {i} out of {}", self.rows);
             data.extend_from_slice(self.row(i));
         }
-        DenseMatrix::from_vec(indices.len(), self.cols, data)
+        *out = DenseMatrix::from_vec(indices.len(), self.cols, data);
     }
 
     /// Transposed copy of the matrix.

@@ -319,6 +319,17 @@ impl Matrix {
         }
     }
 
+    /// Overwrites `out` with the rows selected by `indices`. A dense `out`
+    /// of a dense matrix keeps its buffer
+    /// ([`DenseMatrix::select_rows_into`]); any other pairing is replaced by
+    /// [`Matrix::select_rows`].
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
+        match (self, out) {
+            (Matrix::Dense(m), Matrix::Dense(dst)) => m.select_rows_into(indices, dst),
+            (m, dst) => *dst = m.select_rows(indices),
+        }
+    }
+
     /// Returns a dense copy (potentially large for big sparse matrices).
     pub fn to_dense(&self) -> DenseMatrix {
         match self {
