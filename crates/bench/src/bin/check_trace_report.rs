@@ -1,10 +1,5 @@
-//! CI gate for the span tracer, in three modes:
+//! CI gate for the span tracer, in two modes:
 //!
-//! * **no arguments** — asserts that `BENCH_kernels.json` contains the
-//!   `tracing` section and that the recorded numbers keep the tracer's
-//!   promises: the traced warm ADMM iteration stays within 2× of the
-//!   untraced one, the ring absorbs events at a meaningful rate, and the
-//!   traced warm path allocates nothing.
 //! * **`--report PATH`** — validates the flat profiles embedded in a
 //!   scenario report array: schema-valid, one rank profile per worker, and
 //!   (the straggler physics) fleet-wide `IdleWait` self-time dominating the
@@ -17,13 +12,11 @@
 //!   lane) across the file.
 //!
 //! ```text
-//! NADMM_BENCH_SMOKE=1 cargo bench -p nadmm-bench --bench tracing
-//! cargo run --release -p nadmm-bench --bin check_trace_report
 //! cargo run --release -p nadmm-bench --bin check_trace_report -- --report report.json
 //! cargo run --release -p nadmm-bench --bin check_trace_report -- --chrome trace.json
 //! ```
 
-use nadmm_bench::report::{num, report_path, str_field};
+use nadmm_bench::report::{num, str_field};
 use nadmm_trace::{validate_chrome_value, TagProfile, TraceProfile};
 use serde::{Deserialize, Value};
 use serde_json::parse_value;
@@ -48,58 +41,6 @@ fn read_json(path: &str) -> Value {
 /// The `tag` row of a profile table, if the tag recorded anything.
 fn row<'a>(rows: &'a [TagProfile], tag: &str) -> Option<&'a TagProfile> {
     rows.iter().find(|t| t.tag == tag)
-}
-
-fn check_bench_report() {
-    let path = report_path();
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e} (run the tracing bench first)")));
-    let rows = match parse_value(&text) {
-        Ok(Value::Seq(rows)) => rows,
-        other => fail(&format!("{path} is not a JSON array: {other:?}")),
-    };
-    let tracing: Vec<&Value> = rows.iter().filter(|r| str_field(r, "group") == Some("tracing")).collect();
-    if tracing.is_empty() {
-        fail("no `tracing` section in the report");
-    }
-    let find = |id: &str| -> &Value {
-        tracing
-            .iter()
-            .find(|r| str_field(r, "id") == Some(id))
-            .unwrap_or_else(|| fail(&format!("no `{id}` row in the tracing section")))
-    };
-
-    // 1. Overhead: the traced warm iteration must stay within 2× of the
-    //    untraced one (measured: ~4% over).
-    let untraced = num(find("warm_admm_iteration/untraced"), "ns_per_iter").unwrap_or(f64::NAN);
-    let traced = num(find("warm_admm_iteration/traced"), "ns_per_iter").unwrap_or(f64::NAN);
-    if !(strictly_below(0.0, untraced) && strictly_below(0.0, traced)) {
-        fail(&format!("warm iteration timings are not positive ({untraced} / {traced} ns)"));
-    }
-    if !strictly_below(traced, untraced * 2.0) {
-        fail(&format!(
-            "traced warm iteration costs {traced:.0}ns vs {untraced:.0}ns untraced — more than 2× overhead"
-        ));
-    }
-
-    // 2. Ring throughput: span_dur must absorb events at a real rate.
-    let push_rate = num(find("ring_push"), "ops_per_sec").unwrap_or(f64::NAN);
-    if !strictly_below(1.0e5, push_rate) {
-        fail(&format!("ring push rate {push_rate:.0} events/sec is implausibly low"));
-    }
-
-    // 3. Zero-alloc contract: the traced warm path allocates nothing.
-    let allocs = num(find("warm_traced_admm_allocs"), "allocs_per_iter").unwrap_or(f64::NAN);
-    if allocs != 0.0 {
-        fail(&format!(
-            "traced warm iteration made {allocs} allocations per iteration (expected 0)"
-        ));
-    }
-
-    println!(
-        "check_trace_report: OK — overhead {:+.1}%, ring {push_rate:.2e} events/sec, 0 warm allocs",
-        (traced / untraced - 1.0) * 100.0
-    );
 }
 
 fn check_run_reports(path: &str) {
@@ -204,9 +145,8 @@ fn check_chrome_trace(path: &str) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
-        [] => check_bench_report(),
         [flag, path] if flag == "--report" => check_run_reports(path),
         [flag, path] if flag == "--chrome" => check_chrome_trace(path),
-        _ => fail("usage: check_trace_report [--report PATH | --chrome PATH]"),
+        _ => fail("usage: check_trace_report --report PATH | --chrome PATH"),
     }
 }

@@ -1,51 +1,21 @@
 //! # nadmm-bench
 //!
-//! Benchmark harness of the reproduction:
+//! The checks of the reproduction that need a whole workspace behind them:
 //!
 //! * the `claims` binary, which runs the experiments behind the paper's
 //!   Table 1 and Figures 1–5 once and checks every claim they support
 //!   against the committed `CLAIMS.json` ([`claims`] holds the parser and
-//!   the comparison; every verdict is on the simulated clock), and
-//! * criterion micro-benches for the kernels the solvers are built from
-//!   (GEMM, Hessian-vector products, CG, collectives, epoch time, penalty
-//!   rules), with `check_*_report` gates over the numbers they record.
+//!   the comparison; every verdict is on the simulated clock),
+//! * the `check_trace_report` gate over a traced scenario run's report and
+//!   Chrome export, and
+//! * the counting allocator ([`alloc_counter`]) behind the zero-allocation
+//!   proofs in `tests/zero_alloc.rs`.
+//!
+//! Host-clock numbers come from one place, the `bench_e2e` benchmark under
+//! `benchmark/`; the few wall-clock bounds worth asserting are the ignored
+//! tests of `tests/timing_gates.rs`.
 
 use nadmm_data::{Dataset, DatasetKind, SyntheticConfig};
-
-/// Environment variable switching the criterion benches into the fast CI
-/// smoke mode (fewer sizes and samples).
-pub const BENCH_SMOKE_ENV: &str = "NADMM_BENCH_SMOKE";
-
-/// The values [`BENCH_SMOKE_ENV`] accepts, for error messages.
-const BENCH_SMOKE_ACCEPTED: &str = "accepted values: 1/true/yes/on (smoke mode) or 0/false/no/off (full mode)";
-
-/// Whether the benches should run in CI smoke mode, from [`BENCH_SMOKE_ENV`].
-///
-/// # Panics
-/// Panics when the variable is set to a value that is neither a truthy nor a
-/// falsy spelling, naming the variable, the bad value, and the accepted
-/// values. The old parse (`v != "0"`) silently treated any typo as smoke
-/// mode, which quietly shrank a full bench run into a meaningless one —
-/// failing loudly is the only safe behaviour (the `NADMM_COLLECTIVE_ALGO`
-/// and `NADMM_PAR_THRESHOLD` parsers apply the same rule).
-pub fn smoke_mode() -> bool {
-    match std::env::var(BENCH_SMOKE_ENV) {
-        Ok(raw) => parse_smoke_value(&raw),
-        Err(std::env::VarError::NotPresent) => false,
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            panic!("{BENCH_SMOKE_ENV} is set to a non-UTF-8 value ({raw:?}); {BENCH_SMOKE_ACCEPTED}")
-        }
-    }
-}
-
-/// Parses a [`BENCH_SMOKE_ENV`] value (see [`smoke_mode`] for the contract).
-pub fn parse_smoke_value(raw: &str) -> bool {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" | "on" => true,
-        "0" | "false" | "no" | "off" | "" => false,
-        _ => panic!("{BENCH_SMOKE_ENV}='{raw}' is not a valid smoke-mode switch; {BENCH_SMOKE_ACCEPTED}"),
-    }
-}
 
 /// The dataset configurations the `claims` experiments run on: scaled-down
 /// versions of the paper's four datasets that run on one machine.
@@ -88,24 +58,6 @@ mod tests {
             let cfg = bench_config(kind);
             assert_eq!(cfg.kind, kind);
             assert!(cfg.train_size >= 64);
-        }
-    }
-
-    #[test]
-    fn smoke_values_parse_or_panic_loudly() {
-        for truthy in ["1", "true", "YES", " on "] {
-            assert!(parse_smoke_value(truthy), "{truthy:?} must enable smoke mode");
-        }
-        for falsy in ["0", "false", "No", "off", ""] {
-            assert!(!parse_smoke_value(falsy), "{falsy:?} must disable smoke mode");
-        }
-        for bad in ["2", "smoke", "-1", "tru"] {
-            let err = std::panic::catch_unwind(|| parse_smoke_value(bad)).unwrap_err();
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(
-                msg.contains("NADMM_BENCH_SMOKE") && msg.contains("accepted values"),
-                "panic for {bad:?} must name the variable and the accepted values: {msg}"
-            );
         }
     }
 

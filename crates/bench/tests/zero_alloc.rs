@@ -5,7 +5,8 @@
 //! Hessian-vector product through the softmax objective and the Device
 //! kernels), (b) a **full distributed ADMM outer iteration** — local
 //! Newton solve, in-place reduce/broadcast consensus round, penalty
-//! adaptation, and the split-phase instrumentation allreduce — and (c) a
+//! adaptation, and the split-phase instrumentation allreduce — (c) a warm
+//! in-place `allreduce_sum_into`, full width and f16 on the wire — and (d) a
 //! **batched inference call** (`InferenceSession::predict_batch_into` and
 //! its top-k variant, the serving engine's hot path) perform **zero** heap
 //! allocations, and that the device and communication pools report zero
@@ -14,7 +15,7 @@
 
 use nadmm_baselines::common::Minibatches;
 use nadmm_bench::alloc_counter::{count_allocations, peak_bytes, CountingAllocator};
-use nadmm_cluster::{Cluster, Communicator, NetworkModel};
+use nadmm_cluster::{Cluster, Communicator, Compression, NetworkModel};
 use nadmm_data::{partition_strong, SyntheticConfig};
 use nadmm_device::{Device, DeviceSpec, Workspace};
 use nadmm_linalg::gen;
@@ -260,9 +261,9 @@ fn warm_binary_logistic_evaluations_perform_zero_heap_allocations() {
 #[test]
 fn warm_distributed_admm_outer_iteration_is_allocation_free() {
     let _knobs = pool_knobs();
-    // The ISSUE-2 acceptance criterion: a warm distributed Newton-ADMM outer
-    // iteration — compute *and* collectives, instrumentation included —
-    // allocates nothing on any rank. The allocation counters are per-thread,
+    // The engine's contract: a warm distributed Newton-ADMM outer iteration
+    // — compute *and* collectives, instrumentation included — allocates
+    // nothing on any rank. The allocation counters are per-thread,
     // so each rank proves its own hot path independently (including
     // whichever rank happens to finalize the rendezvous reductions).
     let workers = 4;
@@ -320,13 +321,48 @@ fn warm_distributed_admm_outer_iteration_is_allocation_free() {
 }
 
 #[test]
+fn warm_in_place_allreduce_is_allocation_free() {
+    let _knobs = pool_knobs();
+    // The blocking in-place allreduce is the collective GIANT and SGD run
+    // every step; the ADMM proof above reaches only reduce, broadcast and
+    // the split-phase round. Warm, it allocates nothing on any rank, at
+    // full width and with f16 on the wire.
+    for compression in [Compression::None, Compression::F16] {
+        let results = Cluster::new(4, NetworkModel::ethernet_10g())
+            .with_compression(compression)
+            .run(|comm| {
+                let mut buf: Vec<f64> = (0..8192).map(|i| (i as f64 * 0.01).sin()).collect();
+                comm.allreduce_sum_into(&mut buf); // warm-up fills the staging buffers
+                comm.reset_comm_pool_stats();
+                let (allocs, _) = count_allocations(|| {
+                    for _ in 0..4 {
+                        comm.allreduce_sum_into(&mut buf);
+                    }
+                });
+                assert!(buf.iter().all(|v| v.is_finite()));
+                (comm.rank(), allocs, comm.comm_pool_stats())
+            });
+        for (rank, allocs, pool) in results {
+            assert_eq!(
+                allocs,
+                0,
+                "rank {rank}: warm {} allreduce_sum_into made {allocs} heap allocations",
+                compression.name()
+            );
+            assert_eq!(pool.pool_misses, 0, "rank {rank}: comm workspace missed the pool: {pool:?}");
+            assert_eq!(pool.outstanding, 0, "rank {rank}: leaked collective buffers");
+        }
+    }
+}
+
+#[test]
 fn traced_warm_admm_outer_iteration_is_allocation_free() {
     let _knobs = pool_knobs();
-    // The ISSUE-10 acceptance criterion: arming the span tracer must not
-    // break the zero-alloc contract. Same warm distributed outer iteration
-    // as above, but with a per-rank recorder installed. The ring capacity is
-    // deliberately tiny so warm-up wraps it and the measured iteration runs
-    // entirely on the drop-oldest path — the steady state of a long run.
+    // Arming the span tracer must not break the zero-alloc contract. Same
+    // warm distributed outer iteration as above, but with a per-rank
+    // recorder installed. The ring capacity is deliberately tiny so warm-up
+    // wraps it and the measured iteration runs entirely on the drop-oldest
+    // path — the steady state of a long run.
     //
     // `set_enabled` is process-global, but span calls on threads without a
     // recorder are no-ops, so concurrently running tests stay unaffected.
@@ -375,9 +411,9 @@ fn traced_warm_admm_outer_iteration_is_allocation_free() {
 #[test]
 fn warm_batched_predict_performs_zero_heap_allocations() {
     let _knobs = pool_knobs();
-    // The ISSUE-5 acceptance criterion: the serving engine's hot path — a
-    // warm `predict_batch_into` call (batched GEMM margins + argmax decode)
-    // and the top-k/softmax variant — makes zero heap allocations once the
+    // The serving engine's contract: its hot path — a warm
+    // `predict_batch_into` call (batched GEMM margins + argmax decode) and
+    // the top-k/softmax variant — makes zero heap allocations once the
     // session's pool has seen the batch size.
     let (features, classes, batch) = (24usize, 10usize, 32usize);
     let artifact = ModelArtifact::new(

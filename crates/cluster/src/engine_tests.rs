@@ -475,7 +475,7 @@ mod tests {
                     );
                 }
                 // 256 f64 elements: 2048 logical bytes, 512 on the wire —
-                // a quarter, comfortably under the "at most half" criterion.
+                // a quarter, comfortably under the "at most half" bound.
                 assert_eq!(stats.logical_bytes_sent, len as f64 * 8.0);
                 assert_eq!(stats.bytes_sent, len as f64 * 2.0);
                 assert_eq!(stats.wire_fraction(), 0.25);

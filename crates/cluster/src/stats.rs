@@ -72,35 +72,11 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    /// Records one collective with the given sent/received payload and cost,
-    /// without a kind attribution (legacy callers; prefer
-    /// [`CommStats::record_collective`]). The payload is taken as
-    /// uncompressed (logical counters advance by the same amounts).
-    pub fn record(&mut self, sent: f64, received: f64, time: f64) {
-        self.record_wire(sent, received, sent, received, time);
-    }
-
-    /// Records one collective whose on-wire payload differs from the logical
-    /// (full-width) payload because of wire compression.
-    pub fn record_wire(&mut self, sent: f64, received: f64, logical_sent: f64, logical_received: f64, time: f64) {
-        self.collectives += 1;
-        self.bytes_sent += sent;
-        self.bytes_received += received;
-        self.logical_bytes_sent += logical_sent;
-        self.logical_bytes_received += logical_received;
-        self.comm_time += time;
-    }
-
-    /// Records one collective of a known kind executed by a known algorithm
-    /// (uncompressed payload).
-    pub fn record_collective(&mut self, kind: CollectiveKind, algo: CollectiveAlgorithm, sent: f64, received: f64, time: f64) {
-        self.record_collective_wire(kind, algo, sent, received, sent, received, time);
-    }
-
-    /// Records one collective of a known kind and algorithm whose on-wire
-    /// bytes differ from the logical bytes (compressed payload). The
-    /// per-kind breakdown tracks the on-wire volume (what the network
-    /// actually carried).
+    /// Records one collective of a known kind and algorithm. `sent` and
+    /// `received` are on-wire bytes, `logical_*` the full-width bytes they
+    /// stand for (equal when the payload was not compressed). The per-kind
+    /// breakdown tracks the on-wire volume (what the network actually
+    /// carried).
     #[allow(clippy::too_many_arguments)]
     pub fn record_collective_wire(
         &mut self,
@@ -112,7 +88,12 @@ impl CommStats {
         logical_received: f64,
         time: f64,
     ) {
-        self.record_wire(sent, received, logical_sent, logical_received, time);
+        self.collectives += 1;
+        self.bytes_sent += sent;
+        self.bytes_received += received;
+        self.logical_bytes_sent += logical_sent;
+        self.logical_bytes_received += logical_received;
+        self.comm_time += time;
         let k = &mut self.per_kind[kind.index()];
         k.count += 1;
         k.bytes_sent += sent;
@@ -266,12 +247,19 @@ impl CommStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CollectiveAlgorithm::{BinomialTree, Ring};
+    use CollectiveKind::{Allreduce, Broadcast, Reduce};
+
+    /// Records one uncompressed collective: wire and logical bytes agree.
+    fn record(s: &mut CommStats, kind: CollectiveKind, algo: CollectiveAlgorithm, sent: f64, received: f64, time: f64) {
+        s.record_collective_wire(kind, algo, sent, received, sent, received, time);
+    }
 
     #[test]
     fn record_accumulates() {
         let mut s = CommStats::default();
-        s.record(100.0, 200.0, 0.5);
-        s.record(50.0, 0.0, 0.25);
+        record(&mut s, Allreduce, Ring, 100.0, 200.0, 0.5);
+        record(&mut s, Broadcast, BinomialTree, 50.0, 0.0, 0.25);
         s.record_compute(0.25);
         assert_eq!(s.collectives, 2);
         assert_eq!(s.bytes_sent, 150.0);
@@ -284,8 +272,8 @@ mod tests {
     #[test]
     fn uncompressed_records_keep_logical_and_wire_counters_equal() {
         let mut s = CommStats::default();
-        s.record(100.0, 200.0, 0.5);
-        s.record_collective(CollectiveKind::Allreduce, CollectiveAlgorithm::Ring, 80.0, 80.0, 1e-4);
+        record(&mut s, Reduce, BinomialTree, 100.0, 200.0, 0.5);
+        record(&mut s, Allreduce, Ring, 80.0, 80.0, 1e-4);
         assert_eq!(s.logical_bytes_sent, s.bytes_sent);
         assert_eq!(s.logical_bytes_received, s.bytes_received);
         assert_eq!(s.wire_fraction(), 1.0);
@@ -336,10 +324,10 @@ mod tests {
     #[test]
     fn per_kind_breakdown_attributes_collectives() {
         let mut s = CommStats::default();
-        s.record_collective(CollectiveKind::Allreduce, CollectiveAlgorithm::Ring, 80.0, 80.0, 1e-4);
-        s.record_collective(CollectiveKind::Allreduce, CollectiveAlgorithm::Ring, 80.0, 80.0, 1e-4);
-        s.record_collective(CollectiveKind::Allreduce, CollectiveAlgorithm::BinomialTree, 8.0, 8.0, 1e-6);
-        s.record_collective(CollectiveKind::Broadcast, CollectiveAlgorithm::BinomialTree, 0.0, 40.0, 2e-5);
+        record(&mut s, Allreduce, Ring, 80.0, 80.0, 1e-4);
+        record(&mut s, Allreduce, Ring, 80.0, 80.0, 1e-4);
+        record(&mut s, Allreduce, BinomialTree, 8.0, 8.0, 1e-6);
+        record(&mut s, Broadcast, BinomialTree, 0.0, 40.0, 2e-5);
         assert_eq!(s.collectives, 4);
         let ar = s.kind(CollectiveKind::Allreduce);
         assert_eq!(ar.count, 3);
@@ -373,7 +361,7 @@ mod tests {
             800.0,
             1e-4,
         );
-        s.record_collective(CollectiveKind::Broadcast, CollectiveAlgorithm::BinomialTree, 0.0, 40.0, 2e-5);
+        record(&mut s, Broadcast, BinomialTree, 0.0, 40.0, 2e-5);
         s.record_compute(0.125);
         s.record_skew(0.5, 0.7);
         // Adversarial values must survive bit-exactly too.

@@ -133,11 +133,6 @@ impl AdmmWorker {
         self.rho
     }
 
-    /// Whether this rank has been killed by the dropout fault injection.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Kills (or revives) this rank; dead ranks contribute zero weight to
     /// every consensus round. Driven by [`NewtonAdmmConfig::dropout`].
     pub fn set_dead(&mut self, dead: bool) {

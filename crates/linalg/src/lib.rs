@@ -65,9 +65,9 @@ use std::sync::OnceLock;
 /// Default rayon cutover threshold when neither the environment variable nor
 /// [`set_par_threshold`] overrides it.
 ///
-/// Tuned from the `parallel` bench: one pooled dispatch costs ~1.5µs with
-/// workers engaged (`dispatch_overhead/ns` in `BENCH_kernels.json`), and the
-/// sequential `dot` kernel moves ~2 elements/ns, so a region needs ~32k
+/// Tuned from measurement: one pooled dispatch costs ~1.5µs with workers
+/// engaged, and the sequential `dot` kernel moves ~2 elements/ns, so a
+/// region needs ~32k
 /// scalar elements before the launch overhead falls under ~10% of the
 /// region's work. Below this, inline execution wins at any width.
 pub const DEFAULT_PAR_THRESHOLD: usize = 32 * 1024;

@@ -41,7 +41,8 @@ impl Report {
 
 /// Lints the workspace rooted at `root` (the directory holding the top-level
 /// `Cargo.toml`, `README.md`, and `lint.json`). Hard errors (unreadable
-/// root, unparseable `lint.json`) come back as `Err`; rule violations come
+/// root, a warm path or parse point of the contract that is not a file under
+/// `root`, unparseable `lint.json`) come back as `Err`; rule violations come
 /// back as findings in the [`Report`].
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     if !root.join("Cargo.toml").is_file() {
@@ -51,6 +52,19 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
         ));
     }
     let mut cfg = Config::workspace();
+    let missing: Vec<&str> = cfg
+        .warm_path_files
+        .iter()
+        .chain(&cfg.env_parse_points)
+        .filter(|path| !root.join(path).is_file())
+        .map(String::as_str)
+        .collect();
+    if !missing.is_empty() {
+        return Err(format!(
+            "the lint contract in crates/lint/src/config.rs names files that do not exist: {}",
+            missing.join(", ")
+        ));
+    }
     cfg.readme = std::fs::read_to_string(root.join("README.md")).ok();
 
     let files = walk::rust_files(root);

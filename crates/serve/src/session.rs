@@ -298,7 +298,7 @@ impl InferenceSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::Provenance;
+    use crate::artifact::{Provenance, TensorEncoding};
     use nadmm_data::SyntheticConfig;
     use nadmm_objective::SoftmaxCrossEntropy;
 
@@ -391,6 +391,68 @@ mod tests {
         assert!(
             per_row_16 < per_row_1 / 4.0,
             "batch-16 must amortize launch/transfer latency ≥4×: {per_row_1:.3e}s vs {per_row_16:.3e}s/row"
+        );
+    }
+
+    /// An artifact of the given shape whose weights are
+    /// `sin(0.37·i) · scale(i)`: deterministic, nonzero in every class.
+    fn synthetic_artifact(features: usize, classes: usize, scale: impl Fn(usize) -> f64) -> ModelArtifact {
+        ModelArtifact::new(
+            features,
+            classes,
+            (0..classes).map(|c| format!("class-{c}")).collect(),
+            (0..(classes - 1) * features)
+                .map(|i| ((i as f64) * 0.37).sin() * scale(i))
+                .collect(),
+            Provenance::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn batch_32_clears_the_batch_speedup_gate_over_batch_1() {
+        // The batching scheduler's premise, at the paper's MNIST serving
+        // shape on the P100 model: 32-row batches serve at least
+        // BATCH_SPEEDUP_GATE times the rows per simulated second of 1-row
+        // requests, because launches and transfers amortise.
+        let mut session = InferenceSession::new(&synthetic_artifact(784, 10, |_| 0.5), DeviceSpec::tesla_p100()).unwrap();
+        let p = session.num_features();
+        let mut rows_per_sec = |batch: usize| {
+            let rows: Vec<f64> = (0..batch * p).map(|i| ((i as f64) * 0.013).sin()).collect();
+            let mut preds = vec![0usize; batch];
+            session.warm(batch);
+            let timing = session.predict_batch_into(&rows, &mut preds);
+            assert!(timing.sim_seconds > 0.0, "the device model must bill the batch");
+            batch as f64 / timing.sim_seconds
+        };
+        let (one, thirty_two) = (rows_per_sec(1), rows_per_sec(32));
+        let speedup = thirty_two / one;
+        assert!(
+            speedup >= crate::BATCH_SPEEDUP_GATE,
+            "batch-32 serves {speedup:.2}× the rows/s of batch-1 ({thirty_two:.0} vs {one:.0}; gate: ≥ {}×)",
+            crate::BATCH_SPEEDUP_GATE
+        );
+    }
+
+    #[test]
+    fn f16_weights_predict_the_f64_class_on_at_least_99_percent_of_512_rows() {
+        // Weights spanning five decades, so f16 rounding is felt at both ends.
+        let full = synthetic_artifact(64, 10, |i| 10f64.powi((i % 5) as i32 - 2));
+        let half = full.clone().with_weight_encoding(TensorEncoding::F16).unwrap();
+        assert_ne!(half.weights, full.weights, "f16 must round some weights");
+        let rows = 512;
+        let features: Vec<f64> = (0..rows * full.num_features).map(|i| ((i as f64) * 0.23).sin()).collect();
+        let predict = |artifact: &ModelArtifact| {
+            let mut session = InferenceSession::new(artifact, DeviceSpec::tesla_p100()).unwrap();
+            let mut preds = vec![0usize; rows];
+            session.predict_batch_into(&features, &mut preds);
+            preds
+        };
+        let (full_preds, half_preds) = (predict(&full), predict(&half));
+        let agree = full_preds.iter().zip(&half_preds).filter(|(a, b)| a == b).count();
+        assert!(
+            agree as f64 >= 0.99 * rows as f64,
+            "f16 weights predict the f64 class on {agree} of {rows} rows (bound: ≥ 99 %)"
         );
     }
 

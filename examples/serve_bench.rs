@@ -34,7 +34,7 @@ use std::process::ExitCode;
 const GATE_SMALL: usize = 1;
 const GATE_LARGE: usize = 32;
 /// The large batch must serve at least this many times more rows per
-/// simulated second than the small one (shared with `check_serve_report`).
+/// simulated second than the small one (shared with the `session` unit tests).
 const GATE_SPEEDUP: f64 = newton_admm_repro::serve::BATCH_SPEEDUP_GATE;
 
 /// Rows served per simulated second at one batch size, measured on a warm
