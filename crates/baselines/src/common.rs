@@ -5,7 +5,7 @@ use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace, WorkspaceStats};
 use nadmm_linalg::{gen, vector};
 use nadmm_metrics::{IterationRecord, RunHistory};
-use nadmm_objective::{Objective, SoftmaxCrossEntropy};
+use nadmm_objective::{HvpState, Objective, SoftmaxCrossEntropy};
 use rand::rngs::StdRng;
 use std::time::Instant;
 
@@ -158,6 +158,24 @@ pub fn global_gradient_into(
     local.gradient_into(w, out, ws);
     engine.sync(comm, local.device());
     comm.allreduce_sum_into(out);
+}
+
+/// [`global_gradient_into`] for a rank that runs Hessian-vector products at
+/// `w` next: the local gradient comes from
+/// [`Objective::value_gradient_and_hvp_into`], and the local HVP state it
+/// returns is the caller's to release.
+pub fn global_gradient_and_hvp_into(
+    comm: &mut dyn Communicator,
+    local: &SoftmaxCrossEntropy,
+    engine: &mut EngineSync,
+    ws: &mut Workspace,
+    w: &[f64],
+    out: &mut [f64],
+) -> HvpState {
+    let (_, state) = local.value_gradient_and_hvp_into(w, out, ws);
+    engine.sync(comm, local.device());
+    comm.allreduce_sum_into(out);
+    state
 }
 
 /// Global objective value via a scalar allreduce (used inside distributed

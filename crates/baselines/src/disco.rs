@@ -7,7 +7,7 @@
 //! is the structural contrast with Newton-ADMM (one round) and GIANT (three
 //! rounds) the paper's related-work discussion draws.
 
-use crate::common::{global_gradient_into, local_objective_on, record_iteration, DistributedRun, EngineSync};
+use crate::common::{global_gradient_and_hvp_into, local_objective_on, record_iteration, DistributedRun, EngineSync};
 use nadmm_cluster::Communicator;
 use nadmm_data::Dataset;
 use nadmm_device::{Device, DeviceSpec, Workspace};
@@ -92,10 +92,12 @@ impl Disco {
         record_iteration(comm, &local, &mut engine, test, &w, 0, wall_start, &mut history);
 
         for k in 1..=cfg.max_iters {
-            // Round 1: global gradient (in-place allreduce).
-            global_gradient_into(comm, &local, &mut engine, &mut ws, &w, &mut g);
+            // Round 1: global gradient (in-place allreduce); the local
+            // gradient pass keeps the local Hessian's state at `w`.
+            let hvp_state = global_gradient_and_hvp_into(comm, &local, &mut engine, &mut ws, &w, &mut g);
             let g_norm = vector::norm2(&g);
             if g_norm == 0.0 {
+                local.release_hvp(hvp_state, &mut ws);
                 break;
             }
 
@@ -104,7 +106,6 @@ impl Disco {
             // iteration — DiSCO's structural cost — but zero allocations per
             // round). The local HVPs launch through the device engine with
             // pooled scratch.
-            let hvp_state = local.prepare_hvp(&w, &mut ws);
             let mut hp = ws.acquire(dim);
             vector::fill(&mut v, 0.0);
             r.copy_from_slice(&g);

@@ -12,7 +12,7 @@
 //!    (each worker must evaluate the whole set — the redundant work the paper
 //!    contrasts with Newton-ADMM's locally-terminated backtracking).
 
-use crate::common::{global_gradient_into, local_objective_on, record_iteration, DistributedRun, EngineSync};
+use crate::common::{global_gradient_and_hvp_into, local_objective_on, record_iteration, DistributedRun, EngineSync};
 use nadmm_cluster::Communicator;
 use nadmm_data::Dataset;
 use nadmm_device::{Device, DeviceSpec, Workspace};
@@ -112,9 +112,11 @@ impl Giant {
         record_iteration(comm, &local, &mut engine, test, &w, 0, wall_start, &mut history);
 
         for k in 1..=cfg.max_iters {
-            // Round 1: global gradient (in-place allreduce).
-            global_gradient_into(comm, &local, &mut engine, &mut ws, &w, &mut g);
+            // Round 1: global gradient (in-place allreduce); the local
+            // gradient pass keeps the local Hessian's state at `w`.
+            let hvp_state = global_gradient_and_hvp_into(comm, &local, &mut engine, &mut ws, &w, &mut g);
             if cfg.grad_tol > 0.0 && vector::norm2(&g) < cfg.grad_tol {
+                local.release_hvp(hvp_state, &mut ws);
                 break;
             }
 
@@ -122,7 +124,6 @@ impl Giant {
             // Hessian; N·H_i approximates the global Hessian under an i.i.d.
             // partition). Every HVP launches through the device engine with
             // pooled scratch, so the CG loop is allocation-free once warm.
-            let hvp_state = local.prepare_hvp(&w, &mut ws);
             let scale = n_workers as f64;
             conjugate_gradient_into(
                 |v, out, ws| {

@@ -5,7 +5,8 @@
 //! Hessian-vector product through the softmax objective and the Device
 //! kernels), (b) a **full distributed ADMM outer iteration** — local
 //! Newton solve, in-place reduce/broadcast consensus round, penalty
-//! adaptation, and the split-phase instrumentation allreduce — (c) a warm
+//! adaptation, the root's test-accuracy pass and the split-phase
+//! instrumentation allreduce — (c) a warm
 //! in-place `allreduce_sum_into`, full width and f16 on the wire — and (d) a
 //! **batched inference call** (`InferenceSession::predict_batch_into` and
 //! its top-k variant, the serving engine's hot path) perform **zero** heap
@@ -111,8 +112,8 @@ fn warm_newton_step_performs_zero_heap_allocations() {
     iterate.copy_from_slice(&x);
     ws.reset_stats();
     let (allocs, _) = count_allocations(|| solver.step_ws(&aug, &mut iterate, &mut ws));
-    // One full Newton step = value+gradient, prepare_hvp (inline HvpState,
-    // pooled buffers), 10 CG iterations (each an HVP through the Device
+    // One full Newton step = value, gradient and HVP state from one sweep
+    // (inline HvpState, pooled buffers), 10 CG iterations (each an HVP through the Device
     // engine), and an Armijo line search — none of it may allocate.
     assert_eq!(allocs, 0, "warm Newton step made {allocs} heap allocations");
     assert_eq!(
@@ -158,8 +159,9 @@ fn shard_scale_csr_softmax_evaluations_perform_zero_heap_allocations() {
     assert_warm_evaluations_do_not_allocate(&SoftmaxCrossEntropy::new(&train, 1e-3));
 }
 
-/// Warm `value_and_gradient_into`, `hvp_prepared_into`, `value_ws` and
-/// `prepare_hvp`: no heap allocation and no pool miss, at pool widths 1 and 2.
+/// Warm `value_and_gradient_into`, `hvp_prepared_into`, `value_ws`,
+/// `prepare_hvp` and `value_gradient_and_hvp_into`: no heap allocation and no
+/// pool miss, at pool widths 1 and 2.
 fn assert_warm_evaluations_do_not_allocate(obj: &dyn Objective) {
     let mut rng = gen::seeded_rng(11);
     let x = gen::gaussian_vector_with(obj.dim(), 0.0, 0.1, &mut rng);
@@ -175,6 +177,8 @@ fn assert_warm_evaluations_do_not_allocate(obj: &dyn Objective) {
         let state = obj.prepare_hvp(&x, &mut ws);
         obj.hvp_prepared_into(&state, &v, &mut hv, &mut ws);
         obj.release_hvp(state, &mut ws);
+        let (_, state) = obj.value_gradient_and_hvp_into(&x, &mut grad, &mut ws);
+        obj.release_hvp(state, &mut ws);
 
         ws.reset_stats();
         let (grad_allocs, value) = count_allocations(|| obj.value_and_gradient_into(&x, &mut grad, &mut ws));
@@ -182,11 +186,19 @@ fn assert_warm_evaluations_do_not_allocate(obj: &dyn Objective) {
         let (prepare_allocs, state) = count_allocations(|| obj.prepare_hvp(&x, &mut ws));
         let (hvp_allocs, ()) = count_allocations(|| obj.hvp_prepared_into(&state, &v, &mut hv, &mut ws));
         obj.release_hvp(state, &mut ws);
+        let (shared_allocs, (_, state)) = count_allocations(|| obj.value_gradient_and_hvp_into(&x, &mut grad, &mut ws));
+        let (shared_hvp_allocs, ()) = count_allocations(|| obj.hvp_prepared_into(&state, &v, &mut hv, &mut ws));
+        obj.release_hvp(state, &mut ws);
         assert!(value.is_finite() && value_alone.is_finite());
         assert_eq!(grad_allocs, 0, "warm value_and_gradient_into at width {width}");
         assert_eq!(value_allocs, 0, "warm value_ws at width {width}");
         assert_eq!(prepare_allocs, 0, "warm prepare_hvp at width {width}");
         assert_eq!(hvp_allocs, 0, "warm hvp_prepared_into at width {width}");
+        assert_eq!(shared_allocs, 0, "warm value_gradient_and_hvp_into at width {width}");
+        assert_eq!(
+            shared_hvp_allocs, 0,
+            "warm hvp_prepared_into on the shared state at width {width}"
+        );
         assert_eq!(ws.stats().pool_misses, 0, "width {width}: {:?}", ws.stats());
     }
     rayon::reset_num_threads();
@@ -267,7 +279,7 @@ fn warm_distributed_admm_outer_iteration_is_allocation_free() {
     // so each rank proves its own hot path independently (including
     // whichever rank happens to finalize the rendezvous reductions).
     let workers = 4;
-    let (train, _) = SyntheticConfig::mnist_like()
+    let (train, test) = SyntheticConfig::mnist_like()
         .with_train_size(128)
         .with_test_size(16)
         .with_num_features(20)
@@ -289,17 +301,20 @@ fn warm_distributed_admm_outer_iteration_is_allocation_free() {
         // spectral update so its path is warm).
         for k in 1..=3 {
             worker.outer_iteration(comm, k);
-            let h = worker.start_instrumentation(comm, None);
+            let h = worker.start_instrumentation(comm, Some(&test));
             let _ = worker.finish_instrumentation(comm, h, k, wall_start);
         }
         worker.reset_workspace_stats();
         comm.reset_comm_pool_stats();
+        // With a test set the root also measures accuracy at `z`, as
+        // `record_accuracy` (on by default) asks of every run given one.
         let (allocs, record) = count_allocations(|| {
             worker.outer_iteration(comm, 4);
-            let h = worker.start_instrumentation(comm, None);
+            let h = worker.start_instrumentation(comm, Some(&test));
             worker.finish_instrumentation(comm, h, 4, wall_start)
         });
         assert!(record.objective.is_finite());
+        assert!(record.test_accuracy.is_some_and(|acc| (0.0..=1.0).contains(&acc)));
         (comm.rank(), allocs, worker.workspace_stats(), comm.comm_pool_stats())
     });
     for (rank, allocs, device_pool, comm_pool) in results {

@@ -291,7 +291,7 @@ impl AdmmWorker {
         // Only the root contributes a non-zero accuracy, so the *sum* equals
         // the root's measurement — no extra collective needed.
         let acc = match test {
-            Some(t) if self.cfg.record_accuracy && comm.is_root() => self.aug.base().accuracy(t, &self.z),
+            Some(t) if self.cfg.record_accuracy && comm.is_root() => self.aug.base().accuracy_ws(t, &self.z, &mut self.ws),
             _ => 0.0,
         };
         let residual = vector::distance(&self.x, &self.z);

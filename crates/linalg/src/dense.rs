@@ -442,14 +442,32 @@ impl DenseMatrix {
         }
     }
 
-    /// [`DenseMatrix::nt_rows`] for AVX2 hosts: a row of `A` is walked once
-    /// per [`NT_CLASS_BLOCK`] rows of `B` instead of once per row, see
-    /// [`row_dots_avx2`].
+    /// [`DenseMatrix::nt_rows`] for AVX2 hosts: [`NT_SAMPLE_BLOCK`] rows of
+    /// `A` at a time walk each row of `B` once, so every load of `B` serves
+    /// [`NT_SAMPLE_BLOCK`] rows instead of one; `B` (`9 × 784` values for
+    /// MNIST, more than L1d holds) then streams from L2 once per group, not
+    /// once per row. The rows left over walk `B` one row of `A` at a time,
+    /// [`NT_CLASS_BLOCK`] rows of `B` per pass. Both are [`row_dots_avx2`],
+    /// whose products commute, so every element is the same dot whichever
+    /// operand is shared.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn nt_rows_avx2(&self, s: usize, e: usize, b: &DenseMatrix, out_rows: &mut [f64]) {
-        let chunk_len = vector::reduce_chunk_len(self.cols);
-        for (i, out_row) in (s..e).zip(out_rows.chunks_exact_mut(b.rows)) {
+        let (k, chunk_len) = (b.rows, vector::reduce_chunk_len(self.cols));
+        let mut groups = out_rows.chunks_exact_mut(NT_SAMPLE_BLOCK * k);
+        let mut i = s;
+        for out_group in &mut groups {
+            let a_rows = self.rows_slice(i, i + NT_SAMPLE_BLOCK);
+            for c in 0..k {
+                let mut dots = [0.0; NT_SAMPLE_BLOCK];
+                row_dots_avx2::<NT_SAMPLE_BLOCK>(b.row(c), a_rows, chunk_len, &mut dots);
+                for (out_row, dot) in out_group.chunks_exact_mut(k).zip(dots) {
+                    out_row[c] = dot;
+                }
+            }
+            i += NT_SAMPLE_BLOCK;
+        }
+        for (i, out_row) in (i..e).zip(groups.into_remainder().chunks_exact_mut(k)) {
             let arow = self.row(i);
             for (block, out_block) in out_row.chunks_mut(NT_CLASS_BLOCK).enumerate() {
                 let j = block * NT_CLASS_BLOCK;
@@ -606,9 +624,15 @@ pub fn dense_kernel_path() -> &'static str {
     "portable"
 }
 
-/// Rows of `B` the AVX2 `A·Bᵀ` body takes through one pass over a row of `A`;
-/// `nt_rows_avx2` finishes a row count that is no multiple with a block of 2
-/// or of 1.
+/// Rows of `A` the AVX2 `A·Bᵀ` body takes through one pass over a row of
+/// `B`: eight independent add chains, all in registers (four rows by three
+/// spill them without FMA).
+#[cfg(target_arch = "x86_64")]
+const NT_SAMPLE_BLOCK: usize = 4;
+
+/// Rows of `B` the AVX2 `A·Bᵀ` body takes through one pass over a row of `A`
+/// left over from the groups of [`NT_SAMPLE_BLOCK`] (a serving batch of one
+/// is all such rows), finished by a block of 2 or of 1.
 #[cfg(target_arch = "x86_64")]
 const NT_CLASS_BLOCK: usize = 3;
 
@@ -618,6 +642,8 @@ const NT_CLASS_BLOCK: usize = 3;
 /// (a multiply, then an add), finished by its reduction tree and sequential
 /// tail, and the `chunk_len` partials fold left to right. One load of `x`
 /// serves all `B` rows, whose `2·B` accumulators are independent add chains.
+/// A product is the same bits with its factors swapped, so `x` may be the
+/// row of either operand.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn row_dots_avx2<const B: usize>(x: &[f64], w: &[f64], chunk_len: usize, out: &mut [f64]) {
@@ -982,14 +1008,16 @@ mod tests {
     /// `(rows, k, cols)`: every class-block remainder (`k`), column tails and
     /// one, two and three `REDUCE_CHUNK`s (`cols`), row groups of four with
     /// and without a remainder (`rows`) — the full cross product below a few
-    /// hundred columns, and past that every `k` at one row count and every
-    /// row count at one `k`.
+    /// hundred columns; past that every `k` at every remainder of the
+    /// four-row group (2, 5, 6, 7, 8, 9 rows) at MNIST's width and at one and
+    /// two chunks plus a tail, and every row count at one `k`.
     fn kernel_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
         for cols in [1, 7, 8, 9, 15, 783, 784, 4096, 4097, 8200] {
             for k in 1..=21 {
-                for rows in [1, 3, 4, 5, 31, 32, 33] {
-                    if cols < 783 || rows == 5 || k == 4 {
+                for rows in [1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33] {
+                    let group_edge = matches!(rows, 2 | 5..=9) && matches!(cols, 784 | 4097 | 8200);
+                    if cols < 783 || rows == 5 || k == 4 || group_edge {
                         shapes.push((rows, k, cols));
                     }
                 }
@@ -1053,17 +1081,23 @@ mod tests {
     #[test]
     fn dense_kernel_nt_rows_bodies_equal_the_dot_spelled_out_scalar_by_scalar() {
         for (rows, k, cols) in kernel_shapes() {
-            // One spare row on either side: the kernels take a row range.
-            let x = awkward(rows + 2, cols, (rows * 31 + k) as u64);
+            // Spare rows on either side: the kernels take a row range, and
+            // one that starts 1, 2 or 3 rows in puts every row of a group of
+            // four at another offset from the buffer's start.
+            let x = awkward(rows + 4, cols, (rows * 31 + k) as u64);
             let w = awkward(k, cols, (cols + 17 * k) as u64);
-            let expect = DenseMatrix::from_fn(rows, k, |i, c| dot_spelled_out(x.row(i + 1), w.row(c)));
-            assert_eq!(expect.get(0, 0).to_bits(), vector::dot(x.row(1), w.row(0)).to_bits());
-            for (body, out) in nt_bodies(&x, 1, rows + 1, &w) {
-                assert_eq!(
-                    bits(&out),
-                    bits(expect.as_slice()),
-                    "{body} nt_rows at {rows}x{cols}, k = {k}"
-                );
+            let all = DenseMatrix::from_fn(rows + 3, k, |i, c| dot_spelled_out(x.row(i + 1), w.row(c)));
+            assert_eq!(all.get(0, 0).to_bits(), vector::dot(x.row(1), w.row(0)).to_bits());
+            for s in 1..=3 {
+                let expect = &all.as_slice()[(s - 1) * k..(s - 1 + rows) * k];
+                for (body, out) in nt_bodies(&x, s, s + rows, &w) {
+                    assert_eq!(
+                        bits(&out),
+                        bits(expect),
+                        "{body} nt_rows of rows {s}..{} at {rows}x{cols}, k = {k}",
+                        s + rows
+                    );
+                }
             }
         }
         // The public product is the same kernel chunk by chunk.

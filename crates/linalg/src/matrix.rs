@@ -16,8 +16,9 @@ pub struct SweepBuffers<'a> {
     /// `rows × W.rows` scratch the sweep carries `X·Wᵀ` and its mapped form
     /// through; it holds the mapped matrix `M` afterwards.
     pub mid: &'a mut DenseMatrix,
-    /// One scalar per row for the row map to write (a per-sample loss term),
-    /// or empty when the map produces none.
+    /// `rows × m` values, row-major, for the row map to write `m` per row
+    /// (a per-sample loss term, say, or a copy of the row), or empty when
+    /// the map produces none.
     pub row_out: &'a mut [f64],
     /// At least [`Matrix::sweep_scratch_len`]`(W.rows)` elements, contents
     /// unspecified: the chunk partials, and for sparse features the
@@ -214,8 +215,8 @@ impl Matrix {
     /// [reduction order](crate#reduction-order)) the sweep takes
     /// `SWEEP_ROWS` (32) rows at a time — their rows of
     /// `A · Wᵀ`, then `map(first_row, block, row_out)` on those rows of `mid`
-    /// (row-major, `W.rows` per row) and of `bufs.row_out`, then their
-    /// products into the chunk's partial — so the feature rows are still in
+    /// (row-major, `W.rows` per row) and of `bufs.row_out` (`m` per row),
+    /// then their products into the chunk's partial — so the feature rows are still in
     /// cache for the second product. The order contract is `scatter_rows`':
     /// rows of `A · Wᵀ` are independent, every partial starts from exact
     /// zeros and receives its rows in ascending order, and partials fold
@@ -225,8 +226,8 @@ impl Matrix {
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] unless `W` is `k × cols`, `mid`
-    /// is `rows × k`, `out` is `k × cols`, and `row_out` is empty or `rows`
-    /// long.
+    /// is `rows × k`, `out` is `k × cols`, and `row_out`'s length is a
+    /// multiple of `rows` (zero included).
     ///
     /// # Panics
     /// Panics if `bufs.scratch` is shorter than the stated minimum.
@@ -239,7 +240,8 @@ impl Matrix {
         let shapes_agree = w.cols() == self.cols()
             && (mid.rows(), mid.cols()) == (rows, k)
             && (out.rows(), out.cols()) == (k, self.cols())
-            && (row_out.is_empty() || row_out.len() == rows);
+            && row_out.len() % rows.max(1) == 0
+            && (rows > 0 || row_out.is_empty());
         if !shapes_agree {
             return Err(LinalgError::ShapeMismatch(format!(
                 "gemm_nt_map_tn_into: A is {rows}x{}, W is {k}x{}, mid is {}x{}, out is {}x{}, row_out has length {}",
@@ -261,7 +263,7 @@ impl Matrix {
             use_pool: self.stored_entries().max(w.len()).max(mid.len()) >= crate::par_threshold(),
             mid: SendMutPtr(mid.as_mut_slice().as_mut_ptr()),
             row_out: SendMutPtr(row_out.as_mut_ptr()),
-            row_out_cols: usize::from(!row_out.is_empty()),
+            row_out_cols: row_out.len() / rows.max(1),
             map,
         };
         match self {

@@ -188,14 +188,18 @@ const ROW_CHUNK: usize = 256;
 
 /// A row map with every awkward output: exact zeros and negative zeros in
 /// whole rows and in single entries (the `!= 0.0` skip of `Mᵀ·X`), an
-/// infinity here and there, and a per-row scalar. A function of the row index
-/// and the row's values only, so it does not care how rows are grouped into
-/// calls.
+/// infinity here and there, and per-row values (as many as `row_out` holds
+/// per row). A function of the row index and the row's values only, so it
+/// does not care how rows are grouped into calls.
 fn awkward_map(k: usize) -> impl Fn(usize, &mut [f64], &mut [f64]) + Sync {
     move |first, rows, row_out| {
+        let m = row_out.len() / (rows.len() / k);
         for (r, row) in rows.chunks_exact_mut(k).enumerate() {
             let i = first + r;
             let total: f64 = row.iter().sum();
+            for (j, slot) in row_out[r * m..(r + 1) * m].iter_mut().enumerate() {
+                *slot = total * (j + 1) as f64 + i as f64;
+            }
             for (c, v) in row.iter_mut().enumerate() {
                 *v = match (i + 3 * c) % 11 {
                     0 => 0.0,
@@ -205,19 +209,17 @@ fn awkward_map(k: usize) -> impl Fn(usize, &mut [f64], &mut [f64]) + Sync {
                     _ => 0.5 * *v - 0.125 * total,
                 };
             }
-            if let Some(slot) = row_out.get_mut(r) {
-                *slot = total + i as f64;
-            }
         }
     }
 }
 
-/// `out`, `mid` and `row_out` of one fused sweep, as bits.
-fn fused_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64> {
+/// `out`, `mid` and `row_out` (`m` values per row) of one fused sweep, as
+/// bits.
+fn fused_bits(x: &Matrix, w: &DenseMatrix, m: usize) -> Vec<u64> {
     let (rows, k) = (x.rows(), w.rows());
     let mut mid = DenseMatrix::from_fn(rows, k, |_, _| f64::NAN);
     let mut out = DenseMatrix::from_fn(k, x.cols(), |_, _| f64::NAN);
-    let mut row_out = vec![f64::NAN; if with_row_out { rows } else { 0 }];
+    let mut row_out = vec![f64::NAN; rows * m];
     let mut scratch = vec![f64::NAN; x.sweep_scratch_len(k)];
     let bufs = SweepBuffers {
         mid: &mut mid,
@@ -230,9 +232,9 @@ fn fused_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64> {
 
 /// The reference: the two public products with the map applied to the whole
 /// matrix in between.
-fn two_pass_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64> {
+fn two_pass_bits(x: &Matrix, w: &DenseMatrix, m: usize) -> Vec<u64> {
     let mut mid = x.gemm_nt(w).unwrap();
-    let mut row_out = vec![f64::NAN; if with_row_out { x.rows() } else { 0 }];
+    let mut row_out = vec![f64::NAN; x.rows() * m];
     awkward_map(w.rows())(0, mid.as_mut_slice(), &mut row_out);
     let out = x.gemm_tn_from_dense(&mid).unwrap();
     [out.as_slice(), mid.as_slice(), &row_out].into_iter().flat_map(bits).collect()
@@ -243,7 +245,7 @@ fn two_pass_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64> {
 /// element of `X·Wᵀ`; for `Mᵀ·X` one partial per canonical chunk, each
 /// sample row added in ascending order with exact-zero coefficients skipped,
 /// partials folded left to right.
-fn spelled_out_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64> {
+fn spelled_out_bits(x: &Matrix, w: &DenseMatrix, m: usize) -> Vec<u64> {
     let (rows, k, p) = (x.rows(), w.rows(), x.cols());
     let dense = x.to_dense();
     let mut mid = DenseMatrix::from_fn(rows, k, |i, c| match x {
@@ -253,7 +255,7 @@ fn spelled_out_bits(x: &Matrix, w: &DenseMatrix, with_row_out: bool) -> Vec<u64>
             vector::gather_dot(cols, vals, w.row(c))
         }
     });
-    let mut row_out = vec![f64::NAN; if with_row_out { rows } else { 0 }];
+    let mut row_out = vec![f64::NAN; rows * m];
     awkward_map(k)(0, mid.as_mut_slice(), &mut row_out);
     let (chunk_len, num_chunks) = rayon::det::layout(rows, ROW_CHUNK);
     let mut out = vec![0.0; k * p];
@@ -335,18 +337,15 @@ fn assert_fused_matches_references(rows: usize, k: usize, cols: usize, seed: u64
     let mut rng = gen::seeded_rng(seed ^ 0x5EED);
     let w = gen::gaussian_matrix(k, cols, &mut rng);
     for x in [Matrix::Sparse(awkward_sparse(&dense)), Matrix::Dense(dense)] {
-        for with_row_out in [false, true] {
-            let label = format!(
-                "fused sweep {rows}x{cols}, k={k}, sparse={}, row_out={with_row_out}",
-                x.is_sparse()
-            );
-            let spelled_out = spelled_out_bits(&x, &w, with_row_out);
+        for m in [0, 1, 3] {
+            let label = format!("fused sweep {rows}x{cols}, k={k}, sparse={}, row_out={m}", x.is_sparse());
+            let spelled_out = spelled_out_bits(&x, &w, m);
             assert_bits_invariant(&label, || {
-                let fused = fused_bits(&x, &w, with_row_out);
-                assert_eq!(fused, two_pass_bits(&x, &w, with_row_out), "{label}: fused vs two-pass");
+                let fused = fused_bits(&x, &w, m);
+                assert_eq!(fused, two_pass_bits(&x, &w, m), "{label}: fused vs two-pass");
                 fused
             });
-            assert_eq!(fused_bits(&x, &w, with_row_out), spelled_out, "{label}: fused vs spelled out");
+            assert_eq!(fused_bits(&x, &w, m), spelled_out, "{label}: fused vs spelled out");
         }
     }
 }
@@ -384,6 +383,34 @@ fn fused_sweep_is_bit_identical_to_the_two_pass_kernels() {
     }
 }
 
+/// The dense `X·Wᵀ` kernel's four-row groups inside the sweep: every
+/// remainder of the group (2, 5, 6, 7, 8 and 9 rows) for every class count
+/// up to 21, at MNIST's width and at one and two `REDUCE_CHUNK`s plus a tail,
+/// the same shapes the kernel's unit test holds to the dot spelled out. A
+/// few hundred shapes of up to 8200 columns, so each is checked once
+/// against the scalar oracle (these row counts make one chunk at any width).
+#[test]
+fn fused_sweep_equals_the_scalar_oracle_at_every_four_row_remainder() {
+    for cols in [784, 4097, 8200] {
+        for rows in [2, 5, 6, 7, 8, 9] {
+            for k in 1..=21 {
+                let seed = (rows * 31 + k * 7 + cols) as u64;
+                let dense = awkward_features(rows, cols, seed);
+                let w = gen::gaussian_matrix(k, cols, &mut gen::seeded_rng(seed ^ 0x5EED));
+                let m = k % 3;
+                for x in [Matrix::Sparse(awkward_sparse(&dense)), Matrix::Dense(dense.clone())] {
+                    assert_eq!(
+                        fused_bits(&x, &w, m),
+                        spelled_out_bits(&x, &w, m),
+                        "fused sweep {rows}x{cols}, k={k}, sparse={}, row_out={m}",
+                        x.is_sparse()
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn fused_sweep_rejects_mismatched_shapes() {
     let x = Matrix::Dense(DenseMatrix::zeros(6, 3));
@@ -401,6 +428,8 @@ fn fused_sweep_rejects_mismatched_shapes() {
     };
     assert!(run(&w, (6, 2), (2, 3), 0).is_ok());
     assert!(run(&w, (6, 2), (2, 3), 6).is_ok());
+    assert!(run(&w, (6, 2), (2, 3), 18).is_ok());
+    assert!(run(&w, (6, 2), (2, 3), 7).is_err());
     assert!(run(&DenseMatrix::zeros(2, 4), (6, 2), (2, 3), 0).is_err());
     assert!(run(&w, (5, 2), (2, 3), 0).is_err());
     assert!(run(&w, (6, 2), (3, 2), 0).is_err());

@@ -86,6 +86,16 @@ impl<O: Objective> ProximalAugmented<O> {
     fn add_proximal_gradient(&self, d: &[f64], g: &mut [f64]) {
         self.base.device().axpy(self.rho, d, g);
     }
+
+    /// Adds the proximal term's gradient to `g`, which holds the base
+    /// gradient at `x`, and returns `base_value` plus its value.
+    fn add_proximal_terms(&self, x: &[f64], base_value: f64, g: &mut [f64], ws: &mut Workspace) -> f64 {
+        let d = self.offset_into(x, ws);
+        self.add_proximal_gradient(&d, g);
+        let value = base_value + 0.5 * self.rho * self.base.device().dot(&d, &d);
+        ws.release(d);
+        value
+    }
 }
 
 impl<O: Objective> Objective for ProximalAugmented<O> {
@@ -118,11 +128,7 @@ impl<O: Objective> Objective for ProximalAugmented<O> {
 
     fn value_and_gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace) -> f64 {
         let base_value = self.base.value_and_gradient_into(x, out, ws);
-        let d = self.offset_into(x, ws);
-        self.add_proximal_gradient(&d, out);
-        let value = base_value + 0.5 * self.rho * self.base.device().dot(&d, &d);
-        ws.release(d);
-        value
+        self.add_proximal_terms(x, base_value, out, ws)
     }
 
     fn prepare_hvp(&self, x: &[f64], ws: &mut Workspace) -> HvpState {
@@ -132,6 +138,14 @@ impl<O: Objective> Objective for ProximalAugmented<O> {
     fn hvp_prepared_into(&self, state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
         self.base.hvp_prepared_into(state, v, out, ws);
         self.add_proximal_gradient(v, out);
+    }
+
+    /// The base objective's shared forward, then the proximal terms as
+    /// [`Objective::value_and_gradient_into`] adds them; the state is the
+    /// base's (the proximal Hessian `ρI` needs none).
+    fn value_gradient_and_hvp_into(&self, x: &[f64], grad: &mut [f64], ws: &mut Workspace) -> (f64, HvpState) {
+        let (base_value, state) = self.base.value_gradient_and_hvp_into(x, grad, ws);
+        (self.add_proximal_terms(x, base_value, grad, ws), state)
     }
 
     fn release_hvp(&self, state: HvpState, ws: &mut Workspace) {

@@ -91,19 +91,31 @@ impl SoftmaxCrossEntropy {
 
     /// Margin kernel into pooled storage: returns `Z = X Wᵀ` (n × (C−1)).
     fn pooled_margins(&self, x: &[f64], ws: &mut Workspace) -> DenseMatrix {
+        self.margins_in_pool(&self.features, x, true, ws)
+    }
+
+    /// `features · Wᵀ` into pooled storage, launched on the device when
+    /// `billed`, else run directly (instrumentation).
+    fn margins_in_pool(&self, features: &Matrix, x: &[f64], billed: bool, ws: &mut Workspace) -> DenseMatrix {
         let w = self.pooled_weights(x, ws);
-        let n = self.features.rows();
+        let n = features.rows();
         let c1 = self.num_classes - 1;
         let mut margins = DenseMatrix::from_vec(n, c1, ws.acquire(n * c1));
         // Dense features take no scratch, and asking the pool for an empty
         // buffer would still count as an acquire.
-        let scratch_len = self.features.gemm_nt_scratch_len(c1);
+        let scratch_len = features.gemm_nt_scratch_len(c1);
         let mut scratch = if scratch_len == 0 {
             Vec::new()
         } else {
             ws.acquire(scratch_len)
         };
-        self.device.gemm_nt_scratch_into(&self.features, &w, &mut scratch, &mut margins);
+        if billed {
+            self.device.gemm_nt_scratch_into(features, &w, &mut scratch, &mut margins);
+        } else {
+            features
+                .gemm_nt_scratch_into(&w, &mut scratch, &mut margins)
+                .expect("margins: shape mismatch");
+        }
         if scratch_len != 0 {
             ws.release(scratch);
         }
@@ -122,8 +134,19 @@ impl SoftmaxCrossEntropy {
 
     /// Classification accuracy on a labelled dataset.
     pub fn accuracy(&self, data: &Dataset, x: &[f64]) -> f64 {
-        let preds = self.predict(data.features(), x);
-        let correct = preds.iter().zip(data.labels()).filter(|(p, l)| p == l).count();
+        self.accuracy_ws(data, x, &mut Workspace::new())
+    }
+
+    /// [`SoftmaxCrossEntropy::accuracy`] with every buffer drawn from `ws`,
+    /// so a warm call allocates nothing. Instrumentation: it launches
+    /// nothing on the device and bills no simulated time.
+    pub fn accuracy_ws(&self, data: &Dataset, x: &[f64], ws: &mut Workspace) -> f64 {
+        let margins = self.margins_in_pool(data.features(), x, false, ws);
+        let correct = (0..margins.rows())
+            .zip(data.labels())
+            .filter(|&(i, &label)| reduce::argmax_with_reference(margins.row(i)) == label)
+            .count();
+        ws.release(margins.into_vec());
         correct as f64 / data.num_samples().max(1) as f64
     }
 }
@@ -162,24 +185,15 @@ impl Objective for SoftmaxCrossEntropy {
         let (n, c1) = (self.features.rows(), self.num_classes - 1);
         // Softmax rows, then R = P − Y.
         let costs = [Device::softmax_rows_cost(n, c1), Device::axpy_cost(n * c1)];
-        let to_residual = |first: usize, rows: &mut [f64], terms: &mut [f64]| self.residual_rows(first, rows, terms);
+        let to_residual = |first: usize, rows: &mut [f64], kept: &mut [f64]| self.residual_rows(first, rows, kept);
         self.sweep_into(x, &costs, &mut [], to_residual, out, ws);
     }
 
     fn value_and_gradient_into(&self, x: &[f64], out: &mut [f64], ws: &mut Workspace) -> f64 {
-        let (n, c1) = (self.features.rows(), self.num_classes - 1);
-        // Softmax rows, the per-sample loss terms, then R = P − Y.
-        let costs = [
-            Device::softmax_rows_cost(n, c1),
-            (3.0 * n as f64, 2.0 * n as f64 * 8.0),
-            Device::axpy_cost(n * c1),
-        ];
-        let mut loss_terms = ws.acquire(n);
-        let to_residual = |first: usize, rows: &mut [f64], terms: &mut [f64]| self.residual_rows(first, rows, terms);
-        self.sweep_into(x, &costs, &mut loss_terms, to_residual, out, ws);
-        let loss = reduce::par_sum_over(n, |i| loss_terms[i]);
+        let mut loss_terms = ws.acquire(self.features.rows());
+        let value = self.value_sweep_into(x, &mut loss_terms, out, ws);
         ws.release(loss_terms);
-        loss + 0.5 * self.lambda * self.device.dot(x, x)
+        value
     }
 
     fn prepare_hvp(&self, x: &[f64], ws: &mut Workspace) -> HvpState {
@@ -195,18 +209,21 @@ impl Objective for SoftmaxCrossEntropy {
     }
 
     /// `Hv = Sᵀ X + λv` with `S_i = diag(p_i) u_i − p_i (p_iᵀ u_i)`,
-    /// `U = X Vᵀ`, from the class probabilities `state` holds (row-major
-    /// n × (C−1)). This is the kernel CG launches every inner iteration.
+    /// `U = X Vᵀ`, from the class probabilities `state` holds: one row per
+    /// sample, starting with its C−1 probabilities (`prepare_hvp`'s rows are
+    /// exactly those; the shared forward's end in the sample's loss term).
+    /// This is the kernel CG launches every inner iteration.
     fn hvp_prepared_into(&self, state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace) {
         assert_eq!(v.len(), self.dim(), "direction vector has wrong length");
         let probs = state.buf();
-        let c1 = self.num_classes - 1;
-        let nc = self.features.rows() * c1;
+        let (n, c1) = (self.features.rows(), self.num_classes - 1);
+        let stride = probs.len() / n.max(1);
+        let nc = n * c1;
         // S_i = diag(p_i) u_i − p_i (p_iᵀ u_i), overwriting U row by row.
         let costs = [(4.0 * nc as f64, 3.0 * nc as f64 * 8.0)];
         let to_s = |first: usize, rows: &mut [f64], _: &mut [f64]| {
-            for (urow, p) in rows.chunks_exact_mut(c1).zip(probs[first * c1..].chunks_exact(c1)) {
-                let pu: f64 = p.iter().zip(urow.iter()).map(|(a, b)| a * b).sum();
+            for (urow, p) in rows.chunks_exact_mut(c1).zip(probs[first * stride..].chunks_exact(stride)) {
+                let pu: f64 = p[..c1].iter().zip(urow.iter()).map(|(a, b)| a * b).sum();
                 for c in 0..c1 {
                     urow[c] = p[c] * urow[c] - p[c] * pu;
                 }
@@ -214,14 +231,44 @@ impl Objective for SoftmaxCrossEntropy {
         };
         self.sweep_into(v, &costs, &mut [], to_s, out, ws);
     }
+
+    /// The gradient sweep of [`Objective::value_and_gradient_into`] with each
+    /// sample's probabilities, taken before `P − Y`, kept as the HVP state:
+    /// one forward product serves the value, the gradient and every CG
+    /// product of the Newton step, and `prepare_hvp`'s margin and softmax
+    /// launches are neither run nor billed.
+    fn value_gradient_and_hvp_into(&self, x: &[f64], grad: &mut [f64], ws: &mut Workspace) -> (f64, HvpState) {
+        let (n, c1) = (self.features.rows(), self.num_classes - 1);
+        let mut kept = ws.acquire(n * (c1 + 1));
+        let value = self.value_sweep_into(x, &mut kept, grad, ws);
+        (value, HvpState::with_buf(kept))
+    }
 }
 
 impl SoftmaxCrossEntropy {
+    /// The gradient sweep that also writes every sample's loss term as the
+    /// last of its `m` values in `row_out` (`n × m`: `m` is 1, or C when
+    /// the probabilities come first), and returns `F(x)`.
+    fn value_sweep_into(&self, x: &[f64], row_out: &mut [f64], out: &mut [f64], ws: &mut Workspace) -> f64 {
+        let (n, c1) = (self.features.rows(), self.num_classes - 1);
+        // Softmax rows, the per-sample loss terms, then R = P − Y.
+        let costs = [
+            Device::softmax_rows_cost(n, c1),
+            (3.0 * n as f64, 2.0 * n as f64 * 8.0),
+            Device::axpy_cost(n * c1),
+        ];
+        let to_residual = |first: usize, rows: &mut [f64], kept: &mut [f64]| self.residual_rows(first, rows, kept);
+        self.sweep_into(x, &costs, row_out, to_residual, out, ws);
+        let m = row_out.len() / n.max(1);
+        let loss = reduce::par_sum_over(n, |i| row_out[i * m + m - 1]);
+        loss + 0.5 * self.lambda * self.device.dot(x, x)
+    }
+
     /// One sweep over the features with all scratch pooled:
     /// `out = Mᵀ X + λw` where `M = map(X Wᵀ)` for the flat `(C−1) × p`
     /// weights `w` ([`Device::gemm_nt_map_tn_into`]). `map_costs` are the
-    /// launches the row map stands for; `row_out` is empty or takes one
-    /// scalar per sample.
+    /// launches the row map stands for; `row_out` is empty or takes the
+    /// same number of values for every sample.
     fn sweep_into<F>(&self, w: &[f64], map_costs: &[(f64, f64)], row_out: &mut [f64], map: F, out: &mut [f64], ws: &mut Workspace)
     where
         F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
@@ -248,16 +295,19 @@ impl SoftmaxCrossEntropy {
     }
 
     /// Row map of the gradient sweep: turns the margins of samples
-    /// `first..` into `R = P − Y` in place, and — when `loss_terms` has a
-    /// slot per sample — writes each sample's loss `logZ_i − m_{i,b_i}`,
-    /// recovering the true-class margin from its probability:
-    /// `m_c = log(p_c) + logZ`.
-    fn residual_rows(&self, first: usize, rows: &mut [f64], loss_terms: &mut [f64]) {
+    /// `first..` into `R = P − Y` in place. When `kept` has values for these
+    /// samples (`m` each, 1 or C), each sample's last one is its loss
+    /// `logZ_i − m_{i,b_i}`, recovering the true-class margin from its
+    /// probability (`m_c = log(p_c) + logZ`), and any before it are its
+    /// C−1 probabilities.
+    fn residual_rows(&self, first: usize, rows: &mut [f64], kept: &mut [f64]) {
         let c1 = self.num_classes - 1;
+        let m = kept.len() * c1 / rows.len().max(1);
+        let mut kept_rows = kept.chunks_exact_mut(m.max(1));
         for (r, row) in rows.chunks_exact_mut(c1).enumerate() {
             let i = first + r;
             let logz = reduce::softmax_with_reference_in_place(row);
-            if let Some(term) = loss_terms.get_mut(r) {
+            if let Some((term, probs)) = kept_rows.next().and_then(<[f64]>::split_last_mut) {
                 let label = self.labels[i];
                 let correct_margin = if label < c1 {
                     row[label].max(f64::MIN_POSITIVE).ln() + logz
@@ -265,6 +315,9 @@ impl SoftmaxCrossEntropy {
                     0.0
                 };
                 *term = logz - correct_margin;
+                if !probs.is_empty() {
+                    probs.copy_from_slice(row);
+                }
             }
             for (p, y) in row.iter_mut().zip(self.one_hot.row(i)) {
                 *p += -1.0 * y;
@@ -427,6 +480,16 @@ mod tests {
         let preds = obj.predict(train.features(), &zero);
         assert_eq!(preds.len(), train.num_samples());
         assert!(preds.iter().all(|&p| p < train.num_classes()));
+        // The pooled form, cold and warm, is the same measurement and
+        // returns every buffer it took.
+        let mut rng = gen::seeded_rng(10);
+        let x = gen::gaussian_vector(obj.dim(), &mut rng);
+        let mut ws = Workspace::new();
+        for _ in 0..2 {
+            assert_eq!(obj.accuracy_ws(&train, &x, &mut ws), obj.accuracy(&train, &x));
+            assert_eq!(ws.stats().outstanding, 0);
+        }
+        assert_eq!(obj.device().stats().kernels_launched, 0, "accuracy is not billed");
     }
 
     #[test]

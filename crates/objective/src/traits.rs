@@ -1,8 +1,10 @@
 //! The objective-function interface shared by every solver in the workspace.
 //!
 //! One interface: an objective writes the **workspace forms** the solvers
-//! call — `value_ws`, `gradient_into`, `value_and_gradient_into` and the
-//! per-`x` pair `prepare_hvp` → `hvp_prepared_into` — with results written
+//! call — `value_ws`, `gradient_into`, `value_and_gradient_into`, the
+//! per-`x` pair `prepare_hvp` → `hvp_prepared_into`, and
+//! `value_gradient_and_hvp_into`, the value, gradient and HVP state of one
+//! Newton point from one pass where the objective can — with results written
 //! into caller-provided slices, all scratch acquired from a [`Workspace`]
 //! pool, and every kernel launched through (and billed on) the objective's
 //! [`Device`]. Steady-state solver loops therefore allocate nothing.
@@ -96,6 +98,19 @@ pub trait Objective: Sync + Send {
     /// Allocation-free Hessian-vector product `∇²F(x) · v` at the point
     /// captured by `state`, written into `out`.
     fn hvp_prepared_into(&self, state: &HvpState, v: &[f64], out: &mut [f64], ws: &mut Workspace);
+
+    /// Everything a Newton step needs at one `x`: the value (returned), the
+    /// gradient (written into `grad`) and the prepared-HVP state, the same
+    /// bits as [`Objective::value_and_gradient_into`] followed by
+    /// [`Objective::prepare_hvp`], which is what this default does. An
+    /// objective whose gradient pass already computes the HVP state (the
+    /// softmax probabilities) overrides it to keep that state instead of
+    /// computing it a second time. Callers hand the state back via
+    /// [`Objective::release_hvp`].
+    fn value_gradient_and_hvp_into(&self, x: &[f64], grad: &mut [f64], ws: &mut Workspace) -> (f64, HvpState) {
+        let value = self.value_and_gradient_into(x, grad, ws);
+        (value, self.prepare_hvp(x, ws))
+    }
 
     /// Returns a prepared-HVP state's buffer to the workspace pool.
     fn release_hvp(&self, state: HvpState, ws: &mut Workspace) {

@@ -11,7 +11,7 @@ use crate::linesearch::{armijo_backtracking_ws, LineSearchConfig};
 use crate::trace::ConvergenceTrace;
 use nadmm_device::Workspace;
 use nadmm_linalg::vector;
-use nadmm_objective::Objective;
+use nadmm_objective::{HvpState, Objective};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -111,30 +111,32 @@ impl NewtonCg {
     /// In-place Newton step: advances `x` by one inexact Newton-CG step,
     /// drawing every scratch vector from the workspace pool. With a warm
     /// pool, one step's inner CG loop performs zero heap allocations per
-    /// iteration — the per-`x` Hessian state (`prepare_hvp`) is captured
-    /// once and reused across all CG iterations of the step.
+    /// iteration — the per-`x` Hessian state comes with the value and the
+    /// gradient ([`Objective::value_gradient_and_hvp_into`]) and is reused
+    /// across all CG iterations of the step.
     pub fn step_ws(&self, obj: &dyn Objective, x: &mut [f64], ws: &mut Workspace) -> NewtonStepStats {
         let n = x.len();
         let mut grad = ws.acquire(n);
-        let fx = obj.value_and_gradient_into(x, &mut grad, ws);
-        let stats = self.step_with_gradient(obj, x, fx, &grad, ws);
+        let (fx, hvp_state) = obj.value_gradient_and_hvp_into(x, &mut grad, ws);
+        let stats = self.step_from(obj, x, fx, &grad, hvp_state, ws);
         ws.release(grad);
         stats
     }
 
     /// Step core shared by [`NewtonCg::step_ws`] and [`NewtonCg::minimize`]:
-    /// runs CG on `H p = −g` and applies the Armijo step to `x` in place.
-    fn step_with_gradient(
+    /// runs CG on `H p = −g` with the Hessian captured in `hvp_state` (which
+    /// it releases) and applies the Armijo step to `x` in place.
+    fn step_from(
         &self,
         obj: &dyn Objective,
         x: &mut [f64],
         fx: f64,
         grad: &[f64],
+        hvp_state: HvpState,
         ws: &mut Workspace,
     ) -> NewtonStepStats {
         nadmm_trace::span_begin(nadmm_trace::Tag::NewtonStep);
         let n = x.len();
-        let hvp_state = obj.prepare_hvp(x, ws);
         let mut neg_grad = ws.acquire(n);
         for (ng, g) in neg_grad.iter_mut().zip(grad) {
             *ng = -g;
@@ -176,21 +178,22 @@ impl NewtonCg {
         let mut total_cg = 0usize;
         let mut total_ls = 0usize;
         let mut grad = ws.acquire(n);
-        let mut value = obj.value_and_gradient_into(&x, &mut grad, ws);
+        let (mut value, mut hvp_state) = obj.value_gradient_and_hvp_into(&x, &mut grad, ws);
         let mut grad_norm = vector::norm2(&grad);
         trace.push(0, value, grad_norm, start.elapsed().as_secs_f64());
         let mut iterations = 0usize;
         let mut converged = grad_norm < self.config.grad_tol;
         while iterations < self.config.max_iters && !converged {
-            let stats = self.step_with_gradient(obj, &mut x, value, &grad, ws);
+            let stats = self.step_from(obj, &mut x, value, &grad, hvp_state, ws);
             total_cg += stats.cg_iterations;
             total_ls += stats.line_search_evals;
-            value = obj.value_and_gradient_into(&x, &mut grad, ws);
+            (value, hvp_state) = obj.value_gradient_and_hvp_into(&x, &mut grad, ws);
             grad_norm = vector::norm2(&grad);
             iterations += 1;
             trace.push(iterations, value, grad_norm, start.elapsed().as_secs_f64());
             converged = grad_norm < self.config.grad_tol;
         }
+        obj.release_hvp(hvp_state, ws);
         ws.release(grad);
         NewtonResult {
             x,
