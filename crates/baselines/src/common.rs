@@ -118,25 +118,32 @@ impl EngineSync {
 /// Records one iteration of a distributed run: global objective (scalar
 /// allreduce of the local values), optional test accuracy evaluated at the
 /// root, simulated time and communication volume. The evaluation is
-/// instrumentation: device time it accrues is discarded via `engine`.
+/// instrumentation: device time it accrues is discarded via `engine`, and its
+/// buffers come from `ws`, a pool of its own, so a warm record allocates
+/// nothing and the workspace counters a run reports stay the solver's.
 #[allow(clippy::too_many_arguments)]
 pub fn record_iteration(
     comm: &mut dyn Communicator,
     local: &SoftmaxCrossEntropy,
     engine: &mut EngineSync,
+    ws: &mut Workspace,
     test: Option<&Dataset>,
     w: &[f64],
     iteration: usize,
     wall_start: Instant,
     history: &mut RunHistory,
 ) {
-    let local_value = local.value(w);
+    let local_value = local.value_ws(w, ws);
     engine.skip(local.device());
     let objective = comm.allreduce_scalar_sum(local_value);
     let mut record = IterationRecord::new(iteration, comm.elapsed(), wall_start.elapsed().as_secs_f64(), objective)
         .with_comm_bytes(comm.stats().bytes_sent);
     if let Some(test_set) = test {
-        let acc = if comm.is_root() { local.accuracy(test_set, w) } else { 0.0 };
+        let acc = if comm.is_root() {
+            local.accuracy_ws(test_set, w, ws)
+        } else {
+            0.0
+        };
         record = record.with_accuracy(comm.allreduce_scalar_max(acc));
     }
     history.push(record);
@@ -278,8 +285,9 @@ mod tests {
             let device = Device::default();
             let local = local_objective_on(&shards[comm.rank()], 0.1, 2, &device);
             let mut engine = EngineSync::new(&device);
+            let mut ws = Workspace::new();
             let mut h = RunHistory::new("test", "d", 2);
-            record_iteration(comm, &local, &mut engine, Some(&test), &w, 0, Instant::now(), &mut h);
+            record_iteration(comm, &local, &mut engine, &mut ws, Some(&test), &w, 0, Instant::now(), &mut h);
             h
         });
         for h in histories {

@@ -274,7 +274,18 @@ impl InexactDane {
         let solver_name = if aide.is_some() { "aide" } else { "inexact-dane" };
         let wall_start = Instant::now();
         let mut history = RunHistory::new(solver_name, shard.name(), n_workers);
-        record_iteration(comm, &local, &mut engine, test, &w, 0, wall_start, &mut history);
+        let mut record_ws = nadmm_device::Workspace::new();
+        record_iteration(
+            comm,
+            &local,
+            &mut engine,
+            &mut record_ws,
+            test,
+            &w,
+            0,
+            wall_start,
+            &mut history,
+        );
 
         for k in 1..=cfg.max_iters {
             // Round 1: global gradient at the current iterate (or the
@@ -307,7 +318,17 @@ impl InexactDane {
             }
             w_prev = std::mem::replace(&mut w, w_new);
 
-            record_iteration(comm, &local, &mut engine, test, &w, k, wall_start, &mut history);
+            record_iteration(
+                comm,
+                &local,
+                &mut engine,
+                &mut record_ws,
+                test,
+                &w,
+                k,
+                wall_start,
+                &mut history,
+            );
         }
 
         DistributedRun {

@@ -89,7 +89,18 @@ impl Disco {
         let mut hv_final = vec![0.0; dim];
         let wall_start = Instant::now();
         let mut history = RunHistory::new("disco", shard.name(), n_workers);
-        record_iteration(comm, &local, &mut engine, test, &w, 0, wall_start, &mut history);
+        let mut record_ws = Workspace::new();
+        record_iteration(
+            comm,
+            &local,
+            &mut engine,
+            &mut record_ws,
+            test,
+            &w,
+            0,
+            wall_start,
+            &mut history,
+        );
 
         for k in 1..=cfg.max_iters {
             // Round 1: global gradient (in-place allreduce); the local
@@ -142,7 +153,17 @@ impl Disco {
             let step = 1.0 / (1.0 + delta);
             vector::axpy(-step, &v, &mut w);
 
-            record_iteration(comm, &local, &mut engine, test, &w, k, wall_start, &mut history);
+            record_iteration(
+                comm,
+                &local,
+                &mut engine,
+                &mut record_ws,
+                test,
+                &w,
+                k,
+                wall_start,
+                &mut history,
+            );
         }
 
         DistributedRun {

@@ -109,7 +109,18 @@ impl Giant {
         let mut step_values = vec![0.0; steps.len()];
         let wall_start = Instant::now();
         let mut history = RunHistory::new("giant", shard.name(), n_workers);
-        record_iteration(comm, &local, &mut engine, test, &w, 0, wall_start, &mut history);
+        let mut record_ws = Workspace::new();
+        record_iteration(
+            comm,
+            &local,
+            &mut engine,
+            &mut record_ws,
+            test,
+            &w,
+            0,
+            wall_start,
+            &mut history,
+        );
 
         for k in 1..=cfg.max_iters {
             // Round 1: global gradient (in-place allreduce); the local
@@ -178,7 +189,17 @@ impl Giant {
                 vector::axpy(-steps[best], p, &mut w);
             }
 
-            record_iteration(comm, &local, &mut engine, test, &w, k, wall_start, &mut history);
+            record_iteration(
+                comm,
+                &local,
+                &mut engine,
+                &mut record_ws,
+                test,
+                &w,
+                k,
+                wall_start,
+                &mut history,
+            );
         }
 
         DistributedRun {

@@ -109,7 +109,18 @@ impl SyncSgd {
         let mut ws = nadmm_device::Workspace::new();
         let wall_start = Instant::now();
         let mut history = RunHistory::new("sync-sgd", shard.name(), n_workers);
-        record_iteration(comm, &local, &mut engine, test, &w, 0, wall_start, &mut history);
+        let mut record_ws = nadmm_device::Workspace::new();
+        record_iteration(
+            comm,
+            &local,
+            &mut engine,
+            &mut record_ws,
+            test,
+            &w,
+            0,
+            wall_start,
+            &mut history,
+        );
 
         for epoch in 1..=cfg.epochs {
             for _ in 0..steps_per_epoch {
@@ -136,7 +147,17 @@ impl SyncSgd {
                     vector::axpy(-cfg.step_size / total_samples, &g, &mut w);
                 }
             }
-            record_iteration(comm, &local, &mut engine, test, &w, epoch, wall_start, &mut history);
+            record_iteration(
+                comm,
+                &local,
+                &mut engine,
+                &mut record_ws,
+                test,
+                &w,
+                epoch,
+                wall_start,
+                &mut history,
+            );
         }
 
         DistributedRun {
@@ -265,7 +286,18 @@ mod tests {
         let mut ws = nadmm_device::Workspace::new();
         let wall_start = Instant::now();
         let mut history = RunHistory::new("sync-sgd", shard.name(), n_workers);
-        record_iteration(comm, &local, &mut engine, test, &w, 0, wall_start, &mut history);
+        let mut record_ws = nadmm_device::Workspace::new();
+        record_iteration(
+            comm,
+            &local,
+            &mut engine,
+            &mut record_ws,
+            test,
+            &w,
+            0,
+            wall_start,
+            &mut history,
+        );
         for epoch in 1..=cfg.epochs {
             for _ in 0..batches_per_epoch {
                 let idx = gen::sample_without_replacement(n_local, batch, &mut rng);
@@ -286,7 +318,17 @@ mod tests {
                     vector::axpy(-cfg.step_size / total_samples, &g, &mut w);
                 }
             }
-            record_iteration(comm, &local, &mut engine, test, &w, epoch, wall_start, &mut history);
+            record_iteration(
+                comm,
+                &local,
+                &mut engine,
+                &mut record_ws,
+                test,
+                &w,
+                epoch,
+                wall_start,
+                &mut history,
+            );
         }
         DistributedRun {
             w,

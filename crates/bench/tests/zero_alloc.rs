@@ -14,12 +14,13 @@
 //! misses. A warm SGD minibatch step is pinned too: a fixed, small number of
 //! allocations, none of them the size of the batch.
 
-use nadmm_baselines::common::Minibatches;
+use nadmm_baselines::common::{local_objective_on, record_iteration, EngineSync, Minibatches};
 use nadmm_bench::alloc_counter::{count_allocations, peak_bytes, CountingAllocator};
 use nadmm_cluster::{Cluster, Communicator, Compression, NetworkModel};
 use nadmm_data::{partition_strong, SyntheticConfig};
 use nadmm_device::{Device, DeviceSpec, Workspace};
 use nadmm_linalg::gen;
+use nadmm_metrics::RunHistory;
 use nadmm_objective::{BinaryLogistic, Objective, ProximalAugmented, SoftmaxCrossEntropy};
 use nadmm_serve::{InferenceSession, ModelArtifact, Provenance};
 use nadmm_solver::{conjugate_gradient_into, CgConfig, NewtonCg, NewtonConfig};
@@ -367,6 +368,68 @@ fn warm_in_place_allreduce_is_allocation_free() {
             assert_eq!(pool.pool_misses, 0, "rank {rank}: comm workspace missed the pool: {pool:?}");
             assert_eq!(pool.outstanding, 0, "rank {rank}: leaked collective buffers");
         }
+    }
+}
+
+#[test]
+fn warm_baseline_iteration_record_is_allocation_free() {
+    let _knobs = pool_knobs();
+    // GIANT, DANE/AIDE, DiSCO and SyncSgd record every iteration through
+    // `record_iteration`: the objective allreduce and the root's
+    // test-accuracy pass. Warm, a record allocates nothing on any rank.
+    let (train, test) = SyntheticConfig::mnist_like()
+        .with_train_size(128)
+        .with_test_size(16)
+        .with_num_features(20)
+        .with_num_classes(4)
+        .generate(13);
+    let (shards, _) = partition_strong(&train, 2);
+    let wall_start = Instant::now();
+    let results = Cluster::new(2, NetworkModel::infiniband_100g()).run(|comm| {
+        let device = Device::default();
+        let local = local_objective_on(&shards[comm.rank()], 1e-3, 2, &device);
+        let mut engine = EngineSync::new(&device);
+        let mut ws = Workspace::new();
+        let w = vec![0.01; local.dim()];
+        let mut history = RunHistory::new("test", "d", 2);
+        history.records.reserve(2);
+        record_iteration(
+            comm,
+            &local,
+            &mut engine,
+            &mut ws,
+            Some(&test),
+            &w,
+            0,
+            wall_start,
+            &mut history,
+        );
+        ws.reset_stats();
+        let (allocs, ()) = count_allocations(|| {
+            record_iteration(
+                comm,
+                &local,
+                &mut engine,
+                &mut ws,
+                Some(&test),
+                &w,
+                1,
+                wall_start,
+                &mut history,
+            )
+        });
+        assert!(history.records[1].test_accuracy.is_some());
+        (comm.rank(), allocs, ws.stats())
+    });
+    for (rank, allocs, pool) in results {
+        assert_eq!(
+            allocs, 0,
+            "rank {rank}: a warm iteration record made {allocs} heap allocations"
+        );
+        assert_eq!(
+            pool.pool_misses, 0,
+            "rank {rank}: the record missed its workspace pool: {pool:?}"
+        );
     }
 }
 

@@ -9,18 +9,24 @@
 //! sparsification mask and a non-negativity clamp so the feature matrix is a
 //! realistic sparse count-like matrix stored in CSR form.
 //!
+//! Dense data is drawn at the pool's width: above the par-threshold a first
+//! pass skips the rows' normals and saves the RNG at the first row of each
+//! canonical chunk (`rayon::det::layout`, at most 64 states), and then each
+//! chunk draws its rows on a pool worker. The draws, their order and the
+//! arithmetic are those of one loop over the rows, so the bits do not depend
+//! on the width (`crates/data/tests/generator_widths.rs`).
+//!
 //! The sparse generator's memory is O(nnz): it never builds the dense
-//! `n × p` matrix its draws describe. It saves the RNG at the start of each
-//! row's normals (32 bytes a row), and computes a normal only where the mask
-//! keeps its entry, so it runs Box–Muller for about `density` of the entries.
-//! The draws, their order and the arithmetic are those of drawing the whole
-//! dense matrix and then masking it, so its output has the same bits
-//! (`crates/data/tests/golden_fingerprint.rs` pins them).
+//! `n × p` matrix its draws describe, and computes a normal only where the
+//! mask keeps its entry, so it runs Box–Muller for about `density` of the
+//! entries. Its output has the bits of drawing the whole dense matrix and
+//! then masking it (`crates/data/tests/golden_fingerprint.rs` pins them).
 
 use crate::dataset::Dataset;
 use nadmm_linalg::{gen, CsrMatrix, DenseMatrix, Matrix};
 use rand::{Rng, StdRng};
 use rand_distr::{Distribution, Normal};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Which of the paper's datasets a synthetic config mimics.
@@ -243,44 +249,71 @@ impl SyntheticConfig {
             }
             label
         };
-        let mut labels = Vec::with_capacity(n);
-        let dataset = if self.density >= 1.0 {
-            let mut dense = DenseMatrix::zeros(n, p);
-            for i in 0..n {
-                let label = draw_label(rng);
-                labels.push(label);
-                let mu = &means[label];
-                let row = dense.row_mut(i);
-                for j in 0..p {
-                    row[j] = mu[j] + stds[j] * normal.sample(rng);
-                }
+        // Skips a row without drawing its normals: the label's words, then
+        // the row's 2p (two uniforms per Box–Muller normal, one word each).
+        let skip_row = |rng: &mut StdRng| {
+            draw_label(rng);
+            for _ in 0..2 * p {
+                rng.next_u64();
             }
-            Dataset::new(name, Matrix::Dense(dense), labels, c)
-        } else {
-            // The draws are those of the dense loop above followed by a
-            // row-major mask: keep each entry with probability `density`,
-            // clamp to non-negative counts (gene-expression-like), drop
-            // exact zeros. Pass 1 draws the labels and saves the RNG at each
-            // row's normals, skipping the 2p words they take (two uniforms
-            // per Box–Muller normal, one word per uniform), which leaves the
-            // RNG where the mask starts. Pass 2 reads the mask and computes
-            // a row's normal from its saved RNG only where the mask keeps
-            // the entry, so no dense matrix is ever built.
-            let mut row_rngs = Vec::with_capacity(n);
-            for _ in 0..n {
-                labels.push(draw_label(rng));
-                row_rngs.push(rng.clone());
-                for _ in 0..2 * p {
-                    rng.next_u64();
+        };
+        let mut labels = vec![0; n];
+        let dataset = if self.density >= 1.0 {
+            // Draws one label and then one row of normals per entry of
+            // `labels`, in order, from `row_rng`.
+            let draw_rows = |row_rng: &mut StdRng, rows: &mut [f64], labels: &mut [usize]| {
+                for (i, label) in labels.iter_mut().enumerate() {
+                    *label = draw_label(row_rng);
+                    let mu = &means[*label];
+                    for (j, x) in rows[i * p..(i + 1) * p].iter_mut().enumerate() {
+                        *x = mu[j] + stds[j] * normal.sample(row_rng);
+                    }
                 }
+            };
+            let mut values = vec![0.0; n * p];
+            if values.len() >= nadmm_linalg::par_threshold().max(1) && rayon::current_num_threads() > 1 {
+                // A first pass skips to the first row of each canonical chunk
+                // and saves the RNG there; then each chunk draws its rows on a
+                // pool worker. Every word lands where one pass would put it,
+                // so the bits do not depend on the width. One pass costs
+                // fewer words, so it runs wherever the pool would not, and
+                // on an empty matrix, which has no chunk to hand out.
+                let (chunk_len, num_chunks) = rayon::det::layout(n, 1);
+                let mut chunk_rngs = Vec::with_capacity(num_chunks);
+                for i in 0..n {
+                    if i % chunk_len == 0 {
+                        chunk_rngs.push(rng.clone());
+                    }
+                    skip_row(rng);
+                }
+                values
+                    .par_chunks_mut(chunk_len * p)
+                    .zip(labels.par_chunks_mut(chunk_len))
+                    .enumerate()
+                    .for_each(|(k, (rows, labels))| draw_rows(&mut chunk_rngs[k].clone(), rows, labels));
+            } else {
+                draw_rows(rng, &mut values, &mut labels);
+            }
+            Dataset::new(name, Matrix::Dense(DenseMatrix::from_vec(n, p, values)), labels, c)
+        } else {
+            // The dense draws above followed by a row-major mask: keep each
+            // entry with probability `density`, clamp to non-negative counts
+            // (gene-expression-like), drop exact zeros. The mask's words come
+            // after every row's, so a first pass skips the rows; the second
+            // replays them from a saved RNG and computes a normal only where
+            // the mask keeps its entry, so no dense matrix is ever built.
+            let mut row_rng = rng.clone();
+            for _ in 0..n {
+                skip_row(rng);
             }
             let (mut indptr, mut indices, mut values) = (Vec::with_capacity(n + 1), Vec::new(), Vec::new());
             indptr.push(0);
-            for (row_rng, &label) in row_rngs.iter_mut().zip(&labels) {
-                let mu = &means[label];
+            for label in labels.iter_mut() {
+                *label = draw_label(&mut row_rng);
+                let mu = &means[*label];
                 for j in 0..p {
                     if rng.gen::<f64>() < self.density {
-                        let v = mu[j] + stds[j] * normal.sample(row_rng);
+                        let v = mu[j] + stds[j] * normal.sample(&mut row_rng);
                         if v.abs() > 1e-9 {
                             indices.push(j);
                             values.push(v.abs());

@@ -31,7 +31,9 @@ static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 /// Runs `f` under every (width, threshold) combination and asserts the
 /// returned bit-vector is identical to the width=1/inline reference.
 fn assert_bits_invariant(label: &str, f: impl Fn() -> Vec<u64>) {
-    let _guard = ENGINE_LOCK.lock().unwrap();
+    // A failed sweep poisons the lock; every later sweep must still give
+    // its own verdict (each one sets the knobs it needs first).
+    let _guard = ENGINE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     rayon::set_num_threads(1);
     nadmm_linalg::set_par_threshold(usize::MAX);
     let reference = f();
