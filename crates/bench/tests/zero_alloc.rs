@@ -9,7 +9,8 @@
 //! instrumentation allreduce — (c) a warm
 //! in-place `allreduce_sum_into`, full width and f16 on the wire — and (d) a
 //! **batched inference call** (`InferenceSession::predict_batch_into` and
-//! its top-k variant, the serving engine's hot path) perform **zero** heap
+//! its top-k variant, the serving engine's hot path, and
+//! `predict_matrix_into` on CSR features) perform **zero** heap
 //! allocations, and that the device and communication pools report zero
 //! misses. A warm SGD minibatch step is pinned too: a fixed, small number of
 //! allocations, none of them the size of the batch.
@@ -531,6 +532,44 @@ fn warm_batched_predict_performs_zero_heap_allocations() {
     let pool = session.workspace_stats();
     assert_eq!(pool.pool_misses, 0, "warm predict missed the pool: {pool:?}");
     assert!(pool.pool_hits > 0, "predict must actually draw from the pool");
+    assert_eq!(pool.outstanding, 0, "every pooled buffer must be returned");
+}
+
+#[test]
+fn warm_csr_predict_matrix_performs_zero_heap_allocations() {
+    let _knobs = pool_knobs();
+    // The bulk-evaluation path on CSR features at the `e18_sparse_2r`
+    // workload's density and class count, scaled down: the sparse kernel's
+    // class-interleaved copy of the weights must come from the session's
+    // pool, not from a fresh allocation per call.
+    let (_, test) = SyntheticConfig::e18_like()
+        .with_train_size(64)
+        .with_test_size(48)
+        .with_num_features(400)
+        .generate(7);
+    assert!(test.is_sparse());
+    let (features, classes) = (test.num_features(), test.num_classes());
+    let artifact = ModelArtifact::new(
+        features,
+        classes,
+        (0..classes).map(|c| format!("class-{c}")).collect(),
+        (0..(classes - 1) * features).map(|i| ((i as f64) * 0.37).sin()).collect(),
+        Provenance::default(),
+    )
+    .unwrap();
+    let mut session = InferenceSession::new(&artifact, DeviceSpec::tesla_p100()).unwrap();
+    let mut preds = vec![0usize; test.num_samples()];
+    session.predict_matrix_into(test.features(), &mut preds);
+    session.reset_workspace_stats();
+
+    let (allocs, timing) = count_allocations(|| session.predict_matrix_into(test.features(), &mut preds));
+    assert_eq!(timing.batch, test.num_samples());
+    assert_eq!(
+        allocs, 0,
+        "warm CSR predict_matrix_into made {allocs} heap allocations (expected zero)"
+    );
+    let pool = session.workspace_stats();
+    assert_eq!(pool.pool_misses, 0, "warm CSR predict missed the pool: {pool:?}");
     assert_eq!(pool.outstanding, 0, "every pooled buffer must be returned");
 }
 

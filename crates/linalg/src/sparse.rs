@@ -24,6 +24,19 @@
 //! elementwise, which no layout changes.
 //! `crates/linalg/tests/proptest_parallel.rs` holds the kernels to the
 //! arithmetic spelled out one scalar at a time.
+//!
+//! ## Two bodies per product
+//!
+//! `CsrMatrix::nt_rows` and `CsrMatrix::tn_rows_acc` each have a portable
+//! body — the only one off x86-64, and the reference — and an AVX2 one,
+//! picked inside the kernel by `is_x86_feature_detected!("avx2")`, as in
+//! `dense.rs`. A class block is one 256-bit register: `A·Bᵀ` walks a
+//! row's entries once per three blocks (twelve accumulators) instead of
+//! once per block, and `Mᵀ·A` holds a row's coefficients in registers and
+//! passes each stored entry over its feature's whole run once. Each class
+//! still gets a multiply, then an add, in the portable body's order (FMA is
+//! never enabled), so the bodies agree bit for bit; this module's unit tests
+//! hold both to the scalar arithmetic.
 
 use crate::dense::DenseMatrix;
 use crate::error::{LinalgError, Result};
@@ -330,12 +343,45 @@ impl CsrMatrix {
     /// ([`pack_classes`]); rows are independent, so callers may cut `s..e`
     /// anywhere.
     pub(crate) fn nt_rows(&self, s: usize, e: usize, wt: &[f64], k: usize, out_rows: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU running this code reports AVX2, the one
+            // feature `nt_rows_avx2` is compiled for.
+            return unsafe { self.nt_rows_avx2(s, e, wt, k, out_rows) };
+        }
+        self.nt_rows_portable(s, e, wt, k, out_rows)
+    }
+
+    /// [`CsrMatrix::nt_rows`] in portable Rust: the only body on other
+    /// hosts, and the reference the AVX2 body is held to.
+    fn nt_rows_portable(&self, s: usize, e: usize, wt: &[f64], k: usize, out_rows: &mut [f64]) {
         let kp = packed_width(k);
         for (i, out_row) in (s..e).zip(out_rows.chunks_exact_mut(k)) {
             let (cols, vals) = self.row(i);
             for (out_block, kb) in out_row.chunks_mut(CLASS_BLOCK).zip((0..kp).step_by(CLASS_BLOCK)) {
                 let dots = row_dots(cols, vals, wt, kp, kb);
                 out_block.copy_from_slice(&dots[..out_block.len()]);
+            }
+        }
+    }
+
+    /// [`CsrMatrix::nt_rows`] for AVX2 hosts: each row's entries are walked
+    /// once per [`NT_GROUP_BLOCKS`] class blocks instead of once per block,
+    /// and a block's four classes are one 256-bit register per entry lane.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn nt_rows_avx2(&self, s: usize, e: usize, wt: &[f64], k: usize, out_rows: &mut [f64]) {
+        let kp = packed_width(k);
+        for (i, out_row) in (s..e).zip(out_rows.chunks_exact_mut(k)) {
+            let (cols, vals) = self.row(i);
+            for kb in (0..kp).step_by(NT_GROUP_BLOCKS * CLASS_BLOCK) {
+                let blocks = ((kp - kb) / CLASS_BLOCK).min(NT_GROUP_BLOCKS);
+                let out_group = &mut out_row[kb..k.min(kb + blocks * CLASS_BLOCK)];
+                match blocks {
+                    NT_GROUP_BLOCKS => row_dots_avx2::<NT_GROUP_BLOCKS>(cols, vals, wt, kp, kb, out_group),
+                    2 => row_dots_avx2::<2>(cols, vals, wt, kp, kb, out_group),
+                    _ => row_dots_avx2::<1>(cols, vals, wt, kp, kb, out_group),
+                }
             }
         }
     }
@@ -396,6 +442,18 @@ impl CsrMatrix {
     /// coefficient adds nothing, so callers may cut `s..e` anywhere within a
     /// canonical chunk.
     pub(crate) fn tn_rows_acc(&self, s: usize, e: usize, m_rows: &[f64], k: usize, dst_t: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU running this code reports AVX2, the one
+            // feature `tn_rows_acc_avx2` is compiled for.
+            return unsafe { self.tn_rows_acc_avx2(s, e, m_rows, k, dst_t) };
+        }
+        self.tn_rows_acc_portable(s, e, m_rows, k, dst_t)
+    }
+
+    /// [`CsrMatrix::tn_rows_acc`] in portable Rust: the only body on other
+    /// hosts, and the reference the AVX2 body is held to.
+    fn tn_rows_acc_portable(&self, s: usize, e: usize, m_rows: &[f64], k: usize, dst_t: &mut [f64]) {
         let kp = packed_width(k);
         for (i, mrow) in (s..e).zip(m_rows.chunks_exact(k)) {
             let (cols, vals) = self.row(i);
@@ -410,9 +468,36 @@ impl CsrMatrix {
                         *d += mv * v;
                     }
                 } else {
-                    for (d, &mv) in d.iter_mut().zip(mrow) {
-                        *d = if mv != 0.0 { *d + mv * v } else { *d };
-                    }
+                    select_add(d, mrow, v);
+                }
+            }
+        }
+    }
+
+    /// [`CsrMatrix::tn_rows_acc`] for AVX2 hosts: a row's coefficients,
+    /// zero-padded to whole class blocks, sit in registers while its entries
+    /// pass, so a finite stored entry is one multiply and add per block over
+    /// its feature's run (the padding classes gain `0 · v`, a zero, and are
+    /// never read back). A non-finite entry takes the portable select. Runs
+    /// longer than [`TN_GROUP_BLOCKS`] blocks take one pass per group.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn tn_rows_acc_avx2(&self, s: usize, e: usize, m_rows: &[f64], k: usize, dst_t: &mut [f64]) {
+        let kp = packed_width(k);
+        for (i, mrow) in (s..e).zip(m_rows.chunks_exact(k)) {
+            let (cols, vals) = self.row(i);
+            for kb in (0..kp).step_by(TN_GROUP_BLOCKS * CLASS_BLOCK) {
+                let blocks = ((kp - kb) / CLASS_BLOCK).min(TN_GROUP_BLOCKS);
+                let coefs = &mrow[kb..k.min(kb + blocks * CLASS_BLOCK)];
+                match blocks {
+                    8 => scatter_entries_avx2::<8>(cols, vals, coefs, kp, kb, dst_t),
+                    7 => scatter_entries_avx2::<7>(cols, vals, coefs, kp, kb, dst_t),
+                    6 => scatter_entries_avx2::<6>(cols, vals, coefs, kp, kb, dst_t),
+                    5 => scatter_entries_avx2::<5>(cols, vals, coefs, kp, kb, dst_t),
+                    4 => scatter_entries_avx2::<4>(cols, vals, coefs, kp, kb, dst_t),
+                    3 => scatter_entries_avx2::<3>(cols, vals, coefs, kp, kb, dst_t),
+                    2 => scatter_entries_avx2::<2>(cols, vals, coefs, kp, kb, dst_t),
+                    _ => scatter_entries_avx2::<1>(cols, vals, coefs, kp, kb, dst_t),
                 }
             }
         }
@@ -472,10 +557,22 @@ impl std::fmt::Debug for CsrMatrix {
     }
 }
 
-/// Classes the class-interleaved kernels carry through one pass over a
-/// sparse row: four lanes of this many accumulators fit the sixteen 128-bit
-/// registers of baseline x86-64.
+/// Classes in one block of the class-interleaved layout: one 256-bit AVX2
+/// register of f64, and the portable bodies' unit of work per pass over a
+/// sparse row.
 const CLASS_BLOCK: usize = 4;
+
+/// Class blocks the AVX2 `A·Bᵀ` body carries through one pass over a row's
+/// entries: four entry lanes per block make twelve 256-bit accumulators,
+/// which with the broadcast value and the loaded run fit AVX2's sixteen
+/// registers.
+#[cfg(target_arch = "x86_64")]
+const NT_GROUP_BLOCKS: usize = 3;
+
+/// Class blocks of coefficients the AVX2 `Mᵀ·A` body holds in registers
+/// while a row's entries pass: up to 32 classes in one pass.
+#[cfg(target_arch = "x86_64")]
+const TN_GROUP_BLOCKS: usize = 8;
 
 /// Width of one feature's run of classes in the class-interleaved layout:
 /// `k` rounded up to whole [`CLASS_BLOCK`]s.
@@ -538,6 +635,108 @@ fn row_dots(cols: &[usize], vals: &[f64], wt: &[f64], kp: usize, kb: usize) -> [
         }
     }
     std::array::from_fn(|q| (acc[0][q] + acc[1][q]) + (acc[2][q] + acc[3][q]) + tail[q])
+}
+
+/// [`row_dots`] for `G` class blocks at once, `kb..kb + G·CLASS_BLOCK`,
+/// written to `out` (the first `out.len()` of those classes): each block's
+/// four entry lanes are four 256-bit accumulators, each lane a multiply and
+/// then an add per entry, folded `(a0 + a1) + (a2 + a3) + tail` — every
+/// class gets [`row_dots`]' additions in its order. One broadcast of a
+/// stored value serves all `G` blocks.
+///
+/// # Panics
+/// Panics if a column's run in `wt` is out of bounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn row_dots_avx2<const G: usize>(cols: &[usize], vals: &[f64], wt: &[f64], kp: usize, kb: usize, out: &mut [f64]) {
+    use std::arch::x86_64::{_mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd};
+    let width = G * CLASS_BLOCK;
+    assert!(
+        kb + width <= kp && out.len() <= width,
+        "row_dots_avx2: {G} blocks at {kb} of {kp}"
+    );
+    // The slice is the bounds check: an out-of-range column panics here.
+    let run_of = |c: usize| wt[c * kp + kb..][..width].as_ptr();
+    let mut acc = [[_mm256_setzero_pd(); G]; 4];
+    let mut ic = cols.chunks_exact(4);
+    let mut vc = vals.chunks_exact(4);
+    for (ci, cv) in (&mut ic).zip(&mut vc) {
+        for (lane, acc) in acc.iter_mut().enumerate() {
+            let (w, v) = (run_of(ci[lane]), _mm256_set1_pd(cv[lane]));
+            for (b, a) in acc.iter_mut().enumerate() {
+                // SAFETY: `w` points at `width = G · CLASS_BLOCK` elements of
+                // `wt` and `b < G`, so the four loaded elements are in bounds.
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(v, unsafe { _mm256_loadu_pd(w.add(b * CLASS_BLOCK)) }));
+            }
+        }
+    }
+    // The lanes fold before the tail starts, so the tail's `G` accumulators
+    // take the registers the lanes free.
+    let lanes: [_; G] =
+        std::array::from_fn(|b| _mm256_add_pd(_mm256_add_pd(acc[0][b], acc[1][b]), _mm256_add_pd(acc[2][b], acc[3][b])));
+    let mut tail = [_mm256_setzero_pd(); G];
+    for (&c, &v) in ic.remainder().iter().zip(vc.remainder()) {
+        let (w, v) = (run_of(c), _mm256_set1_pd(v));
+        for (b, t) in tail.iter_mut().enumerate() {
+            // SAFETY: as in the loop above.
+            *t = _mm256_add_pd(*t, _mm256_mul_pd(v, unsafe { _mm256_loadu_pd(w.add(b * CLASS_BLOCK)) }));
+        }
+    }
+    let mut dots = [[0.0f64; CLASS_BLOCK]; G];
+    for ((d, l), t) in dots.iter_mut().zip(lanes).zip(tail) {
+        // SAFETY: `d` holds CLASS_BLOCK = 4 elements.
+        unsafe { _mm256_storeu_pd(d.as_mut_ptr(), _mm256_add_pd(l, t)) };
+    }
+    out.copy_from_slice(&dots.as_flattened()[..out.len()]);
+}
+
+/// `dst_t[c·kp + kb..][..G·CLASS_BLOCK] += coefs · v` for every stored
+/// entry `(c, v)` of one row, the coefficients
+/// zero-padded to `G` blocks and held in registers. Each class gets the
+/// portable body's `d + m·v` (a multiply, then an add) or, for a non-finite
+/// `v`, its select.
+///
+/// # Panics
+/// Panics if a column's run in `dst_t` is out of bounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scatter_entries_avx2<const G: usize>(cols: &[usize], vals: &[f64], coefs: &[f64], kp: usize, kb: usize, dst_t: &mut [f64]) {
+    use std::arch::x86_64::{_mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd};
+    let width = G * CLASS_BLOCK;
+    assert!(
+        kb + width <= kp && coefs.len() <= width,
+        "scatter_entries_avx2: {G} blocks at {kb} of {kp}"
+    );
+    let mut padded = [[0.0f64; CLASS_BLOCK]; G];
+    padded.as_flattened_mut()[..coefs.len()].copy_from_slice(coefs);
+    // SAFETY: each block of `padded` holds CLASS_BLOCK = 4 elements.
+    let m = padded.map(|block| unsafe { _mm256_loadu_pd(block.as_ptr()) });
+    for (&c, &v) in cols.iter().zip(vals) {
+        // The slice is the bounds check: an out-of-range column panics here.
+        let d = &mut dst_t[c * kp + kb..][..width];
+        if v.is_finite() {
+            let v = _mm256_set1_pd(v);
+            for (b, &mb) in m.iter().enumerate() {
+                // SAFETY: `d` holds `G · CLASS_BLOCK` elements and `b < G`,
+                // so the four elements loaded and stored are in bounds.
+                unsafe {
+                    let p = d.as_mut_ptr().add(b * CLASS_BLOCK);
+                    _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), _mm256_mul_pd(mb, v)));
+                }
+            }
+        } else {
+            select_add(&mut d[..coefs.len()], coefs, v);
+        }
+    }
+}
+
+/// `d[q] += m[q] · v` for a non-finite `v`, skipping each exact-zero `m[q]`:
+/// `0 · ±∞` and `0 · NaN` are NaN, and a zero coefficient must add nothing.
+#[inline]
+fn select_add(d: &mut [f64], m: &[f64], v: f64) {
+    for (d, &mv) in d.iter_mut().zip(m) {
+        *d = if mv != 0.0 { *d + mv * v } else { *d };
+    }
 }
 
 #[cfg(test)]
@@ -742,5 +941,194 @@ mod tests {
         let m = CsrMatrix::from_triplets(0, 0, &[]);
         assert_eq!(m.density(), 0.0);
         assert_eq!(m.nnz(), 0);
+    }
+
+    /// Bit patterns, every NaN folded to one (its payload is unspecified).
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() })
+            .collect()
+    }
+
+    /// Twenty rows holding 0 to 9 stored entries twice over, each non-empty
+    /// row's last entry in the last column (the last run of packed `W`).
+    /// Values are Gaussian with `+0.0` and `−0.0` mixed in, and the second ten
+    /// rows also hold `+∞`, `−∞` and NaN, in entry lanes and in tails.
+    fn entry_edges(cols: usize) -> CsrMatrix {
+        let mut rng = crate::gen::seeded_rng(5);
+        let mut triplets = Vec::new();
+        for i in 0..20 {
+            let n = i % 10;
+            for t in 0..n {
+                let c = if t + 1 == n { cols - 1 } else { i % 3 + t };
+                let v = match (i * 5 + t * 3) % 13 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 if i >= 10 => f64::INFINITY,
+                    3 if i >= 10 => f64::NEG_INFINITY,
+                    4 if i >= 10 => f64::NAN,
+                    _ => crate::gen::gaussian_vector(1, &mut rng)[0],
+                };
+                triplets.push((i, c, v));
+            }
+        }
+        let x = CsrMatrix::from_triplets(20, cols, &triplets);
+        assert_eq!(x.nnz(), 90, "one entry per triplet");
+        x
+    }
+
+    /// Gaussian `rows × cols` with exact zeros of both signs.
+    fn with_zeros(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+        let mut m = crate::gen::gaussian_matrix(rows, cols, &mut crate::gen::seeded_rng(seed));
+        for i in 0..rows {
+            for j in 0..cols {
+                match (i * 5 + j * 3) % 7 {
+                    0 => m.set(i, j, 0.0),
+                    1 => m.set(i, j, -0.0),
+                    _ => {}
+                }
+            }
+        }
+        m
+    }
+
+    /// Rows `s..e` of `x · wᵀ` from every body this host can run, reading
+    /// the packed `wt`.
+    fn nt_bodies(x: &CsrMatrix, s: usize, e: usize, wt: &[f64], k: usize) -> Vec<(&'static str, Vec<f64>)> {
+        let fresh = || vec![7.0; (e - s) * k];
+        let mut outs = vec![("portable", fresh()), ("chosen", fresh())];
+        x.nt_rows_portable(s, e, wt, k, &mut outs[0].1);
+        x.nt_rows(s, e, wt, k, &mut outs[1].1);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let mut out = fresh();
+            // SAFETY: AVX2 was detected on the line above.
+            unsafe { x.nt_rows_avx2(s, e, wt, k, &mut out) };
+            outs.push(("avx2", out));
+        }
+        outs
+    }
+
+    /// `(x · mᵀ)ᵀ` over rows `s..e`, class-interleaved, from every body this
+    /// host can run, each into an accumulator of exact zeros.
+    fn tn_bodies(x: &CsrMatrix, s: usize, e: usize, m: &DenseMatrix) -> Vec<(&'static str, Vec<f64>)> {
+        let (k, m_rows) = (m.cols(), m.rows_slice(s, e));
+        let fresh = || vec![0.0; x.packed_len(k)];
+        let mut outs = vec![("portable", fresh()), ("chosen", fresh())];
+        x.tn_rows_acc_portable(s, e, m_rows, k, &mut outs[0].1);
+        x.tn_rows_acc(s, e, m_rows, k, &mut outs[1].1);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let mut out = fresh();
+            // SAFETY: AVX2 was detected on the line above.
+            unsafe { x.tn_rows_acc_avx2(s, e, m_rows, k, &mut out) };
+            outs.push(("avx2", out));
+        }
+        outs
+    }
+
+    #[test]
+    fn sparse_kernel_nt_rows_bodies_equal_the_gather_dot_spelled_out_scalar_by_scalar() {
+        let cols = 13;
+        let x = entry_edges(cols);
+        // Every remainder mod 4, one to three blocks per register group, and
+        // groups of three followed by one, two and three.
+        for k in 1..=24 {
+            let w = with_zeros(k, cols, k as u64);
+            // Per class: four entry lanes, a sequential tail, folded
+            // `(a0 + a1) + (a2 + a3) + tail`.
+            let expect = DenseMatrix::from_fn(x.rows(), k, |i, q| {
+                let (cs, vs) = x.row(i);
+                let full = cs.len() / 4 * 4;
+                let mut lanes = [0.0f64; 4];
+                for t in 0..full {
+                    lanes[t % 4] += vs[t] * w.get(q, cs[t]);
+                }
+                let mut tail = 0.0;
+                for t in full..cs.len() {
+                    tail += vs[t] * w.get(q, cs[t]);
+                }
+                (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+            });
+            let mut wt = vec![f64::NAN; x.packed_len(k)];
+            pack_classes(&w, &mut wt);
+            for (s, e) in [(0, 20), (3, 17)] {
+                for (body, out) in nt_bodies(&x, s, e, &wt, k) {
+                    assert_eq!(
+                        bits(&out),
+                        bits(&expect.as_slice()[s * k..e * k]),
+                        "{body} nt_rows of rows {s}..{e}, k = {k}"
+                    );
+                }
+            }
+            // The public product, its scratch holding garbage on entry.
+            let mut out = DenseMatrix::zeros(x.rows(), k);
+            x.gemm_nt_scratch_into(&w, &mut vec![f64::NAN; x.packed_len(k) + 3], &mut out)
+                .unwrap();
+            assert_eq!(bits(out.as_slice()), bits(expect.as_slice()), "gemm_nt_scratch_into, k = {k}");
+        }
+    }
+
+    #[test]
+    fn sparse_kernel_tn_rows_acc_bodies_equal_ascending_row_adds_with_exact_zeros_skipped() {
+        let cols = 13;
+        let x = entry_edges(cols);
+        // As above, plus 37 classes: ten blocks, more than one register group.
+        for k in (1..=24).chain([37]) {
+            let m = with_zeros(x.rows(), k, 100 + k as u64);
+            // Each element gets its rows' products one at a time, in
+            // ascending row order, skipping exact-zero coefficients.
+            let expect = |s: usize, e: usize| {
+                let mut acc = DenseMatrix::zeros(k, cols);
+                for i in s..e {
+                    let (cs, vs) = x.row(i);
+                    for (&c, &v) in cs.iter().zip(vs) {
+                        for q in (0..k).filter(|&q| m.get(i, q) != 0.0) {
+                            acc.set(q, c, acc.get(q, c) + m.get(i, q) * v);
+                        }
+                    }
+                }
+                acc
+            };
+            for (s, e) in [(0, 20), (3, 17)] {
+                let want = expect(s, e);
+                for (body, out_t) in tn_bodies(&x, s, e, &m) {
+                    let mut out = DenseMatrix::zeros(k, cols);
+                    unpack_classes(&out_t, &mut out);
+                    assert_eq!(
+                        bits(out.as_slice()),
+                        bits(want.as_slice()),
+                        "{body} tn_rows_acc of rows {s}..{e}, k = {k}"
+                    );
+                }
+            }
+            let mut out = DenseMatrix::zeros(k, cols);
+            x.gemm_tn_from_dense_into(&m, &mut out).unwrap();
+            assert_eq!(
+                bits(out.as_slice()),
+                bits(expect(0, 20).as_slice()),
+                "gemm_tn_from_dense_into, k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_column_panics_in_every_body_instead_of_reading_past_the_run() {
+        let x = CsrMatrix::from_triplets(1, 3, &[(0, 2, 1.0)]);
+        let m = DenseMatrix::from_fn(1, 5, |_, q| q as f64 + 1.0);
+        // Packed for two columns, not three: column 2's run is past the end.
+        let short = vec![0.0; 2 * packed_width(5)];
+        let panics = |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+        assert!(panics(&|| x.nt_rows_portable(0, 1, &short, 5, &mut [0.0; 5])));
+        assert!(panics(&|| x.tn_rows_acc_portable(0, 1, m.as_slice(), 5, &mut short.clone())));
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected on the line above.
+            assert!(panics(&|| unsafe { x.nt_rows_avx2(0, 1, &short, 5, &mut [0.0; 5]) }));
+            // SAFETY: as above.
+            assert!(panics(&|| unsafe {
+                x.tn_rows_acc_avx2(0, 1, m.as_slice(), 5, &mut short.clone())
+            }));
+        }
     }
 }

@@ -176,12 +176,25 @@ impl InferenceSession {
     }
 
     /// Shared core: margins = X·Wᵀ through the device GEMM, then the exact
-    /// training-time argmax ([`reduce::argmax_with_reference`]).
+    /// training-time argmax ([`reduce::argmax_with_reference`]). CSR
+    /// features take the kernel's class-interleaved copy of `W` from the
+    /// pool too.
     fn margins_decode(&mut self, x: &Matrix, out: &mut [usize]) {
         let batch = out.len();
         let c1 = self.num_classes - 1;
         let mut margins = DenseMatrix::from_vec(batch, c1, self.ws.acquire(batch * c1));
-        self.device.gemm_nt_into(x, &self.weights, &mut margins);
+        // Dense features take no scratch, and asking the pool for an empty
+        // buffer would still count as an acquire.
+        let scratch_len = x.gemm_nt_scratch_len(c1);
+        let mut scratch = if scratch_len == 0 {
+            Vec::new()
+        } else {
+            self.ws.acquire(scratch_len)
+        };
+        self.device.gemm_nt_scratch_into(x, &self.weights, &mut scratch, &mut margins);
+        if scratch_len != 0 {
+            self.ws.release(scratch);
+        }
         // Decode pass: one read per margin element.
         self.device
             .charge_kernel(batch as f64 * c1 as f64, batch as f64 * c1 as f64 * 8.0);
