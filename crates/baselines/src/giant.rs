@@ -42,8 +42,6 @@ pub struct GiantConfig {
     pub armijo_beta: f64,
     /// Hardware model for local compute time.
     pub device: DeviceSpec,
-    /// Stop when the global gradient norm drops below this (0 disables).
-    pub grad_tol: f64,
 }
 
 impl Default for GiantConfig {
@@ -58,7 +56,6 @@ impl Default for GiantConfig {
             line_search_steps: 10,
             armijo_beta: 1e-4,
             device: DeviceSpec::tesla_p100(),
-            grad_tol: 0.0,
         }
     }
 }
@@ -70,7 +67,6 @@ impl GiantConfig {
         require_non_negative("GiantConfig", "lambda", self.lambda)?;
         require_nonzero("GiantConfig", "line_search_steps", self.line_search_steps)?;
         require_open_unit("GiantConfig", "armijo_beta", self.armijo_beta)?;
-        require_non_negative("GiantConfig", "grad_tol", self.grad_tol)?;
         self.cg.validate()
     }
 }
@@ -126,10 +122,6 @@ impl Giant {
             // Round 1: global gradient (in-place allreduce); the local
             // gradient pass keeps the local Hessian's state at `w`.
             let hvp_state = global_gradient_and_hvp_into(comm, &local, &mut engine, &mut ws, &w, &mut g);
-            if cfg.grad_tol > 0.0 && vector::norm2(&g) < cfg.grad_tol {
-                local.release_hvp(hvp_state, &mut ws);
-                break;
-            }
 
             // Local Hessian solve: (N·H_i) p_i = g  (H_i is the local shard
             // Hessian; N·H_i approximates the global Hessian under an i.i.d.
@@ -325,20 +317,5 @@ mod tests {
                 pair[1].objective
             );
         }
-    }
-
-    #[test]
-    fn gradient_tolerance_stops_early() {
-        let (train, _) = dataset(4);
-        let (shards, _) = partition_strong(&train, 2);
-        let cluster = Cluster::new(2, NetworkModel::ideal());
-        let cfg = GiantConfig {
-            max_iters: 100,
-            lambda: 1e-2,
-            grad_tol: 1e3,
-            ..Default::default()
-        };
-        let run = run_on(cfg, &cluster, &shards, None);
-        assert!(run.history.len() <= 2, "a huge grad_tol must stop the run immediately");
     }
 }

@@ -18,7 +18,7 @@ use nadmm_device::{Device, DeviceSpec};
 use nadmm_linalg::vector;
 use nadmm_metrics::RunHistory;
 use nadmm_objective::Objective;
-use nadmm_solver::validate::{require_non_negative, require_nonzero, require_positive, require_unit_coefficient, ConfigError};
+use nadmm_solver::validate::{require_non_negative, require_nonzero, require_positive, ConfigError};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -33,9 +33,6 @@ pub struct SyncSgdConfig {
     pub batch_size: usize,
     /// Step size η (the paper grid-searches 1e-8…1e8 and reports the best).
     pub step_size: f64,
-    /// Momentum coefficient (0 disables momentum, as in plain synchronous
-    /// SGD).
-    pub momentum: f64,
     /// RNG seed for minibatch sampling.
     pub seed: u64,
     /// Hardware model for local compute time.
@@ -49,7 +46,6 @@ impl Default for SyncSgdConfig {
             lambda: 1e-5,
             batch_size: 128,
             step_size: 1e-2,
-            momentum: 0.0,
             seed: 0,
             device: DeviceSpec::tesla_p100(),
         }
@@ -57,13 +53,12 @@ impl Default for SyncSgdConfig {
 }
 
 impl SyncSgdConfig {
-    /// Rejects zero budgets and out-of-range step/momentum values.
+    /// Rejects zero budgets and non-positive step sizes.
     pub fn validate(&self) -> Result<(), ConfigError> {
         require_nonzero("SyncSgdConfig", "epochs", self.epochs)?;
         require_non_negative("SyncSgdConfig", "lambda", self.lambda)?;
         require_nonzero("SyncSgdConfig", "batch_size", self.batch_size)?;
-        require_positive("SyncSgdConfig", "step_size", self.step_size)?;
-        require_unit_coefficient("SyncSgdConfig", "momentum", self.momentum)
+        require_positive("SyncSgdConfig", "step_size", self.step_size)
     }
 }
 
@@ -104,7 +99,6 @@ impl SyncSgd {
         let steps_per_epoch = (counts[1] as usize).max(1);
 
         let mut w = vec![0.0; dim];
-        let mut velocity = vec![0.0; dim];
         let mut g = vec![0.0; dim];
         let mut ws = nadmm_device::Workspace::new();
         let wall_start = Instant::now();
@@ -138,14 +132,7 @@ impl SyncSgd {
                 // total sample count, so the step size has a per-sample scale
                 // (standard minibatch SGD convention).
                 comm.allreduce_sum_into(&mut g);
-                if cfg.momentum > 0.0 {
-                    for i in 0..dim {
-                        velocity[i] = cfg.momentum * velocity[i] - cfg.step_size * g[i] / total_samples;
-                        w[i] += velocity[i];
-                    }
-                } else {
-                    vector::axpy(-cfg.step_size / total_samples, &g, &mut w);
-                }
+                vector::axpy(-cfg.step_size / total_samples, &g, &mut w);
             }
             record_iteration(
                 comm,
@@ -282,7 +269,7 @@ mod tests {
         let batch = cfg.batch_size.min(n_local.max(1));
         let batches_per_epoch = n_local.div_ceil(batch).max(1);
         let mut rng = gen::seeded_rng(cfg.seed.wrapping_add(comm.rank() as u64 * 7919));
-        let (mut w, mut velocity, mut g) = (vec![0.0; dim], vec![0.0; dim], vec![0.0; dim]);
+        let (mut w, mut g) = (vec![0.0; dim], vec![0.0; dim]);
         let mut ws = nadmm_device::Workspace::new();
         let wall_start = Instant::now();
         let mut history = RunHistory::new("sync-sgd", shard.name(), n_workers);
@@ -309,14 +296,7 @@ mod tests {
                 engine.sync(comm, &device);
                 comm.allreduce_sum_into(&mut g);
                 let total_samples = comm.allreduce_scalar_sum(n_local as f64).max(1.0);
-                if cfg.momentum > 0.0 {
-                    for i in 0..dim {
-                        velocity[i] = cfg.momentum * velocity[i] - cfg.step_size * g[i] / total_samples;
-                        w[i] += velocity[i];
-                    }
-                } else {
-                    vector::axpy(-cfg.step_size / total_samples, &g, &mut w);
-                }
+                vector::axpy(-cfg.step_size / total_samples, &g, &mut w);
             }
             record_iteration(
                 comm,
@@ -346,41 +326,38 @@ mod tests {
         for ranks in [1, 4] {
             let (shards, _) = partition_weak(&train, ranks, per_rank);
             let cluster = Cluster::new(ranks, NetworkModel::ideal());
-            for momentum in [0.0, 0.9] {
-                let cfg = SyncSgdConfig {
-                    epochs,
-                    lambda: 1e-3,
-                    batch_size: batch,
-                    step_size: 0.3,
-                    momentum,
-                    seed: 9,
-                    ..Default::default()
-                };
-                let run = run_on(cfg, &cluster, &shards, Some(&test));
-                let reference = cluster
-                    .run_sharded(&shards, |comm, shard| per_step_reference(&cfg, comm, shard, Some(&test)))
-                    .swap_remove(0);
-                let case = format!("{ranks} ranks, momentum {momentum}");
-                assert_eq!(bits(&run.w), bits(&reference.w), "final w, {case}");
-                let series = |r: &DistributedRun| -> Vec<(u64, u64)> {
-                    let records = &r.history.records;
-                    records
-                        .iter()
-                        .map(|x| (x.objective.to_bits(), x.test_accuracy.unwrap().to_bits()))
-                        .collect()
-                };
-                assert_eq!(series(&run), series(&reference), "objectives and accuracies, {case}");
-                assert_eq!(
-                    run.comm_stats.collectives,
-                    (1 + epochs * steps + 2 * (epochs + 1)) as u64,
-                    "{case}"
-                );
-                assert_eq!(
-                    reference.comm_stats.collectives,
-                    (2 * epochs * steps + 2 * (epochs + 1)) as u64,
-                    "{case}"
-                );
-            }
+            let cfg = SyncSgdConfig {
+                epochs,
+                lambda: 1e-3,
+                batch_size: batch,
+                step_size: 0.3,
+                seed: 9,
+                ..Default::default()
+            };
+            let run = run_on(cfg, &cluster, &shards, Some(&test));
+            let reference = cluster
+                .run_sharded(&shards, |comm, shard| per_step_reference(&cfg, comm, shard, Some(&test)))
+                .swap_remove(0);
+            let case = format!("{ranks} ranks");
+            assert_eq!(bits(&run.w), bits(&reference.w), "final w, {case}");
+            let series = |r: &DistributedRun| -> Vec<(u64, u64)> {
+                let records = &r.history.records;
+                records
+                    .iter()
+                    .map(|x| (x.objective.to_bits(), x.test_accuracy.unwrap().to_bits()))
+                    .collect()
+            };
+            assert_eq!(series(&run), series(&reference), "objectives and accuracies, {case}");
+            assert_eq!(
+                run.comm_stats.collectives,
+                (1 + epochs * steps + 2 * (epochs + 1)) as u64,
+                "{case}"
+            );
+            assert_eq!(
+                reference.comm_stats.collectives,
+                (2 * epochs * steps + 2 * (epochs + 1)) as u64,
+                "{case}"
+            );
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The paper's claims, measured: runs the experiments behind Table 1 and
-//! Figures 1–5 once at their default sizes, prints each claim's measured
-//! value, bound and verdict, and checks them against the committed
-//! `CLAIMS.json` (see `nadmm_bench::claims`).
+//! Figures 1–5 once at their default sizes, and the committed scenarios
+//! behind the rows that keep the straggler deadline and f16 compression,
+//! prints each claim's measured value, bound and verdict, and checks them
+//! against the committed `CLAIMS.json` (see `nadmm_bench::claims`).
 //!
 //! Exits non-zero naming every claim whose verdict changed, every claim the
 //! run did not measure and every measurement with no claim. Every number is
@@ -15,11 +16,13 @@
 use nadmm_baselines::{reference_optimum, AideConfig, DaneConfig, GiantConfig, SyncSgdConfig};
 use nadmm_bench::claims::{check, claims_path, measured_value, parse_claims};
 use nadmm_bench::{bench_config, bench_dataset, WORKER_SWEEP};
-use nadmm_cluster::{Cluster, NetworkModel};
+use nadmm_cluster::{Cluster, Compression, NetworkModel};
 use nadmm_data::{partition_strong, partition_weak, Dataset, DatasetKind};
-use nadmm_experiment::{run_spec_on, SolverSpec};
+use nadmm_device::DeviceSpec;
+use nadmm_experiment::{run_spec_on, RunReport, ScenarioSpec, SolverSpec};
 use nadmm_metrics::relative::speedup_ratio;
 use nadmm_metrics::{time_to_relative_objective, RunHistory};
+use nadmm_serve::{artifact_for_scenario, InferenceSession, ModelArtifact, TensorEncoding};
 use newton_admm::NewtonAdmmConfig;
 
 const KINDS: [DatasetKind; 4] = [DatasetKind::Higgs, DatasetKind::Mnist, DatasetKind::Cifar10, DatasetKind::E18];
@@ -250,13 +253,115 @@ fn fig5(m: &mut Measured) {
     m.push(("fig5.epoch_time_below_giant".into(), epoch_ratio));
 }
 
+/// A committed scenario from the workspace's `scenarios/`.
+fn scenario(name: &str) -> ScenarioSpec {
+    let path = format!("{}/../../scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The largest of `values`, NaN if any is NaN (so a poisoned value is no
+/// measurement rather than a pass).
+fn worst(values: impl IntoIterator<Item = f64>) -> f64 {
+    values
+        .into_iter()
+        .fold(f64::NEG_INFINITY, |a, v| if v.is_nan() || v > a { v } else { a })
+}
+
+/// The report of `solver` among a scenario's reports.
+fn report<'a>(reports: &'a [RunReport], solver: &str) -> &'a RunReport {
+    reports
+        .iter()
+        .find(|r| r.solver == solver)
+        .expect("the scenario runs the solver")
+}
+
+/// Options, straggler deadline: `scenarios/heterogeneous.json` with its slow
+/// rank at 1×, 2×, 4× and 8×. Each solver's target is the worst final
+/// objective it reaches over the sweep; a run's degradation is its time to
+/// that target over the 1× run's.
+fn staleness(m: &mut Measured) {
+    let base = scenario("heterogeneous");
+    let sweep = [1.0, 2.0, 4.0, 8.0].map(|factor| {
+        let mut slowed = base.clone();
+        let straggler = slowed.cluster.straggler.as_mut().expect("the scenario has a straggler model");
+        straggler.slow_ranks[0].factor = factor;
+        slowed.run().expect("the straggler sweep runs")
+    });
+    let degradation = |solver: &str| {
+        let runs = sweep.each_ref().map(|reports| report(reports, solver));
+        let target = worst(runs.map(|r| r.final_objective.unwrap_or(f64::INFINITY))) * (1.0 + 1e-9);
+        let times = runs.map(|r| {
+            let reached = r.history.records.iter().find(|x| x.objective <= target);
+            reached.map_or(f64::INFINITY, |x| x.sim_time_sec)
+        });
+        times.map(|t| t / times[0])
+    };
+    let (admm, giant) = (degradation("newton-admm"), degradation("giant"));
+    let strict_wins = (1..4).filter(|&i| admm[i] < giant[i]).count();
+    m.push(("options.staleness.straggler_wins".into(), strict_wins as f64));
+}
+
+/// Options, f16: `scenarios/compressed.json` run with its f16 collectives
+/// and at full width, then the full-width Newton-ADMM iterate as f64 and f16
+/// artifacts, each served over the test split on the P100 model.
+fn f16(m: &mut Measured) {
+    let compressed = scenario("compressed");
+    let mut full_width = compressed.clone();
+    full_width.cluster.compression = Compression::None;
+    let [f16_runs, f64_runs] = [&compressed, &full_width].map(|s| s.run().expect("the compressed scenario runs"));
+    let pairs: Vec<_> = f16_runs.iter().zip(&f64_runs).collect();
+    assert!(pairs.iter().all(|(a, b)| a.solver == b.solver), "report order diverged");
+    let count = |holds: fn(&RunReport, &RunReport) -> bool| pairs.iter().filter(|(a, b)| holds(a, b)).count() as f64;
+    m.push((
+        "options.f16.wire_bytes".into(),
+        worst(pairs.iter().map(|(a, b)| a.comm_stats.bytes_sent / b.comm_stats.bytes_sent)),
+    ));
+    m.push((
+        "options.f16.logical_bytes".into(),
+        count(|a, b| a.comm_stats.logical_bytes_sent != b.comm_stats.logical_bytes_sent),
+    ));
+    m.push((
+        "options.f16.comm_time".into(),
+        count(|a, b| a.comm_stats.comm_time < b.comm_stats.comm_time),
+    ));
+    m.push((
+        "options.f16.train_accuracy".into(),
+        worst(
+            pairs
+                .iter()
+                .filter_map(|(a, b)| Some((a.final_accuracy? - b.final_accuracy?).abs())),
+        ),
+    ));
+
+    let model = artifact_for_scenario(&full_width, report(&f64_runs, "newton-admm")).expect("the iterate exports");
+    let half = model
+        .clone()
+        .with_weight_encoding(TensorEncoding::F16)
+        .expect("the weights encode as f16");
+    let (_, test) = full_width.data.load().expect("the scenario data loads");
+    let test = test.expect("the scenario has a test split");
+    let [full_bytes, half_bytes] = [model, half].map(|a| a.to_bytes());
+    let [full_acc, half_acc] = [&full_bytes, &half_bytes].map(|bytes| {
+        let loaded = ModelArtifact::from_bytes(bytes).expect("the artifact reloads");
+        InferenceSession::new(&loaded, DeviceSpec::tesla_p100())
+            .expect("the artifact serves")
+            .accuracy(&test)
+    });
+    m.push((
+        "options.f16.artifact_size".into(),
+        full_bytes.len() as f64 - 2.0 * half_bytes.len() as f64,
+    ));
+    m.push(("options.f16.served_accuracy".into(), (half_acc - full_acc).abs()));
+}
+
 fn main() {
     let path = claims_path();
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     let claims = parse_claims(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
 
     let mut measured = Measured::new();
-    for figure in [table1, fig1, fig2, fig3, fig4, fig5] {
+    for figure in [table1, fig1, fig2, fig3, fig4, fig5, staleness, f16] {
         figure(&mut measured);
     }
 

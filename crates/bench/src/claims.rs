@@ -1,7 +1,11 @@
 //! The paper's claims as data.
 //!
 //! `CLAIMS.json` at the workspace root holds one row per claim of the
-//! paper's Table 1 and Figures 1–5: the paper's sentence, the quantity that
+//! paper's Table 1 and Figures 1–5, plus the `"figure": "options"` rows that
+//! keep the options only the simulator exercises (the straggler deadline on
+//! `scenarios/heterogeneous.json`, f16 compression and f16 artifacts on
+//! `scenarios/compressed.json`): an option whose row stops reproducing has
+//! lost its reason to exist. Each row holds the sentence, the quantity that
 //! tests it, one bound, and `reproduced` — the verdict the `claims` binary
 //! measured at its default sizes, which may be `false`. A `false` row is a
 //! recorded finding, not a failure: the binary fails only when a verdict

@@ -308,8 +308,8 @@ fn warm_distributed_admm_outer_iteration_is_allocation_free() {
         }
         worker.reset_workspace_stats();
         comm.reset_comm_pool_stats();
-        // With a test set the root also measures accuracy at `z`, as
-        // `record_accuracy` (on by default) asks of every run given one.
+        // With a test set the root also measures accuracy at `z`, as every
+        // run given one does.
         let (allocs, record) = count_allocations(|| {
             worker.outer_iteration(comm, 4);
             let h = worker.start_instrumentation(comm, Some(&test));

@@ -47,14 +47,8 @@ pub struct NewtonAdmmConfig {
     pub rho0: f64,
     /// Penalty-adaptation rule (spectral by default, as in the paper).
     pub penalty: PenaltyRule,
-    /// Stop early when the consensus residual `max_i ‖x_i − z‖` falls below
-    /// this (set to 0 to always run `max_iters`).
-    pub consensus_tol: f64,
     /// Hardware model used to charge local compute time.
     pub device: DeviceSpec,
-    /// Whether to evaluate (and record) test accuracy each iteration when a
-    /// test set is provided.
-    pub record_accuracy: bool,
     /// Bounded-staleness consensus mode: a per-iteration deadline (simulated
     /// seconds) on each rank's local Newton work. A rank whose solve passes
     /// the deadline stops after the current Newton step and joins the
@@ -84,9 +78,7 @@ impl Default for NewtonAdmmConfig {
             line_search: LineSearchConfig::default(),
             rho0: 1.0,
             penalty: PenaltyRule::default(),
-            consensus_tol: 0.0,
             device: DeviceSpec::tesla_p100(),
-            record_accuracy: true,
             staleness_deadline_sec: None,
             dropout: None,
         }
@@ -101,7 +93,6 @@ impl NewtonAdmmConfig {
         require_non_negative("NewtonAdmmConfig", "lambda", self.lambda)?;
         require_nonzero("NewtonAdmmConfig", "newton_steps_per_iter", self.newton_steps_per_iter)?;
         require_positive("NewtonAdmmConfig", "rho0", self.rho0)?;
-        require_non_negative("NewtonAdmmConfig", "consensus_tol", self.consensus_tol)?;
         if let Some(deadline) = self.staleness_deadline_sec {
             if !deadline.is_finite() || deadline <= 0.0 {
                 return Err(ConfigError::new(

@@ -277,7 +277,7 @@ impl AdmmWorker {
     /// (max). The local evaluations are instrumentation and not billed as
     /// solver compute.
     pub fn start_instrumentation(&mut self, comm: &mut dyn Communicator, test: Option<&Dataset>) -> InstrumentationHandles {
-        let has_accuracy = self.cfg.record_accuracy && test.is_some();
+        let has_accuracy = test.is_some();
         if self.dead {
             // A dead rank's shard has left the problem: it contributes zero
             // loss, penalty, and residual (as a tombstone frame, billed like
@@ -291,7 +291,7 @@ impl AdmmWorker {
         // Only the root contributes a non-zero accuracy, so the *sum* equals
         // the root's measurement — no extra collective needed.
         let acc = match test {
-            Some(t) if self.cfg.record_accuracy && comm.is_root() => self.aug.base().accuracy_ws(t, &self.z, &mut self.ws),
+            Some(t) if comm.is_root() => self.aug.base().accuracy_ws(t, &self.z, &mut self.ws),
             _ => 0.0,
         };
         let residual = vector::distance(&self.x, &self.z);
@@ -350,10 +350,8 @@ impl NewtonAdmm {
     /// per iteration); it is evaluated on the root rank and its measurement
     /// reaches every rank's history through the instrumentation allreduce.
     ///
-    /// Iteration `k`'s instrumentation allreduces overlap with iteration
-    /// `k+1`'s local Newton solve, except when `consensus_tol > 0` forces a
-    /// blocking wait (early stopping needs the residual before deciding to
-    /// continue).
+    /// Iteration `k`'s instrumentation allreduce overlaps with iteration
+    /// `k+1`'s local Newton solve.
     pub fn run_distributed(&self, comm: &mut dyn Communicator, shard: &Dataset, test: Option<&Dataset>) -> NewtonAdmmOutput {
         let cfg = &self.config;
         let mut worker = AdmmWorker::new(cfg, shard);
@@ -380,20 +378,7 @@ impl NewtonAdmm {
                 history.push(record);
             }
             worker.consensus_update(comm, k);
-            let handles = worker.start_instrumentation(comm, test);
-            if cfg.consensus_tol > 0.0 {
-                // Early stopping consumes the residual immediately — no
-                // overlap on this configuration.
-                let record = worker.finish_instrumentation(comm, handles, k, wall_start);
-                let residual = record.consensus_residual.unwrap_or(f64::INFINITY);
-                history.push(record);
-                if residual < cfg.consensus_tol {
-                    nadmm_trace::span_end(nadmm_trace::Tag::AdmmIteration);
-                    break;
-                }
-            } else {
-                pending = Some((k, handles));
-            }
+            pending = Some((k, worker.start_instrumentation(comm, test)));
             nadmm_trace::span_end(nadmm_trace::Tag::AdmmIteration);
         }
         if let Some((kp, h)) = pending.take() {
@@ -584,13 +569,18 @@ mod tests {
 
     #[test]
     fn distributed_records_the_consensus_residual_too() {
-        let (train, _) = small_dataset(80, 3, 6, 3);
+        let (train, test) = small_dataset(80, 3, 6, 3);
         let (shards, _) = partition_strong(&train, 2);
         let cluster = Cluster::new(2, NetworkModel::ideal());
         let out = run_on(&cluster, quick_config(6), &shards, None);
         let residuals: Vec<f64> = out.history.records.iter().filter_map(|r| r.consensus_residual).collect();
         assert_eq!(residuals.len(), 7, "every distributed record carries the residual");
         assert!(residuals[1] > 0.0);
+        // The test set alone decides whether accuracy is recorded.
+        assert!(out.history.records.iter().all(|r| r.test_accuracy.is_none()));
+        let with_test = run_on(&cluster, quick_config(6), &shards, Some(&test));
+        assert_eq!(with_test.history.len(), 7);
+        assert!(with_test.history.records.iter().all(|r| r.test_accuracy.is_some()));
     }
 
     #[test]
@@ -669,44 +659,6 @@ mod tests {
         assert_eq!(out.comm_stats.kind(CollectiveKind::Reduce).count, 5);
         assert_eq!(out.comm_stats.kind(CollectiveKind::Broadcast).count, 5);
         assert_eq!(out.comm_stats.kind(CollectiveKind::Allreduce).count, 6);
-    }
-
-    #[test]
-    fn overlap_makes_instrumentation_cheaper_not_wronger() {
-        // The same run on the same cluster must produce identical iterates
-        // whether instrumentation overlaps (consensus_tol == 0) or blocks
-        // (consensus_tol > 0 with an unreachably small tolerance).
-        let (train, _) = small_dataset(90, 3, 8, 9);
-        let (shards, _) = partition_strong(&train, 3);
-        let cluster = Cluster::new(3, NetworkModel::ethernet_10g());
-        let overlapped = run_on(&cluster, quick_config(6), &shards, None);
-        let blocking_cfg = NewtonAdmmConfig {
-            consensus_tol: 1e-300,
-            ..quick_config(6)
-        };
-        let blocking = run_on(&cluster, blocking_cfg, &shards, None);
-        assert_eq!(overlapped.z, blocking.z, "overlap must not change the math");
-        for (a, b) in overlapped.history.records.iter().zip(&blocking.history.records) {
-            assert!((a.objective - b.objective).abs() < 1e-12 * (1.0 + a.objective.abs()));
-        }
-        // Overlap hides instrumentation time behind the next solve, so the
-        // overlapped run cannot be slower.
-        assert!(overlapped.history.total_sim_time() <= blocking.history.total_sim_time() + 1e-12);
-    }
-
-    #[test]
-    fn early_stopping_on_consensus_tolerance() {
-        let (train, _) = small_dataset(60, 3, 5, 8);
-        let (shards, _) = partition_strong(&train, 2);
-        let cfg = NewtonAdmmConfig {
-            max_iters: 100,
-            lambda: 1e-2,
-            consensus_tol: 1e-1,
-            ..Default::default()
-        };
-        let cluster = Cluster::new(2, NetworkModel::ideal());
-        let out = run_on(&cluster, cfg, &shards, None);
-        assert!(out.history.len() < 101, "should stop well before 100 iterations");
     }
 
     #[test]

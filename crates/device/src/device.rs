@@ -135,14 +135,7 @@ impl Device {
         self.charge_kernel(flops, bytes);
     }
 
-    /// In-place gradient-accumulation kernel `out = Mᵀ X` (`M`: n×k, `X`: n×p,
-    /// `out` pre-sized to k×p).
-    pub fn gemm_tn_into(&self, x: &Matrix, m: &DenseMatrix, out: &mut DenseMatrix) {
-        self.charge_gemm_tn(x, m);
-        x.gemm_tn_from_dense_into(m, out).expect("device gemm_tn: shape mismatch");
-    }
-
-    /// Bills one `Mᵀ X` launch.
+    /// Bills one gradient-accumulation launch `Mᵀ X` (`M`: n×k, `X`: n×p).
     fn charge_gemm_tn(&self, x: &Matrix, m: &DenseMatrix) {
         let k = m.cols() as f64;
         let nnz = x.stored_entries() as f64;
@@ -157,7 +150,7 @@ impl Device {
     /// `map_costs` (the element-wise kernels the row map stands for), then
     /// the accumulation launch are charged in that order before the sweep
     /// runs — the launches of [`Device::gemm_nt_into`], those kernels and
-    /// [`Device::gemm_tn_into`] called one after another.
+    /// an `Mᵀ X` accumulation called one after another.
     pub fn gemm_nt_map_tn_into<F>(
         &self,
         x: &Matrix,
@@ -300,10 +293,6 @@ mod tests {
         let mut z = DenseMatrix::zeros(3, 2);
         d.gemm_nt_into(&x, &w, &mut z);
         assert_eq!(z, x.gemm_nt(&w).unwrap());
-        let m = DenseMatrix::from_vec(3, 2, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
-        let mut g = DenseMatrix::zeros(2, 2);
-        d.gemm_tn_into(&x, &m, &mut g);
-        assert_eq!(g, x.gemm_tn_from_dense(&m).unwrap());
         let v = [1.0, -1.0];
         let mut xv = [0.0; 3];
         d.matvec_into(&x, &v, &mut xv);

@@ -23,7 +23,7 @@
 //!
 //! This crate is the workspace's **execution engine**: every hot-path kernel
 //! of the objectives and solvers launches through [`Device`] (in-place
-//! variants — `gemm_nt_into`, `gemm_tn_into`, their one-sweep fusion
+//! variants — `gemm_nt_into`, the one-sweep `X Wᵀ → map → Mᵀ X` fusion
 //! `gemm_nt_map_tn_into`, `matvec_into`, `t_matvec_into`,
 //! `softmax_rows_into`, the fused `axpy_dot`), with scratch
 //! storage pooled in a [`Workspace`] so steady-state solver loops allocate

@@ -40,7 +40,7 @@ pub mod spec;
 
 pub use experiment::{run_spec_on, run_spec_over, Experiment, ExperimentError};
 pub use report::{non_finite_path, to_finite_json_pretty, NonFiniteJsonError, RankSkew, RunReport};
-pub use scenario::ScenarioSpec;
+pub use scenario::{refuse_removed_options, ScenarioParseError, ScenarioSpec};
 pub use solver::{Aide, Solver};
 pub use spec::{validate_device, ClusterSpec, DataSpec, PartitionSpec, SolverSpec};
 

@@ -9,7 +9,89 @@
 use crate::experiment::{Experiment, ExperimentError};
 use crate::report::{non_finite_path, to_finite_json_pretty, NonFiniteJsonError, RunReport};
 use crate::spec::{ClusterSpec, DataSpec, PartitionSpec, SolverSpec};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+
+/// Solver options that were removed, each with the value every run used
+/// while it existed. A file may still set one to that value and runs as
+/// before; any other value is refused, because unknown keys are skipped and
+/// the run would silently differ from the one the file asks for.
+const REMOVED_OPTIONS: [(&str, &str, Value); 4] = [
+    ("NewtonAdmm", "consensus_tol", Value::Num(0.0)),
+    ("NewtonAdmm", "record_accuracy", Value::Bool(true)),
+    ("Giant", "grad_tol", Value::Num(0.0)),
+    ("SyncSgd", "momentum", Value::Num(0.0)),
+];
+
+/// Why a scenario file did not load.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScenarioParseError {
+    /// Not JSON, or not the shape of a scenario.
+    Json(serde_json::Error),
+    /// A removed solver option set to a value other than its old default.
+    RemovedOption {
+        /// The solver variant whose configuration sets it.
+        solver: &'static str,
+        /// The removed key.
+        key: &'static str,
+        /// The value the file sets, as JSON.
+        value: String,
+    },
+}
+
+impl std::fmt::Display for ScenarioParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScenarioParseError::Json(e) => write!(f, "{e}"),
+            ScenarioParseError::RemovedOption { solver, key, value } => write!(
+                f,
+                "`{solver}.{key}` is set to {value}, but the option was removed; \
+                 delete the key (only its old default is accepted)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioParseError {}
+
+impl From<serde_json::Error> for ScenarioParseError {
+    fn from(e: serde_json::Error) -> Self {
+        ScenarioParseError::Json(e)
+    }
+}
+
+impl From<DeError> for ScenarioParseError {
+    fn from(e: DeError) -> Self {
+        ScenarioParseError::Json(e.into())
+    }
+}
+
+/// Refuses a parsed scenario document whose solvers set a removed option
+/// to anything but its old default (a `SyncSgdGrid`'s `base` counts as
+/// `SyncSgd`).
+pub fn refuse_removed_options(scenario: &Value) -> Result<(), ScenarioParseError> {
+    let Some(Value::Seq(solvers)) = scenario.get("solvers") else {
+        return Ok(());
+    };
+    for entry in solvers {
+        let Value::Map(variants) = entry else { continue };
+        for (variant, body) in variants {
+            let (variant, body) = match (variant.as_str(), body.get("base")) {
+                ("SyncSgdGrid", Some(base)) => ("SyncSgd", base),
+                (variant, _) => (variant, body),
+            };
+            for (solver, key, default) in REMOVED_OPTIONS.iter().filter(|(s, ..)| *s == variant) {
+                if let Some(value) = body.get(key).filter(|v| *v != default) {
+                    return Err(ScenarioParseError::RemovedOption {
+                        solver,
+                        key,
+                        value: serde_json::to_string(value)?,
+                    });
+                }
+            }
+        }
+    }
+    Ok(())
+}
 
 /// A complete, serializable experiment description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,9 +117,12 @@ impl ScenarioSpec {
         to_finite_json_pretty(self)
     }
 
-    /// Parses a scenario from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+    /// Parses a scenario from JSON, refusing removed solver options set to
+    /// anything but their old default ([`refuse_removed_options`]).
+    pub fn from_json(s: &str) -> Result<Self, ScenarioParseError> {
+        let doc = serde_json::parse_value(s)?;
+        refuse_removed_options(&doc)?;
+        Ok(Self::from_value(&doc)?)
     }
 
     /// Validates the scenario: everything [`Experiment::validate`] checks,
@@ -173,6 +258,29 @@ mod tests {
             }
             other => panic!("expected a config error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn sgd_momentum_is_refused_unless_zero_in_either_sgd_variant() {
+        for variant in [
+            r#"{"SyncSgd": {"momentum": M}}"#,
+            r#"{"SyncSgdGrid": {"base": {"momentum": M}}}"#,
+        ] {
+            let doc = |m: &str| serde_json::parse_value(&format!(r#"{{"solvers": [{}]}}"#, variant.replace('M', m))).unwrap();
+            assert_eq!(refuse_removed_options(&doc("0")), Ok(()), "{variant}");
+            let err = refuse_removed_options(&doc("0.9")).unwrap_err();
+            assert_eq!(
+                err,
+                ScenarioParseError::RemovedOption {
+                    solver: "SyncSgd",
+                    key: "momentum",
+                    value: "0.9".into()
+                }
+            );
+        }
+        // Another solver's key of the same name is not the removed option.
+        let disco = serde_json::parse_value(r#"{"solvers": [{"Disco": {"momentum": 0.9}}]}"#).unwrap();
+        assert_eq!(refuse_removed_options(&disco), Ok(()));
     }
 
     #[test]

@@ -57,9 +57,7 @@ fn newton_admm_config_round_trips() {
         lambda: 1e-3,
         newton_steps_per_iter: 2,
         rho0: 0.5,
-        consensus_tol: 1e-6,
         penalty: PenaltyRule::ResidualBalancing { mu: 10.0, tau: 2.0 },
-        record_accuracy: false,
         device: DeviceSpec::tesla_v100(),
         ..Default::default()
     });
@@ -73,7 +71,6 @@ fn baseline_configs_round_trip() {
         max_iters: 21,
         lambda: 2e-4,
         line_search_steps: 8,
-        grad_tol: 1e-7,
         ..Default::default()
     });
     round_trip(&DaneConfig {
@@ -99,7 +96,6 @@ fn baseline_configs_round_trip() {
         epochs: 13,
         batch_size: 64,
         step_size: 0.1,
-        momentum: 0.9,
         seed: 5,
         ..Default::default()
     });

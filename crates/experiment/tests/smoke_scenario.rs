@@ -10,11 +10,37 @@
 use nadmm_baselines::{AideConfig, DaneConfig, DiscoConfig, GiantConfig, SyncSgdConfig};
 use nadmm_cluster::NetworkModel;
 use nadmm_data::SyntheticConfig;
-use nadmm_experiment::{ClusterSpec, DataSpec, PartitionSpec, ScenarioSpec, SolverSpec};
+use nadmm_experiment::{ClusterSpec, DataSpec, PartitionSpec, ScenarioParseError, ScenarioSpec, SolverSpec};
 use newton_admm::NewtonAdmmConfig;
 
 const SMOKE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/smoke.json");
 const SPARSE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/sparse.json");
+const HETEROGENEOUS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/heterogeneous.json");
+
+/// `scenarios/heterogeneous.json` as written while solver configurations
+/// still had `consensus_tol`, `record_accuracy` and GIANT's `grad_tol`, each
+/// at the value every run used.
+const HETEROGENEOUS_WITH_REMOVED_DEFAULTS: &str = r#"
+{"name": "heterogeneous", "data": {"Synthetic": {"config": {"kind": "Mnist", "train_size": 240,
+"test_size": 60, "num_features": 16, "num_classes": 10, "class_separation": 3, "spectrum_decay": 0.005,
+"density": 1, "label_noise": 0.02}, "seed": 42}}, "partition": "Strong", "cluster": {"ranks": 4,
+"network": {"name": "infiniband-100g", "latency": 0.0000015, "bandwidth": 12500000000}, "collectives":
+"Auto", "device": null, "rank_devices": null, "straggler": {"jitter": 0.05, "seed": 42, "slow_ranks":
+[{"rank": 3, "factor": 4}]}}, "solvers": [{"NewtonAdmm": {"max_iters": 8, "lambda": 0.001,
+"newton_steps_per_iter": 4, "cg": {"max_iters": 10, "tolerance": 0.0001}, "line_search":
+{"initial_step": 1, "beta": 0.0001, "shrink": 0.5, "max_iters": 10}, "rho0": 1, "penalty": {"Spectral":
+{"correlation_threshold": 0.2, "update_every": 2, "safeguard": 10000000000, "rho_min": 0.000001,
+"rho_max": 1000000}}, "consensus_tol": 0, "device": {"name": "tesla-p100", "flops_per_sec":
+2820000000000, "mem_bandwidth": 512399999999.99994, "launch_latency": 0.000005, "pcie_bandwidth":
+12000000000, "pcie_latency": 0.00001}, "record_accuracy": true, "staleness_deadline_sec": 0.002,
+"dropout": null}}, {"Giant": {"max_iters": 8, "lambda": 0.001, "cg": {"max_iters": 10, "tolerance":
+0.0001}, "line_search_steps": 10, "armijo_beta": 0.0001, "device": {"name": "tesla-p100",
+"flops_per_sec": 2820000000000, "mem_bandwidth": 512399999999.99994, "launch_latency": 0.000005,
+"pcie_bandwidth": 12000000000, "pcie_latency": 0.00001}, "grad_tol": 0}}, {"InexactDane": {"max_iters":
+8, "lambda": 0.001, "eta": 1, "mu": 0, "svrg_iters": 10, "svrg_batch": 8, "svrg_step": 0.001, "seed": 7,
+"device": {"name": "tesla-p100", "flops_per_sec": 2820000000000, "mem_bandwidth": 512399999999.99994,
+"launch_latency": 0.000005, "pcie_bandwidth": 12000000000, "pcie_latency": 0.00001}}}]}
+"#;
 
 /// The canonical smoke scenario: mnist-like × 4 ranks, 2 iterations per
 /// solver, every solver variant represented.
@@ -142,5 +168,37 @@ fn regenerate_smoke_scenario_when_requested() {
         for (path, scenario) in [(SMOKE_PATH, smoke_scenario()), (SPARSE_PATH, sparse_scenario())] {
             std::fs::write(path, scenario.to_json().expect("scenario is finite") + "\n").expect("scenario writes");
         }
+    }
+}
+
+#[test]
+fn removed_options_load_at_their_old_defaults_and_are_refused_by_name_otherwise() {
+    let committed = ScenarioSpec::from_json(&std::fs::read_to_string(HETEROGENEOUS_PATH).unwrap()).unwrap();
+    let old = ScenarioSpec::from_json(HETEROGENEOUS_WITH_REMOVED_DEFAULTS).expect("old defaults load");
+    assert_eq!(old, committed);
+    let report = |scenario: &ScenarioSpec| {
+        let mut reports = scenario.run().expect("heterogeneous scenario runs");
+        for r in &mut reports {
+            r.wall_time_sec = 0.0;
+            r.history.records.iter_mut().for_each(|x| x.wall_time_sec = 0.0);
+        }
+        serde_json::to_string(&reports).unwrap()
+    };
+    assert_eq!(report(&old), report(&committed));
+
+    for (solver, key, old_value, new_value) in [
+        ("NewtonAdmm", "consensus_tol", "0", "1e-3"),
+        ("NewtonAdmm", "record_accuracy", "true", "false"),
+        ("Giant", "grad_tol", "0", "1e-7"),
+    ] {
+        let from = format!(r#""{key}": {old_value}"#);
+        assert_eq!(HETEROGENEOUS_WITH_REMOVED_DEFAULTS.matches(&from).count(), 1, "{key}");
+        let edited = HETEROGENEOUS_WITH_REMOVED_DEFAULTS.replace(&from, &format!(r#""{key}": {new_value}"#));
+        let err = ScenarioSpec::from_json(&edited).unwrap_err();
+        assert!(
+            matches!(&err, ScenarioParseError::RemovedOption { solver: s, key: k, .. } if *s == solver && *k == key),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains(&format!("`{solver}.{key}`")), "{err}");
     }
 }

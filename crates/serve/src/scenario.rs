@@ -9,7 +9,9 @@
 
 use crate::artifact::{fnv1a64, ArtifactError, ModelArtifact, Provenance};
 use nadmm_device::DeviceSpec;
-use nadmm_experiment::{validate_device, ConfigError, NonFiniteJsonError, RunReport, ScenarioSpec};
+use nadmm_experiment::{
+    refuse_removed_options, validate_device, ConfigError, NonFiniteJsonError, RunReport, ScenarioParseError, ScenarioSpec,
+};
 use serde::{Deserialize, Serialize};
 
 /// How requests arrive at the serving engine.
@@ -198,9 +200,14 @@ impl ServingScenario {
         nadmm_experiment::to_finite_json_pretty(self)
     }
 
-    /// Parses a serving scenario from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+    /// Parses a serving scenario from JSON, refusing removed solver options
+    /// in its `train` spec ([`nadmm_experiment::refuse_removed_options`]).
+    pub fn from_json(s: &str) -> Result<Self, ScenarioParseError> {
+        let doc = serde_json::parse_value(s)?;
+        if let Some(train) = doc.get("train") {
+            refuse_removed_options(train)?;
+        }
+        Ok(Self::from_value(&doc)?)
     }
 
     /// Validates both halves.

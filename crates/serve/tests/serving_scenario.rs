@@ -68,6 +68,16 @@ fn committed_serving_scenario_matches_the_canonical_form() {
 }
 
 #[test]
+fn removed_options_in_the_train_spec_are_refused_by_name_unless_at_their_old_default() {
+    let text = std::fs::read_to_string(committed_path()).expect("scenarios/serving.json exists");
+    let with = |line: &str| text.replacen(r#""rho0": 1,"#, &format!(r#""rho0": 1, {line}"#), 1);
+    let old = ServingScenario::from_json(&with(r#""consensus_tol": 0, "record_accuracy": true,"#)).unwrap();
+    assert_eq!(old, canonical_scenario());
+    let err = ServingScenario::from_json(&with(r#""consensus_tol": 1e-3,"#)).unwrap_err();
+    assert!(err.to_string().contains("`NewtonAdmm.consensus_tol`"), "{err}");
+}
+
+#[test]
 fn canonical_scenario_round_trips_through_json() {
     let scenario = canonical_scenario();
     let json = scenario.to_json().expect("canonical scenario is finite");
