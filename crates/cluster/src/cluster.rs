@@ -16,7 +16,7 @@
 
 use crate::comm::Communicator;
 use crate::engine::ClusterComm;
-use crate::network::{CollectiveSelector, Compression, NetworkModel};
+use crate::network::{refuse_retired_env_overrides, CollectiveSelector, Compression, NetworkModel};
 use crate::straggler::StragglerModel;
 use crate::transport::thread::ThreadFabric;
 use crate::transport::Transport;
@@ -34,22 +34,22 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Creates a cluster description with `size` ranks over `network`. The
-    /// collective-algorithm selection defaults to the `NADMM_COLLECTIVE_ALGO`
-    /// environment override, falling back to automatic payload-size
-    /// crossover selection; wire compression defaults to the
-    /// `NADMM_COMPRESSION` override, falling back to the uncompressed `f64`
-    /// path.
+    /// Creates a cluster description with `size` ranks over `network`,
+    /// automatic payload-size crossover selection of the collective
+    /// algorithms, and the uncompressed `f64` wire.
     ///
     /// # Panics
-    /// Panics if `size == 0`.
+    /// Panics if `size == 0`, or if the retired `NADMM_COLLECTIVE_ALGO` or
+    /// `NADMM_COMPRESSION` override is set (the message names the
+    /// `ClusterSpec` field to set instead).
     pub fn new(size: usize, network: NetworkModel) -> Self {
         assert!(size > 0, "a cluster needs at least one rank");
+        refuse_retired_env_overrides();
         Self {
             size,
             network,
-            selector: CollectiveSelector::from_env(),
-            compression: Compression::from_env(),
+            selector: CollectiveSelector::Auto,
+            compression: Compression::None,
             scales: Vec::new(),
         }
     }

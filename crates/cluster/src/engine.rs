@@ -223,7 +223,7 @@ impl ClusterComm {
     }
 
     /// Bytes one payload element occupies on the simulated wire (8 without
-    /// compression, 2 under f16/bf16). The network model — algorithm
+    /// compression, 2 under f16). The network model — algorithm
     /// selection, crossover payloads, billed volume — sees this size.
     fn wire_bpe(&self) -> f64 {
         self.compression.wire_bytes_per_element()

@@ -449,37 +449,31 @@ mod tests {
             comm.allreduce_sum_into(&mut buf);
             buf
         });
-        for compression in [Compression::F16, Compression::Bf16] {
-            let rel = match compression {
-                Compression::F16 => nadmm_linalg::half::F16_RELATIVE_ERROR,
-                _ => nadmm_linalg::half::BF16_RELATIVE_ERROR,
-            };
-            let results = cluster(4).with_compression(compression).run(|comm| {
-                let mut buf = payload.clone();
-                for v in buf.iter_mut() {
-                    *v *= comm.rank() as f64 + 1.0;
-                }
-                comm.allreduce_sum_into(&mut buf);
-                (buf, comm.stats())
-            });
-            for (rank, (buf, stats)) in results.iter().enumerate() {
-                for (i, (&got, &want)) in buf.iter().zip(&exact[0]).enumerate() {
-                    // Each rank's contribution is quantized once before the
-                    // full-width reduction, so the worst-case element error
-                    // is the sum of the per-contribution rounding errors.
-                    let bound: f64 = (1..=4).map(|r| (payload[i] * r as f64).abs() * rel).sum();
-                    assert!(
-                        (got - want).abs() <= bound,
-                        "{} rank {rank} element {i}: {got} vs {want} (bound {bound})",
-                        compression.name()
-                    );
-                }
-                // 256 f64 elements: 2048 logical bytes, 512 on the wire —
-                // a quarter, comfortably under the "at most half" bound.
-                assert_eq!(stats.logical_bytes_sent, len as f64 * 8.0);
-                assert_eq!(stats.bytes_sent, len as f64 * 2.0);
-                assert_eq!(stats.wire_fraction(), 0.25);
+        let rel = nadmm_linalg::half::F16_RELATIVE_ERROR;
+        let results = cluster(4).with_compression(Compression::F16).run(|comm| {
+            let mut buf = payload.clone();
+            for v in buf.iter_mut() {
+                *v *= comm.rank() as f64 + 1.0;
             }
+            comm.allreduce_sum_into(&mut buf);
+            (buf, comm.stats())
+        });
+        for (rank, (buf, stats)) in results.iter().enumerate() {
+            for (i, (&got, &want)) in buf.iter().zip(&exact[0]).enumerate() {
+                // Each rank's contribution is quantized once before the
+                // full-width reduction, so the worst-case element error
+                // is the sum of the per-contribution rounding errors.
+                let bound: f64 = (1..=4).map(|r| (payload[i] * r as f64).abs() * rel).sum();
+                assert!(
+                    (got - want).abs() <= bound,
+                    "rank {rank} element {i}: {got} vs {want} (bound {bound})"
+                );
+            }
+            // 256 f64 elements: 2048 logical bytes, 512 on the wire —
+            // a quarter, comfortably under the "at most half" bound.
+            assert_eq!(stats.logical_bytes_sent, len as f64 * 8.0);
+            assert_eq!(stats.bytes_sent, len as f64 * 2.0);
+            assert_eq!(stats.wire_fraction(), 0.25);
         }
     }
 

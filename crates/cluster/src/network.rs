@@ -9,8 +9,8 @@
 //! winner for the large d×k parameter vectors the Newton-ADMM outer loop
 //! reduces. [`NetworkModel::select`] picks the cheapest algorithm for a given
 //! payload size (the *crossover* rule), unless a [`CollectiveSelector`]
-//! forces one (configurable per [`crate::Cluster`] or via the
-//! `NADMM_COLLECTIVE_ALGO` environment variable).
+//! forces one (configurable per [`crate::Cluster`] or per scenario through
+//! `ClusterSpec::collectives`).
 //!
 //! The algorithm menu prices the *simulated clock* only. On the wire, every
 //! round on either transport backend is a star through rank 0 (see
@@ -21,13 +21,36 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Environment variable overriding the collective-algorithm selection
-/// (`naive`, `tree`, `ring`, `rhd`, or `auto`).
+/// Retired environment override of the collective-algorithm selection:
+/// [`crate::Cluster::new`] refuses to run while it is set. The selection is
+/// `ClusterSpec::collectives` (or [`crate::Cluster::with_collectives`]).
 pub const COLLECTIVE_ALGO_ENV: &str = "NADMM_COLLECTIVE_ALGO";
 
-/// Environment variable overriding the wire compression of collective
-/// payloads (`none`, `f16`, or `bf16`).
+/// Retired environment override of the wire compression:
+/// [`crate::Cluster::new`] refuses to run while it is set. The policy is
+/// `ClusterSpec::compression` (or [`crate::Cluster::with_compression`]).
 pub const COMPRESSION_ENV: &str = "NADMM_COMPRESSION";
+
+/// Panics when either retired override ([`COLLECTIVE_ALGO_ENV`],
+/// [`COMPRESSION_ENV`]) is set, naming the variable and the `ClusterSpec`
+/// field that replaces it. A value left in the environment used to change
+/// what a run measured without a trace in its spec; now it stops the run.
+pub(crate) fn refuse_retired_env_overrides() {
+    refuse_retired_overrides_in(|var| std::env::var_os(var));
+}
+
+/// [`refuse_retired_env_overrides`] over any variable lookup, so the rule can
+/// be tested without writing the process environment.
+fn refuse_retired_overrides_in(lookup: impl Fn(&str) -> Option<std::ffi::OsString>) {
+    for (var, field) in [
+        (COLLECTIVE_ALGO_ENV, "ClusterSpec::collectives"),
+        (COMPRESSION_ENV, "ClusterSpec::compression"),
+    ] {
+        if let Some(raw) = lookup(var) {
+            panic!("{var} is set (to {raw:?}) but is no longer read; set `{field}` in the scenario instead and unset {var}");
+        }
+    }
+}
 
 /// The collective operations the communicator layer charges for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -130,24 +153,13 @@ impl CollectiveAlgorithm {
         }
     }
 
-    /// Short name used in reports and the env override.
+    /// Short name used in reports.
     pub fn name(self) -> &'static str {
         match self {
             CollectiveAlgorithm::Naive => "naive",
             CollectiveAlgorithm::BinomialTree => "tree",
             CollectiveAlgorithm::Ring => "ring",
             CollectiveAlgorithm::RecursiveHalvingDoubling => "rhd",
-        }
-    }
-
-    /// Parses a [`CollectiveAlgorithm::name`] (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "naive" | "star" => Some(CollectiveAlgorithm::Naive),
-            "tree" | "binomial" => Some(CollectiveAlgorithm::BinomialTree),
-            "ring" => Some(CollectiveAlgorithm::Ring),
-            "rhd" | "halving-doubling" | "butterfly" => Some(CollectiveAlgorithm::RecursiveHalvingDoubling),
-            _ => None,
         }
     }
 }
@@ -161,46 +173,6 @@ pub enum CollectiveSelector {
     /// Always use one algorithm (ablations / the bit-identity tests).
     Force(CollectiveAlgorithm),
 }
-
-impl CollectiveSelector {
-    /// Parses `auto` or a [`CollectiveAlgorithm::parse`] name.
-    pub fn parse(s: &str) -> Option<Self> {
-        if s.trim().eq_ignore_ascii_case("auto") {
-            Some(CollectiveSelector::Auto)
-        } else {
-            CollectiveAlgorithm::parse(s).map(CollectiveSelector::Force)
-        }
-    }
-
-    /// Reads the [`COLLECTIVE_ALGO_ENV`] override, defaulting to `Auto` when
-    /// the variable is unset.
-    ///
-    /// # Panics
-    /// Panics when the variable is set to an unparseable value, naming the
-    /// bad value and the accepted spellings. A typo in
-    /// `NADMM_COLLECTIVE_ALGO` used to silently fall back to `Auto`, which
-    /// turns an intended ablation into a wrong experiment — failing loudly
-    /// is the only safe behaviour.
-    pub fn from_env() -> Self {
-        match std::env::var(COLLECTIVE_ALGO_ENV) {
-            Ok(raw) => Self::parse_env_value(&raw),
-            Err(std::env::VarError::NotPresent) => Self::default(),
-            Err(std::env::VarError::NotUnicode(raw)) => {
-                panic!("{COLLECTIVE_ALGO_ENV} is set to a non-UTF-8 value ({raw:?}); {ACCEPTED_SPELLINGS}")
-            }
-        }
-    }
-
-    /// Parses the value of the [`COLLECTIVE_ALGO_ENV`] override, panicking
-    /// with the accepted spellings when it does not name a selection.
-    pub fn parse_env_value(raw: &str) -> Self {
-        Self::parse(raw)
-            .unwrap_or_else(|| panic!("{COLLECTIVE_ALGO_ENV}='{raw}' does not name a collective selection; {ACCEPTED_SPELLINGS}"))
-    }
-}
-
-/// The spellings [`CollectiveSelector::parse`] accepts, for error messages.
-const ACCEPTED_SPELLINGS: &str = "accepted values: auto, naive (star), tree (binomial), ring, rhd (halving-doubling, butterfly)";
 
 /// Wire compression applied to collective payloads (gradient/parameter
 /// compression).
@@ -226,24 +198,20 @@ pub enum Compression {
     None,
     /// IEEE 754 binary16 on the wire: 2 bytes per element, ~3 decimal digits.
     F16,
-    /// bfloat16 on the wire: 2 bytes per element, f32's exponent range at
-    /// ~2 decimal digits.
-    Bf16,
 }
 
 impl Compression {
     /// All policies, for exhaustive tests.
-    pub const ALL: [Compression; 3] = [Compression::None, Compression::F16, Compression::Bf16];
+    pub const ALL: [Compression; 2] = [Compression::None, Compression::F16];
 
     /// The spellings [`Compression::parse`] accepts, for error messages.
-    pub const ACCEPTED_SPELLINGS: &'static str = "none (off, f64), f16 (fp16, half), bf16 (bfloat16)";
+    pub const ACCEPTED_SPELLINGS: &'static str = "none (off, f64), f16 (fp16, half)";
 
-    /// Short name used in reports, specs, and the env override.
+    /// Short name used in reports and specs.
     pub fn name(self) -> &'static str {
         match self {
             Compression::None => "none",
             Compression::F16 => "f16",
-            Compression::Bf16 => "bf16",
         }
     }
 
@@ -253,18 +221,17 @@ impl Compression {
         match s.trim().to_ascii_lowercase().as_str() {
             "none" | "off" | "f64" => Some(Compression::None),
             "f16" | "fp16" | "half" => Some(Compression::F16),
-            "bf16" | "bfloat16" => Some(Compression::Bf16),
             _ => None,
         }
     }
 
     /// Bytes one payload element occupies on the simulated wire (8 for the
-    /// uncompressed `f64` path, 2 for the half-precision formats). This is
+    /// uncompressed `f64` path, 2 for f16). This is
     /// the size the network model bills and the crossover rule sees.
     pub fn wire_bytes_per_element(self) -> f64 {
         match self {
             Compression::None => 8.0,
-            Compression::F16 | Compression::Bf16 => 2.0,
+            Compression::F16 => 2.0,
         }
     }
 
@@ -274,45 +241,12 @@ impl Compression {
         match self {
             Compression::None => x,
             Compression::F16 => nadmm_linalg::half::round_f16(x),
-            Compression::Bf16 => nadmm_linalg::half::round_bf16(x),
         }
     }
 
     /// Whether payloads cross the wire untouched.
     pub fn is_identity(self) -> bool {
         self == Compression::None
-    }
-
-    /// Reads the [`COMPRESSION_ENV`] override, defaulting to
-    /// [`Compression::None`] when the variable is unset.
-    ///
-    /// # Panics
-    /// Panics when the variable is set to an unparseable value, naming the
-    /// bad value and the accepted spellings — a typo must not silently run
-    /// the uncompressed experiment (the `NADMM_COLLECTIVE_ALGO` parser
-    /// applies the same rule).
-    pub fn from_env() -> Self {
-        match std::env::var(COMPRESSION_ENV) {
-            Ok(raw) => Self::parse_env_value(&raw),
-            Err(std::env::VarError::NotPresent) => Self::default(),
-            Err(std::env::VarError::NotUnicode(raw)) => {
-                panic!(
-                    "{COMPRESSION_ENV} is set to a non-UTF-8 value ({raw:?}); accepted values: {}",
-                    Self::ACCEPTED_SPELLINGS
-                )
-            }
-        }
-    }
-
-    /// Parses the value of the [`COMPRESSION_ENV`] override, panicking with
-    /// the accepted spellings when it does not name a policy.
-    pub fn parse_env_value(raw: &str) -> Self {
-        Self::parse(raw).unwrap_or_else(|| {
-            panic!(
-                "{COMPRESSION_ENV}='{raw}' does not name a compression policy; accepted values: {}",
-                Self::ACCEPTED_SPELLINGS
-            )
-        })
     }
 }
 
@@ -660,44 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn selector_parsing() {
-        assert_eq!(CollectiveSelector::parse("auto"), Some(CollectiveSelector::Auto));
-        assert_eq!(
-            CollectiveSelector::parse("ring"),
-            Some(CollectiveSelector::Force(CollectiveAlgorithm::Ring))
-        );
-        assert_eq!(
-            CollectiveSelector::parse("RHD"),
-            Some(CollectiveSelector::Force(CollectiveAlgorithm::RecursiveHalvingDoubling))
-        );
-        assert_eq!(CollectiveSelector::parse("bogus"), None);
-        for algo in CollectiveAlgorithm::ALL {
-            assert_eq!(CollectiveAlgorithm::parse(algo.name()), Some(algo));
-        }
-    }
-
-    #[test]
-    fn env_value_parsing_accepts_every_spelling() {
-        assert_eq!(CollectiveSelector::parse_env_value("auto"), CollectiveSelector::Auto);
-        assert_eq!(
-            CollectiveSelector::parse_env_value("Ring"),
-            CollectiveSelector::Force(CollectiveAlgorithm::Ring)
-        );
-        for algo in CollectiveAlgorithm::ALL {
-            assert_eq!(
-                CollectiveSelector::parse_env_value(algo.name()),
-                CollectiveSelector::Force(algo)
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not name a collective selection")]
-    fn unparseable_env_value_panics_loudly_instead_of_falling_back_to_auto() {
-        CollectiveSelector::parse_env_value("rinf"); // a typo of "ring"
-    }
-
-    #[test]
     fn compression_parsing_accepts_every_spelling() {
         for c in Compression::ALL {
             assert_eq!(Compression::parse(c.name()), Some(c));
@@ -706,33 +602,45 @@ mod tests {
         assert_eq!(Compression::parse("F64"), Some(Compression::None));
         assert_eq!(Compression::parse("FP16"), Some(Compression::F16));
         assert_eq!(Compression::parse("half"), Some(Compression::F16));
-        assert_eq!(Compression::parse("BFloat16"), Some(Compression::Bf16));
+        assert_eq!(Compression::parse("bf16"), None, "f16 is the one reduced wire width");
         assert_eq!(Compression::parse("gzip"), None);
-        assert_eq!(Compression::parse_env_value(" bf16 "), Compression::Bf16);
     }
 
     #[test]
     fn compression_wire_bytes_and_rounding() {
         assert_eq!(Compression::None.wire_bytes_per_element(), 8.0);
         assert_eq!(Compression::F16.wire_bytes_per_element(), 2.0);
-        assert_eq!(Compression::Bf16.wire_bytes_per_element(), 2.0);
         assert!(Compression::None.is_identity());
         assert!(!Compression::F16.is_identity());
         let x = 1.0 / 3.0;
         assert_eq!(Compression::None.round(x).to_bits(), x.to_bits());
-        for c in [Compression::F16, Compression::Bf16] {
-            let r = c.round(x);
-            assert_ne!(r.to_bits(), x.to_bits(), "{} must actually quantize", c.name());
-            assert!((r - x).abs() < 0.01);
-            // Rounding is idempotent: the wire format is a fixed point.
-            assert_eq!(c.round(r).to_bits(), r.to_bits());
-        }
+        let r = Compression::F16.round(x);
+        assert_ne!(r.to_bits(), x.to_bits(), "f16 must actually quantize");
+        assert!((r - x).abs() < 0.01);
+        // Rounding is idempotent: the wire format is a fixed point.
+        assert_eq!(Compression::F16.round(r).to_bits(), r.to_bits());
+    }
+
+    /// A lookup that sees only `var`, set to `value`.
+    fn only(var: &'static str, value: &'static str) -> impl Fn(&str) -> Option<std::ffi::OsString> {
+        move |v| (v == var).then(|| value.into())
     }
 
     #[test]
-    #[should_panic(expected = "does not name a compression policy")]
+    fn retired_overrides_are_ignored_while_unset() {
+        refuse_retired_overrides_in(|_| None);
+    }
+
+    #[test]
+    #[should_panic(expected = "NADMM_COMPRESSION is set (to \"f8\") but is no longer read; set `ClusterSpec::compression`")]
     fn unparseable_compression_env_value_panics_loudly() {
-        Compression::parse_env_value("f8"); // not a supported wire format
+        refuse_retired_overrides_in(only(COMPRESSION_ENV, "f8")); // not a supported wire format
+    }
+
+    #[test]
+    #[should_panic(expected = "NADMM_COLLECTIVE_ALGO is set (to \"rinf\") but is no longer read; set `ClusterSpec::collectives`")]
+    fn unparseable_env_value_panics_loudly_instead_of_falling_back_to_auto() {
+        refuse_retired_overrides_in(only(COLLECTIVE_ALGO_ENV, "rinf")); // a typo of "ring"
     }
 
     #[test]
@@ -745,7 +653,7 @@ mod tests {
         // the shim hands `Null`, which must decode as the uncompressed path.
         assert_eq!(Compression::from_value(&serde::Value::Null).unwrap(), Compression::None);
         let err = Compression::from_value(&serde::Value::Str("gzip".into())).unwrap_err();
-        assert!(err.0.contains("bfloat16"), "error must list accepted spellings: {}", err.0);
+        assert!(err.0.contains("fp16"), "error must list accepted spellings: {}", err.0);
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl CommStats {
 
     /// On-wire fraction of the logical sent volume: 1.0 when nothing was
     /// compressed (or nothing was sent), 0.25 when every payload went over
-    /// the wire as f16/bf16.
+    /// the wire as f16.
     pub fn wire_fraction(&self) -> f64 {
         if self.logical_bytes_sent > 0.0 {
             self.bytes_sent / self.logical_bytes_sent

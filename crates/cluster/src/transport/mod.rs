@@ -112,7 +112,7 @@ impl TransportKind {
     /// # Panics
     /// Panics when the variable is set to an unparseable value, naming the
     /// bad value and the accepted spellings — a typo must not silently run
-    /// the wrong backend (the `NADMM_COLLECTIVE_ALGO` / `NADMM_COMPRESSION`
+    /// the wrong backend (the `NADMM_THREADS` / `NADMM_PAR_THRESHOLD`
     /// parsers apply the same rule).
     pub fn from_env() -> Option<Self> {
         match std::env::var(TRANSPORT_ENV) {

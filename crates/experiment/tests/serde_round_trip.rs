@@ -125,7 +125,7 @@ fn experiment_specs_round_trip() {
     // Compressed collectives round-trip in every policy, and scenario files
     // written before the `compression` key existed still parse (missing key
     // → `Compression::None`).
-    for compression in [Compression::None, Compression::F16, Compression::Bf16] {
+    for compression in Compression::ALL {
         round_trip(&ClusterSpec::new(4, NetworkModel::ethernet_10g()).with_compression(compression));
     }
     let with_key = serde_json::to_string(&ClusterSpec::new(4, NetworkModel::ethernet_10g())).expect("serializes");

@@ -1,10 +1,10 @@
-//! Reduced-precision scalar conversions: IEEE 754 binary16 (`f16`),
-//! bfloat16 (`bf16`), and symmetric i8 quantization.
+//! Reduced-precision scalar conversions: IEEE 754 binary16 (`f16`), the
+//! one reduced width the compressed collectives and the model artifacts use.
 //!
 //! No `half` crate is available offline, so the conversions are hand-rolled
 //! bit manipulation with round-to-nearest-even, full subnormal support, and
 //! inf/NaN preservation. Everything downstream (the compressed collectives,
-//! the artifact v2 weight blocks) routes through
+//! the artifact weight blocks) routes through
 //! these few functions, so their semantics are pinned by exhaustive and
 //! property tests here and in `proptest_collectives.rs` /
 //! `proptest_artifact.rs`.
@@ -93,52 +93,15 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Converts an `f32` to bfloat16 bits (top 16 bits of the f32, rounded to
-/// nearest even). NaNs get the quiet bit forced so truncation cannot turn
-/// them into infinities.
-pub fn f32_to_bf16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    if x.is_nan() {
-        return ((bits >> 16) as u16) | 0x0040;
-    }
-    let rest = bits & 0xffff;
-    let mut top = (bits >> 16) as u16;
-    if rest > 0x8000 || (rest == 0x8000 && (top & 1) == 1) {
-        // Carry may ripple into the exponent; that correctly rounds values
-        // above the largest finite bf16 up to ±inf.
-        top = top.wrapping_add(1);
-    }
-    top
-}
-
-/// Converts bfloat16 bits back to `f32` (exact).
-pub fn bf16_bits_to_f32(b: u16) -> f32 {
-    f32::from_bits((b as u32) << 16)
-}
-
-/// Rounds an `f64` through f32 storage and back.
-pub fn round_f32(x: f64) -> f64 {
-    x as f32 as f64
-}
-
 /// Rounds an `f64` through f16 storage and back (staging through f32, as
 /// real hardware does).
 pub fn round_f16(x: f64) -> f64 {
     f16_bits_to_f32(f32_to_f16_bits(x as f32)) as f64
 }
 
-/// Rounds an `f64` through bf16 storage and back (staging through f32).
-pub fn round_bf16(x: f64) -> f64 {
-    bf16_bits_to_f32(f32_to_bf16_bits(x as f32)) as f64
-}
-
 /// Relative error bound of one f16 rounding for values in the normal range
 /// (half an ulp of a 10-bit mantissa), with slack for the extra f64→f32 step.
 pub const F16_RELATIVE_ERROR: f64 = 1.0 / 2048.0 + 1e-7;
-
-/// Relative error bound of one bf16 rounding for values in the normal range
-/// (half an ulp of a 7-bit mantissa), with slack for the extra f64→f32 step.
-pub const BF16_RELATIVE_ERROR: f64 = 1.0 / 256.0 + 1e-7;
 
 /// Largest finite f16 value.
 pub const F16_MAX: f64 = 65504.0;
@@ -146,31 +109,6 @@ pub const F16_MAX: f64 = 65504.0;
 /// Smallest positive *normal* f16 value (below this, absolute error is
 /// bounded by the subnormal step 2⁻²⁴ instead of the relative bound).
 pub const F16_MIN_NORMAL: f64 = 6.103515625e-5; // 2⁻¹⁴
-
-/// Symmetric i8 quantization scale for a block of values: `max|v| / 127`,
-/// so the extreme magnitude maps exactly onto ±127. An all-zero (or empty)
-/// block returns scale 1.0 so dequantization stays a no-op.
-///
-/// Non-finite inputs are rejected by the artifact layer before quantization;
-/// this helper itself just propagates them into the scale.
-pub fn quantize_scale(values: &[f64]) -> f64 {
-    let max = values.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-    if max == 0.0 {
-        1.0
-    } else {
-        max / 127.0
-    }
-}
-
-/// Quantizes one value against a block scale, saturating to ±127.
-pub fn quantize_i8(v: f64, scale: f64) -> i8 {
-    (v / scale).round().clamp(-127.0, 127.0) as i8
-}
-
-/// Dequantizes one i8 code back to `f64`.
-pub fn dequantize_i8(q: i8, scale: f64) -> f64 {
-    q as f64 * scale
-}
 
 #[cfg(test)]
 mod tests {
@@ -211,20 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn every_bf16_bit_pattern_survives_decode_encode() {
-        for b in 0..=u16::MAX {
-            let back = f32_to_bf16_bits(bf16_bits_to_f32(b));
-            let exp = (b >> 7) & 0xff;
-            let man = b & 0x7f;
-            if exp == 0xff && man != 0 {
-                assert!(bf16_bits_to_f32(back).is_nan(), "NaN pattern {b:#06x} must stay NaN");
-            } else {
-                assert_eq!(back, b, "pattern {b:#06x} must round-trip exactly");
-            }
-        }
-    }
-
-    #[test]
     fn rounding_is_to_nearest_even() {
         // 1 + 2⁻¹¹ sits exactly between 1.0 and the next f16 (1 + 2⁻¹⁰);
         // ties go to the even mantissa (1.0).
@@ -233,8 +157,6 @@ mod tests {
         assert_eq!(round_f16(1.0 + 3.0 * 2f64.powi(-11)), 1.0 + 2.0 * 2f64.powi(-10));
         // Just above the tie rounds up.
         assert_eq!(round_f16(1.0 + 2f64.powi(-11) + 2f64.powi(-20)), 1.0 + 2f64.powi(-10));
-        // bf16: 1 + 2⁻⁸ ties between 1.0 and 1+2⁻⁷ → 1.0.
-        assert_eq!(round_bf16(1.0 + 2f64.powi(-8)), 1.0);
     }
 
     #[test]
@@ -249,43 +171,8 @@ mod tests {
                     (r16 - v).abs() <= F16_RELATIVE_ERROR * v.abs(),
                     "f16 relative error blown at {v}: {r16}"
                 );
-                let rb = round_bf16(v);
-                assert!(
-                    (rb - v).abs() <= BF16_RELATIVE_ERROR * v.abs(),
-                    "bf16 relative error blown at {v}: {rb}"
-                );
             }
             x *= 1.7;
         }
-    }
-
-    #[test]
-    fn bf16_keeps_f32_range() {
-        assert_eq!(round_bf16(1e38), bf16_bits_to_f32(f32_to_bf16_bits(1e38f32)) as f64);
-        assert!(round_bf16(1e38).is_finite(), "bf16 covers the f32 exponent range");
-        assert!(round_f16(1e38).is_infinite(), "the same value overflows f16");
-        assert_eq!(round_bf16(3.4e38), f64::INFINITY, "above f32::MAX rounds to inf");
-    }
-
-    #[test]
-    fn quantization_saturates_and_is_idempotent_on_codes() {
-        let values = [0.5, -1.0, 0.0, 0.25, 1.0, -0.125];
-        let scale = quantize_scale(&values);
-        assert_eq!(scale, 1.0 / 127.0);
-        let codes: Vec<i8> = values.iter().map(|&v| quantize_i8(v, scale)).collect();
-        assert_eq!(codes, [64, -127, 0, 32, 127, -16]);
-        // Dequantize → requantize reproduces the codes exactly.
-        let deq: Vec<f64> = codes.iter().map(|&q| dequantize_i8(q, scale)).collect();
-        let scale2 = quantize_scale(&deq);
-        let codes2: Vec<i8> = deq.iter().map(|&v| quantize_i8(v, scale2)).collect();
-        assert_eq!(codes2, codes);
-    }
-
-    #[test]
-    fn zero_blocks_quantize_to_zero_with_unit_scale() {
-        assert_eq!(quantize_scale(&[]), 1.0);
-        assert_eq!(quantize_scale(&[0.0, -0.0]), 1.0);
-        assert_eq!(quantize_i8(0.0, 1.0), 0);
-        assert_eq!(dequantize_i8(0, 1.0), 0.0);
     }
 }

@@ -22,9 +22,8 @@
 //! * [`reduce`] — numerically-stable reductions (log-sum-exp, softmax rows),
 //! * [`gen`] — random matrix/vector generation with controllable spectra
 //!   (used by the tests and the synthetic dataset generators),
-//! * [`half`] — hand-rolled f16/bf16 conversions and symmetric i8
-//!   quantization (the reduced-precision seam: compressed collectives and
-//!   artifact v2 weight blocks both use these).
+//! * [`half`] — hand-rolled f16 conversions (the reduced-precision seam:
+//!   compressed collectives and f16 artifact weight blocks both use these).
 //!
 //! ## Reduction order
 //!
@@ -113,7 +112,7 @@ const PAR_THRESHOLD_ACCEPTED: &str =
 /// the bad value, and the accepted values. A garbled threshold used to fall
 /// back silently to the default, which turns an intended sequential/parallel
 /// ablation into a wrong experiment — failing loudly is the only safe
-/// behaviour (the `NADMM_COLLECTIVE_ALGO` parser applies the same rule).
+/// behaviour (the `NADMM_THREADS` parser applies the same rule).
 pub fn parse_par_threshold_env(raw: &str) -> usize {
     raw.trim()
         .parse()

@@ -12,24 +12,21 @@
 //!   ```text
 //!   offset size  field
 //!   0      8     magic  b"NADMMART"
-//!   8      4     format version (u32, currently 2)
+//!   8      4     format version (u32, always 2)
 //!   12     8     num_features  (u64)
 //!   20     8     num_classes   (u64)
 //!   28     8     label count   (u64, == num_classes)
 //!          …     per label: byte length (u32) + UTF-8 bytes
-//!          8     tensor count  (u64, ≥ 1; the `"weights"` tensor is required)
-//!          …     per tensor:
-//!                  name length (u32) + UTF-8 name bytes
-//!                  encoding tag (u8: 0=f64 1=f32 2=f16 3=bf16 4=qi8)
+//!          8     tensor count  (u64, always 1)
+//!          …     the tensor:
+//!                  name length (u32) + UTF-8 name bytes (`"weights"`)
+//!                  encoding tag (u8: 0=f64 2=f16)
 //!                  element count (u64)
-//!                  [qi8 only] block scale (f64 bit pattern)
 //!                  payload (count × bytes-per-element, per the encoding)
 //!   end−8  8     FNV-1a 64 checksum of every preceding byte
 //!   ```
 //!
-//!   Version-1 files (a single implicit f64 weight block, no tensor table)
-//!   still load bit-for-bit through the same entry points; only versions
-//!   *newer* than [`ARTIFACT_VERSION`] are refused.
+//!   Any other version is refused as [`ArtifactError::UnsupportedVersion`].
 //!
 //! * **`<path>.json` (sidecar)** — the human-readable provenance. Written on
 //!   every save; a *missing* sidecar downgrades to empty provenance (the
@@ -37,17 +34,15 @@
 //!   is a loud [`ArtifactError::SidecarInvalid`]. Since format v2 the
 //!   sidecar also mirrors the binary checksum
 //!   ([`Provenance::binary_checksum`]), so a binary paired with the *wrong*
-//!   sidecar — the provenance-swap window the v1 format could not detect —
-//!   is a typed [`ArtifactError::SidecarChecksumMismatch`].
+//!   sidecar is a typed [`ArtifactError::SidecarChecksumMismatch`].
 //!
 //! Every malformed-input path is a distinct [`ArtifactError`] variant —
-//! truncation, bad magic, future versions, checksum mismatches, unknown
-//! tensor encodings, and dimension inconsistencies each name exactly what
+//! truncation, bad magic, unsupported versions, checksum mismatches,
+//! unknown encodings, and dimension inconsistencies each name exactly what
 //! went wrong.
 //!
-//! Reduced-precision storage is per tensor: [`TensorEncoding`] picks the
-//! on-disk width (f64/f32/f16/bf16 or symmetric i8 with a block scale), and
-//! the in-memory values are always the *decoded* `f64`s — applying an
+//! [`TensorEncoding`] picks the on-disk width of the weights (f64 or f16),
+//! and the in-memory values are always the *decoded* `f64`s — applying an
 //! encoding through [`ModelArtifact::with_weight_encoding`] rounds the
 //! values immediately, so what you hold is exactly what a save→load round
 //! trip returns, and [`crate::InferenceSession`] decodes once at load and
@@ -60,54 +55,37 @@ use std::path::Path;
 /// Magic bytes opening every `.nadmm` file.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"NADMMART";
 
-/// The format version this build writes and the newest it can read.
+/// The format version this build writes and the only one it reads.
 pub const ARTIFACT_VERSION: u32 = 2;
 
-/// Name of the required weight tensor in the version-2 tensor table.
+/// Name of the one tensor in the version-2 tensor table.
 pub const WEIGHTS_TENSOR: &str = "weights";
 
-/// How a tensor's values are stored on disk. In memory every tensor is
-/// `f64`; the encoding decides the wire width and the rounding applied when
-/// the encoding is attached (so in-memory values always equal their decoded
-/// on-disk form).
+/// How the weights are stored on disk. In memory they are always `f64`;
+/// the encoding decides the on-disk width and the rounding applied when it
+/// is attached (so in-memory values always equal their decoded on-disk
+/// form).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TensorEncoding {
     /// Full-width f64 bit patterns (8 bytes/element, bit-exact).
     #[default]
     F64,
-    /// IEEE binary32 (4 bytes/element).
-    F32,
     /// IEEE binary16 (2 bytes/element).
     F16,
-    /// bfloat16 (2 bytes/element).
-    Bf16,
-    /// Symmetric i8 against a per-tensor block scale `max|v|/127`
-    /// (1 byte/element + one f64 scale per tensor). Requires finite values.
-    QuantizedI8,
 }
 
 impl TensorEncoding {
     /// Every encoding, in tag order.
-    pub const ALL: [TensorEncoding; 5] = [
-        TensorEncoding::F64,
-        TensorEncoding::F32,
-        TensorEncoding::F16,
-        TensorEncoding::Bf16,
-        TensorEncoding::QuantizedI8,
-    ];
+    pub const ALL: [TensorEncoding; 2] = [TensorEncoding::F64, TensorEncoding::F16];
 
     /// The spellings [`TensorEncoding::parse`] accepts, for error messages.
-    pub const ACCEPTED_SPELLINGS: &'static str =
-        "f64 (full, none), f32 (fp32, single), f16 (fp16, half), bf16 (bfloat16), qi8 (int8, i8)";
+    pub const ACCEPTED_SPELLINGS: &'static str = "f64 (full, none), f16 (fp16, half)";
 
     /// Canonical lowercase name (also the serialized form).
     pub fn name(self) -> &'static str {
         match self {
             TensorEncoding::F64 => "f64",
-            TensorEncoding::F32 => "f32",
             TensorEncoding::F16 => "f16",
-            TensorEncoding::Bf16 => "bf16",
-            TensorEncoding::QuantizedI8 => "qi8",
         }
     }
 
@@ -115,10 +93,7 @@ impl TensorEncoding {
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
             "f64" | "full" | "none" => Some(TensorEncoding::F64),
-            "f32" | "fp32" | "single" => Some(TensorEncoding::F32),
             "f16" | "fp16" | "half" => Some(TensorEncoding::F16),
-            "bf16" | "bfloat16" => Some(TensorEncoding::Bf16),
-            "qi8" | "int8" | "i8" => Some(TensorEncoding::QuantizedI8),
             _ => None,
         }
     }
@@ -127,10 +102,7 @@ impl TensorEncoding {
     pub fn tag(self) -> u8 {
         match self {
             TensorEncoding::F64 => 0,
-            TensorEncoding::F32 => 1,
             TensorEncoding::F16 => 2,
-            TensorEncoding::Bf16 => 3,
-            TensorEncoding::QuantizedI8 => 4,
         }
     }
 
@@ -138,96 +110,44 @@ impl TensorEncoding {
         TensorEncoding::ALL.into_iter().find(|e| e.tag() == tag)
     }
 
-    /// Bytes one element occupies on disk (the qi8 block scale is billed
-    /// separately, once per tensor).
+    /// Bytes one element occupies on disk.
     pub fn bytes_per_element(self) -> usize {
         match self {
             TensorEncoding::F64 => 8,
-            TensorEncoding::F32 => 4,
-            TensorEncoding::F16 | TensorEncoding::Bf16 => 2,
-            TensorEncoding::QuantizedI8 => 1,
+            TensorEncoding::F16 => 2,
         }
     }
 
     /// Rounds values through this encoding in place — exactly what a
     /// save→load round trip does to them. Idempotent: rounding already
-    /// rounded values changes nothing (for qi8 the recomputed block scale
-    /// reproduces itself because the extreme magnitude maps onto ±127).
+    /// rounded values changes nothing.
     pub fn round_values(self, values: &mut [f64]) {
-        match self {
-            TensorEncoding::F64 => {}
-            TensorEncoding::F32 => values.iter_mut().for_each(|v| *v = half::round_f32(*v)),
-            TensorEncoding::F16 => values.iter_mut().for_each(|v| *v = half::round_f16(*v)),
-            TensorEncoding::Bf16 => values.iter_mut().for_each(|v| *v = half::round_bf16(*v)),
-            TensorEncoding::QuantizedI8 => {
-                let scale = half::quantize_scale(values);
-                values
-                    .iter_mut()
-                    .for_each(|v| *v = half::dequantize_i8(half::quantize_i8(*v, scale), scale));
-            }
+        if self == TensorEncoding::F16 {
+            values.iter_mut().for_each(|v| *v = half::round_f16(*v));
         }
     }
 
-    /// Appends the encoded payload of `values` (for qi8: block scale first).
+    /// Appends the encoded payload of `values`.
     fn encode_payload(self, values: &[f64], out: &mut Vec<u8>) {
         match self {
             TensorEncoding::F64 => values.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes())),
-            TensorEncoding::F32 => values.iter().for_each(|v| out.extend_from_slice(&(*v as f32).to_le_bytes())),
             TensorEncoding::F16 => values
                 .iter()
                 .for_each(|v| out.extend_from_slice(&half::f32_to_f16_bits(*v as f32).to_le_bytes())),
-            TensorEncoding::Bf16 => values
-                .iter()
-                .for_each(|v| out.extend_from_slice(&half::f32_to_bf16_bits(*v as f32).to_le_bytes())),
-            TensorEncoding::QuantizedI8 => {
-                let scale = half::quantize_scale(values);
-                out.extend_from_slice(&scale.to_le_bytes());
-                values.iter().for_each(|v| out.push(half::quantize_i8(*v, scale) as u8));
-            }
         }
     }
 
     /// Reads `count` encoded elements back into `f64`s.
     fn decode_payload(self, count: usize, r: &mut Reader<'_>) -> Result<Vec<f64>, ArtifactError> {
         let mut values = Vec::with_capacity(count.min(1 << 24));
-        match self {
-            TensorEncoding::F64 => {
-                for _ in 0..count {
-                    let raw = r.take(8, "tensor values")?;
-                    values.push(f64::from_le_bytes(
-                        raw.try_into().expect("take() returned the requested length"),
-                    ));
-                }
-            }
-            TensorEncoding::F32 => {
-                for _ in 0..count {
-                    let raw = r.take(4, "tensor values")?;
-                    values.push(f32::from_le_bytes(raw.try_into().expect("take() returned the requested length")) as f64);
-                }
-            }
-            TensorEncoding::F16 => {
-                for _ in 0..count {
-                    let raw = r.take(2, "tensor values")?;
-                    values.push(half::f16_bits_to_f32(u16::from_le_bytes(
-                        raw.try_into().expect("take() returned the requested length"),
-                    )) as f64);
-                }
-            }
-            TensorEncoding::Bf16 => {
-                for _ in 0..count {
-                    let raw = r.take(2, "tensor values")?;
-                    values.push(half::bf16_bits_to_f32(u16::from_le_bytes(
-                        raw.try_into().expect("take() returned the requested length"),
-                    )) as f64);
-                }
-            }
-            TensorEncoding::QuantizedI8 => {
-                let scale = f64::from_le_bytes(r.take(8, "tensor scale")?.try_into().expect("take(8) returned 8 bytes"));
-                for _ in 0..count {
-                    let raw = r.take(1, "tensor values")?;
-                    values.push(half::dequantize_i8(raw[0] as i8, scale));
-                }
-            }
+        for _ in 0..count {
+            let raw = r.take(self.bytes_per_element(), "tensor values")?;
+            values.push(match self {
+                TensorEncoding::F64 => f64::from_le_bytes(raw.try_into().expect("take() returned the requested length")),
+                TensorEncoding::F16 => half::f16_bits_to_f32(u16::from_le_bytes(
+                    raw.try_into().expect("take() returned the requested length"),
+                )) as f64,
+            });
         }
         Ok(values)
     }
@@ -255,19 +175,6 @@ impl Deserialize for TensorEncoding {
     }
 }
 
-/// An auxiliary named tensor carried alongside the weights (calibration
-/// statistics, per-class thresholds, embedding tables…). Values are held
-/// decoded (`f64`); `encoding` picks the on-disk width.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NamedTensor {
-    /// Unique tensor name (must not be [`WEIGHTS_TENSOR`]).
-    pub name: String,
-    /// On-disk storage width.
-    pub encoding: TensorEncoding,
-    /// Decoded values (already rounded through `encoding`).
-    pub values: Vec<f64>,
-}
-
 /// Why an artifact could not be saved or loaded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArtifactError {
@@ -283,11 +190,11 @@ pub enum ArtifactError {
         /// The first bytes actually found.
         found: Vec<u8>,
     },
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not the one this build reads.
     UnsupportedVersion {
         /// Version recorded in the file.
         found: u32,
-        /// Newest version this build reads.
+        /// The one version this build reads.
         supported: u32,
     },
     /// The file ends before a field it promises.
@@ -328,7 +235,7 @@ pub enum ArtifactError {
         /// Parse error text.
         message: String,
     },
-    /// A tensor carries an encoding tag this build does not know.
+    /// The weights carry an encoding tag this build does not know.
     UnknownEncoding {
         /// The tag byte actually found.
         found: u8,
@@ -355,7 +262,7 @@ impl std::fmt::Display for ArtifactError {
             }
             ArtifactError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "artifact format version {found} is newer than the newest supported version {supported}"
+                "artifact format version {found} is not supported (this build reads version {supported} only)"
             ),
             ArtifactError::Truncated {
                 reading,
@@ -377,10 +284,7 @@ impl std::fmt::Display for ArtifactError {
                 write!(f, "artifact sidecar `{path}` is unreadable: {message}")
             }
             ArtifactError::UnknownEncoding { found } => {
-                write!(
-                    f,
-                    "artifact tensor uses unknown encoding tag {found} (known: 0=f64 1=f32 2=f16 3=bf16 4=qi8)"
-                )
+                write!(f, "artifact tensor uses unknown encoding tag {found} (known: 0=f64 2=f16)")
             }
             ArtifactError::SidecarChecksumMismatch { sidecar, binary } => write!(
                 f,
@@ -413,7 +317,7 @@ pub struct Provenance {
     pub iterations: usize,
     /// Hex FNV-1a 64 checksum of the binary half, mirrored here at save
     /// time so a binary paired with the wrong sidecar is detected at load.
-    /// `None` in sidecars written before format v2 (then no check runs).
+    /// `None` when the sidecar carries no mirror (then no check runs).
     pub binary_checksum: Option<String>,
 }
 
@@ -434,8 +338,6 @@ pub struct ModelArtifact {
     /// On-disk storage width of the weight tensor. The in-memory `weights`
     /// are always already rounded through it.
     pub weight_encoding: TensorEncoding,
-    /// Auxiliary named tensors stored after the weights, in order.
-    pub extra_tensors: Vec<NamedTensor>,
     /// Training provenance (lives in the JSON sidecar on disk).
     pub provenance: Provenance,
 }
@@ -487,7 +389,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Reads a length-prefixed UTF-8 string (labels, tensor names).
+/// Reads a length-prefixed UTF-8 string (labels, the tensor name).
 fn read_string(r: &mut Reader<'_>, len_field: &'static str, bytes_field: &'static str) -> Result<String, ArtifactError> {
     let len = r.u32(len_field)? as usize;
     let raw = r.take(len, bytes_field)?;
@@ -496,16 +398,6 @@ fn read_string(r: &mut Reader<'_>, len_field: &'static str, bytes_field: &'stati
             message: format!("{bytes_field} are not UTF-8: {e}"),
         })?
         .to_string())
-}
-
-/// Rejects bytes left over after the last promised field.
-fn check_trailing(r: &Reader<'_>, body_len: usize) -> Result<(), ArtifactError> {
-    if r.pos != body_len {
-        return Err(ArtifactError::Invalid {
-            message: format!("{} trailing bytes after the last tensor block", body_len - r.pos),
-        });
-    }
-    Ok(())
 }
 
 impl ModelArtifact {
@@ -524,7 +416,6 @@ impl ModelArtifact {
             label_names,
             weights,
             weight_encoding: TensorEncoding::F64,
-            extra_tensors: Vec::new(),
             provenance,
         };
         artifact.check_dims()?;
@@ -533,41 +424,11 @@ impl ModelArtifact {
 
     /// Stores the weights under `encoding`, rounding the in-memory values
     /// through it immediately — the artifact you hold equals what a
-    /// save→load round trip returns. Rejects non-finite weights for
-    /// [`TensorEncoding::QuantizedI8`] (the block scale would be NaN/∞).
-    pub fn with_weight_encoding(mut self, encoding: TensorEncoding) -> Result<Self, ArtifactError> {
-        Self::check_encodable(WEIGHTS_TENSOR, encoding, &self.weights)?;
+    /// save→load round trip returns.
+    pub fn with_weight_encoding(mut self, encoding: TensorEncoding) -> Self {
         self.weight_encoding = encoding;
         encoding.round_values(&mut self.weights);
-        Ok(self)
-    }
-
-    /// Attaches an auxiliary named tensor (rounded through its encoding
-    /// immediately). Names must be unique and must not shadow
-    /// [`WEIGHTS_TENSOR`].
-    pub fn with_tensor(
-        mut self,
-        name: impl Into<String>,
-        encoding: TensorEncoding,
-        mut values: Vec<f64>,
-    ) -> Result<Self, ArtifactError> {
-        let name = name.into();
-        Self::check_encodable(&name, encoding, &values)?;
-        encoding.round_values(&mut values);
-        self.extra_tensors.push(NamedTensor { name, encoding, values });
-        self.check_dims()?;
-        Ok(self)
-    }
-
-    fn check_encodable(name: &str, encoding: TensorEncoding, values: &[f64]) -> Result<(), ArtifactError> {
-        if encoding == TensorEncoding::QuantizedI8 {
-            if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
-                return Err(ArtifactError::Invalid {
-                    message: format!("tensor `{name}` holds non-finite value {bad}, which i8 quantization cannot scale"),
-                });
-            }
-        }
-        Ok(())
+        self
     }
 
     /// Dimension of the weight vector, `(C − 1) · p`.
@@ -600,35 +461,13 @@ impl ModelArtifact {
                 found: self.weights.len(),
             });
         }
-        for (i, tensor) in self.extra_tensors.iter().enumerate() {
-            if tensor.name.is_empty() || tensor.name == WEIGHTS_TENSOR {
-                return Err(ArtifactError::Invalid {
-                    message: format!(
-                        "extra tensor name `{}` is reserved (must be non-empty and not `{WEIGHTS_TENSOR}`)",
-                        tensor.name
-                    ),
-                });
-            }
-            if self.extra_tensors[..i].iter().any(|t| t.name == tensor.name) {
-                return Err(ArtifactError::Invalid {
-                    message: format!("tensor `{}` appears twice — names must be unique", tensor.name),
-                });
-            }
-        }
         Ok(())
     }
 
-    /// Serializes the binary half (magic, version, dims, labels, tensor
-    /// table, trailing checksum). Always writes the current format version.
+    /// Serializes the binary half (magic, version, dims, labels, the
+    /// one-tensor table, trailing checksum).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            64 + self.weights.len() * self.weight_encoding.bytes_per_element()
-                + self
-                    .extra_tensors
-                    .iter()
-                    .map(|t| 16 + t.name.len() + t.values.len() * t.encoding.bytes_per_element())
-                    .sum::<usize>(),
-        );
+        let mut out = Vec::with_capacity(64 + self.weights.len() * self.weight_encoding.bytes_per_element());
         out.extend_from_slice(&ARTIFACT_MAGIC);
         out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.num_features as u64).to_le_bytes());
@@ -638,18 +477,12 @@ impl ModelArtifact {
             out.extend_from_slice(&(name.len() as u32).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
         }
-        out.extend_from_slice(&(1 + self.extra_tensors.len() as u64).to_le_bytes());
-        let weights_tensor = [(WEIGHTS_TENSOR, self.weight_encoding, &self.weights)];
-        let tensors = weights_tensor
-            .into_iter()
-            .chain(self.extra_tensors.iter().map(|t| (t.name.as_str(), t.encoding, &t.values)));
-        for (name, encoding, values) in tensors {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.push(encoding.tag());
-            out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-            encoding.encode_payload(values, &mut out);
-        }
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out.extend_from_slice(&(WEIGHTS_TENSOR.len() as u32).to_le_bytes());
+        out.extend_from_slice(WEIGHTS_TENSOR.as_bytes());
+        out.push(self.weight_encoding.tag());
+        out.extend_from_slice(&(self.weights.len() as u64).to_le_bytes());
+        self.weight_encoding.encode_payload(&self.weights, &mut out);
         let checksum = fnv1a64(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
@@ -666,12 +499,10 @@ impl ModelArtifact {
     }
 
     /// Parses the binary half, validating magic, version, checksum, and
-    /// every dimensional invariant. Reads both the current version-2 tensor
-    /// table and the version-1 single-weight-block layout (bit-for-bit);
-    /// only versions newer than [`ARTIFACT_VERSION`] are refused. The
-    /// inverse of [`ModelArtifact::to_bytes`] up to the sidecar-only
-    /// provenance (left empty here). All tensor payloads decode to `f64`
-    /// here, once — serving never touches encoded bytes again.
+    /// every dimensional invariant. The inverse of
+    /// [`ModelArtifact::to_bytes`] up to the sidecar-only provenance (left
+    /// empty here). The payload decodes to `f64` here, once — serving never
+    /// touches encoded bytes again.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(ARTIFACT_MAGIC.len(), "magic")?;
@@ -679,7 +510,7 @@ impl ModelArtifact {
             return Err(ArtifactError::BadMagic { found: magic.to_vec() });
         }
         let version = r.u32("format version")?;
-        if version > ARTIFACT_VERSION {
+        if version != ARTIFACT_VERSION {
             return Err(ArtifactError::UnsupportedVersion {
                 found: version,
                 supported: ARTIFACT_VERSION,
@@ -716,46 +547,33 @@ impl ModelArtifact {
         for _ in 0..label_count {
             label_names.push(read_string(&mut r, "label length", "label bytes")?);
         }
-        if version <= 1 {
-            // v1 body: one implicit f64 weight block, no tensor table.
-            let weight_count = r.u64("weight count")? as usize;
-            let weights = TensorEncoding::F64.decode_payload(weight_count, &mut r)?;
-            check_trailing(&r, body.len())?;
-            return Self::new(num_features, num_classes, label_names, weights, Provenance::default());
-        }
-        let tensor_count = r.u64("tensor count")? as usize;
-        let mut weights: Option<(TensorEncoding, Vec<f64>)> = None;
-        let mut extra_tensors = Vec::with_capacity(tensor_count.saturating_sub(1).min(1 << 12));
-        for _ in 0..tensor_count {
-            let name = read_string(&mut r, "tensor name length", "tensor name bytes")?;
-            let tag = r.take(1, "tensor encoding tag")?[0];
-            let encoding = TensorEncoding::from_tag(tag).ok_or(ArtifactError::UnknownEncoding { found: tag })?;
-            let count = r.u64("tensor element count")? as usize;
-            let values = encoding.decode_payload(count, &mut r)?;
-            if name == WEIGHTS_TENSOR {
-                if weights.is_some() {
-                    return Err(ArtifactError::Invalid {
-                        message: format!("tensor `{WEIGHTS_TENSOR}` appears twice"),
-                    });
-                }
-                weights = Some((encoding, values));
-            } else {
-                extra_tensors.push(NamedTensor { name, encoding, values });
-            }
-        }
-        check_trailing(&r, body.len())?;
-        let Some((weight_encoding, weights)) = weights else {
+        let tensor_count = r.u64("tensor count")?;
+        if tensor_count != 1 {
             return Err(ArtifactError::Invalid {
-                message: format!("artifact has no `{WEIGHTS_TENSOR}` tensor among its {tensor_count} tensor(s)"),
+                message: format!("artifact holds {tensor_count} tensors; the format has exactly one, `{WEIGHTS_TENSOR}`"),
             });
-        };
+        }
+        let name = read_string(&mut r, "tensor name length", "tensor name bytes")?;
+        if name != WEIGHTS_TENSOR {
+            return Err(ArtifactError::Invalid {
+                message: format!("artifact tensor is named `{name}`, not `{WEIGHTS_TENSOR}`"),
+            });
+        }
+        let tag = r.take(1, "tensor encoding tag")?[0];
+        let weight_encoding = TensorEncoding::from_tag(tag).ok_or(ArtifactError::UnknownEncoding { found: tag })?;
+        let count = r.u64("tensor element count")? as usize;
+        let weights = weight_encoding.decode_payload(count, &mut r)?;
+        if r.pos != body.len() {
+            return Err(ArtifactError::Invalid {
+                message: format!("{} trailing bytes after the weights", body.len() - r.pos),
+            });
+        }
         let artifact = Self {
             num_features,
             num_classes,
             label_names,
             weights,
             weight_encoding,
-            extra_tensors,
             provenance: Provenance::default(),
         };
         artifact.check_dims()?;
@@ -839,9 +657,9 @@ impl ModelArtifact {
                     path: sidecar,
                     message: e.to_string(),
                 })?;
-                // v2 sidecars mirror the binary checksum; a mismatch means
-                // the two halves come from different saves. v1 sidecars
-                // (no mirror) skip the check.
+                // Sidecars mirror the binary checksum; a mismatch means
+                // the two halves come from different saves. A sidecar
+                // without the mirror skips the check.
                 if let Some(mirror) = &provenance.binary_checksum {
                     let actual = format!(
                         "{:016x}",
@@ -1059,24 +877,8 @@ mod tests {
     }
 
     #[test]
-    fn encoded_tensors_round_trip_through_bytes() {
-        let a = artifact()
-            .with_weight_encoding(TensorEncoding::F16)
-            .unwrap()
-            .with_tensor("calibration", TensorEncoding::QuantizedI8, vec![0.5, -1.0, 0.25, 2.0])
-            .unwrap()
-            .with_tensor("thresholds", TensorEncoding::F32, vec![0.1, 0.9])
-            .unwrap();
-        let b = ModelArtifact::from_bytes(&a.to_bytes()).unwrap();
-        assert_eq!(b.weight_encoding, TensorEncoding::F16);
-        assert_eq!(b.weights, a.weights, "pre-rounded values round-trip bit-for-bit");
-        assert_eq!(b.extra_tensors, a.extra_tensors);
-        assert_eq!(b.label_names, a.label_names);
-    }
-
-    #[test]
     fn with_weight_encoding_rounds_the_in_memory_values() {
-        let a = artifact().with_weight_encoding(TensorEncoding::F16).unwrap();
+        let a = artifact().with_weight_encoding(TensorEncoding::F16);
         let expected: Vec<f64> = artifact().weights.iter().map(|&w| half::round_f16(w)).collect();
         assert_eq!(a.weights, expected);
         // 0.1-style values actually quantize (the rounding is not a no-op
@@ -1095,19 +897,8 @@ mod tests {
         )
         .unwrap();
         let f64_bytes = wide.to_bytes().len();
-        let f16_bytes = wide.clone().with_weight_encoding(TensorEncoding::F16).unwrap().to_bytes().len();
-        let qi8_bytes = wide
-            .clone()
-            .with_weight_encoding(TensorEncoding::QuantizedI8)
-            .unwrap()
-            .to_bytes()
-            .len();
+        let f16_bytes = wide.with_weight_encoding(TensorEncoding::F16).to_bytes().len();
         assert_eq!(f64_bytes - f16_bytes, 128 * 6, "f16 drops 6 bytes per weight");
-        assert_eq!(
-            f64_bytes - qi8_bytes,
-            128 * 7 - 8,
-            "qi8 drops 7 bytes per weight, plus one block scale"
-        );
         assert!(
             (f16_bytes as f64) < 0.5 * f64_bytes as f64,
             "f16 artifact must be under half the f64 size: {f16_bytes} vs {f64_bytes}"
@@ -1115,58 +906,80 @@ mod tests {
     }
 
     #[test]
-    fn quantized_round_trips_are_idempotent() {
-        let a = artifact().with_weight_encoding(TensorEncoding::QuantizedI8).unwrap();
-        let b = ModelArtifact::from_bytes(&a.to_bytes()).unwrap();
-        assert_eq!(b.weights, a.weights, "decode(encode(·)) must be exact on pre-rounded values");
-        let c = b.clone().with_weight_encoding(TensorEncoding::QuantizedI8).unwrap();
-        assert_eq!(
-            c.weights, b.weights,
-            "re-quantizing reproduces the same block scale and codes"
-        );
-    }
-
-    #[test]
-    fn quantization_rejects_non_finite_weights() {
-        let mut a = artifact();
-        a.weights[1] = f64::INFINITY;
-        match a.with_weight_encoding(TensorEncoding::QuantizedI8) {
-            Err(ArtifactError::Invalid { message }) => assert!(message.contains("non-finite"), "{message}"),
-            other => panic!("expected Invalid for non-finite weights, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn unknown_encoding_tags_are_typed() {
-        let mut bytes = artifact().to_bytes();
+        let good = artifact().to_bytes();
         // The weights tensor's tag byte sits right after its name bytes.
-        let name_at = bytes
+        let name_at = good
             .windows(WEIGHTS_TENSOR.len())
             .position(|w| w == WEIGHTS_TENSOR.as_bytes())
             .unwrap();
         let tag_at = name_at + WEIGHTS_TENSOR.len();
-        assert_eq!(bytes[tag_at], TensorEncoding::F64.tag());
-        bytes[tag_at] = 9;
+        assert_eq!(good[tag_at], TensorEncoding::F64.tag());
+        // 1, 3 and 4 were the f32, bf16 and qi8 tags; 9 was never assigned.
+        for tag in [1u8, 3, 4, 9] {
+            let mut bytes = good.clone();
+            bytes[tag_at] = tag;
+            restamp_checksum(&mut bytes);
+            match ModelArtifact::from_bytes(&bytes) {
+                Err(ArtifactError::UnknownEncoding { found }) => assert_eq!(found, tag),
+                other => panic!("tag {tag}: expected UnknownEncoding, got {other:?}"),
+            }
+        }
+    }
+
+    /// Rewrites the trailing checksum after a deliberate edit of the body.
+    fn restamp_checksum(bytes: &mut [u8]) {
         let body_len = bytes.len() - 8;
         let checksum = fnv1a64(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    #[test]
+    fn tensor_tables_other_than_one_weights_tensor_are_invalid() {
+        let good = artifact().to_bytes();
+        let name_at = good
+            .windows(WEIGHTS_TENSOR.len())
+            .position(|w| w == WEIGHTS_TENSOR.as_bytes())
+            .unwrap();
+        // The tensor count (u64) precedes the name's u32 length.
+        let count_at = name_at - 4 - 8;
+        assert_eq!(good[count_at..count_at + 8], 1u64.to_le_bytes());
+        for count in [0u64, 2] {
+            let mut bytes = good.clone();
+            bytes[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+            restamp_checksum(&mut bytes);
+            match ModelArtifact::from_bytes(&bytes) {
+                Err(ArtifactError::Invalid { message }) => assert!(message.contains("exactly one"), "{message}"),
+                other => panic!("tensor count {count}: expected Invalid, got {other:?}"),
+            }
+        }
+        let mut bytes = good;
+        bytes[name_at..name_at + WEIGHTS_TENSOR.len()].copy_from_slice(b"biasing");
+        restamp_checksum(&mut bytes);
         match ModelArtifact::from_bytes(&bytes) {
-            Err(ArtifactError::UnknownEncoding { found: 9 }) => {}
-            other => panic!("expected UnknownEncoding, got {other:?}"),
+            Err(ArtifactError::Invalid { message }) => assert!(message.contains("`biasing`"), "{message}"),
+            other => panic!("expected Invalid for a tensor not named weights, got {other:?}"),
         }
     }
 
     #[test]
-    fn duplicate_or_reserved_tensor_names_are_rejected() {
-        let a = artifact().with_tensor("calib", TensorEncoding::F64, vec![1.0]).unwrap();
-        assert!(matches!(
-            a.clone().with_tensor("calib", TensorEncoding::F16, vec![2.0]),
-            Err(ArtifactError::Invalid { .. })
-        ));
-        assert!(matches!(
-            a.with_tensor(WEIGHTS_TENSOR, TensorEncoding::F64, vec![3.0]),
-            Err(ArtifactError::Invalid { .. })
-        ));
+    fn on_disk_bytes_are_frozen() {
+        // FNV-1a of `to_bytes()` for one fixed artifact in f64 and in f16.
+        // The round-trip tests pass after any self-consistent format change;
+        // these constants fail on one, so files already written keep
+        // loading. The weights cover rounding, an f16 subnormal, −0.0 and
+        // f16 overflow to ∞.
+        let a = ModelArtifact::new(
+            3,
+            3,
+            vec!["ant".into(), "bee".into(), "other".into()],
+            vec![0.1, -1.0 / 3.0, 1e-6, -0.0, 70000.0, 2.5],
+            Provenance::default(),
+        )
+        .unwrap();
+        assert_eq!(fnv1a64(&a.to_bytes()), 0x4a71_3851_6867_f1dd, "f64 bytes moved");
+        let half = a.with_weight_encoding(TensorEncoding::F16);
+        assert_eq!(fnv1a64(&half.to_bytes()), 0x8309_98cf_4c97_c0ea, "f16 bytes moved");
     }
 
     #[test]
@@ -1199,21 +1012,21 @@ mod tests {
         for (spelling, expected) in [
             ("f64", TensorEncoding::F64),
             ("NONE", TensorEncoding::F64),
-            ("fp32", TensorEncoding::F32),
             (" half ", TensorEncoding::F16),
-            ("bfloat16", TensorEncoding::Bf16),
-            ("int8", TensorEncoding::QuantizedI8),
+            ("FP16", TensorEncoding::F16),
         ] {
             assert_eq!(TensorEncoding::parse(spelling), Some(expected), "{spelling}");
         }
-        assert_eq!(TensorEncoding::parse("f8"), None);
+        for gone in ["f8", "f32", "bf16", "qi8"] {
+            assert_eq!(TensorEncoding::parse(gone), None, "{gone}");
+        }
         for encoding in TensorEncoding::ALL {
             assert_eq!(TensorEncoding::from_value(&encoding.to_value()), Ok(encoding));
             assert_eq!(TensorEncoding::from_tag(encoding.tag()), Some(encoding));
         }
         assert_eq!(TensorEncoding::from_value(&Value::Null), Ok(TensorEncoding::F64));
         let err = TensorEncoding::from_value(&Value::Str("f8".into())).unwrap_err();
-        assert!(err.0.contains("bfloat16"), "error must list accepted spellings: {}", err.0);
+        assert!(err.0.contains("fp16"), "error must list accepted spellings: {}", err.0);
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //! * **Artifacts** ([`ModelArtifact`]) — the versioned, checksummed
 //!   `.nadmm` binary format plus a JSON provenance sidecar; every
 //!   corruption mode (truncation, bit flips, future versions, dimension
-//!   lies, unknown tensor encodings, mismatched binary/sidecar pairs) is a
-//!   distinct typed [`ArtifactError`]. Format v2 stores a table of named
-//!   tensors with per-tensor [`TensorEncoding`]s (f64/f32/f16/bf16 or
-//!   scaled i8), mirrors the binary checksum into the sidecar, and still
-//!   loads v1 files bit-for-bit.
+//!   lies, unknown encodings, mismatched binary/sidecar pairs) is a
+//!   distinct typed [`ArtifactError`]. Format v2 stores the weights as one
+//!   tensor in f64 or f16 ([`TensorEncoding`]) and mirrors the binary
+//!   checksum into the sidecar.
 //! * **Inference** ([`InferenceSession`], [`ModelRegistry`]) — batched
 //!   softmax forward passes through the zero-allocation `Workspace` engine,
 //!   with argmax/top-k decoding that reproduces training-time predictions
@@ -43,8 +42,7 @@ pub mod sim;
 pub const BATCH_SPEEDUP_GATE: f64 = 4.0;
 
 pub use artifact::{
-    fnv1a64, ArtifactError, ModelArtifact, NamedTensor, Provenance, TensorEncoding, ARTIFACT_MAGIC, ARTIFACT_VERSION,
-    WEIGHTS_TENSOR,
+    fnv1a64, ArtifactError, ModelArtifact, Provenance, TensorEncoding, ARTIFACT_MAGIC, ARTIFACT_VERSION, WEIGHTS_TENSOR,
 };
 pub use registry::ModelRegistry;
 pub use report::{LatencySummary, ModelServeStats, OccupancyBucket, ServeReport};

@@ -451,7 +451,7 @@ mod tests {
     fn f16_weights_predict_the_f64_class_on_at_least_99_percent_of_512_rows() {
         // Weights spanning five decades, so f16 rounding is felt at both ends.
         let full = synthetic_artifact(64, 10, |i| 10f64.powi((i % 5) as i32 - 2));
-        let half = full.clone().with_weight_encoding(TensorEncoding::F16).unwrap();
+        let half = full.clone().with_weight_encoding(TensorEncoding::F16);
         assert_ne!(half.weights, full.weights, "f16 must round some weights");
         let rows = 512;
         let features: Vec<f64> = (0..rows * full.num_features).map(|i| ((i as f64) * 0.23).sin()).collect();

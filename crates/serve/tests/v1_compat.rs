@@ -1,132 +1,16 @@
-//! Forward-compatibility regression tests for version-1 `.nadmm` artifacts.
-//!
-//! The v2 tensor-table format replaced the v1 single-weight-block layout,
-//! but v1 files in the wild must keep loading **bit-for-bit** through the
-//! same entry points. This test owns an independent v1 writer (the layout
-//! spec transcribed by hand, so a format drift in the library cannot hide
-//! here) plus a committed binary fixture.
-//!
-//! Regenerate the fixture after an *intentional* v1-layout change (there
-//! should never be one) with:
-//! `NADMM_REGEN_V1_FIXTURE=1 cargo test -p nadmm-serve --test v1_compat`
+//! Version-1 `.nadmm` artifacts (a single implicit f64 weight block, no
+//! tensor table) are no longer read. The committed fixture is a v1 file
+//! with a valid checksum; loading it must fail with the typed version
+//! error, never parse as something else.
 
-use nadmm_serve::{fnv1a64, ArtifactError, ModelArtifact, Provenance, TensorEncoding, ARTIFACT_VERSION};
-
-/// The canonical v1 artifact: adversarial weight bit patterns (negative
-/// zero, a subnormal, huge magnitudes) and a unicode label.
-fn v1_artifact() -> ModelArtifact {
-    ModelArtifact::new(
-        4,
-        3,
-        vec!["ant".into(), "classe-α".into(), "other".into()],
-        vec![0.5, -0.0, f64::MIN_POSITIVE / 2.0, 1.0e300, -1.0e-300, 0.1, -2.5, 42.0],
-        Provenance::default(),
-    )
-    .unwrap()
-}
-
-/// Writes the version-1 layout by hand: magic, version=1, dims, labels,
-/// one implicit f64 weight block, trailing FNV-1a 64 checksum.
-fn v1_bytes(artifact: &ModelArtifact) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"NADMMART");
-    out.extend_from_slice(&1u32.to_le_bytes());
-    out.extend_from_slice(&(artifact.num_features as u64).to_le_bytes());
-    out.extend_from_slice(&(artifact.num_classes as u64).to_le_bytes());
-    out.extend_from_slice(&(artifact.label_names.len() as u64).to_le_bytes());
-    for name in &artifact.label_names {
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-    }
-    out.extend_from_slice(&(artifact.weights.len() as u64).to_le_bytes());
-    for w in &artifact.weights {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
-fn weights_bits(a: &ModelArtifact) -> Vec<u64> {
-    a.weights.iter().map(|w| w.to_bits()).collect()
-}
+use nadmm_serve::{ArtifactError, ModelArtifact};
 
 #[test]
-fn hand_written_v1_bytes_parse_bit_for_bit() {
-    let expected = v1_artifact();
-    let parsed = ModelArtifact::from_bytes(&v1_bytes(&expected)).expect("v1 bytes must parse");
-    assert_eq!(parsed.num_features, expected.num_features);
-    assert_eq!(parsed.num_classes, expected.num_classes);
-    assert_eq!(parsed.label_names, expected.label_names);
-    assert_eq!(
-        weights_bits(&parsed),
-        weights_bits(&expected),
-        "v1 weights must survive bit-for-bit (−0.0, subnormals, 1e300 included)"
-    );
-    assert_eq!(parsed.weight_encoding, TensorEncoding::F64, "v1 blocks are implicit f64");
-    assert!(parsed.extra_tensors.is_empty(), "v1 has no tensor table");
-}
-
-#[test]
-fn committed_v1_fixture_still_loads() {
+fn committed_v1_fixture_is_refused_as_unsupported() {
     let bytes = include_bytes!("fixtures/v1_model.nadmm");
     assert_eq!(&bytes[8..12], &1u32.to_le_bytes(), "the fixture must actually be v1");
-    let parsed = ModelArtifact::from_bytes(bytes).expect("the committed v1 fixture must load");
-    let expected = v1_artifact();
-    assert_eq!(parsed.label_names, expected.label_names);
-    assert_eq!(weights_bits(&parsed), weights_bits(&expected));
-    assert_eq!(parsed.provenance, Provenance::default(), "provenance lives in the sidecar");
-}
-
-#[test]
-fn resaving_a_v1_artifact_upgrades_it_to_v2_with_the_same_values() {
-    let v1 = ModelArtifact::from_bytes(&v1_bytes(&v1_artifact())).unwrap();
-    let resaved = v1.to_bytes();
-    assert_eq!(&resaved[8..12], &ARTIFACT_VERSION.to_le_bytes(), "to_bytes writes v2");
-    let reparsed = ModelArtifact::from_bytes(&resaved).unwrap();
-    assert_eq!(weights_bits(&reparsed), weights_bits(&v1), "the upgrade is value-preserving");
-}
-
-#[test]
-fn only_versions_newer_than_two_are_refused() {
-    let good = v1_artifact().to_bytes();
-    for version in [0u32, 1, 2] {
-        // Restamp the version (and checksum) — 0/1 parse as v1, 2 as v2.
-        // Version 0/1 bytes carry a v2 tensor table here, so structural
-        // errors are fine; what must NOT happen is UnsupportedVersion.
-        let mut bytes = good.clone();
-        bytes[8..12].copy_from_slice(&version.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        assert!(
-            !matches!(
-                ModelArtifact::from_bytes(&bytes),
-                Err(ArtifactError::UnsupportedVersion { .. })
-            ),
-            "version {version} must not be refused as unsupported"
-        );
-    }
-    let mut bytes = good;
-    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-    let body_len = bytes.len() - 8;
-    let checksum = fnv1a64(&bytes[..body_len]);
-    bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
-    match ModelArtifact::from_bytes(&bytes) {
-        Err(ArtifactError::UnsupportedVersion { found: 3, supported }) => {
-            assert_eq!(supported, ARTIFACT_VERSION)
-        }
-        other => panic!("version 3 must be UnsupportedVersion, got {other:?}"),
-    }
-}
-
-/// Rewrites the committed fixture from the hand-rolled v1 writer when
-/// `NADMM_REGEN_V1_FIXTURE=1`; a no-op otherwise.
-#[test]
-fn regenerate_v1_fixture_when_requested() {
-    if std::env::var("NADMM_REGEN_V1_FIXTURE").ok().as_deref() == Some("1") {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v1_model.nadmm");
-        std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures")).unwrap();
-        std::fs::write(path, v1_bytes(&v1_artifact())).expect("fixture writes");
-    }
+    assert_eq!(
+        ModelArtifact::from_bytes(bytes),
+        Err(ArtifactError::UnsupportedVersion { found: 1, supported: 2 })
+    );
 }

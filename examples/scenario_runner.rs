@@ -31,10 +31,9 @@
 //! sidecar `PATH.json`), ready for `examples/serve_bench.rs` or any
 //! `nadmm_serve::ModelRegistry` to reload and serve.
 //!
-//! `--precision ENC` (requires `--save-model`) stores the weights in a
-//! reduced encoding — `f32`, `f16`, `bf16`, or `qi8` — shrinking the
-//! artifact up to 8× at a bounded accuracy cost. The default `f64` keeps
-//! the trained iterate bit-for-bit.
+//! `--precision f16` (requires `--save-model`) stores the weights in f16,
+//! shrinking the artifact's weight block 4× at a bounded accuracy cost. The
+//! default `f64` keeps the trained iterate bit-for-bit.
 //!
 //! `--trace PATH` (or the `NADMM_TRACE` env var; the flag wins) enables the
 //! span tracer for the run and writes a Chrome trace-event JSON to `PATH` —
@@ -201,8 +200,7 @@ fn run(opts: &Options) -> Result<(), String> {
         // lands in the trace as a dedicated lane (no-op when tracing is off).
         let artifact = artifact_for_scenario(&scenario, &reports[0])
             .map_err(|e| format!("cannot build a model artifact from `{}`: {e}", reports[0].solver))?
-            .with_weight_encoding(opts.precision)
-            .map_err(|e| format!("cannot encode the weights as {}: {e}", opts.precision.name()))?;
+            .with_weight_encoding(opts.precision);
         newton_admm_repro::trace::install(0);
         let saved = artifact.save(model_path);
         if let Some(io_trace) = newton_admm_repro::trace::uninstall() {

@@ -52,7 +52,7 @@ static THREADS_ENV_VALUE: OnceLock<usize> = OnceLock::new();
 /// the bad value, and the accepted values. A garbled thread count silently
 /// falling back would turn an intended scaling experiment into a wrong one,
 /// so failing loudly is the only safe behaviour (the `NADMM_PAR_THRESHOLD`
-/// and `NADMM_COLLECTIVE_ALGO` parsers apply the same rule).
+/// and `NADMM_TRANSPORT` parsers apply the same rule).
 pub fn parse_threads_env(raw: &str) -> usize {
     let n: usize = raw
         .trim()

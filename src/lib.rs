@@ -51,7 +51,7 @@ pub mod prelude {
     pub use nadmm_objective::{BinaryLogistic, Objective, SoftmaxCrossEntropy};
     pub use nadmm_serve::{
         artifact_for_scenario, run_serve, scenario_fingerprint, ArrivalSpec, ArtifactError, BatchingSpec, InferenceSession,
-        ModelArtifact, ModelRegistry, NamedTensor, Provenance, ServeReport, ServeSpec, ServingScenario, TensorEncoding,
+        ModelArtifact, ModelRegistry, Provenance, ServeReport, ServeSpec, ServingScenario, TensorEncoding,
     };
     pub use nadmm_solver::{CgConfig, LineSearchConfig, NewtonCg, NewtonConfig};
     pub use nadmm_trace::{
